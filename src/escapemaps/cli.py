@@ -91,6 +91,18 @@ def _load_document(path: str) -> MapDocument:
     return map_document_from_jsonable(_load_json(path))
 
 
+def _budget(text: str) -> int:
+    """argparse type for --depth, --max-iter and --horizon: a count of steps,
+    so negative values are usage errors (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
     if not text.strip():
         return ()
@@ -316,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_map_command("point", "classify the forward orbit of a point")
     p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
     p.set_defaults(handler=_cmd_point)
 
     p = add_map_command("tree", "backward orbit window of a point")
     p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=int, default=0,
+    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
+    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
+    p.add_argument("--horizon", type=_budget, default=0,
                    help="forward steps before rooting a non-escaping window")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -334,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="rational point p/q")
     p.add_argument("--V", dest="vertices", default="",
                    help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=int, default=0,
+    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
+    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
+    p.add_argument("--horizon", type=_budget, default=0,
                    help="forward steps before rooting a non-escaping window")
     p.add_argument("--check", action="store_true", help="run the relation checks")
     p.set_defaults(handler=_cmd_rep)
@@ -345,15 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="rational point p/q")
     p.add_argument("--V", dest="vertices", default="",
                    help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=int, default=DEFAULT_CERTIFY_DEPTH)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--depth", type=_budget, default=DEFAULT_CERTIFY_DEPTH)
+    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
     p.set_defaults(handler=_cmd_certify)
 
     p = add_map_command("equiv", "equivalence verdict for two points")
     p.add_argument("--x", required=True, help="rational point p/q")
     p.add_argument("--y", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
+    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("synth", help="construct a map realizing given matrices")

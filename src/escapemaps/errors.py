@@ -73,4 +73,6 @@ class InfeasibleSpecError(EscapeMapsError):
 
 
 class WidthSnapError(EscapeMapsError):
-    """No rational width vector passing the exact expansion check was found."""
+    """No widths make the synthesized map expanding: the transition matrix
+    has a single interval, a zero row or is not primitive, or a supplied
+    width allocation fails the exact expansion check."""

@@ -13,9 +13,10 @@ gap symbol, realized by covering that gap up to its midpoint.  Either way
 every gap's interior must end up covered by the branch images, which needs an
 interior occurrence or partial occurrences from both sides.
 
-Widths come from the Perron eigenvector of the transition matrix (power
-iteration, snapped to small-denominator rationals); expansion is then
-re-verified exactly, so floating point never leaks into the result.
+Widths come from integer power iteration w <- A.w started at w = 1, stopped
+at the first iterate whose widths pass the exact expansion test.  Everything
+is integer or rational arithmetic, so no float ever enters, and the widths
+stay small because the iteration stops as soon as it can.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport
@@ -42,10 +41,10 @@ from .transitions import (
 STRICT = "strict"
 PARTIAL = "partial"
 
-SNAP_DENOMINATOR = 10**6
-SNAP_RETRIES = 3
-POWER_TOLERANCE = 1e-12
-POWER_ITERATION_CAP = 10**6
+# Safety net only: for a primitive A the iterates grow strictly in every
+# entry once A^k > 0, so the loop ends within the Wielandt bound
+# (n - 1)^2 + 1, which stays below this for n <= 100.
+WIDTH_ITERATION_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -332,20 +331,20 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
 
 @dataclass(frozen=True)
 class WidthAllocation:
-    """Interval and gap widths summing to 1 (ambient [0, 1]), with the
-    floating-point eigenvalue estimate they were snapped from."""
+    """Interval and gap widths summing to 1 (ambient [0, 1]), with an exact
+    Collatz-Wielandt bracket (low, high) on the Perron root of the transition
+    matrix: the minimum and maximum over i of (A.w)_i / w_i for the integer
+    vector w the widths were taken from."""
 
     markov_widths: tuple[Fraction, ...]
     escape_widths: tuple[Fraction, ...]
-    perron_estimate: float
-    perron_error_bound: float
+    perron_bracket: tuple[Fraction, Fraction]
 
     def to_jsonable(self) -> dict:
         return {
             "markov_widths": [format_rational(w) for w in self.markov_widths],
             "escape_widths": [format_rational(w) for w in self.escape_widths],
-            "perron_estimate": self.perron_estimate,
-            "perron_error_bound": self.perron_error_bound,
+            "perron_bracket": [format_rational(b) for b in self.perron_bracket],
         }
 
 
@@ -382,51 +381,48 @@ def perron_widths(
     escape: Matrix,
     positions: Sequence[int],
     mode: str,
-    *,
-    snap_denominator: int = SNAP_DENOMINATOR,
-    tolerance: float = POWER_TOLERANCE,
-    iteration_cap: int = POWER_ITERATION_CAP,
 ) -> WidthAllocation:
-    """Interval widths proportional to the Perron eigenvector, snapped to
-    rationals and verified exactly: each row's image span must strictly
-    exceed its width (that quotient is the branch slope).  Gap widths are a
-    quarter of the smallest interval width.  Snapping retries with doubled
-    denominators before giving up."""
-    n = len(markov)
-    a = np.array(markov, dtype=float)
-    if not np.all(a.sum(axis=1) > 0):
-        raise WidthSnapError("transition matrix has a zero row")
-    v = np.full(n, 1.0 / n)
-    low, high = 0.0, float("inf")
-    for _ in range(iteration_cap):
-        w = a @ v
-        ratios = w / v
-        low, high = float(ratios.min()), float(ratios.max())
-        v = w / w.sum()
-        if high - low < tolerance:
-            break
-    estimate = (low + high) / 2
+    """Widths from integer power iteration on the transition matrix.
 
-    m = len(positions)
-    denominator = snap_denominator
-    for _ in range(SNAP_RETRIES + 1):
-        widths = [Fraction(x).limit_denominator(denominator) for x in v]
-        if all(w > 0 for w in widths):
-            gap = min(widths) / 4
-            gaps = [gap] * m
-            spans = _row_spans(markov, escape, positions, widths, gaps)
-            if all(span > width for span, width in zip(spans, widths)):
-                total = sum(widths) + sum(gaps)
-                return WidthAllocation(
-                    tuple(w / total for w in widths),
-                    tuple(g / total for g in gaps),
-                    estimate,
-                    high - low,
-                )
-        denominator *= 2
+    Starting from w = 1, iterate w <- A.w and stop at the first w for which
+    interval widths 4.w and gap widths min(w) pass the exact expansion test:
+    each row's image span strictly exceeds its width (that quotient is the
+    branch slope).  The widths are then normalised to total 1.  Raises
+    WidthSnapError for a single interval, a zero row or a matrix that is not
+    primitive, none of which admits an expanding map."""
+    n = len(markov)
+    if n < 2:
+        raise WidthSnapError(
+            "a single interval cannot expand, so no expanding map exists"
+        )
+    for i, row in enumerate(markov, start=1):
+        if not any(row):
+            raise WidthSnapError(
+                f"row {i} of the transition matrix is zero, so interval {i} "
+                f"has no image and no expanding map exists"
+            )
+    if not is_primitive(markov).primitive:
+        raise WidthSnapError(
+            "the transition matrix is not primitive, so no expanding map exists"
+        )
+    w = [1] * n
+    for _ in range(WIDTH_ITERATION_BOUND):
+        aw = [sum(x for a, x in zip(row, w) if a) for row in markov]
+        widths = [4 * x for x in w]
+        gaps = [Fraction(min(w))] * len(positions)
+        spans = _row_spans(markov, escape, positions, widths, gaps)
+        if all(span > width for span, width in zip(spans, widths)):
+            total = Fraction(sum(widths)) + sum(gaps)
+            ratios = [Fraction(y, x) for x, y in zip(w, aw)]
+            return WidthAllocation(
+                tuple(x / total for x in widths),
+                tuple(g / total for g in gaps),
+                (min(ratios), max(ratios)),
+            )
+        w = aw
     raise WidthSnapError(
-        f"could not snap the eigenvector estimate {v.tolist()} to rational "
-        f"widths with exact expansion (denominators up to {denominator // 2})"
+        f"no integer iterate passed the exact expansion check within "
+        f"{WIDTH_ITERATION_BOUND} steps"
     )
 
 

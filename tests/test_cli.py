@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +331,7 @@ def test_synth_strict_round_trip(capsys, tmp_path):
     assert data["gap_positions"] == [2]
     assert data["mode"] == "strict"
     assert data["validation"]["all_ok"] is True and data["validation"]["p5_ok"] is True
+    assert data["allocation"]["perron_bracket"] == ["4/3", "2"]
     assert out_file.read_text().endswith("\n")
 
     code, data, _ = run_json(capsys, "validate", str(out_file))
@@ -391,3 +396,55 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--x", "1/3", "--max-iter", "-5"],
+        ["tree", "--x", "1/2", "--depth", "-3"],
+        ["tree", "--x", "1/2", "--max-iter", "-1"],
+        ["tree", "--x", "5/27", "--horizon", "-1"],
+        ["rep", "--x", "1/2", "--depth", "-1"],
+        ["rep", "--x", "1/2", "--max-iter", "-1"],
+        ["rep", "--x", "5/27", "--horizon", "-2"],
+        ["certify", "--x", "1/2", "--depth", "-1"],
+        ["certify", "--x", "1/2", "--max-iter", "-1"],
+        ["equiv", "--x", "1/2", "--y", "1/3", "--depth", "-1"],
+        ["equiv", "--x", "1/2", "--y", "1/3", "--max-iter", "-1"],
+        ["tree", "--x", "1/2", "--depth", "three"],
+    ],
+)
+def test_negative_or_malformed_budgets_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, FOUR])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_budgets_are_accepted(capsys):
+    code, data, _ = run_json(
+        capsys, "tree", "--x", "1/2", "--depth", "0", "--horizon", "0", FOUR
+    )
+    assert code == 0 and data["node_count"] == 1
+
+
+# -- runtime dependencies ------------------------------------------------
+
+
+def test_runtime_imports_do_not_load_numpy():
+    """numpy is a test dependency only: importing the library and its CLI in
+    a fresh interpreter must not pull it in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import escapemaps, escapemaps.cli, sys; "
+            "assert 'numpy' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+        timeout=60,
+    )

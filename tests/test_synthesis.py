@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,44 +141,86 @@ def test_perron_widths_on_the_full_shift():
     alloc = perron_widths(((1, 1), (1, 1)), ((), ()), (), STRICT)
     assert alloc.markov_widths == (F(1, 2), F(1, 2))
     assert alloc.escape_widths == ()
-    assert abs(alloc.perron_estimate - 2.0) < 1e-9
+    assert alloc.perron_bracket == (2, 2)
 
 
 def test_perron_widths_on_the_four_interval_matrix():
     alloc = perron_widths(
         FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), (2,), STRICT
     )
-    assert abs(alloc.perron_estimate - 1.465571231876837) < 1e-9
-    total = sum(alloc.markov_widths) + sum(alloc.escape_widths)
-    assert total == 1
-    widths = alloc.markov_widths
-    gap = alloc.escape_widths[0]
-    # Each row's image span strictly exceeds its own width (expansion).
-    spans = [
-        widths[1] + gap + widths[2],
-        widths[3],
-        widths[0] + widths[1],
-        widths[2],
-    ]
-    for span, width in zip(spans, widths):
-        assert span > width
+    assert alloc.markov_widths == (F(12, 37), F(4, 37), F(12, 37), F(8, 37))
+    assert alloc.escape_widths == (F(1, 37),)
+    low, high = alloc.perron_bracket
+    assert all(type(x) is Fraction for x in alloc.perron_bracket)
+    assert all(
+        type(x) is Fraction for x in alloc.markov_widths + alloc.escape_widths
+    )
+    perron_root = float(max(np.linalg.eigvals(np.array(FOUR_INTERVAL_MARKOV)).real))
+    assert abs(perron_root - 1.465571231876837) < 1e-12
+    assert low <= F(perron_root) <= high
     data = alloc.to_jsonable()
-    assert set(data) == {
-        "markov_widths",
-        "escape_widths",
-        "perron_estimate",
-        "perron_error_bound",
-    }
+    assert set(data) == {"markov_widths", "escape_widths", "perron_bracket"}
+    assert data["perron_bracket"] == ["4/3", "2"]
+    assert not any(
+        isinstance(v, float) for value in data.values() for v in value
+    )
+    result = synthesize(
+        SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT),
+        allocation=alloc,
+    )
+    slopes = [branch.slope for branch in result.map.branches]
+    assert slopes == [F(17, 12), F(2), F(4, 3), F(3, 2)]
+    intercepts = [branch.intercept for branch in result.map.branches]
+    assert intercepts == [F(12, 37), F(5, 37), F(-68, 111), F(-53, 74)]
 
 
 def test_perron_widths_rejects_zero_rows():
-    with pytest.raises(WidthSnapError):
+    with pytest.raises(WidthSnapError, match="row 2 .* is zero"):
         perron_widths(((1, 1), (0, 0)), ((), ()), (), STRICT)
 
 
+def test_perron_widths_rejects_imprimitive_matrices():
+    with pytest.raises(WidthSnapError, match="not primitive"):
+        perron_widths(((0, 1), (1, 0)), ((), ()), (), STRICT)
+
+
 def test_single_interval_spec_cannot_expand():
-    with pytest.raises(WidthSnapError):
+    with pytest.raises(WidthSnapError, match="no expanding map exists"):
         synthesize(SynthesisSpec(((1,),), ((),)))
+    with pytest.raises(WidthSnapError, match="single interval"):
+        perron_widths(((1,),), ((),), (), STRICT)
+
+
+# Row runs (1-based, inclusive) of a 32x32 band whose per-row widths vary, so
+# its Perron vector spreads over about seven orders of magnitude.
+_LOCALIZED_BAND_RUNS = (
+    (1, 2), (1, 3), (2, 4), (2, 6), (4, 6), (4, 7), (5, 8), (6, 9),
+    (7, 10), (8, 12), (10, 12), (11, 13), (12, 14), (13, 15), (14, 16),
+    (14, 17), (16, 18), (16, 20), (18, 21), (19, 21), (20, 22), (20, 23),
+    (22, 24), (23, 25), (24, 26), (24, 28), (26, 29), (26, 30), (27, 30),
+    (29, 32), (30, 32), (30, 32),
+)
+
+
+def test_strict_synthesis_of_a_localized_32_band():
+    n = len(_LOCALIZED_BAND_RUNS)
+    markov = tuple(
+        tuple(int(lo <= j <= hi) for j in range(1, n + 1))
+        for lo, hi in _LOCALIZED_BAND_RUNS
+    )
+    escape = tuple((u,) for u in _straddle_column(markov, 16))
+    result = synthesize(
+        SynthesisSpec(markov, escape, gap_positions=(16,), mode=STRICT)
+    )
+    data = transition_data(result.map)
+    assert data.markov == markov
+    assert data.escape == escape
+    assert data.gap_positions == (16,)
+    assert result.validation.p5_ok
+    for branch in result.map.branches:
+        for value in (branch.slope, branch.intercept, branch.left, branch.right):
+            assert value.numerator.bit_length() < 64
+            assert value.denominator.bit_length() < 64
 
 
 # -- synthesis round trips ----------------------------------------------
