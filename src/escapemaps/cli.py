@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +90,18 @@ def _load_json(path: str) -> object:
 
 def _load_document(path: str) -> MapDocument:
     return map_document_from_jsonable(_load_json(path))
+
+
+def _load_valid_document(path: str) -> MapDocument:
+    """Load a map for orbit analysis, which means nothing on a map failing
+    P1-P4: such a map is a check failure (exit 1) that lists its issues."""
+    doc = _load_document(path)
+    report = doc.map.validate()
+    groups = (report.p1_issues, report.p2_issues, report.p3_issues, report.p4_issues)
+    issues = [f"P{k}: {issue}" for k, group in enumerate(groups, 1) for issue in group]
+    if issues:
+        raise EscapeMapsError("map fails validation:\n  " + "\n  ".join(issues))
+    return doc
 
 
 def _budget(text: str) -> int:
@@ -179,7 +192,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
+    doc = _load_valid_document(args.map)
     x = parse_rational(args.x)
     pc = classify_point(doc.map, x, args.max_iter)
     out = {"point": format_rational(x)}
@@ -191,7 +204,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
+    doc = _load_valid_document(args.map)
     x = parse_rational(args.x)
     tree = build_orbit_tree(
         doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
@@ -204,7 +217,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_rep(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
+    doc = _load_valid_document(args.map)
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
     tree = build_orbit_tree(
@@ -239,7 +252,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
+    doc = _load_valid_document(args.map)
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
     tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter)
@@ -254,7 +267,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
+    doc = _load_valid_document(args.map)
     x = parse_rational(args.x)
     y = parse_rational(args.y)
     result = compare_points(
@@ -384,7 +397,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # meet a closed pipe here rather than at exit
+        return code
+    except BrokenPipeError:
+        # The reader left early (`escapemaps ... | head -1`).  Point stdout at
+        # devnull so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RationalParseError, MapFormatError, MapStructureError) as exc:
         _fail(str(exc))
         return 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -73,6 +74,11 @@ class AffineBranch:
         return self.slope * x + self.intercept
 
     def image(self) -> Interval:
+        return self._image
+
+    @cached_property
+    def _image(self) -> Interval:
+        # The branch is frozen, so its image is computed once.
         a = self.value_at(self.left)
         b = self.value_at(self.right)
         return (a, b) if a <= b else (b, a)
@@ -199,20 +205,26 @@ class MarkovMap:
                 )
 
     # -- basic geometry -------------------------------------------------
+    # The map is frozen, so each geometric fact is computed once and cached.
 
     @property
     def n(self) -> int:
         return len(self.branches)
 
-    @property
+    @cached_property
     def intervals(self) -> tuple[Interval, ...]:
         return tuple((b.left, b.right) for b in self.branches)
+
+    @cached_property
+    def images(self) -> tuple[Interval, ...]:
+        """Closed branch images f(I_1), ..., f(I_n), endpoints sorted."""
+        return tuple(b.image() for b in self.branches)
 
     @property
     def ambient(self) -> Interval:
         return (self.branches[0].left, self.branches[-1].right)
 
-    @property
+    @cached_property
     def gaps(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
         """Nonempty open gaps as (gap_index, lo, hi); gap k sits between
         intervals k and k+1."""
@@ -224,13 +236,13 @@ class MarkovMap:
                 out.append((k, lo, hi))
         return tuple(out)
 
-    @property
+    @cached_property
     def partition_points(self) -> tuple[Fraction, ...]:
-        pts: set[Fraction] = set()
-        for b in self.branches:
-            pts.add(b.left)
-            pts.add(b.right)
-        return tuple(sorted(pts))
+        return tuple(sorted(self._partition_set))
+
+    @cached_property
+    def _partition_set(self) -> frozenset[Fraction]:
+        return frozenset(p for b in self.branches for p in (b.left, b.right))
 
     def gap_bounds(self, gap_index: int) -> tuple[Fraction, Fraction]:
         for k, lo, hi in self.gaps:
@@ -251,7 +263,7 @@ class MarkovMap:
         lo, hi = self.ambient
         if not lo <= x <= hi:
             return Location(OUTSIDE, None, x)
-        if x in set(self.partition_points):
+        if x in self._partition_set:
             return Location(PARTITION_POINT, None, x)
         for i, b in enumerate(self.branches, start=1):
             if b.left < x < b.right:
@@ -291,7 +303,7 @@ class MarkovMap:
     def interval_image(self, i: int) -> Interval:
         """Closed image f(I_i) as an interval (endpoints sorted)."""
         self._check_branch_index(i)
-        return self.branches[i - 1].image()
+        return self.images[i - 1]
 
     def _check_branch_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -303,11 +315,9 @@ class MarkovMap:
         """Run the P1-P4 checks and the P5 coverage diagnostic."""
         from .transitions import is_primitive, markov_matrix
 
-        images = tuple(self.interval_image(i) for i in range(1, self.n + 1))
-
         # P1: branch images cover the ambient interval exactly.
         p1_issues: list[str] = []
-        covered = merge_closed_intervals(images)
+        covered = merge_closed_intervals(self.images)
         if covered != (self.ambient,):
             pretty = ", ".join(f"[{lo}, {hi}]" for lo, hi in covered)
             p1_issues.append(
@@ -317,7 +327,7 @@ class MarkovMap:
 
         # P2: each image meets the domain in a union of whole intervals.
         p2_issues: list[str] = []
-        for i, (lo, hi) in enumerate(images, start=1):
+        for i, (lo, hi) in enumerate(self.images, start=1):
             pieces = []
             whole = []
             for j, (jlo, jhi) in enumerate(self.intervals, start=1):
@@ -355,7 +365,7 @@ class MarkovMap:
 
         # P5 diagnostic: coverage of each gap the open image meets.
         coverage = []
-        for i, (lo, hi) in enumerate(images, start=1):
+        for i, (lo, hi) in enumerate(self.images, start=1):
             for k, glo, ghi in self.gaps:
                 if max(lo, glo) < min(hi, ghi):
                     coverage.append(EscapeCoverage(i, k, lo <= glo and ghi <= hi))

@@ -6,10 +6,11 @@ algebra is exact set combinatorics:
 
   * transfer(i)        |y> -> |f_i^{-1}(y)>   for y in the closed image of I_i
   * edge_isometry(i,j) |y> -> |f_i^{-1}(y)>   for y in I_j (defined per unit
-                        transition entry (i, j), directly from the formula)
+                        transition entry (i, j))
   * vertex_projection(i)  diagonal over nodes in I_i
   * image_projection(i)   diagonal over nodes in the closed image of I_i
 
+The preimage f_i^{-1}(y) is read off the window as the child of y labelled i.
 Relations are checked on the window interior (nodes whose preimages are fully
 materialized); the vertex-sum relation additionally needs the node's forward
 image inside the window, which excludes a non-periodic regular root.
@@ -18,12 +19,10 @@ image inside the window, which excludes a non-periodic regular root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
     BasisMismatchError,
-    InconsistentInputsError,
     NotAdmissibleError,
     NotAnEscapePointError,
     WindowTooShallowError,
@@ -31,7 +30,7 @@ from .errors import (
 from .maps import MapStructureError
 from .orbits import Escaped, OrbitTree, PointClass
 from .rationals import format_rational
-from .transitions import TransitionData, transition_data
+from .transitions import TransitionData, build_graph, transition_data
 
 
 @dataclass(frozen=True)
@@ -160,62 +159,42 @@ class Representation:
         return tuple(format_rational(p) for p in pts)
 
 
-def realize(tree: OrbitTree, data: TransitionData | None = None) -> Representation:
-    """Build every operator on the window's basis.  When transition data is
-    passed explicitly it must match the window's own map exactly."""
-    derived = transition_data(tree.map)
-    if data is None:
-        data = derived
-    elif data != derived:
-        raise InconsistentInputsError(
-            "transition data does not match the window's map"
-        )
+def realize(tree: OrbitTree) -> Representation:
+    """Build every operator on the window's basis in one pass over its parent
+    and label arrays.  An interior node y has every preimage materialized (a
+    root whose cycle closes through itself included), so f_i^{-1}(y) is the
+    child of y labelled i."""
+    data = transition_data(tree.map)
     n = data.n
     dim = tree.node_count
     interior = frozenset(tree.interior_indices())
 
-    point_index = {p: idx for idx, p in enumerate(tree.points)}
-    images = [tree.map.interval_image(i) for i in range(1, n + 1)]
+    transfer_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edge_pairs: dict[tuple[int, int], list[tuple[int, int]]] = {
+        edge: [] for edge in build_graph(data.markov).edges
+    }
+    by_label: list[list[int]] = [[] for _ in range(n)]
+    for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
+        if i is None:
+            continue
+        by_label[i - 1].append(idx)
+        if parent in interior:
+            transfer_pairs[i - 1].append((parent, idx))
+            edge = (i, tree.labels[parent])
+            if edge in edge_pairs:
+                edge_pairs[edge].append((parent, idx))
 
-    transfers = []
-    for i in range(1, n + 1):
-        lo, hi = images[i - 1]
-        pairs = []
-        for idx in interior:
-            y = tree.points[idx]
-            if lo <= y <= hi:
-                z = tree.map.branch_inverse(i, y)
-                pairs.append((idx, point_index[z]))
-        transfers.append(PartialBasisMap(dim, tuple(pairs)))
-
-    edge_isometries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if not data.markov[i - 1][j - 1]:
-                continue
-            pairs = []
-            for idx in interior:
-                if tree.labels[idx] != j:
-                    continue
-                z = tree.map.branch_inverse(i, tree.points[idx])
-                pairs.append((idx, point_index[z]))
-            edge_isometries[(i, j)] = PartialBasisMap(dim, tuple(pairs))
-
-    vertex_projections = [
+    transfers = [PartialBasisMap(dim, tuple(pairs)) for pairs in transfer_pairs]
+    edge_isometries = {
+        edge: PartialBasisMap(dim, tuple(pairs)) for edge, pairs in edge_pairs.items()
+    }
+    vertex_projections = [PartialBasisMap.diagonal(dim, nodes) for nodes in by_label]
+    image_projections = [
         PartialBasisMap.diagonal(
-            dim, (idx for idx in range(dim) if tree.labels[idx] == i)
+            dim, (idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
         )
-        for i in range(1, n + 1)
+        for lo, hi in tree.map.images
     ]
-    image_projections = []
-    for i in range(1, n + 1):
-        lo, hi = images[i - 1]
-        image_projections.append(
-            PartialBasisMap.diagonal(
-                dim,
-                (idx for idx in range(dim) if lo <= tree.points[idx] <= hi),
-            )
-        )
 
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # The vertex-sum relation speaks about a node's forward image, so it can
@@ -277,24 +256,20 @@ class RelationReport:
         }
 
 
-def _edge_range_support(rep: Representation, i: int, j: int) -> frozenset[int]:
-    s = rep.edge_isometry(i, j)
-    return s.compose(s.adjoint()).support()
-
-
 def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationReport:
     """Verify the defining relations on the window.
 
     Per transition edge e = (i, j): the isometry relation s*s = p_j and the
     range bound ss* <= p_i, both on the interior.  Per requested vertex v: the
     vertex-sum relation p_v = sum of ss* over edges leaving v, on the domain
-    where forward images are materialized.
+    where forward images are materialized.  For a partial injection s, s*s
+    and ss* are the diagonals over its domain and its codomain.
     """
     vlist = _validated_vertices(vertices, rep.n)
     checks = []
     for i, j in rep.edges():
         s = rep.edge_isometry(i, j)
-        lhs = s.adjoint().compose(s).support()
+        lhs = s.domain()
         rhs = rep.vertex_projection(j).support() & rep.interior
         checks.append(
             RelationCheck(
@@ -305,7 +280,7 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
                 rep.point_strings(lhs ^ rhs),
             )
         )
-        range_support = _edge_range_support(rep, i, j)
+        range_support = s.codomain()
         covered = range_support <= rep.vertex_projection(i).support()
         checks.append(
             RelationCheck(
@@ -321,7 +296,7 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
         for i, j in rep.edges():
             if i != v:
                 continue
-            part = _edge_range_support(rep, v, j)
+            part = rep.edge_isometry(v, j).codomain()
             assert not (rhs & part), "edge ranges must be orthogonal"
             rhs |= part
         lhs_set = rep.vertex_projection(v).support() & rep.check_domain
@@ -356,7 +331,7 @@ def gap_projection(rep: Representation, i: int) -> PartialBasisMap:
     covered: set[int] = set()
     for vi, j in rep.edges():
         if vi == i:
-            covered |= _edge_range_support(rep, i, j)
+            covered |= rep.edge_isometry(i, j).codomain()
     support = (
         rep.vertex_projection(i).support() & rep.check_domain
     ) - covered
@@ -403,8 +378,7 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
             )
     for idx in sorted(rep.interior):
         y = rep.tree.points[idx]
-        for i in range(1, rep.n + 1):
-            lo, hi = rep.tree.map.interval_image(i)
+        for i, (lo, hi) in enumerate(rep.tree.map.images, start=1):
             if lo <= y <= hi:
                 z = rep.tree.map.branch_inverse(i, y)
                 if rep.tree.map.branches[i - 1].value_at(z) != y:
@@ -511,7 +485,7 @@ def faithfulness_certificate(
         edge_sum: set[int] = set()
         for i, j in rep.edges():
             if i == k:
-                edge_sum |= _edge_range_support(rep, k, j)
+                edge_sum |= rep.edge_isometry(k, j).codomain()
         nonvanishing.append(NonvanishingCheck("edge-range-sum", k, bool(edge_sum)))
     return Certificate(
         vertices=vlist,

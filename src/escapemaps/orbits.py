@@ -104,11 +104,7 @@ def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     loc = m.locate(e)
     if loc.kind != ESCAPE_INTERIOR:
         raise NotAnEscapePointError(f"{e} is not strictly inside an open gap")
-    out = []
-    for i in range(1, m.n + 1):
-        lo, hi = m.interval_image(i)
-        out.append(1 if lo <= e <= hi else 0)
-    return tuple(out)
+    return tuple(1 if lo <= e <= hi else 0 for lo, hi in m.images)
 
 
 def incidence_cells(
@@ -119,8 +115,8 @@ def incidence_cells(
     each cell interior."""
     glo, ghi = m.gap_bounds(gap_index)
     cuts = {glo, ghi}
-    for i in range(1, m.n + 1):
-        for endpoint in m.interval_image(i):
+    for image in m.images:
+        for endpoint in image:
             if glo < endpoint < ghi:
                 cuts.add(endpoint)
     ordered = sorted(cuts)
@@ -272,8 +268,7 @@ def build_orbit_tree(
         new_entries: list[tuple[Fraction, int, int]] = []
         for parent_idx in frontier:
             y = points[parent_idx]
-            for i in range(1, m.n + 1):
-                lo, hi = m.interval_image(i)
+            for i, (lo, hi) in enumerate(m.images, start=1):
                 if not lo <= y <= hi:
                     continue
                 z = m.branch_inverse(i, y)

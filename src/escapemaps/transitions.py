@@ -58,9 +58,8 @@ def gap_symbol(k: int) -> str:
 def markov_matrix(m: MarkovMap) -> Matrix:
     """Transition matrix: unit at (i, j) iff the open image of I_i contains
     the interior of I_j."""
-    images = [m.interval_image(i) for i in range(1, m.n + 1)]
     rows = []
-    for lo, hi in images:
+    for lo, hi in m.images:
         rows.append(
             tuple(
                 1 if lo <= jlo and jhi <= hi else 0
@@ -106,9 +105,8 @@ def transition_data(m: MarkovMap) -> TransitionData:
     markov = markov_matrix(m)
     gaps = m.gaps
     positions = tuple(k for k, _, _ in gaps)
-    images = [m.interval_image(i) for i in range(1, m.n + 1)]
     escape_rows = []
-    for lo, hi in images:
+    for lo, hi in m.images:
         escape_rows.append(
             tuple(1 if max(lo, glo) < min(hi, ghi) else 0 for _, glo, ghi in gaps)
         )

@@ -429,6 +429,61 @@ def test_zero_budgets_are_accepted(capsys):
     assert code == 0 and data["node_count"] == 1
 
 
+# -- maps failing validation ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--x", "2/3"],
+        ["tree", "--x", "2/3"],
+        ["rep", "--x", "2/3"],
+        ["certify", "--x", "2/3", "--V", "1"],
+        ["equiv", "--x", "2/3", "--y", "1/3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_analysis_commands_reject_an_invalid_map(capsys, tmp_path, argv):
+    # A slope-2 branch on [0, 1] maps onto [0, 2], so P1 fails; before the
+    # analysis commands validated on load, point reported that 4/3 left the
+    # ambient interval.
+    bad = tmp_path / "slope2.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "markov_intervals": [["0", "1"]],
+                "branches": [{"slope": "2", "intercept": "0"}],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert code == 1 and out == ""
+    assert "map fails validation" in err
+    assert "P1: branch images cover [0, 2]" in err
+
+
+# -- closed stdout -------------------------------------------------------
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    """A reader that stops after one line (``| head -1``) closes the pipe.
+    The window report is far larger than a pipe buffer, so the writer is
+    sure to meet the closed pipe."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "escapemaps", "tree", "--x", "1/2",
+         "--depth", "18", FOUR],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 # -- runtime dependencies ------------------------------------------------
 
 

@@ -121,6 +121,12 @@ def test_four_interval_geometry(four_map):
         F(9, 10),
         F(1),
     )
+    for i, branch in enumerate(four_map.branches, start=1):
+        assert four_map.images[i - 1] == four_map.interval_image(i) == branch.image()
+    # The geometry read above is cached on the frozen map and its branches;
+    # equality and hashing must still agree with a freshly loaded copy.
+    fresh = load_document("four_interval").map
+    assert four_map == fresh and hash(four_map) == hash(fresh)
 
 
 def test_locate_kinds(four_map):

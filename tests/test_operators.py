@@ -5,24 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
+    STRICT,
     BasisMismatchError,
-    InconsistentInputsError,
     MapStructureError,
     NotAdmissibleError,
     NotAnEscapePointError,
     PartialBasisMap,
+    SynthesisSpec,
     WindowTooShallowError,
     admissible,
     build_orbit_tree,
     check_relations,
     classify_point,
+    escape_point_with_incidence,
     faithfulness_certificate,
+    four_interval_map,
+    four_interval_reaching_map,
+    full_two_interval_map,
     gap_projection,
     image_decomposition_check,
+    markov_matrix,
     projection_sum_is_identity,
     quotient_nonfaithfulness_demo,
     realize,
-    transition_data,
+    synthesize,
     truncate_tree,
 )
 
@@ -99,14 +105,6 @@ def half_rep4(four_map):
     # Depth 4 is the first depth whose window carries nodes of every
     # interval, which the certificate's nonvanishing checks need.
     return realize(build_orbit_tree(four_map, F(1, 2), 4))
-
-
-def test_realize_rejects_foreign_transition_data(four_map, full2_map):
-    tree = build_orbit_tree(four_map, F(1, 2), 2)
-    with pytest.raises(InconsistentInputsError):
-        realize(tree, transition_data(full2_map))
-    rep = realize(tree, transition_data(four_map))
-    assert rep.data == transition_data(four_map)
 
 
 def test_realized_operator_entries(half_rep):
@@ -187,6 +185,88 @@ def test_regular_window_relations(four_map):
     report = check_relations(rep, [1, 2, 3, 4])
     assert report.all_passed
     assert image_decomposition_check(rep).passed
+
+
+# -- the formula construction as an oracle for realize ------------------
+
+
+def formula_operators(tree):
+    """Reference transfers and edge isometries built from the formula: the
+    preimage f_i^{-1}(y) by branch_inverse over the closed images, then a
+    lookup of that point in the window."""
+    m = tree.map
+    dim = tree.node_count
+    point_index = {p: idx for idx, p in enumerate(tree.points)}
+    interior = tree.interior_indices()
+
+    def pull_back(i, nodes):
+        return PartialBasisMap(
+            dim,
+            tuple(
+                (idx, point_index[m.branch_inverse(i, tree.points[idx])])
+                for idx in nodes
+            ),
+        )
+
+    transfers = []
+    for i in range(1, m.n + 1):
+        lo, hi = m.interval_image(i)
+        transfers.append(
+            pull_back(i, [idx for idx in interior if lo <= tree.points[idx] <= hi])
+        )
+    markov = markov_matrix(m)
+    edges = {
+        (i, j): pull_back(i, [idx for idx in interior if tree.labels[idx] == j])
+        for i in range(1, m.n + 1)
+        for j in range(1, m.n + 1)
+        if markov[i - 1][j - 1]
+    }
+    return transfers, edges
+
+
+def _band8_escape_window():
+    # Synthesized n = 8 band |i - j| <= 1 with its straddle gap at position 4;
+    # strict coverage makes the straddle column the gap points' incidence.
+    n = 8
+    markov = tuple(tuple(int(abs(i - j) <= 1) for j in range(n)) for i in range(n))
+    column = tuple(row[3] & row[4] for row in markov)
+    spec = SynthesisSpec(
+        markov, tuple((u,) for u in column), gap_positions=(4,), mode=STRICT
+    )
+    m = synthesize(spec).map
+    return build_orbit_tree(m, escape_point_with_incidence(m, column), 4)
+
+
+ORACLE_WINDOWS = {
+    "four-escape": lambda: build_orbit_tree(four_interval_map(), F(1, 2), 5),
+    "reaching-escape": lambda: build_orbit_tree(
+        four_interval_reaching_map(), F(13, 20), 5
+    ),
+    # The full two-interval map has no gap, so its window is a regular one;
+    # 1/3 has period 2 and the cycle closes through the root.
+    "full2-periodic-root": lambda: build_orbit_tree(
+        full_two_interval_map(), F(1, 3), 4
+    ),
+    "four-regular-horizon": lambda: build_orbit_tree(
+        four_interval_map(), F(5, 27), 5, horizon=4
+    ),
+    "band8-escape": _band8_escape_window,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+def test_realize_matches_the_formula_construction(name):
+    tree = ORACLE_WINDOWS[name]()
+    if not tree.is_escape_window:
+        assert tree.parents[0] is not None  # the root closes its cycle
+    rep = realize(tree)
+    transfers, edges = formula_operators(tree)
+    assert any(not t.is_empty for t in transfers)
+    for i, expected in enumerate(transfers, start=1):
+        assert rep.transfer(i) == expected
+    assert rep.edges() == tuple(sorted(edges))
+    for (i, j), expected in edges.items():
+        assert rep.edge_isometry(i, j) == expected
 
 
 # -- admissibility and certificates --------------------------------------
