@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -122,7 +123,7 @@ def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.lstrip("+-").isdigit():
+        if not re.fullmatch(r"[+-]?\d+", piece):
             raise MapFormatError(f"vertex list entry {piece!r} is not an integer")
         out.append(int(piece))
     bad = [v for v in out if not 1 <= v <= n]

@@ -44,7 +44,7 @@ from .orbits import (
     truncate_tree,
 )
 from .rationals import format_rational
-from .transitions import Matrix, transition_data
+from .transitions import Matrix
 from .operators import realize
 
 
@@ -298,11 +298,11 @@ def classify_corpus(
             )
         classes_of.append(pc)
 
-    data = transition_data(m)
-    n = data.n
+    markov = m.transition_matrix
+    n = m.n
     children: list[list[int]] = []
     for state in range(n):
-        children.append([i for i in range(n) if data.markov[i][state]])
+        children.append([i for i in range(n) if markov[i][state]])
     for pc in classes_of:
         children.append([i for i in range(n) if pc.incidence[i]])
     history = _refine(children)
@@ -411,11 +411,11 @@ def compare_points(
                 f"point {label} hits a partition point at step {pc.hit_step}; "
                 f"no representation is defined"
             )
-    data = transition_data(m)
+    markov = m.transition_matrix
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())
     if isinstance(cls_x, Escaped):
-        verdict = bisim_equivalent(data.markov, cls_x.incidence, cls_y.incidence)
+        verdict = bisim_equivalent(markov, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
             tree_x = build_orbit_tree(m, x, depth, max_iter)
@@ -426,9 +426,9 @@ def compare_points(
     jx = m.locate(Fraction(x)).index
     jy = m.locate(Fraction(y)).index
     verdict = bisim_equivalent(
-        data.markov,
-        tuple(data.markov[i][jx - 1] for i in range(data.n)),
-        tuple(data.markov[i][jy - 1] for i in range(data.n)),
+        markov,
+        tuple(markov[i][jx - 1] for i in range(m.n)),
+        tuple(markov[i][jy - 1] for i in range(m.n)),
         note="window-level comparison of non-escaping points",
     )
     return ComparisonResult(cls_x, cls_y, verdict)

@@ -74,5 +74,4 @@ class InfeasibleSpecError(EscapeMapsError):
 
 class WidthSnapError(EscapeMapsError):
     """No widths make the synthesized map expanding: the transition matrix
-    has a single interval, a zero row or is not primitive, or a supplied
-    width allocation fails the exact expansion check."""
+    has a single interval, a zero row or is not primitive."""

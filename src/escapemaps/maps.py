@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     MapFormatError,
@@ -237,6 +237,24 @@ class MarkovMap:
         return tuple(out)
 
     @cached_property
+    def transition_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Transition matrix A: unit at (i, j) iff the open image of I_i
+        contains the interior of I_j."""
+        return tuple(
+            tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in self.intervals)
+            for lo, hi in self.images
+        )
+
+    @cached_property
+    def escape_block(self) -> tuple[tuple[int, ...], ...]:
+        """Escape block B, one column per entry of ``gaps``: unit at (i, k)
+        iff the open image of I_i meets the open gap."""
+        return tuple(
+            tuple(int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in self.gaps)
+            for lo, hi in self.images
+        )
+
+    @cached_property
     def partition_points(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self._partition_set))
 
@@ -313,7 +331,7 @@ class MarkovMap:
 
     def validate(self) -> ValidationReport:
         """Run the P1-P4 checks and the P5 coverage diagnostic."""
-        from .transitions import is_primitive, markov_matrix
+        from .transitions import is_primitive
 
         # P1: branch images cover the ambient interval exactly.
         p1_issues: list[str] = []
@@ -354,7 +372,7 @@ class MarkovMap:
         expansion_bound = min(abs(b.slope) for b in self.branches)
 
         # P4: primitivity of the transition matrix.
-        prim = is_primitive(markov_matrix(self))
+        prim = is_primitive(self.transition_matrix)
         p4_issues = []
         if not prim.primitive:
             r, c = prim.zero_entry
@@ -364,11 +382,14 @@ class MarkovMap:
             )
 
         # P5 diagnostic: coverage of each gap the open image meets.
-        coverage = []
-        for i, (lo, hi) in enumerate(self.images, start=1):
-            for k, glo, ghi in self.gaps:
-                if max(lo, glo) < min(hi, ghi):
-                    coverage.append(EscapeCoverage(i, k, lo <= glo and ghi <= hi))
+        coverage = tuple(
+            EscapeCoverage(i, k, lo <= glo and ghi <= hi)
+            for i, ((lo, hi), row) in enumerate(
+                zip(self.images, self.escape_block), start=1
+            )
+            for (k, glo, ghi), unit in zip(self.gaps, row)
+            if unit
+        )
 
         return ValidationReport(
             p1_ok=not p1_issues,
@@ -381,7 +402,7 @@ class MarkovMap:
             p4_issues=tuple(p4_issues),
             expansion_bound=expansion_bound,
             aperiodicity_exponent=prim.exponent,
-            escape_coverage=tuple(coverage),
+            escape_coverage=coverage,
         )
 
 
@@ -417,13 +438,13 @@ def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:
         )
     symbols = data["symbol_order"]
     rows = data["rows"]
-    if not isinstance(symbols, Sequence) or not all(isinstance(s, str) for s in symbols):
+    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise MapFormatError("symbol_order must be an array of strings")
     if (
-        not isinstance(rows, Sequence)
+        not isinstance(rows, list)
         or len(rows) != len(symbols)
         or not all(
-            isinstance(row, Sequence)
+            isinstance(row, list)
             and len(row) == len(symbols)
             and all(entry in (0, 1) and not isinstance(entry, bool) for entry in row)
             for row in rows
@@ -448,7 +469,7 @@ def map_document_from_jsonable(data: object) -> MapDocument:
         raise MapFormatError("map document needs 'markov_intervals' and 'branches'")
     intervals = data["markov_intervals"]
     branches = data["branches"]
-    if not isinstance(intervals, Sequence) or not isinstance(branches, Sequence):
+    if not isinstance(intervals, list) or not isinstance(branches, list):
         raise MapFormatError("'markov_intervals' and 'branches' must be arrays")
     if len(intervals) != len(branches) or not intervals:
         raise MapFormatError(
@@ -456,7 +477,7 @@ def map_document_from_jsonable(data: object) -> MapDocument:
         )
     built = []
     for pos, (interval, branch) in enumerate(zip(intervals, branches), start=1):
-        if not (isinstance(interval, Sequence) and len(interval) == 2):
+        if not (isinstance(interval, list) and len(interval) == 2):
             raise MapFormatError(f"interval #{pos} must be a [lo, hi] pair")
         if not (
             isinstance(branch, Mapping) and set(branch) == {"slope", "intercept"}

@@ -30,7 +30,7 @@ from .errors import (
 from .maps import MapStructureError
 from .orbits import Escaped, OrbitTree, PointClass
 from .rationals import format_rational
-from .transitions import TransitionData, build_graph, transition_data
+from .transitions import TransitionData, transition_data
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,10 @@ def realize(tree: OrbitTree) -> Representation:
 
     transfer_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     edge_pairs: dict[tuple[int, int], list[tuple[int, int]]] = {
-        edge: [] for edge in build_graph(data.markov).edges
+        (i, j): []
+        for i, row in enumerate(data.markov, start=1)
+        for j, unit in enumerate(row, start=1)
+        if unit
     }
     by_label: list[list[int]] = [[] for _ in range(n)]
     for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):

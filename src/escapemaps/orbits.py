@@ -16,9 +16,11 @@ through the root, which the window records via the root's parent pointer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .errors import (
     DepthExceedsTreeError,
@@ -31,6 +33,7 @@ from .maps import (
     MARKOV_INTERIOR,
     OUTSIDE,
     PARTITION_POINT,
+    Location,
     MarkovMap,
 )
 from .rationals import format_rational
@@ -72,18 +75,35 @@ class UndeterminedRegular:
 PointClass = Escaped | BoundaryOrbit | UndeterminedRegular
 
 
+def _forward_orbit(
+    m: MarkovMap, x: Fraction
+) -> Iterator[tuple[Fraction, Location, int | None]]:
+    """Yield (y, location of y, branch applied to y) along the forward orbit
+    of x, one step per item.  At a partition point the leftmost containing
+    interval's branch is applied; an escape point comes with branch None and
+    ends the orbit.  Raises OutsideAmbientError when a point is outside the
+    ambient interval."""
+    y = Fraction(x)
+    for step in itertools.count():
+        loc = m.locate(y)
+        if loc.kind == OUTSIDE:
+            raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
+        if loc.kind == ESCAPE_INTERIOR:
+            yield y, loc, None
+            return
+        i = loc.index if loc.kind == MARKOV_INTERIOR else m.containing_intervals(y)[0]
+        yield y, loc, i
+        y = m.branches[i - 1].value_at(y)
+
+
 def classify_point(
     m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
 ) -> PointClass:
     """Iterate the map exactly until escape, a partition-point hit, a cycle,
     or the budget runs out.  Raises OutsideAmbientError for points outside the
     ambient interval."""
-    y = Fraction(x)
     seen: dict[Fraction, int] = {}
-    for step in range(max_iter + 1):
-        loc = m.locate(y)
-        if loc.kind == OUTSIDE:
-            raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
+    for step, (y, loc, _) in enumerate(_forward_orbit(m, x)):
         if loc.kind == PARTITION_POINT:
             return BoundaryOrbit(step, y)
         if loc.kind == ESCAPE_INTERIOR:
@@ -91,10 +111,8 @@ def classify_point(
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
-        if step == max_iter:
-            break
-        y = m.branches[loc.index - 1].value_at(y)
-    return UndeterminedRegular(max_iter, None)
+        if step >= max_iter:
+            return UndeterminedRegular(max_iter, None)
 
 
 def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
@@ -207,15 +225,6 @@ class OrbitTree:
         return self.points.index(Fraction(point))
 
 
-def _iterate_forward(m: MarkovMap, x: Fraction, steps: int) -> Fraction:
-    y = Fraction(x)
-    for _ in range(steps):
-        loc = m.locate(y)
-        assert loc.kind == MARKOV_INTERIOR
-        y = m.branches[loc.index - 1].value_at(y)
-    return y
-
-
 def build_orbit_tree(
     m: MarkovMap,
     x: Fraction,
@@ -252,8 +261,9 @@ def build_orbit_tree(
                 f"horizon {horizon} exceeds the verified forward depth "
                 f"{base_class.checked_depth}"
             )
-        root = _iterate_forward(m, x, horizon)
-        root_label = m.locate(root).index
+        for step, (root, _, root_label) in enumerate(_forward_orbit(m, x)):
+            if step == horizon:
+                break
 
     boundary = set(m.partition_points)
     points: list[Fraction] = [root]
@@ -361,26 +371,17 @@ class Itinerary:
 def itinerary(
     m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
 ) -> Itinerary:
-    y = Fraction(x)
     symbols: list[str] = []
     boundary: list[int] = []
-    for step in range(max_iter + 1):
-        loc = m.locate(y)
-        if loc.kind == OUTSIDE:
-            raise OutsideAmbientError(f"{y} is outside the ambient interval")
+    for step, (_, loc, i) in enumerate(_forward_orbit(m, x)):
         if loc.kind == ESCAPE_INTERIOR:
             symbols.append(gap_symbol(loc.index))
             return Itinerary(tuple(symbols), tuple(boundary), loc.index)
-        if step == max_iter:
+        if step >= max_iter:
             break
         if loc.kind == PARTITION_POINT:
             boundary.append(step)
-            containing = m.containing_intervals(y)
-            i = containing[0]
-        else:
-            i = loc.index
         symbols.append(markov_symbol(i))
-        y = m.branches[i - 1].value_at(y)
     return Itinerary(tuple(symbols), tuple(boundary), None)
 
 

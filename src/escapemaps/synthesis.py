@@ -439,38 +439,18 @@ class SynthesisResult:
     validation: ValidationReport
 
 
-def synthesize(
-    spec: SynthesisSpec, *, allocation: WidthAllocation | None = None
-) -> SynthesisResult:
+def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Build a map realizing the spec exactly.
 
     Raises InfeasibleSpecError (carrying the report) when the spec cannot be
-    realized and WidthSnapError when no workable widths are found.  A
-    precomputed ``allocation`` may be supplied (e.g. reused across specs that
-    share a transition matrix); its expansion margin is re-verified exactly
-    for this spec.  The recomputed matrices of the result are asserted equal
-    to the inputs before returning."""
+    realized and WidthSnapError when no workable widths are found.  The
+    recomputed matrices of the result are asserted equal to the inputs before
+    returning."""
     report = feasibility_check(spec)
     if not report.feasible:
         raise InfeasibleSpecError(report)
     positions = report.positions
-    if allocation is None:
-        allocation = perron_widths(spec.markov, spec.escape, positions, spec.mode)
-    else:
-        spans = _row_spans(
-            spec.markov,
-            spec.escape,
-            positions,
-            allocation.markov_widths,
-            allocation.escape_widths,
-        )
-        if not all(
-            span > width for span, width in zip(spans, allocation.markov_widths)
-        ):
-            raise WidthSnapError(
-                "supplied width allocation violates the exact expansion check "
-                "for this spec"
-            )
+    allocation = perron_widths(spec.markov, spec.escape, positions, spec.mode)
 
     columns = _columns(spec.n, positions)
     cursor = Fraction(0)

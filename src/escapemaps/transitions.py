@@ -57,16 +57,8 @@ def gap_symbol(k: int) -> str:
 
 def markov_matrix(m: MarkovMap) -> Matrix:
     """Transition matrix: unit at (i, j) iff the open image of I_i contains
-    the interior of I_j."""
-    rows = []
-    for lo, hi in m.images:
-        rows.append(
-            tuple(
-                1 if lo <= jlo and jhi <= hi else 0
-                for jlo, jhi in m.intervals
-            )
-        )
-    return tuple(rows)
+    the interior of I_j (cached on the map)."""
+    return m.transition_matrix
 
 
 @dataclass(frozen=True)
@@ -102,15 +94,11 @@ class TransitionData:
 
 
 def transition_data(m: MarkovMap) -> TransitionData:
-    markov = markov_matrix(m)
-    gaps = m.gaps
-    positions = tuple(k for k, _, _ in gaps)
-    escape_rows = []
-    for lo, hi in m.images:
-        escape_rows.append(
-            tuple(1 if max(lo, glo) < min(hi, ghi) else 0 for _, glo, ghi in gaps)
-        )
-    return TransitionData(markov, tuple(escape_rows), positions)
+    """The map's cached transition matrix and escape block with its gap
+    positions."""
+    return TransitionData(
+        m.transition_matrix, m.escape_block, tuple(k for k, _, _ in m.gaps)
+    )
 
 
 @dataclass(frozen=True)
@@ -158,28 +146,14 @@ class BlockForm:
 
 
 def block_form(em: EscapeMatrix) -> BlockForm:
-    """Permute the interleaved escape matrix into block form and verify the
-    factorization entrywise."""
+    """The permutation matrix taking the interleaved escape matrix to block
+    form, with the blocks A and B."""
     size = len(em.symbols)
     sigma = em.block_permutation
     permutation = tuple(
         tuple(1 if col == sigma[row] else 0 for col in range(size))
         for row in range(size)
     )
-    permuted = tuple(
-        tuple(em.entries[sigma[r]][sigma[c]] for c in range(size)) for r in range(size)
-    )
-    n, m = em.data.n, em.data.m
-    for r in range(size):
-        for c in range(size):
-            if r < n:
-                want = em.data.markov[r][c] if c < n else em.data.escape[r][c - n]
-            else:
-                want = 0
-            if permuted[r][c] != want:
-                raise AssertionError(
-                    f"block permutation failed verification at ({r}, {c})"
-                )
     return BlockForm(em.data.markov, em.data.escape, permutation)
 
 

@@ -252,10 +252,12 @@ def test_rep_on_a_regular_window(capsys):
 
 
 def test_rep_vertex_parsing_errors(capsys):
-    code, _, err = run_cli(
-        capsys, "rep", "--x", "1/2", "--V", "2;3", "--check", FOUR
-    )
-    assert code == 2 and "not an integer" in err
+    # "--V=" keeps argparse from reading a leading "-" as an option.
+    for text in ("2;3", "+-3", "-+2"):
+        code, _, err = run_cli(
+            capsys, "rep", "--x", "1/2", f"--V={text}", "--check", FOUR
+        )
+        assert code == 2 and "not an integer" in err
     code, _, err = run_cli(
         capsys, "rep", "--x", "1/2", "--V", "9", "--check", FOUR
     )
@@ -286,6 +288,12 @@ def test_certify_inadmissible_set(capsys):
     code, out, err = run_cli(capsys, "certify", "--x", "1/2", "--V", "1,2", FOUR)
     assert code == 1 and out == ""
     assert "not admissible" in err
+
+
+def test_certify_sign_mangled_vertex_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "certify", "--x", "1/2", "--V=-+2", FOUR)
+    assert code == 2 and out == ""
+    assert "not an integer" in err
 
 
 # -- equiv ---------------------------------------------------------------

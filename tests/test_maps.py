@@ -123,6 +123,9 @@ def test_four_interval_geometry(four_map):
     )
     for i, branch in enumerate(four_map.branches, start=1):
         assert four_map.images[i - 1] == four_map.interval_image(i) == branch.image()
+    assert four_map.transition_matrix is four_map.transition_matrix
+    assert four_map.escape_block is four_map.escape_block
+    assert four_map.escape_block == ((1,), (0,), (0,), (0,))
     # The geometry read above is cached on the frozen map and its branches;
     # equality and hashing must still agree with a freshly loaded copy.
     fresh = load_document("four_interval").map
@@ -192,6 +195,25 @@ def test_escape_coverage_distinguishes_full_and_partial(four_map, reaching_map):
         (1, 2, True),
         (4, 2, False),
     ]
+
+
+@pytest.mark.parametrize(
+    "name", ["four_map", "reaching_map", "full2_map", "partial_map"]
+)
+def test_escape_coverage_lists_the_escape_block_units(name, request):
+    m = request.getfixturevalue(name)
+    coverage = m.validate().escape_coverage
+    units = [
+        (i, k)
+        for i, row in enumerate(m.escape_block, start=1)
+        for (k, _, _), unit in zip(m.gaps, row)
+        if unit
+    ]
+    assert [(c.branch, c.gap) for c in coverage] == units
+    for c in coverage:
+        lo, hi = m.images[c.branch - 1]
+        glo, ghi = m.gap_bounds(c.gap)
+        assert c.full == (lo <= glo and ghi <= hi)
 
 
 def test_partition_set_is_forward_invariant_under_full_coverage(
@@ -310,6 +332,15 @@ def test_document_schema_rejects_malformed_inputs():
     doc["branches"][0]["slope"] = "2/0"
     with pytest.raises(RationalParseError):
         map_document_from_jsonable(doc)
+    # A two-character string is a sequence of length 2, but not a JSON array.
+    doc = _minimal_doc()
+    doc["markov_intervals"] = ["01", "12"]
+    with pytest.raises(MapFormatError):
+        map_document_from_jsonable(doc)
+    doc = _minimal_doc()
+    doc["markov_intervals"][1] = "12"
+    with pytest.raises(MapFormatError):
+        map_document_from_jsonable(doc)
 
 
 def test_expected_matrix_schema_is_strict():
@@ -328,5 +359,8 @@ def test_expected_matrix_schema_is_strict():
         "rows": [[1, 0], [0, 1]],
         "note": "no",
     }
+    with pytest.raises(MapFormatError):
+        map_document_from_jsonable(doc)
+    doc["expected_escape_matrix"] = {"symbol_order": "12", "rows": [[1, 0], [0, 1]]}
     with pytest.raises(MapFormatError):
         map_document_from_jsonable(doc)

@@ -14,6 +14,7 @@ from escapemaps import (
     SynthesisSpec,
     WindowTooShallowError,
     admissible,
+    build_graph,
     build_orbit_tree,
     check_relations,
     classify_point,
@@ -265,6 +266,7 @@ def test_realize_matches_the_formula_construction(name):
     for i, expected in enumerate(transfers, start=1):
         assert rep.transfer(i) == expected
     assert rep.edges() == tuple(sorted(edges))
+    assert rep.edges() == build_graph(markov_matrix(tree.map)).edges
     for (i, j), expected in edges.items():
         assert rep.edge_isometry(i, j) == expected
 

@@ -165,9 +165,9 @@ def test_perron_widths_on_the_four_interval_matrix():
         isinstance(v, float) for value in data.values() for v in value
     )
     result = synthesize(
-        SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT),
-        allocation=alloc,
+        SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT)
     )
+    assert result.allocation == alloc
     slopes = [branch.slope for branch in result.map.branches]
     assert slopes == [F(17, 12), F(2), F(4, 3), F(3, 2)]
     intercepts = [branch.intercept for branch in result.map.branches]
@@ -274,18 +274,6 @@ def test_two_gap_synthesis():
     assert data.gap_positions == (1, 2)
     assert result.map.n == 3
     assert len(result.map.gaps) == 2
-
-
-def test_allocation_reuse_across_specs_sharing_a_matrix():
-    markov = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
-    first = SynthesisSpec(markov, ((1,), (1,), (0,)), gap_positions=(1,))
-    second = SynthesisSpec(markov, ((0,), (1,), (1,)), gap_positions=(2,))
-    base = synthesize(first)
-    reused = synthesize(second, allocation=base.allocation)
-    data = transition_data(reused.map)
-    assert data.markov == markov
-    assert data.escape == ((0,), (1,), (1,))
-    assert reused.allocation == base.allocation
 
 
 # -- the straddle rule for strict single-column specs --------------------

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from escapemaps import (
     MapFormatError,
+    SynthesisSpec,
     as_binary_matrix,
     block_form,
     build_graph,
     dot_export,
     escape_matrix,
     expected_matrix_notes,
+    four_interval_map,
+    four_interval_reaching_map,
+    full_two_interval_map,
     is_primitive,
     markov_matrix,
+    synthesize,
     transition_data,
     vector_from_vertex_subset,
     vertex_subset_from_vector,
@@ -83,11 +88,32 @@ def test_reaching_escape_matrix_meets_gap_from_branch_four(reaching_map):
     assert data.escape == ((1,), (0,), (0,), (1,))
 
 
-def test_block_form_factorization(four_map):
-    em = escape_matrix(four_map)
+TWO_GAP_A = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
+TWO_GAP_B = ((1, 0), (1, 1), (0, 1))
+
+BLOCK_FORM_CASES = {
+    "four_interval": (four_interval_map, FOUR_A, ((1,), (0,), (0,), (0,))),
+    "four_interval_reaching": (
+        four_interval_reaching_map,
+        FOUR_A,
+        ((1,), (0,), (0,), (1,)),
+    ),
+    "full_two_interval": (full_two_interval_map, ((1, 1), (1, 1)), ((), ())),
+    "synthesized_two_gaps": (
+        lambda: synthesize(SynthesisSpec(TWO_GAP_A, TWO_GAP_B)).map,
+        TWO_GAP_A,
+        TWO_GAP_B,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FORM_CASES))
+def test_block_form_factorization(name):
+    load, markov, escape = BLOCK_FORM_CASES[name]
+    em = escape_matrix(load())
     bf = block_form(em)
-    assert bf.markov == FOUR_A
-    assert bf.escape == ((1,), (0,), (0,), (0,))
+    assert bf.markov == markov
+    assert bf.escape == escape
     size = len(em.symbols)
     p = bf.permutation_matrix
     # P is a permutation matrix and P Ahat P^T has the block shape
