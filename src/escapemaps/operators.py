@@ -18,6 +18,7 @@ image inside the window, which excludes a non-periodic regular root.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -153,6 +154,17 @@ class Representation:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_isometries))
+
+    @functools.cached_property
+    def edge_ranges(self) -> tuple[frozenset[int], ...]:
+        """Per vertex i (at index i - 1), the support of the sum of ss* over
+        the edges s leaving i."""
+        ranges: list[set[int]] = [set() for _ in range(self.n)]
+        for (i, _), s in self.edge_isometries.items():
+            part = s.codomain()
+            assert not (ranges[i - 1] & part), "edge ranges must be orthogonal"
+            ranges[i - 1] |= part
+        return tuple(frozenset(r) for r in ranges)
 
     def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
         pts = sorted(self.tree.points[idx] for idx in indices)
@@ -295,15 +307,8 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
             )
         )
     for v in vlist:
-        rhs: set[int] = set()
-        for i, j in rep.edges():
-            if i != v:
-                continue
-            part = rep.edge_isometry(v, j).codomain()
-            assert not (rhs & part), "edge ranges must be orthogonal"
-            rhs |= part
         lhs_set = rep.vertex_projection(v).support() & rep.check_domain
-        rhs_set = frozenset(rhs) & rep.check_domain
+        rhs_set = rep.edge_ranges[v - 1] & rep.check_domain
         checks.append(
             RelationCheck(
                 "vertex-sum",
@@ -331,13 +336,9 @@ def gap_projection(rep: Representation, i: int) -> PartialBasisMap:
     f_i^{-1}(root)."""
     if not 1 <= i <= rep.n:
         raise MapStructureError(f"vertex {i} out of range 1..{rep.n}")
-    covered: set[int] = set()
-    for vi, j in rep.edges():
-        if vi == i:
-            covered |= rep.edge_isometry(i, j).codomain()
     support = (
         rep.vertex_projection(i).support() & rep.check_domain
-    ) - covered
+    ) - rep.edge_ranges[i - 1]
     return PartialBasisMap.diagonal(rep.dim, support)
 
 
@@ -485,11 +486,9 @@ def faithfulness_certificate(
         nonvanishing.append(
             NonvanishingCheck("gap-projection", k, not gap_projection(rep, k).is_empty)
         )
-        edge_sum: set[int] = set()
-        for i, j in rep.edges():
-            if i == k:
-                edge_sum |= rep.edge_isometry(k, j).codomain()
-        nonvanishing.append(NonvanishingCheck("edge-range-sum", k, bool(edge_sum)))
+        nonvanishing.append(
+            NonvanishingCheck("edge-range-sum", k, bool(rep.edge_ranges[k - 1]))
+        )
     return Certificate(
         vertices=vlist,
         incidence=rep.incidence,

@@ -30,11 +30,11 @@ from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport
 from .rationals import format_rational
 from .transitions import (
+    InterleavedLayout,
     Matrix,
     as_binary_matrix,
-    gap_symbol,
+    interleaved_layout,
     is_primitive,
-    markov_symbol,
     transition_data,
 )
 
@@ -65,9 +65,11 @@ class SynthesisSpec:
         object.__setattr__(self, "markov", markov)
         n = len(markov)
         escape = self.escape
-        if not isinstance(escape, Sequence) or len(escape) != n:
+        if not isinstance(escape, (list, tuple)) or len(escape) != n:
             raise MapFormatError("escape block needs one row per interval")
-        widths = {len(row) for row in escape} if escape else set()
+        if not all(isinstance(row, (list, tuple)) for row in escape):
+            raise MapFormatError("escape block rows must be arrays")
+        widths = {len(row) for row in escape}
         if len(widths) > 1:
             raise MapFormatError("escape block rows must be equally long")
         for row in escape:
@@ -107,38 +109,13 @@ class SynthesisSpec:
         return len(self.escape[0]) if self.escape and self.escape[0] else 0
 
 
-# -- interleaved layout helpers -----------------------------------------
+# -- feasibility ---------------------------------------------------------
 
 
-def _columns(n: int, positions: Sequence[int]) -> list[tuple[str, int]]:
-    """Column plan in interleaved symbol order: ("markov", j) entries with
-    ("gap", column_index) slotted in after each listed position."""
-    slot = {p: col for col, p in enumerate(positions)}
-    out: list[tuple[str, int]] = []
-    for j in range(1, n + 1):
-        out.append(("markov", j))
-        if j in slot:
-            out.append(("gap", slot[j]))
-    return out
-
-
-def _column_symbol(kind: str, idx: int, positions: Sequence[int]) -> str:
-    if kind == "markov":
-        return markov_symbol(idx)
-    return gap_symbol(positions[idx])
-
-
-def _row_units(
-    markov_row: Sequence[int],
-    escape_row: Sequence[int],
-    columns: Sequence[tuple[str, int]],
-) -> list[int]:
-    units = []
-    for pos, (kind, idx) in enumerate(columns):
-        value = markov_row[idx - 1] if kind == "markov" else escape_row[idx]
-        if value:
-            units.append(pos)
-    return units
+def _unit_runs(layout: InterleavedLayout) -> list[list[int]]:
+    """Column positions of the unit entries of each Markov row: the runs that
+    feasibility, the width test and branch construction all read."""
+    return [[c for c, v in enumerate(row) if v] for row in layout.rows]
 
 
 @dataclass(frozen=True)
@@ -175,65 +152,52 @@ class FeasibilityReport:
 
 
 def _layout_issues(
-    markov: Matrix,
-    escape: Matrix,
-    positions: Sequence[int],
-    mode: str,
+    layout: InterleavedLayout, mode: str
 ) -> tuple[list[str], list[str], list[RowSegment]]:
-    n = len(markov)
-    columns = _columns(n, positions)
+    columns = layout.columns
+    symbols = layout.symbols
     row_issues: list[str] = []
     segments: list[RowSegment] = []
-    runs: list[list[int]] = []
-    for i in range(1, n + 1):
-        units = _row_units(markov[i - 1], escape[i - 1], columns)
-        runs.append(units)
-        symbols = tuple(
-            _column_symbol(*columns[pos], positions) for pos in units
-        )
+    spans: list[tuple[int, int]] = []  # (first, last) of each contiguous run
+    for i, units in enumerate(_unit_runs(layout), start=1):
+        names = tuple(symbols[c] for c in units)
         if not units:
             row_issues.append(f"row {i} has no targets")
             continue
-        if units != list(range(units[0], units[-1] + 1)):
+        first, last = units[0], units[-1]
+        if len(units) != last - first + 1:
             row_issues.append(
                 f"targets of row {i} are not contiguous in symbol order: "
-                + " ".join(symbols)
+                + " ".join(names)
             )
             continue
-        if all(columns[pos][0] == "gap" for pos in units):
+        spans.append((first, last))
+        if all(columns[c][1] is not None for c in units):
             row_issues.append(
                 f"row {i} targets only an escape symbol; its image would "
                 f"collapse to a point"
             )
             continue
-        segments.append(RowSegment(i, symbols))
+        segments.append(RowSegment(i, names))
         if mode == STRICT:
-            for end in dict.fromkeys((units[0], units[-1])):
-                kind, idx = columns[end]
-                if kind == "gap":
+            for end in dict.fromkeys((first, last)):
+                if columns[end][1] is not None:
                     row_issues.append(
                         f"row {i} segment ends at escape symbol "
-                        f"{gap_symbol(positions[idx])}; strict mode requires "
+                        f"{symbols[end]}; strict mode requires "
                         f"Markov symbols at both ends"
                     )
 
     column_issues: list[str] = []
-    for col, p in enumerate(positions):
-        gap_pos = columns.index(("gap", col))
-        interior = left_end = right_end = False
-        for units in runs:
-            if gap_pos not in units or not units:
-                continue
-            if units == list(range(units[0], units[-1] + 1)):
-                if units[0] < gap_pos < units[-1]:
-                    interior = True
-                elif gap_pos == units[0] and gap_pos != units[-1]:
-                    left_end = True
-                elif gap_pos == units[-1] and gap_pos != units[0]:
-                    right_end = True
+    for c, (p, k) in enumerate(columns):
+        if k is None:
+            continue
+        interior = any(first < c < last for first, last in spans)
+        left_end = any(first == c < last for first, last in spans)
+        right_end = any(first < c == last for first, last in spans)
         if not (interior or (left_end and right_end)):
             column_issues.append(
-                f"the gap at position {p} ({gap_symbol(p)}) would not be fully "
+                f"the gap at position {p} ({symbols[c]}) would not be fully "
                 f"covered by the branch images: it needs a branch whose segment "
                 f"contains it strictly inside, or partial branches reaching it "
                 f"from both sides"
@@ -250,7 +214,8 @@ def auto_gap_positions(
     n = len(markov)
     m = len(escape[0]) if escape and escape[0] else 0
     for combo in itertools.combinations(range(1, n), m):
-        rows, cols, _ = _layout_issues(markov, escape, combo, mode)
+        layout = interleaved_layout(markov, escape, combo)
+        rows, cols, _ = _layout_issues(layout, mode)
         if not rows and not cols:
             return combo
     return None
@@ -262,14 +227,11 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
     structure: list[str] = []
     prim = is_primitive(spec.markov)
     if not prim.primitive:
-        if prim.zero_entry is None:
-            structure.append("transition matrix is not primitive")
-        else:
-            r, c = prim.zero_entry
-            structure.append(
-                f"transition matrix is not primitive: entry ({r}, {c}) of the "
-                f"Wielandt-bound power is still zero"
-            )
+        r, c = prim.zero_entry
+        structure.append(
+            f"transition matrix is not primitive: entry ({r}, {c}) of the "
+            f"Wielandt-bound power is still zero"
+        )
     for col in range(spec.m):
         if all(spec.escape[i][col] == 0 for i in range(spec.n)):
             structure.append(
@@ -283,36 +245,18 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
         )
 
     positions = spec.gap_positions
-    row_issues: list[str] = []
-    column_issues: list[str] = []
-    segments: list[RowSegment] = []
     if positions is None:
-        if spec.m <= max(spec.n - 1, 0):
-            found = auto_gap_positions(spec.markov, spec.escape, spec.mode)
-        else:
-            found = None
-        if found is None:
-            positions = ()
-            if spec.m > 0:
-                structure.append(
-                    "no placement of the escape columns makes every row "
-                    "contiguous and every gap covered"
-                )
-            else:
-                rows, cols, segs = _layout_issues(
-                    spec.markov, spec.escape, (), spec.mode
-                )
-                row_issues, column_issues, segments = rows, cols, segs
-                positions = ()
-        else:
-            positions = found
-            row_issues, column_issues, segments = _layout_issues(
-                spec.markov, spec.escape, positions, spec.mode
-            )
-    else:
-        row_issues, column_issues, segments = _layout_issues(
-            spec.markov, spec.escape, positions, spec.mode
+        positions = auto_gap_positions(spec.markov, spec.escape, spec.mode)
+    if positions is None and spec.m:
+        structure.append(
+            "no placement of the escape columns makes every row "
+            "contiguous and every gap covered"
         )
+        positions, row_issues, column_issues, segments = (), [], [], []
+    else:
+        positions = positions or ()
+        layout = interleaved_layout(spec.markov, spec.escape, positions)
+        row_issues, column_issues, segments = _layout_issues(layout, spec.mode)
 
     feasible = not (structure or row_issues or column_issues)
     return FeasibilityReport(
@@ -348,46 +292,17 @@ class WidthAllocation:
         }
 
 
-def _row_spans(
-    markov: Matrix,
-    escape: Matrix,
-    positions: Sequence[int],
-    markov_widths: Sequence[Fraction],
-    escape_widths: Sequence[Fraction],
-) -> list[Fraction]:
-    """Exact image-span length of each row under the given widths: full
-    widths for Markov targets and interior gaps, half for a gap at either
-    segment end."""
-    n = len(markov)
-    columns = _columns(n, positions)
-    spans = []
-    for i in range(1, n + 1):
-        units = _row_units(markov[i - 1], escape[i - 1], columns)
-        total = Fraction(0)
-        for pos in units:
-            kind, idx = columns[pos]
-            if kind == "markov":
-                total += markov_widths[idx - 1]
-            elif pos in (units[0], units[-1]):
-                total += escape_widths[idx] / 2
-            else:
-                total += escape_widths[idx]
-        spans.append(total)
-    return spans
-
-
 def perron_widths(
-    markov: Matrix,
-    escape: Matrix,
-    positions: Sequence[int],
-    mode: str,
+    markov: Matrix, escape: Matrix, positions: Sequence[int]
 ) -> WidthAllocation:
     """Widths from integer power iteration on the transition matrix.
 
     Starting from w = 1, iterate w <- A.w and stop at the first w for which
     interval widths 4.w and gap widths min(w) pass the exact expansion test:
     each row's image span strictly exceeds its width (that quotient is the
-    branch slope).  The widths are then normalised to total 1.  Raises
+    branch slope).  A row's span is 4.(A.w)_i over its Markov targets plus a
+    full gap width for each gap inside its run and half of one for a gap at
+    either end.  The widths are then normalised to total 1.  Raises
     WidthSnapError for a single interval, a zero row or a matrix that is not
     primitive, none of which admits an expanding map."""
     n = len(markov)
@@ -405,18 +320,28 @@ def perron_widths(
         raise WidthSnapError(
             "the transition matrix is not primitive, so no expanding map exists"
         )
+    layout = interleaved_layout(markov, escape, positions)
+    # Half gap widths in each row's span, so the test stays in integers:
+    # 4.(A.w)_i + min(w).halves_i / 2 > 4.w_i.
+    halves = [
+        sum(
+            1 if c in (units[0], units[-1]) else 2
+            for c in units
+            if layout.columns[c][1] is not None
+        )
+        for units in _unit_runs(layout)
+    ]
     w = [1] * n
     for _ in range(WIDTH_ITERATION_BOUND):
         aw = [sum(x for a, x in zip(row, w) if a) for row in markov]
-        widths = [4 * x for x in w]
-        gaps = [Fraction(min(w))] * len(positions)
-        spans = _row_spans(markov, escape, positions, widths, gaps)
-        if all(span > width for span, width in zip(spans, widths)):
-            total = Fraction(sum(widths)) + sum(gaps)
+        g = min(w)
+        if all(8 * y + g * h > 8 * x for x, y, h in zip(w, aw, halves)):
+            widths = [4 * x for x in w]
+            total = Fraction(sum(widths) + g * len(positions))
             ratios = [Fraction(y, x) for x, y in zip(w, aw)]
             return WidthAllocation(
                 tuple(x / total for x in widths),
-                tuple(g / total for g in gaps),
+                (g / total,) * len(positions),
                 (min(ratios), max(ratios)),
             )
         w = aw
@@ -450,40 +375,29 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     if not report.feasible:
         raise InfeasibleSpecError(report)
     positions = report.positions
-    allocation = perron_widths(spec.markov, spec.escape, positions, spec.mode)
+    allocation = perron_widths(spec.markov, spec.escape, positions)
 
-    columns = _columns(spec.n, positions)
+    layout = interleaved_layout(spec.markov, spec.escape, positions)
     cursor = Fraction(0)
-    interval_bounds: dict[int, tuple[Fraction, Fraction]] = {}
-    gap_bounds: dict[int, tuple[Fraction, Fraction]] = {}
-    for kind, idx in columns:
+    bounds: list[tuple[Fraction, Fraction]] = []  # per interleaved column
+    for j, k in layout.columns:
         width = (
-            allocation.markov_widths[idx - 1]
-            if kind == "markov"
-            else allocation.escape_widths[idx]
+            allocation.markov_widths[j - 1]
+            if k is None
+            else allocation.escape_widths[k]
         )
-        if kind == "markov":
-            interval_bounds[idx] = (cursor, cursor + width)
-        else:
-            gap_bounds[idx] = (cursor, cursor + width)
+        bounds.append((cursor, cursor + width))
         cursor += width
+    own = [bounds[c] for c, (_, k) in enumerate(layout.columns) if k is None]
 
     branches = []
-    for i in range(1, spec.n + 1):
-        units = _row_units(spec.markov[i - 1], spec.escape[i - 1], columns)
-        first_kind, first_idx = columns[units[0]]
-        last_kind, last_idx = columns[units[-1]]
-        if first_kind == "markov":
-            left_target = interval_bounds[first_idx][0]
-        else:
-            glo, ghi = gap_bounds[first_idx]
-            left_target = (glo + ghi) / 2
-        if last_kind == "markov":
-            right_target = interval_bounds[last_idx][1]
-        else:
-            glo, ghi = gap_bounds[last_idx]
-            right_target = (glo + ghi) / 2
-        left, right = interval_bounds[i]
+    for (left, right), units in zip(own, _unit_runs(layout)):
+        # A run ends at the edge of a Markov target or the middle of a gap.
+        first, last = units[0], units[-1]
+        glo, ghi = bounds[first]
+        left_target = glo if layout.columns[first][1] is None else (glo + ghi) / 2
+        glo, ghi = bounds[last]
+        right_target = ghi if layout.columns[last][1] is None else (glo + ghi) / 2
         slope = (right_target - left_target) / (right - left)
         branches.append(
             AffineBranch(
@@ -572,7 +486,7 @@ def spec_from_jsonable(
         raise MapFormatError(f"transition-matrix file: {exc}") from exc
     return SynthesisSpec(
         markov=markov,
-        escape=b_rows if isinstance(b_rows, Sequence) else (),
+        escape=b_rows,
         gap_positions=positions,
         mode=chosen_mode,
     )

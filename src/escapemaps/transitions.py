@@ -7,7 +7,9 @@ For a map with intervals I_1..I_n and open gaps E_k:
   * the escape matrix extends A by one column per open gap, with a unit at
     (i, k) when the open image of I_i meets the open gap E_k; its symbols are
     interleaved as 1 < 1^ < 2 < 2^ < ... < n, and a permutation brings it to
-    the block form [[A, B], [0, 0]].
+    the block form [[A, B], [0, 0]].  ``interleaved_layout`` is the one
+    definition of that order; the escape matrix, the claim notes and
+    synthesis all read it.
 
 Primitivity of A is decided by checking boolean powers up to the Wielandt
 bound n^2 - 2n + 2.
@@ -84,13 +86,8 @@ class TransitionData:
 
     def symbols(self) -> tuple[str, ...]:
         """Interleaved symbol order 1 < 1^ < 2 < ... < n."""
-        out = []
-        positions = set(self.gap_positions)
-        for j in range(1, self.n + 1):
-            out.append(markov_symbol(j))
-            if j in positions:
-                out.append(gap_symbol(j))
-        return tuple(out)
+        layout = interleaved_layout(self.markov, self.escape, self.gap_positions)
+        return layout.symbols
 
 
 def transition_data(m: MarkovMap) -> TransitionData:
@@ -99,6 +96,47 @@ def transition_data(m: MarkovMap) -> TransitionData:
     return TransitionData(
         m.transition_matrix, m.escape_block, tuple(k for k, _, _ in m.gaps)
     )
+
+
+@dataclass(frozen=True)
+class InterleavedLayout:
+    """Columns of the escape matrix in the interleaved symbol order
+    1 < 1^ < 2 < ... < n, with its Markov rows.
+
+    ``columns[c]`` is (j, None) for the Markov symbol j, or (p, k) for the
+    gap symbol p^, which is escape column k (0-based) and the gap between
+    intervals p and p + 1.  ``rows[i - 1]`` is row i of [A | B] in that
+    column order; the escape matrix's rows for gap symbols are zero."""
+
+    columns: tuple[tuple[int, int | None], ...]
+    rows: Matrix
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return tuple(
+            markov_symbol(j) if k is None else gap_symbol(j)
+            for j, k in self.columns
+        )
+
+
+def interleaved_layout(
+    markov: Sequence[Sequence[int]],
+    escape: Sequence[Sequence[int]],
+    gap_positions: Sequence[int],
+) -> InterleavedLayout:
+    """Slot escape column k in after Markov symbol ``gap_positions[k]`` and
+    read each row of [A | B] in that order."""
+    slot = {p: k for k, p in enumerate(gap_positions)}
+    columns: list[tuple[int, int | None]] = []
+    for j in range(1, len(markov) + 1):
+        columns.append((j, None))
+        if j in slot:
+            columns.append((j, slot[j]))
+    rows = tuple(
+        tuple(a_row[j - 1] if k is None else b_row[k] for j, k in columns)
+        for a_row, b_row in zip(markov, escape, strict=True)
+    )
+    return InterleavedLayout(tuple(columns), rows)
 
 
 @dataclass(frozen=True)
@@ -111,29 +149,25 @@ class EscapeMatrix:
     """
 
     data: TransitionData
-    symbols: tuple[str, ...]
+    layout: InterleavedLayout
     entries: Matrix
     block_permutation: tuple[int, ...]
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return self.layout.symbols
 
 
 def escape_matrix(m: MarkovMap) -> EscapeMatrix:
     data = transition_data(m)
-    symbols = data.symbols()
-    index = {sym: pos for pos, sym in enumerate(symbols)}
-    size = len(symbols)
-    entries = [[0] * size for _ in range(size)]
-    for i in range(1, data.n + 1):
-        row = index[markov_symbol(i)]
-        for j in range(1, data.n + 1):
-            entries[row][index[markov_symbol(j)]] = data.markov[i - 1][j - 1]
-        for col, k in enumerate(data.gap_positions):
-            entries[row][index[gap_symbol(k)]] = data.escape[i - 1][col]
-    block_symbols = [markov_symbol(i) for i in range(1, data.n + 1)]
-    block_symbols += [gap_symbol(k) for k in data.gap_positions]
-    permutation = tuple(index[sym] for sym in block_symbols)
-    return EscapeMatrix(
-        data, symbols, tuple(tuple(row) for row in entries), permutation
+    layout = interleaved_layout(data.markov, data.escape, data.gap_positions)
+    zero = (0,) * len(layout.columns)
+    entries = tuple(
+        layout.rows[j - 1] if k is None else zero for j, k in layout.columns
     )
+    markov_cols = [c for c, (_, k) in enumerate(layout.columns) if k is None]
+    gap_cols = [c for c, (_, k) in enumerate(layout.columns) if k is not None]
+    return EscapeMatrix(data, layout, entries, tuple(markov_cols + gap_cols))
 
 
 @dataclass(frozen=True)
@@ -148,7 +182,7 @@ class BlockForm:
 def block_form(em: EscapeMatrix) -> BlockForm:
     """The permutation matrix taking the interleaved escape matrix to block
     form, with the blocks A and B."""
-    size = len(em.symbols)
+    size = len(em.layout.columns)
     sigma = em.block_permutation
     permutation = tuple(
         tuple(1 if col == sigma[row] else 0 for col in range(size))
@@ -283,30 +317,28 @@ def expected_matrix_notes(
             + " ".join(em.symbols),
         )
     notes = []
-    for r, row_sym in enumerate(em.symbols):
-        for c, col_sym in enumerate(em.symbols):
+    columns, symbols = em.layout.columns, em.symbols
+    for r, (i, row_gap) in enumerate(columns):
+        for c, (j, col_gap) in enumerate(columns):
             got = em.entries[r][c]
             want = expected.rows[r][c]
             if got == want:
                 continue
             note = (
                 f"computed escape matrix differs from the claimed one at "
-                f"({row_sym}, {col_sym}): computed {got}, claimed {want}"
+                f"({symbols[r]}, {symbols[c]}): computed {got}, claimed {want}"
             )
-            if row_sym.endswith("^"):
+            if row_gap is not None:
                 note += " (escape symbols have no outgoing transitions)"
             else:
-                i = int(row_sym)
-                lo, hi = m.interval_image(i)
+                lo, hi = m.images[i - 1]
                 image = f"[{format_rational(lo)}, {format_rational(hi)}]"
-                if col_sym.endswith("^"):
-                    k = int(col_sym[:-1])
-                    glo, ghi = m.gap_bounds(k)
+                if col_gap is not None:
+                    glo, ghi = m.gap_bounds(j)
                     gap = f"]{format_rational(glo)}, {format_rational(ghi)}["
                     verb = "does not meet" if got == 0 else "meets"
                     note += f"; branch {i} image {image} {verb} gap {gap}"
                 else:
-                    j = int(col_sym)
                     jlo, jhi = m.intervals[j - 1]
                     target = f"[{format_rational(jlo)}, {format_rational(jhi)}]"
                     verb = (

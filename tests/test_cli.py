@@ -389,6 +389,18 @@ def test_synth_mode_conflict_is_exit_two(capsys, tmp_path):
     assert code == 2 and "conflicts" in err
 
 
+@pytest.mark.parametrize("rows", [["", "", "", ""], {"rows": ["", "", "", ""]}])
+def test_synth_string_escape_rows_are_exit_two(capsys, tmp_path, rows):
+    a = _write(tmp_path / "a.json", [[0, 1, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0]])
+    b = _write(tmp_path / "b.json", rows)
+    code, out, err = run_cli(
+        capsys, "synth", "--A", a, "--B", b, "-o", str(tmp_path / "map.json")
+    )
+    assert code == 2 and out == ""
+    assert "escape block rows must be arrays" in err
+    assert not (tmp_path / "map.json").exists()
+
+
 # -- parser-level errors -------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from escapemaps import (
     InfeasibleSpecError,
     MapFormatError,
     SynthesisSpec,
+    TransitionData,
     WidthSnapError,
     auto_gap_positions,
     escape_matrix,
@@ -138,7 +140,7 @@ def test_auto_positions(partial_spec):
 
 
 def test_perron_widths_on_the_full_shift():
-    alloc = perron_widths(((1, 1), (1, 1)), ((), ()), (), STRICT)
+    alloc = perron_widths(((1, 1), (1, 1)), ((), ()), ())
     assert alloc.markov_widths == (F(1, 2), F(1, 2))
     assert alloc.escape_widths == ()
     assert alloc.perron_bracket == (2, 2)
@@ -146,7 +148,7 @@ def test_perron_widths_on_the_full_shift():
 
 def test_perron_widths_on_the_four_interval_matrix():
     alloc = perron_widths(
-        FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), (2,), STRICT
+        FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), (2,)
     )
     assert alloc.markov_widths == (F(12, 37), F(4, 37), F(12, 37), F(8, 37))
     assert alloc.escape_widths == (F(1, 37),)
@@ -176,19 +178,19 @@ def test_perron_widths_on_the_four_interval_matrix():
 
 def test_perron_widths_rejects_zero_rows():
     with pytest.raises(WidthSnapError, match="row 2 .* is zero"):
-        perron_widths(((1, 1), (0, 0)), ((), ()), (), STRICT)
+        perron_widths(((1, 1), (0, 0)), ((), ()), ())
 
 
 def test_perron_widths_rejects_imprimitive_matrices():
     with pytest.raises(WidthSnapError, match="not primitive"):
-        perron_widths(((0, 1), (1, 0)), ((), ()), (), STRICT)
+        perron_widths(((0, 1), (1, 0)), ((), ()), ())
 
 
 def test_single_interval_spec_cannot_expand():
     with pytest.raises(WidthSnapError, match="no expanding map exists"):
         synthesize(SynthesisSpec(((1,),), ((),)))
     with pytest.raises(WidthSnapError, match="single interval"):
-        perron_widths(((1,),), ((),), (), STRICT)
+        perron_widths(((1,),), ((),), ())
 
 
 # Row runs (1-based, inclusive) of a 32x32 band whose per-row widths vary, so
@@ -356,6 +358,11 @@ def test_spec_from_jsonable_rejects_conflicts_and_garbage():
         spec_from_jsonable(
             [[1, 1], [1, 1]], {"rows": [[1], [1]], "gap_positions": [1.0]}
         )
+    # Strings are sequences, but not escape rows: "" is no zero-column row.
+    with pytest.raises(MapFormatError, match="rows must be arrays"):
+        spec_from_jsonable(FOUR_INTERVAL_MARKOV, {"rows": ["", "", "", ""]})
+    with pytest.raises(MapFormatError, match="rows must be arrays"):
+        spec_from_jsonable(FOUR_INTERVAL_MARKOV, ["", "", "", ""])
 
 
 # -- property: feasibility and synthesis agree ---------------------------
@@ -397,3 +404,83 @@ def test_synthesize_succeeds_exactly_on_feasible_specs(case):
     assert result.validation.all_ok
     if mode == STRICT:
         assert result.validation.p5_ok
+
+
+# -- differential: the straddle law and exact round trips at n = 5..8 ----
+
+
+def _contiguous_primitive(rng, n, cut):
+    """A primitive n x n matrix whose rows are runs of one to four intervals,
+    none crossing the gap at position ``cut`` (if any), by rejection sampling:
+    about one draw in five is primitive."""
+    while True:
+        rows = []
+        for _ in range(n):
+            lo = rng.randrange(n)
+            hi = min(lo + rng.randrange(4), n - 1)
+            if cut is not None and lo < cut <= hi:
+                lo, hi = (lo, cut - 1) if rng.random() < 0.5 else (cut, hi)
+            rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
+        if is_primitive(rows).primitive:
+            return tuple(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_synthesis_differential_beyond_the_exhaustive_sizes(data):
+    """Where exhaustive enumeration is out of reach: for a primitive matrix
+    with contiguous rows and one or two gaps, strict feasibility is the
+    straddle law, partial specs whose rows reach halfway into a gap are
+    feasible exactly when every gap is still covered, and every feasible spec
+    synthesizes to a map reproducing its matrices, with every Markov row of
+    the escape matrix one contiguous run."""
+    n = data.draw(st.integers(5, 8), label="n")
+    positions = tuple(
+        sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2)))
+    )
+    # No row crosses the cut gap, so its straddle column is zero.
+    cut = data.draw(st.sampled_from((None,) + positions), label="cut")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="matrix seed")
+    markov = _contiguous_primitive(random.Random(seed), n, cut)
+    straddles = [_straddle_column(markov, p) for p in positions]
+
+    # The straddle block is strictly feasible when no straddle column is
+    # zero; flipping any one entry makes it infeasible.
+    strict = SynthesisSpec(markov, tuple(zip(*straddles)), positions, STRICT)
+    assert feasibility_check(strict).feasible == all(any(u) for u in straddles)
+    i, k = data.draw(
+        st.tuples(st.integers(0, n - 1), st.integers(0, len(positions) - 1)),
+        label="flipped entry",
+    )
+    flipped = [list(u) for u in straddles]
+    flipped[k][i] ^= 1
+    spec = SynthesisSpec(markov, tuple(zip(*flipped)), positions, STRICT)
+    assert not feasibility_check(spec).feasible
+
+    columns, covered = [], []
+    for p, u in zip(positions, straddles):
+        # Rows whose run ends at interval p reach the gap from the left, rows
+        # whose run starts at interval p + 1 from the right.
+        ends = [i for i, row in enumerate(markov) if row[p - 1] and not row[p]]
+        starts = [i for i, row in enumerate(markov) if row[p] and not row[p - 1]]
+        from_left = data.draw(st.sets(st.sampled_from(ends))) if ends else set()
+        from_right = data.draw(st.sets(st.sampled_from(starts))) if starts else set()
+        columns.append([int(v or i in from_left | from_right) for i, v in enumerate(u)])
+        covered.append(any(u) or bool(from_left and from_right))
+    partial = SynthesisSpec(markov, tuple(zip(*columns)), positions, PARTIAL)
+    assert feasibility_check(partial).feasible == all(covered)
+
+    for spec in (strict, partial):
+        if not feasibility_check(spec).feasible:
+            continue
+        result = synthesize(spec)
+        assert transition_data(result.map) == TransitionData(
+            spec.markov, spec.escape, positions
+        )
+        em = escape_matrix(result.map)
+        for (_, k), row in zip(em.layout.columns, em.entries):
+            if k is None:
+                units = [c for c, v in enumerate(row) if v]
+                assert units == list(range(units[0], units[-1] + 1))
+        if spec.mode == STRICT:
+            assert result.validation.p5_ok
