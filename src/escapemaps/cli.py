@@ -89,19 +89,12 @@ def _load_json(path: str) -> object:
         raise MapFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_document(path: str) -> MapDocument:
-    return map_document_from_jsonable(_load_json(path))
-
-
-def _load_valid_document(path: str) -> MapDocument:
-    """Load a map for orbit analysis, which means nothing on a map failing
-    P1-P4: such a map is a check failure (exit 1) that lists its issues."""
-    doc = _load_document(path)
-    report = doc.map.validate()
-    groups = (report.p1_issues, report.p2_issues, report.p3_issues, report.p4_issues)
-    issues = [f"P{k}: {issue}" for k, group in enumerate(groups, 1) for issue in group]
-    if issues:
-        raise EscapeMapsError("map fails validation:\n  " + "\n  ".join(issues))
+def _load_document(path: str, valid: bool = False) -> MapDocument:
+    """Load a map; for orbit analysis (``valid``) a map failing P1-P4 is a
+    check failure (exit 1) that lists its issues."""
+    doc = map_document_from_jsonable(_load_json(path))
+    if valid:
+        doc.map.require_valid()
     return doc
 
 
@@ -193,7 +186,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    doc = _load_valid_document(args.map)
+    doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     pc = classify_point(doc.map, x, args.max_iter)
     out = {"point": format_rational(x)}
@@ -205,7 +198,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    doc = _load_valid_document(args.map)
+    doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     tree = build_orbit_tree(
         doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
@@ -218,7 +211,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_rep(args: argparse.Namespace) -> int:
-    doc = _load_valid_document(args.map)
+    doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
     tree = build_orbit_tree(
@@ -253,7 +246,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    doc = _load_valid_document(args.map)
+    doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
     tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter)
@@ -268,7 +261,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    doc = _load_valid_document(args.map)
+    doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     y = parse_rational(args.y)
     result = compare_points(

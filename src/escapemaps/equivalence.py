@@ -44,7 +44,7 @@ from .orbits import (
     truncate_tree,
 )
 from .rationals import format_rational
-from .transitions import Matrix
+from .transitions import Matrix, predecessors
 from .operators import realize
 
 
@@ -149,9 +149,7 @@ def bisim_equivalent(
     n = len(markov)
     if len(incidence_x) != n or len(incidence_y) != n:
         raise InconsistentInputsError("incidence vectors must have length n")
-    children: list[list[int]] = []
-    for state in range(n):
-        children.append([i for i in range(n) if markov[i][state]])
+    children = list(predecessors(markov))
     root_x, root_y = n, n + 1
     children.append([i for i in range(n) if incidence_x[i]])
     children.append([i for i in range(n) if incidence_y[i]])
@@ -298,11 +296,8 @@ def classify_corpus(
             )
         classes_of.append(pc)
 
-    markov = m.transition_matrix
     n = m.n
-    children: list[list[int]] = []
-    for state in range(n):
-        children.append([i for i in range(n) if markov[i][state]])
+    children = list(predecessors(m.transition_matrix))
     for pc in classes_of:
         children.append([i for i in range(n) if pc.incidence[i]])
     history = _refine(children)

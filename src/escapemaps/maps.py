@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
+    EscapeMapsError,
     MapFormatError,
     MapStructureError,
     NotInDomainError,
@@ -330,7 +331,19 @@ class MarkovMap:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Run the P1-P4 checks and the P5 coverage diagnostic."""
+        """Run the P1-P4 checks and the P5 coverage diagnostic, once per map."""
+        return self._validation
+
+    def require_valid(self) -> None:
+        """Raise EscapeMapsError listing every P1-P4 issue, if there is one."""
+        report = self.validate()
+        groups = (report.p1_issues, report.p2_issues, report.p3_issues, report.p4_issues)
+        issues = [f"P{k}: {issue}" for k, group in enumerate(groups, 1) for issue in group]
+        if issues:
+            raise EscapeMapsError("map fails validation:\n  " + "\n  ".join(issues))
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
         from .transitions import is_primitive
 
         # P1: branch images cover the ambient interval exactly.

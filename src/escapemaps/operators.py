@@ -204,14 +204,19 @@ def realize(tree: OrbitTree) -> Representation:
         edge: PartialBasisMap(dim, tuple(pairs)) for edge, pairs in edge_pairs.items()
     }
     vertex_projections = [PartialBasisMap.diagonal(dim, nodes) for nodes in by_label]
+    incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
+    # A node of I_j lies in f(I_i) iff A[i][j] = 1; the escape root lies there
+    # iff its incidence is 1 at i.  image_decomposition_check confirms this
+    # against the closed images.
     image_projections = [
         PartialBasisMap.diagonal(
-            dim, (idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
+            dim,
+            [idx for j, unit in enumerate(row) if unit for idx in by_label[j]]
+            + ([0] if incidence is not None and incidence[i] else []),
         )
-        for lo, hi in tree.map.images
+        for i, row in enumerate(data.markov)
     ]
 
-    incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # The vertex-sum relation speaks about a node's forward image, so it can
     # only be checked where that image is materialized: everywhere on the
     # interior except a regular root whose image never entered the window.
@@ -362,35 +367,26 @@ class ImageDecompositionReport:
 def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     """Check, on the interior, the decomposition of each image projection:
     q_i = sum of p_j over unit transitions (i, j), plus the root projection
-    when the escape root lies in the closed image of I_i.  Also confirms the
-    two exact branch identities behind it on every interior point."""
+    when the escape root lies in the closed image of I_i.  ``realize`` builds
+    q_i by that formula, so this compares it with exact closed-image
+    membership, and confirms the two exact branch identities behind it."""
+    m, tree = rep.tree.map, rep.tree
+    inside: list[set[int]] = [set() for _ in m.images]
     failures = []
-    root_extra = frozenset([0]) if rep.incidence is not None else frozenset()
-    for i in range(1, rep.n + 1):
-        lhs = rep.image_projection(i).support() & rep.interior
-        rhs: set[int] = set()
-        for j in range(1, rep.n + 1):
-            if rep.data.markov[i - 1][j - 1]:
-                rhs |= rep.vertex_projection(j).support()
-        if rep.incidence is not None and rep.incidence[i - 1]:
-            rhs |= root_extra
-        rhs &= rep.interior
-        if lhs != frozenset(rhs):
-            diff = rep.point_strings(lhs ^ frozenset(rhs))
-            failures.append(
-                f"image projection {i} mismatch at: " + ", ".join(diff)
-            )
     for idx in sorted(rep.interior):
-        y = rep.tree.points[idx]
-        for i, (lo, hi) in enumerate(rep.tree.map.images, start=1):
+        y = tree.points[idx]
+        for i, ((lo, hi), b) in enumerate(zip(m.images, m.branches), start=1):
             if lo <= y <= hi:
-                z = rep.tree.map.branch_inverse(i, y)
-                if rep.tree.map.branches[i - 1].value_at(z) != y:
+                inside[i - 1].add(idx)
+                if b.value_at(m.branch_inverse(i, y)) != y:
                     failures.append(f"branch {i} inverse identity fails at {y}")
-            if rep.tree.labels[idx] == i:
-                forward = rep.tree.map.branches[i - 1].value_at(y)
-                if rep.tree.map.branch_inverse(i, forward) != y:
-                    failures.append(f"branch {i} round trip fails at {y}")
+            if tree.labels[idx] == i and m.branch_inverse(i, b.value_at(y)) != y:
+                failures.append(f"branch {i} round trip fails at {y}")
+    failures[:0] = [
+        f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
+        for i, q in enumerate(rep.image_projections, start=1)
+        if (diff := inside[i - 1] ^ (q.support() & rep.interior))
+    ]
     return ImageDecompositionReport(not failures, tuple(failures))
 
 

@@ -8,16 +8,17 @@ settles non-escape for good).
 The backward window of a point x materializes a finite piece of the
 generalized orbit {z : f^k(z) = r} around a root r: the final escape point
 r = e(x) when x escapes, or r = f^T(x) for a chosen forward horizon T when it
-does not.  Nodes are points; each node's edge to its forward image is labeled
-by the branch containing the node.  For escape roots the window is a genuine
-tree; for periodic regular roots the preimage expansion can close a cycle
-through the root, which the window records via the root's parent pointer.
+does not.  Each node's edge to its forward image is labeled by the branch
+containing the node, and the shape follows from those labels alone.  For
+escape roots the window is a genuine tree; for periodic regular roots the
+expansion closes a cycle through the root, recorded by its parent pointer.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -37,7 +38,7 @@ from .maps import (
     MarkovMap,
 )
 from .rationals import format_rational
-from .transitions import gap_symbol, markov_symbol
+from .transitions import gap_symbol, markov_symbol, predecessors
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_TREE_DEPTH = 6
@@ -166,13 +167,13 @@ def escape_point_with_incidence(
 class OrbitTree:
     """A finite backward window of a generalized orbit.
 
-    ``points[i]`` is the node's value; ``depths[i]`` its discovery depth
-    (backward distance from the root); ``parents[i]`` the index of the node
-    holding f(points[i]), or None when the forward image was not materialized
-    (escape roots have no forward image at all); ``labels[i]`` the branch
-    whose domain contains the node (None exactly for an escape root).  Node
-    points are pairwise distinct, so the points form a sub-basis of the
-    generalized orbit.
+    ``depths[i]`` is the node's discovery depth (backward distance from the
+    root); ``parents[i]`` the index of the node holding its forward image, or
+    None when that image was not materialized (escape roots have no forward
+    image at all); ``labels[i]`` the branch whose domain contains the node
+    (None exactly for an escape root).  Nodes are stored level by level, in
+    value order within a level.  ``points`` are computed on first use; they
+    are pairwise distinct, so they form a sub-basis of the generalized orbit.
     """
 
     map: MarkovMap
@@ -180,26 +181,35 @@ class OrbitTree:
     base_class: PointClass
     root_point: Fraction
     max_depth: int
-    points: tuple[Fraction, ...]
     depths: tuple[int, ...]
     parents: tuple[int | None, ...]
     labels: tuple[int | None, ...]
 
     @property
     def node_count(self) -> int:
-        return len(self.points)
+        return len(self.depths)
 
     @property
     def is_escape_window(self) -> bool:
         return isinstance(self.base_class, Escaped)
 
     @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        """Node values: each node is the preimage of its parent under the
+        branch of its label, and parents come first."""
+        points = [self.root_point]
+        for parent, label in zip(self.parents[1:], self.labels[1:]):
+            b = self.map.branches[label - 1]
+            points.append((points[parent] - b.intercept) / b.slope)
+        return tuple(points)
+
+    @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.points]
+        out: list[list[int]] = [[] for _ in self.depths]
         for idx, parent in enumerate(self.parents):
             if parent is not None:
                 out[parent].append(idx)
-        return tuple(tuple(sorted(kids)) for kids in out)
+        return tuple(map(tuple, out))
 
     def children(self, idx: int) -> tuple[int, ...]:
         """Indices of nodes whose forward image is node ``idx``."""
@@ -207,19 +217,14 @@ class OrbitTree:
 
     def children_by_label(self, idx: int) -> dict[int, int]:
         """Branch label -> child index; labels are unique among children."""
-        out: dict[int, int] = {}
-        for child in self.children(idx):
-            label = self.labels[child]
-            assert label is not None and label not in out
-            out[label] = child
+        out = {self.labels[child]: child for child in self.children(idx)}
+        assert len(out) == len(self.children(idx)), "repeated label among children"
         return out
 
     def interior_indices(self) -> tuple[int, ...]:
         """Nodes whose preimages were fully expanded: discovery depth at most
         max_depth - 1."""
-        return tuple(
-            idx for idx, d in enumerate(self.depths) if d <= self.max_depth - 1
-        )
+        return tuple(range(bisect.bisect_left(self.depths, self.max_depth)))
 
     def index_of(self, point: Fraction) -> int:
         return self.points.index(Fraction(point))
@@ -235,23 +240,37 @@ def build_orbit_tree(
     """Materialize the backward window of x to the given depth.
 
     Escaping points are rooted at their final escape point (``horizon`` is
-    ignored); otherwise the root is f^horizon(x).  Raises
-    OrbitMeetsBoundaryError when the orbit (forward, or any materialized
-    preimage) touches a partition point, since those orbits carry no
-    representation."""
+    ignored); otherwise the root is f^horizon(x).  On a map passing P1-P4
+    (EscapeMapsError otherwise) a point of I_j has a preimage under branch k
+    iff A[k][j] = 1, and an escape root one per unit of its incidence row.
+    Within a level, nodes sort by label, then by parent, reversed where the
+    branch reverses orientation.  Raises OrbitMeetsBoundaryError when the
+    orbit touches a partition point: forward, or as a preimage of the root."""
     if depth < 0:
         raise DepthExceedsTreeError("depth must be nonnegative")
     if horizon < 0 or horizon > max_iter:
         raise DepthExceedsTreeError("horizon must satisfy 0 <= horizon <= max_iter")
+    m.require_valid()
     base_class = classify_point(m, x, max_iter)
     if isinstance(base_class, BoundaryOrbit):
         raise OrbitMeetsBoundaryError(
             f"forward orbit of {x} hits partition point "
             f"{base_class.hit_point} at step {base_class.hit_step}"
         )
+    preds = predecessors(m.transition_matrix)
+    cycle: list[int] = []
     if isinstance(base_class, Escaped):
-        root = base_class.final_point
-        root_label = None
+        root, root_label = base_class.final_point, None
+        root_kids = tuple(k for k, unit in enumerate(base_class.incidence) if unit)
+        # P2 keeps every other preimage off the partition points, but a
+        # partially covering image can end exactly at the escape root.
+        for k in root_kids if depth else ():
+            z = m.branch_inverse(k + 1, root)
+            if z in m.partition_points:
+                raise OrbitMeetsBoundaryError(
+                    f"preimage {z} of window node {root} under branch {k + 1} "
+                    f"is a partition point; the window is undefined"
+                )
     else:
         # With a detected cycle the orbit stays in verified Markov interiors
         # forever, so any horizon is safe; otherwise stay within the budget
@@ -261,54 +280,41 @@ def build_orbit_tree(
                 f"horizon {horizon} exceeds the verified forward depth "
                 f"{base_class.checked_depth}"
             )
-        for step, (root, _, root_label) in enumerate(_forward_orbit(m, x)):
-            if step == horizon:
+        orbit = itertools.islice(_forward_orbit(m, x), horizon, horizon + depth + 1)
+        root, _, root_label = next(orbit)
+        root_kids = preds[root_label - 1]
+        # The root is the only node a window can revisit: when f^p(root) =
+        # root with p <= depth, expanding f(root) at level p - 1 finds it.
+        # ``cycle`` holds the labels on the way back, f^(p-1)(root) first.
+        word = [root_label]
+        for y, _, label in orbit:
+            if y == root:
+                cycle = word[::-1]
                 break
+            word.append(label)
 
-    boundary = set(m.partition_points)
-    points: list[Fraction] = [root]
-    depths: list[int] = [0]
-    parents: list[int | None] = [None]
-    labels: list[int | None] = [root_label]
-    index: dict[Fraction, int] = {root: 0}
-    frontier = [0]
-    escape_window = isinstance(base_class, Escaped)
-
-    for level in range(1, depth + 1):
-        new_entries: list[tuple[Fraction, int, int]] = []
-        for parent_idx in frontier:
-            y = points[parent_idx]
-            for i, (lo, hi) in enumerate(m.images, start=1):
-                if not lo <= y <= hi:
-                    continue
-                z = m.branch_inverse(i, y)
-                assert z is not None
-                if z in boundary:
-                    raise OrbitMeetsBoundaryError(
-                        f"preimage {z} of window node {y} under branch {i} "
-                        f"is a partition point; the window is undefined"
-                    )
-                if z in index:
-                    existing = index[z]
-                    assert not escape_window, "escape windows cannot revisit points"
-                    if existing == 0 and parents[0] is None:
-                        # The expansion found the root's own forward image:
-                        # close the cycle through the root.
-                        assert labels[0] == i
-                        parents[0] = parent_idx
-                    else:
-                        assert parents[existing] == parent_idx
-                    continue
-                new_entries.append((z, parent_idx, i))
-        new_entries.sort(key=lambda entry: entry[0])
-        frontier = []
-        for z, parent_idx, label in new_entries:
-            index[z] = len(points)
-            frontier.append(len(points))
-            points.append(z)
-            depths.append(level)
-            parents.append(parent_idx)
-            labels.append(label)
+    flips = [b.slope < 0 for b in m.branches]
+    depths, parents, labels = [0], [None], [root_label]
+    start = 0  # first node of the previous level
+    path = 0  # the node on the cycle at the previous level
+    for d in range(1, depth + 1):
+        # Per branch, the parents at the previous level in value order.
+        buckets: list[list[int]] = [[] for _ in flips]
+        for idx in range(start, len(parents)):
+            for k in preds[labels[idx] - 1] if idx else root_kids:
+                buckets[k].append(idx)
+        if d == len(cycle):
+            buckets[root_label - 1].remove(path)
+            parents[0] = path
+        start = len(parents)
+        for k, bucket in enumerate(buckets):
+            if flips[k]:
+                bucket.reverse()
+            if d < len(cycle) and k == cycle[d - 1] - 1:
+                path = len(parents) + bucket.index(path)
+            parents.extend(bucket)
+            labels.extend([k + 1] * len(bucket))
+        depths.extend([d] * (len(parents) - start))
 
     return OrbitTree(
         map=m,
@@ -316,7 +322,6 @@ def build_orbit_tree(
         base_class=base_class,
         root_point=root,
         max_depth=depth,
-        points=tuple(points),
         depths=tuple(depths),
         parents=tuple(parents),
         labels=tuple(labels),
@@ -324,32 +329,23 @@ def build_orbit_tree(
 
 
 def truncate_tree(tree: OrbitTree, depth: int) -> OrbitTree:
-    """Restrict a window to nodes of discovery depth at most ``depth``."""
-    if depth > tree.max_depth:
+    """Restrict a window to nodes of discovery depth at most ``depth``: a
+    prefix, since nodes are stored level by level."""
+    if not 0 <= depth <= tree.max_depth:
         raise DepthExceedsTreeError(
-            f"truncation depth {depth} exceeds the materialized depth "
-            f"{tree.max_depth}"
+            f"truncation depth {depth} is outside 0..{tree.max_depth}"
         )
-    if depth < 0:
-        raise DepthExceedsTreeError("depth must be nonnegative")
-    keep = [idx for idx, d in enumerate(tree.depths) if d <= depth]
-    remap = {old: new for new, old in enumerate(keep)}
-
-    def remap_parent(old_parent: int | None) -> int | None:
-        if old_parent is None or old_parent not in remap:
-            return None
-        return remap[old_parent]
-
-    return OrbitTree(
-        map=tree.map,
-        base_point=tree.base_point,
-        base_class=tree.base_class,
-        root_point=tree.root_point,
+    cut = bisect.bisect_right(tree.depths, depth)
+    # As in a direct build, the root's cycle closes only if f(root) expanded.
+    root_parent = tree.parents[0]
+    if root_parent is not None and tree.depths[root_parent] >= depth:
+        root_parent = None
+    return replace(
+        tree,
         max_depth=depth,
-        points=tuple(tree.points[idx] for idx in keep),
-        depths=tuple(tree.depths[idx] for idx in keep),
-        parents=tuple(remap_parent(tree.parents[idx]) for idx in keep),
-        labels=tuple(tree.labels[idx] for idx in keep),
+        depths=tree.depths[:cut],
+        parents=(root_parent,) + tree.parents[1:cut],
+        labels=tree.labels[:cut],
     )
 
 

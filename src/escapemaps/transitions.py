@@ -57,6 +57,12 @@ def gap_symbol(k: int) -> str:
     return f"{k}^"
 
 
+def predecessors(markov: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Per column j, the rows i with a unit at (i, j), all 0-based: the
+    branches under which a point of I_j has a preimage."""
+    return tuple(tuple(i for i, unit in enumerate(col) if unit) for col in zip(*markov))
+
+
 def markov_matrix(m: MarkovMap) -> Matrix:
     """Transition matrix: unit at (i, j) iff the open image of I_i contains
     the interior of I_j (cached on the map)."""

@@ -172,34 +172,34 @@ def test_intertwiner_requires_escape_windows_on_one_map(four_map, full2_map):
         build_intertwiner(escape, foreign, 2)
 
 
-def _toy_window(four_map, child_specs):
-    """Hand-assembled escape window rooted at 1/2 with the given
-    (point, label) children, for exercising the no-isomorphism paths."""
+def _toy_window(four_map, child_labels):
+    """Hand-assembled escape window rooted at 1/2 with one child per given
+    branch label, for exercising the no-isomorphism paths.  The children are
+    not all real preimages of 1/2 (only branch 1 covers it), so the window
+    carries no points of its own: they would be computed from the labels."""
     esc = classify_point(four_map, F(1, 2))
-    points = (F(1, 2),) + tuple(p for p, _ in child_specs)
     return OrbitTree(
         map=four_map,
         base_point=F(1, 2),
         base_class=esc,
         root_point=F(1, 2),
         max_depth=1,
-        points=points,
-        depths=(0,) + (1,) * len(child_specs),
-        parents=(None,) + (0,) * len(child_specs),
-        labels=(None,) + tuple(l for _, l in child_specs),
+        depths=(0,) + (1,) * len(child_labels),
+        parents=(None,) + (0,) * len(child_labels),
+        labels=(None,) + tuple(child_labels),
     )
 
 
 def test_label_mismatch_with_shape_match(four_map):
-    tx = _toy_window(four_map, [(F(3, 35), 1)])
-    ty = _toy_window(four_map, [(F(269, 350), 3)])
+    tx = _toy_window(four_map, [1])
+    ty = _toy_window(four_map, [3])
     result = build_intertwiner(tx, ty, 1)
     assert result == NoLabelRespectingIso(unlabeled_iso_exists=True)
 
 
 def test_label_and_shape_mismatch(four_map):
-    tx = _toy_window(four_map, [(F(3, 35), 1)])
-    ty = _toy_window(four_map, [(F(269, 350), 3), (F(327, 350), 4)])
+    tx = _toy_window(four_map, [1])
+    ty = _toy_window(four_map, [3, 4])
     result = build_intertwiner(tx, ty, 1)
     assert result == NoLabelRespectingIso(unlabeled_iso_exists=False)
 

@@ -10,6 +10,7 @@ from escapemaps import (
     OUTSIDE,
     PARTITION_POINT,
     AffineBranch,
+    EscapeMapsError,
     MapFormatError,
     MapStructureError,
     MarkovMap,
@@ -182,6 +183,18 @@ def test_corpus_maps_validate(four_map, reaching_map, full2_map):
     assert four_map.validate().expansion_bound == F(5, 4)
     assert four_map.validate().aperiodicity_exponent == 5
     assert full2_map.validate().aperiodicity_exponent == 1
+
+
+def test_validation_report_is_computed_once(four_map):
+    assert four_map.validate() is four_map.validate()
+    four_map.require_valid()
+
+
+def test_require_valid_lists_the_failing_properties():
+    doubling = MarkovMap((AffineBranch(2, 0, 0, 1),))
+    with pytest.raises(EscapeMapsError) as err:
+        doubling.require_valid()
+    assert str(err.value).startswith("map fails validation:\n  P1: ")
 
 
 def test_escape_coverage_distinguishes_full_and_partial(four_map, reaching_map):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,19 @@ def test_image_decomposition_check(four_map):
     assert report.passed and report.failures == ()
 
 
+def test_image_decomposition_check_catches_a_wrong_projection(four_map):
+    # realize reads image projections off the labels; the check must notice
+    # when one of them disagrees with the closed images.
+    rep = realize(build_orbit_tree(four_map, F(1, 2), 4))
+    wrong = list(rep.image_projections)
+    wrong[2] = rep.vertex_projection(3)
+    broken = dataclasses.replace(rep, image_projections=tuple(wrong))
+    report = image_decomposition_check(broken)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("image projection 3 mismatch at: ")
+
+
 def test_regular_window_relations(four_map):
     rep = realize(build_orbit_tree(four_map, F(5, 27), 5, horizon=4))
     assert rep.incidence is None
@@ -192,9 +206,10 @@ def test_regular_window_relations(four_map):
 
 
 def formula_operators(tree):
-    """Reference transfers and edge isometries built from the formula: the
-    preimage f_i^{-1}(y) by branch_inverse over the closed images, then a
-    lookup of that point in the window."""
+    """Reference transfers, edge isometries and image projections built from
+    the formula: the preimage f_i^{-1}(y) by branch_inverse over the closed
+    images, then a lookup of that point in the window; q_i over the nodes in
+    the closed image of I_i."""
     m = tree.map
     dim = tree.node_count
     point_index = {p: idx for idx, p in enumerate(tree.points)}
@@ -222,7 +237,13 @@ def formula_operators(tree):
         for j in range(1, m.n + 1)
         if markov[i - 1][j - 1]
     }
-    return transfers, edges
+    images = [
+        PartialBasisMap.diagonal(
+            dim, (idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
+        )
+        for lo, hi in m.images
+    ]
+    return transfers, edges, images
 
 
 def _band8_escape_window():
@@ -261,7 +282,8 @@ def test_realize_matches_the_formula_construction(name):
     if not tree.is_escape_window:
         assert tree.parents[0] is not None  # the root closes its cycle
     rep = realize(tree)
-    transfers, edges = formula_operators(tree)
+    transfers, edges, images = formula_operators(tree)
+    assert rep.image_projections == tuple(images)
     assert any(not t.is_empty for t in transfers)
     for i, expected in enumerate(transfers, start=1):
         assert rep.transfer(i) == expected

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,26 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
+    PARTIAL,
+    STRICT,
+    AffineBranch,
     BoundaryOrbit,
     DepthExceedsTreeError,
+    EscapeMapsError,
     Escaped,
     MapStructureError,
+    MarkovMap,
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
+    SynthesisSpec,
     UndeterminedRegular,
     build_orbit_tree,
     classify_point,
     escape_incidence,
     escape_point_with_incidence,
+    feasibility_check,
     incidence_cells,
+    is_primitive,
     itinerary,
     point_class_to_jsonable,
+    synthesize,
     transition_data,
     tree_to_dot,
     tree_to_jsonable,
     truncate_tree,
 )
+from escapemaps.orbits import DEFAULT_MAX_ITER
 
 F = Fraction
 
@@ -219,6 +230,239 @@ def test_truncation_matches_direct_build(four_map):
     regular_cut = truncate_tree(regular_deep, 2)
     assert regular_cut == build_orbit_tree(four_map, F(5, 27), 2, horizon=4)
     assert regular_cut.parents[0] == 1
+    # At depth 1 the root's image 229/270 is a leaf that was never expanded,
+    # so the cycle stays open, as it does in a direct build.
+    for depth in range(6):
+        direct = build_orbit_tree(four_map, F(5, 27), depth, horizon=4)
+        assert truncate_tree(regular_deep, depth) == direct
+    assert truncate_tree(regular_deep, 1).parents[0] is None
+
+
+# -- the geometric builder as an oracle for the symbolic one -------------
+
+
+def _geometric_window(m, x, depth, max_iter=DEFAULT_MAX_ITER, horizon=0):
+    """The window found point by point: each node is tested against all n
+    closed branch images, inverted with branch_inverse, and every level is
+    sorted by value.  A point seen again closes the root's cycle.  Returns
+    (root, points, depths, parents, labels), or raises
+    OrbitMeetsBoundaryError when the orbit or a preimage is a partition
+    point."""
+    pc = classify_point(m, x, max_iter)
+    if isinstance(pc, BoundaryOrbit):
+        raise OrbitMeetsBoundaryError(str(pc))
+    if isinstance(pc, Escaped):
+        root, root_label = pc.final_point, None
+    else:
+        root = x
+        for _ in range(horizon):
+            root = m.evaluate(root).value
+        root_label = m.locate(root).index
+    boundary = set(m.partition_points)
+    points, depths, parents, labels = [root], [0], [None], [root_label]
+    index = {root: 0}
+    frontier = [0]
+    for level in range(1, depth + 1):
+        found = []
+        for parent in frontier:
+            y = points[parent]
+            for i, (lo, hi) in enumerate(m.images, start=1):
+                if not lo <= y <= hi:
+                    continue
+                z = m.branch_inverse(i, y)
+                if z in boundary:
+                    raise OrbitMeetsBoundaryError(f"preimage {z} of {y}")
+                if z in index:
+                    assert index[z] == 0 and parents[0] is None
+                    parents[0] = parent
+                    continue
+                found.append((z, parent, i))
+        found.sort()
+        frontier = []
+        for z, parent, i in found:
+            index[z] = len(points)
+            frontier.append(len(points))
+            points.append(z)
+            depths.append(level)
+            parents.append(parent)
+            labels.append(i)
+    return root, tuple(points), tuple(depths), tuple(parents), tuple(labels)
+
+
+def _assert_matches_geometric_window(m, x, depth, max_iter=DEFAULT_MAX_ITER, horizon=0):
+    """Compare build_orbit_tree with the oracle, the boundary verdict
+    included; returns the window, or None when both refuse it."""
+    try:
+        expected = _geometric_window(m, x, depth, max_iter, horizon)
+    except OrbitMeetsBoundaryError:
+        with pytest.raises(OrbitMeetsBoundaryError):
+            build_orbit_tree(m, x, depth, max_iter, horizon)
+        return None
+    tree = build_orbit_tree(m, x, depth, max_iter, horizon)
+    got = (tree.root_point, tree.points, tree.depths, tree.parents, tree.labels)
+    assert got == expected
+    return tree
+
+
+def _reversing_map():
+    """x -> 3x on [0, 1/3] and x -> 3 - 3x on [2/3, 1], with the escape gap
+    (1/3, 2/3) between them: the second branch reverses orientation."""
+    return MarkovMap(
+        (AffineBranch(3, 0, 0, F(1, 3)), AffineBranch(-3, 3, F(2, 3), 1))
+    )
+
+
+def test_reversing_map_is_valid_and_reverses_its_second_level():
+    m = _reversing_map()
+    assert m.validate().all_ok
+    tree = build_orbit_tree(m, F(1, 2), 2)
+    # Branch 2 turns the order of its parents 1/6 < 5/6 around.
+    assert tree.points == (F(1, 2), F(1, 6), F(5, 6), F(1, 18), F(5, 18), F(13, 18), F(17, 18))
+    assert tree.labels == (None, 1, 2, 1, 1, 2, 2)
+    assert tree.parents == (None, 0, 0, 1, 2, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "which, x",
+    [
+        ("four", F(1, 2)),
+        ("four", F(9, 20)),
+        ("four", F(1, 10)),
+        ("four", F(1, 3)),
+        ("reaching", F(13, 20)),
+        ("reaching", F(1, 2)),
+        ("reaching", F(31, 50)),
+        ("reaching", F(3, 5)),
+        ("reversing", F(1, 2)),
+        ("reversing", F(1, 6)),
+        ("reversing", F(17, 18)),
+    ],
+)
+def test_escape_windows_match_the_geometric_builder(which, x, four_map, reaching_map):
+    m = {"four": four_map, "reaching": reaching_map, "reversing": _reversing_map()}[which]
+    assert isinstance(classify_point(m, x), Escaped)
+    for depth in range(5):
+        _assert_matches_geometric_window(m, x, depth)
+
+
+@pytest.mark.parametrize(
+    "which, x",
+    [
+        ("four", F(5, 27)),  # period 2
+        ("four", F(2, 189)),  # reaches the cycle of 5/27 after three steps
+        ("full2", F(1, 3)),  # period 2
+        ("full2", F(1, 5)),  # period 4
+        ("full2", F(1, 6)),  # lands on the fixed point 2/3 after two steps
+        ("reversing", F(3, 4)),  # fixed point of the reversing branch
+        ("reversing", F(3, 10)),  # period 2, through both branches
+        ("reversing", F(1, 10)),  # reaches the cycle of 3/10 after one step
+    ],
+)
+def test_regular_windows_match_the_geometric_builder(which, x, four_map, full2_map):
+    m = {"four": four_map, "full2": full2_map, "reversing": _reversing_map()}[which]
+    pc = classify_point(m, x)
+    assert isinstance(pc, UndeterminedRegular) and pc.period is not None
+    closed = 0
+    for horizon in range(5):
+        for depth in range(pc.period + 3):
+            tree = _assert_matches_geometric_window(m, x, depth, horizon=horizon)
+            closed += tree.parents[0] is not None
+    # Some of these windows close the root's cycle and some do not.
+    assert 0 < closed < 5 * (pc.period + 3)
+
+
+def test_a_cycle_beyond_the_iteration_budget_still_closes(four_map):
+    # With max_iter = 1 no cycle is detected, yet the root 229/270 has period
+    # 2 and the window of depth 3 reaches it again.
+    assert classify_point(four_map, F(5, 27), max_iter=1) == UndeterminedRegular(1, None)
+    tree = _assert_matches_geometric_window(four_map, F(5, 27), 3, max_iter=1, horizon=1)
+    assert tree.parents[0] is not None
+
+
+def _synthesized_spec(data, mode):
+    """A primitive n x n matrix, n = 5..8, whose rows are runs of one to three
+    intervals, with one gap and an escape column that is feasible in the
+    given mode (None when the draw is not)."""
+    n = data.draw(st.integers(5, 8), label="n")
+    p = data.draw(st.integers(1, n - 1), label="gap position")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="matrix seed"))
+    while True:
+        rows = []
+        for _ in range(n):
+            lo = rng.randrange(n)
+            hi = min(lo + rng.randrange(3), n - 1)
+            rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
+        if is_primitive(rows).primitive:
+            break
+    column = [row[p - 1] & row[p] for row in rows]
+    if mode == PARTIAL:
+        # Rows ending at interval p or starting at p + 1 may reach into the gap.
+        for i, row in enumerate(rows):
+            if row[p - 1] != row[p] and data.draw(st.booleans(), label=f"reach {i}"):
+                column[i] = 1
+    spec = SynthesisSpec(tuple(rows), tuple((u,) for u in column), (p,), mode)
+    return spec if feasibility_check(spec).feasible else None
+
+
+def _pull_back(m, x, data, steps):
+    """A preimage of x along an admissible word of the given length."""
+    for _ in range(steps):
+        kids = [i for i, (lo, hi) in enumerate(m.images, start=1) if lo <= x <= hi]
+        x = m.branch_inverse(data.draw(st.sampled_from(kids), label="branch"), x)
+    return x
+
+
+def _periodic_point(m, data):
+    """The periodic point of a closed walk in the transition graph, or None
+    when the drawn walk does not close within six steps."""
+    markov = m.transition_matrix
+    start = j = data.draw(st.integers(1, m.n), label="cycle start")
+    word = [j]
+    for _ in range(6):
+        j = data.draw(
+            st.sampled_from([k for k in range(1, m.n + 1) if markov[j - 1][k - 1]]),
+            label="cycle step",
+        )
+        if j == start:
+            break
+        word.append(j)
+    else:
+        return None
+    slope, intercept = F(1), F(0)
+    for j in word:
+        b = m.branches[j - 1]
+        slope, intercept = b.slope * slope, b.slope * intercept + b.intercept
+    return intercept / (1 - slope)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_synthesized_windows_match_the_geometric_builder(data):
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    spec = _synthesized_spec(data, mode)
+    if spec is None:
+        return
+    m = synthesize(spec).map
+    depth = data.draw(st.integers(0, 3), label="depth")
+    ((gap, glo, _),) = m.gaps
+    for lo, hi, _ in incidence_cells(m, gap):
+        # A cut inside the gap is an image endpoint: its preimage under that
+        # branch is a partition point.
+        for e in [(lo + hi) / 2] + [lo] * (lo != glo):
+            x = _pull_back(m, e, data, data.draw(st.integers(0, 3), label="steps"))
+            _assert_matches_geometric_window(m, x, depth)
+    x = _periodic_point(m, data)
+    if x is not None:
+        x = _pull_back(m, x, data, data.draw(st.integers(0, 2), label="steps"))
+        horizon = data.draw(st.integers(0, 4), label="horizon")
+        _assert_matches_geometric_window(m, x, depth + 2, horizon=horizon)
+
+
+def test_windows_need_a_valid_map():
+    doubling = MarkovMap((AffineBranch(2, 0, 0, 1),))  # the image [0, 2] breaks P1
+    assert not doubling.validate().all_ok
+    with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
+        build_orbit_tree(doubling, F(1, 3), 2)
 
 
 # -- itineraries ---------------------------------------------------------

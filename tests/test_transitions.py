@@ -26,6 +26,8 @@ from escapemaps import (
     wielandt_bound,
 )
 
+from escapemaps.transitions import predecessors
+
 F = Fraction
 
 FOUR_A = ((0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0))
@@ -56,6 +58,13 @@ def test_as_binary_matrix_rejects_bad_shapes_and_entries():
 
 def test_four_interval_markov_matrix(four_map):
     assert markov_matrix(four_map) == FOUR_A
+
+
+def test_predecessors_are_the_columns_of_a(four_map):
+    # A point of I_1 has preimages under branch 3 only, one of I_3 under
+    # branches 1 and 4.
+    assert predecessors(FOUR_A) == ((2,), (0, 2), (0, 3), (1,))
+    assert predecessors(((1, 1), (1, 1))) == ((0, 1), (0, 1))
 
 
 def test_full_two_interval_matrix(full2_map):
