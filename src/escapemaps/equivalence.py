@@ -1,22 +1,18 @@
 """Deciding when two escape windows carry unitarily equivalent representations.
 
-Three cooperating tools:
-
-  * label-free canonical forms of truncated windows (bottom-up, children
-    sorted — equal forms at equal depth iff the truncated trees are
-    isomorphic as unlabeled rooted trees);
-  * exact bisimulation on the symbolic pointed graph: Markov states have the
-    transition columns as children, each compared point contributes a root
-    state whose children are the unit positions of its incidence vector;
-    colors are refined from out-degrees until stable, so verdicts are exact,
-    not depth-limited;
-  * explicit intertwiners: the unique label-respecting isomorphism of two
-    windows (match children by branch label), verified against the realized
-    operators.
+The window of an escaping point, and with it every operator ``realize``
+reads off, follows from the transition matrix A and the incidence row of its
+escape point.  Equivalence is therefore decided on the symbolic pointed
+graph: Markov states have the transition columns as children, each compared
+point contributes a root state whose children are the unit positions of its
+incidence row, and colors are refined from out-degrees until stable, so
+verdicts are exact, not depth-limited.
 
 Roots never receive edges, so Markov colors stabilize within n rounds and
-root colors one round later; a depth-(n+2) unlabeled comparison can therefore
-never disagree with the bisimulation verdict.
+root colors one round later; colors at round r mirror the unlabeled
+unrollings of depth r + 1.  Equivalent roots thus have isomorphic windows at
+every depth, and the label-respecting isomorphism, when there is one, is the
+identity on two windows with equal parent and label arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
-    DepthExceedsTreeError,
     InconsistentInputsError,
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
@@ -37,46 +32,12 @@ from .orbits import (
     DEFAULT_TREE_DEPTH,
     BoundaryOrbit,
     Escaped,
-    OrbitTree,
     PointClass,
     build_orbit_tree,
     classify_point,
-    truncate_tree,
 )
 from .rationals import format_rational
 from .transitions import Matrix, predecessors
-from .operators import realize
-
-
-# -- canonical forms ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Label-free canonical form of a window truncated at ``depth``; equal
-    forms at equal depth characterize unlabeled rooted-tree isomorphism."""
-
-    depth: int
-    form: str
-
-
-def ahu_canonical(tree: OrbitTree, depth: int) -> CanonicalForm:
-    if not tree.is_escape_window:
-        raise NotAnEscapePointError(
-            "canonical forms are defined for escape-rooted windows"
-        )
-    if depth > tree.max_depth:
-        raise DepthExceedsTreeError(
-            f"depth {depth} exceeds the materialized depth {tree.max_depth}"
-        )
-
-    def canon(idx: int) -> str:
-        if tree.depths[idx] >= depth:
-            return "()"
-        parts = sorted(canon(child) for child in tree.children(idx))
-        return "(" + "".join(parts) + ")"
-
-    return CanonicalForm(depth, canon(0))
 
 
 # -- bisimulation -------------------------------------------------------
@@ -188,7 +149,8 @@ def _signature_text(children, history, round_no: int, state: int) -> str:
 @dataclass(frozen=True)
 class Intertwiner:
     """The label-respecting window isomorphism as basis pairs (x-index,
-    y-index), verified to exchange the realized operators."""
+    y-index); ``verified`` records that it exchanges the realized
+    operators."""
 
     pairs: tuple[tuple[int, int], ...]
     verified: bool
@@ -201,51 +163,6 @@ class NoLabelRespectingIso:
     labels."""
 
     unlabeled_iso_exists: bool
-
-
-def build_intertwiner(
-    tree_x: OrbitTree, tree_y: OrbitTree, depth: int
-) -> Intertwiner | NoLabelRespectingIso:
-    """Construct and verify the unique label-respecting isomorphism of the
-    two windows truncated at ``depth``, if it exists."""
-    if not (tree_x.is_escape_window and tree_y.is_escape_window):
-        raise NotAnEscapePointError("intertwiners are built for escape windows")
-    if tree_x.map != tree_y.map:
-        raise InconsistentInputsError("windows must come from the same map")
-    tx = truncate_tree(tree_x, depth)
-    ty = truncate_tree(tree_y, depth)
-
-    pairs: list[tuple[int, int]] = []
-
-    def match(u: int, w: int) -> bool:
-        pairs.append((u, w))
-        cu = tx.children_by_label(u)
-        cw = ty.children_by_label(w)
-        if set(cu) != set(cw):
-            return False
-        return all(match(cu[label], cw[label]) for label in sorted(cu))
-
-    if not match(0, 0):
-        unlabeled = ahu_canonical(tx, depth) == ahu_canonical(ty, depth)
-        return NoLabelRespectingIso(unlabeled)
-
-    forward = dict(pairs)
-    rep_x = realize(tx)
-    rep_y = realize(ty)
-    verified = True
-    for edge in rep_x.edges():
-        sx = rep_x.edge_isometry(*edge)
-        sy = rep_y.edge_isometry(*edge)
-        mapped = {
-            (forward[a], forward[b]) for a, b in sx.entries
-        }
-        if mapped != set(sy.entries):
-            verified = False
-    for i in range(1, rep_x.n + 1):
-        px = {forward[a] for a in rep_x.vertex_projection(i).support()}
-        if px != set(rep_y.vertex_projection(i).support()):
-            verified = False
-    return Intertwiner(tuple(sorted(pairs)), verified)
 
 
 # -- corpus classification ----------------------------------------------
@@ -284,11 +201,15 @@ def classify_corpus(
     depth: int = 8,
 ) -> Classification:
     """Partition escaping points into equivalence classes by joint color
-    refinement, cross-checked against pairwise canonical forms at ``depth``."""
+    refinement, with one root state per distinct incidence row.  ``depth``
+    is accepted but no longer changes the result: the classes follow from
+    the rows alone."""
     pts = [Fraction(p) for p in points]
     classes_of: list[Escaped] = []
     for p in pts:
-        pc = classify_point(m, p, max_iter)
+        # The depth-1 window refuses, as compare_points does, an escape root
+        # with a partition point among its preimages.
+        pc = build_orbit_tree(m, p, 1, max_iter).base_class
         if not isinstance(pc, Escaped):
             raise NotAnEscapePointError(
                 f"{p} does not escape within the budget; corpus classification "
@@ -297,16 +218,16 @@ def classify_corpus(
         classes_of.append(pc)
 
     n = m.n
+    rows = list(dict.fromkeys(pc.incidence for pc in classes_of))
     children = list(predecessors(m.transition_matrix))
-    for pc in classes_of:
-        children.append([i for i in range(n) if pc.incidence[i]])
+    children.extend([i for i in range(n) if row[i]] for row in rows)
     history = _refine(children)
-    stable = history[-1]
+    color_of = {row: history[-1][n + k] for k, row in enumerate(rows)}
     rounds = len(history) - 1
 
     groups: dict[int, list[int]] = {}
-    for pos in range(len(pts)):
-        groups.setdefault(stable[n + pos], []).append(pos)
+    for pos, pc in enumerate(classes_of):
+        groups.setdefault(color_of[pc.incidence], []).append(pos)
 
     entries = []
     for color, members in groups.items():
@@ -316,23 +237,6 @@ def classify_corpus(
         )
         entries.append(PointClassEntry(member_points, incidences, color))
     entries.sort(key=lambda entry: entry.points[0])
-
-    # Cross-check against canonical forms whenever the truncation depth can
-    # see the stable refinement (root colors settle one round after the
-    # Markov states, and colors at round r mirror depth-(r+1) unrollings).
-    if depth - 1 >= rounds:
-        forms = {}
-        for pos, p in enumerate(pts):
-            tree = build_orbit_tree(m, p, depth, max_iter)
-            forms[pos] = ahu_canonical(tree, depth)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                same_class = stable[n + a] == stable[n + b]
-                if (forms[a] == forms[b]) != same_class:
-                    raise AssertionError(
-                        "bisimulation and canonical forms disagree on "
-                        f"{pts[a]} vs {pts[b]}"
-                    )
     return Classification(tuple(entries), rounds)
 
 
@@ -395,9 +299,9 @@ def compare_points(
     """Classify two points and decide equivalence of their representations.
 
     Escaping pairs get the exact bisimulation verdict and, when equivalent,
-    an intertwiner attempt at ``depth``.  A regular/escape mix is never
-    equivalent.  Two regular points are compared through the symbolic states
-    of their current intervals (window-level comparison)."""
+    the intertwiner of their windows at ``depth``.  A regular/escape mix is
+    never equivalent.  Two regular points are compared through the symbolic
+    states of their current intervals (window-level comparison)."""
     cls_x = classify_point(m, x, max_iter)
     cls_y = classify_point(m, y, max_iter)
     for label, pc in (("x", cls_x), ("y", cls_y)):
@@ -413,9 +317,20 @@ def compare_points(
         verdict = bisim_equivalent(markov, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            tree_x = build_orbit_tree(m, x, depth, max_iter)
-            tree_y = build_orbit_tree(m, y, depth, max_iter)
-            intertwiner = build_intertwiner(tree_x, tree_y, depth)
+            # Building a window checks its root for partition-point preimages;
+            # the points are never computed.  A label-respecting isomorphism
+            # matches children by label, so it exists only when the labeled
+            # trees coincide, which the builder lays out as equal arrays, and
+            # ``realize`` reads nothing else, so the identity then exchanges
+            # the operators.  Bisimilar roots keep isomorphic unlabeled
+            # windows at every depth.
+            tx = build_orbit_tree(m, x, depth, max_iter)
+            ty = build_orbit_tree(m, y, depth, max_iter)
+            if tx.parents == ty.parents and tx.labels == ty.labels:
+                pairs = tuple((i, i) for i in range(tx.node_count))
+                intertwiner = Intertwiner(pairs, verified=True)
+            else:
+                intertwiner = NoLabelRespectingIso(unlabeled_iso_exists=True)
         return ComparisonResult(cls_x, cls_y, verdict, intertwiner)
     # Both regular: compare the unrollings of their current symbolic states.
     jx = m.locate(Fraction(x)).index

@@ -215,12 +215,6 @@ class OrbitTree:
         """Indices of nodes whose forward image is node ``idx``."""
         return self._children[idx]
 
-    def children_by_label(self, idx: int) -> dict[int, int]:
-        """Branch label -> child index; labels are unique among children."""
-        out = {self.labels[child]: child for child in self.children(idx)}
-        assert len(out) == len(self.children(idx)), "repeated label among children"
-        return out
-
     def interior_indices(self) -> tuple[int, ...]:
         """Nodes whose preimages were fully expanded: discovery depth at most
         max_depth - 1."""

@@ -205,25 +205,39 @@ def _layout_issues(
     return row_issues, column_issues, segments
 
 
-def auto_gap_positions(
+def _first_workable(
     markov: Matrix, escape: Matrix, mode: str
-) -> tuple[int, ...] | None:
-    """First placement (in lexicographic order) of the escape columns into the
-    n-1 inter-interval slots that makes every row and column workable, or None
-    when no placement does."""
+) -> tuple[tuple[int, ...], InterleavedLayout] | None:
     n = len(markov)
     m = len(escape[0]) if escape and escape[0] else 0
     for combo in itertools.combinations(range(1, n), m):
         layout = interleaved_layout(markov, escape, combo)
         rows, cols, _ = _layout_issues(layout, mode)
         if not rows and not cols:
-            return combo
+            return combo, layout
     return None
+
+
+def auto_gap_positions(
+    markov: Matrix, escape: Matrix, mode: str
+) -> tuple[int, ...] | None:
+    """First placement (in lexicographic order) of the escape columns into the
+    n-1 inter-interval slots that makes every row and column workable, or None
+    when no placement does."""
+    return (_first_workable(markov, escape, mode) or (None,))[0]
 
 
 def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
     """Decide whether the spec is realizable, with per-row and per-column
     diagnostics.  Never raises; infeasibility is data."""
+    return _assess(spec)[0]
+
+
+def _assess(
+    spec: SynthesisSpec,
+) -> tuple[FeasibilityReport, InterleavedLayout | None]:
+    """The feasibility report and the layout of its placement (None when no
+    placement was found)."""
     structure: list[str] = []
     prim = is_primitive(spec.markov)
     if not prim.primitive:
@@ -244,9 +258,11 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
             f"inter-interval slots"
         )
 
-    positions = spec.gap_positions
+    positions, layout = spec.gap_positions, None
     if positions is None:
-        positions = auto_gap_positions(spec.markov, spec.escape, spec.mode)
+        positions, layout = _first_workable(
+            spec.markov, spec.escape, spec.mode
+        ) or (None, None)
     if positions is None and spec.m:
         structure.append(
             "no placement of the escape columns makes every row "
@@ -255,11 +271,12 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
         positions, row_issues, column_issues, segments = (), [], [], []
     else:
         positions = positions or ()
-        layout = interleaved_layout(spec.markov, spec.escape, positions)
+        if layout is None:
+            layout = interleaved_layout(spec.markov, spec.escape, positions)
         row_issues, column_issues, segments = _layout_issues(layout, spec.mode)
 
     feasible = not (structure or row_issues or column_issues)
-    return FeasibilityReport(
+    report = FeasibilityReport(
         feasible=feasible,
         mode=spec.mode,
         positions=tuple(positions),
@@ -268,6 +285,7 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
         column_issues=tuple(column_issues),
         segments=tuple(segments),
     )
+    return report, layout
 
 
 # -- width allocation ----------------------------------------------------
@@ -305,11 +323,8 @@ def perron_widths(
     either end.  The widths are then normalised to total 1.  Raises
     WidthSnapError for a single interval, a zero row or a matrix that is not
     primitive, none of which admits an expanding map."""
-    n = len(markov)
-    if n < 2:
-        raise WidthSnapError(
-            "a single interval cannot expand, so no expanding map exists"
-        )
+    if len(markov) < 2:
+        raise WidthSnapError(_SINGLE_INTERVAL)
     for i, row in enumerate(markov, start=1):
         if not any(row):
             raise WidthSnapError(
@@ -320,7 +335,16 @@ def perron_widths(
         raise WidthSnapError(
             "the transition matrix is not primitive, so no expanding map exists"
         )
-    layout = interleaved_layout(markov, escape, positions)
+    return _expanding_widths(markov, interleaved_layout(markov, escape, positions))
+
+
+_SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
+
+
+def _expanding_widths(markov: Matrix, layout: InterleavedLayout) -> WidthAllocation:
+    """The width step of ``perron_widths`` for a primitive matrix on at least
+    two intervals, read off the layout of its placement."""
+    gaps = sum(k is not None for _, k in layout.columns)
     # Half gap widths in each row's span, so the test stays in integers:
     # 4.(A.w)_i + min(w).halves_i / 2 > 4.w_i.
     halves = [
@@ -331,17 +355,17 @@ def perron_widths(
         )
         for units in _unit_runs(layout)
     ]
-    w = [1] * n
+    w = [1] * len(markov)
     for _ in range(WIDTH_ITERATION_BOUND):
         aw = [sum(x for a, x in zip(row, w) if a) for row in markov]
         g = min(w)
         if all(8 * y + g * h > 8 * x for x, y, h in zip(w, aw, halves)):
             widths = [4 * x for x in w]
-            total = Fraction(sum(widths) + g * len(positions))
+            total = Fraction(sum(widths) + g * gaps)
             ratios = [Fraction(y, x) for x, y in zip(w, aw)]
             return WidthAllocation(
                 tuple(x / total for x in widths),
-                (g / total,) * len(positions),
+                (g / total,) * gaps,
                 (min(ratios), max(ratios)),
             )
         w = aw
@@ -371,13 +395,15 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     realized and WidthSnapError when no workable widths are found.  The
     recomputed matrices of the result are asserted equal to the inputs before
     returning."""
-    report = feasibility_check(spec)
+    report, layout = _assess(spec)
     if not report.feasible:
         raise InfeasibleSpecError(report)
+    # A feasible matrix is primitive, so it has no zero row either.
+    if spec.n < 2:
+        raise WidthSnapError(_SINGLE_INTERVAL)
     positions = report.positions
-    allocation = perron_widths(spec.markov, spec.escape, positions)
+    allocation = _expanding_widths(spec.markov, layout)
 
-    layout = interleaved_layout(spec.markov, spec.escape, positions)
     cursor = Fraction(0)
     bounds: list[tuple[Fraction, Fraction]] = []  # per interleaved column
     for j, k in layout.columns:

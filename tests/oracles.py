@@ -1,0 +1,133 @@
+"""Brute-force equivalence oracles that the library no longer runs.
+
+The library decides equivalence from the transition matrix and the incidence
+rows alone.  The tools here decide the same questions the long way, on the
+windows themselves, so the tests can check the short way against them:
+
+  * ``ahu_canonical``: label-free canonical forms of truncated windows
+    (bottom-up, children sorted); equal forms at equal depth iff the
+    truncated trees are isomorphic as unlabeled rooted trees;
+  * ``build_intertwiner``: the unique label-respecting isomorphism of two
+    windows, found by matching children by branch label and verified against
+    the realized operators;
+  * ``_oracle_same_unrolling``: equality of the depth-d unrollings of two
+    roots of the symbolic pointed graph.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from escapemaps import (
+    DepthExceedsTreeError,
+    InconsistentInputsError,
+    Intertwiner,
+    NoLabelRespectingIso,
+    NotAnEscapePointError,
+    OrbitTree,
+    realize,
+    truncate_tree,
+)
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """Label-free canonical form of a window truncated at ``depth``; equal
+    forms at equal depth characterize unlabeled rooted-tree isomorphism."""
+
+    depth: int
+    form: str
+
+
+def ahu_canonical(tree: OrbitTree, depth: int) -> CanonicalForm:
+    if not tree.is_escape_window:
+        raise NotAnEscapePointError(
+            "canonical forms are defined for escape-rooted windows"
+        )
+    if depth > tree.max_depth:
+        raise DepthExceedsTreeError(
+            f"depth {depth} exceeds the materialized depth {tree.max_depth}"
+        )
+
+    def canon(idx: int) -> str:
+        if tree.depths[idx] >= depth:
+            return "()"
+        parts = sorted(canon(child) for child in tree.children(idx))
+        return "(" + "".join(parts) + ")"
+
+    return CanonicalForm(depth, canon(0))
+
+
+def children_by_label(tree: OrbitTree, idx: int) -> dict[int, int]:
+    """Branch label -> child index; labels are unique among children."""
+    out = {tree.labels[child]: child for child in tree.children(idx)}
+    assert len(out) == len(tree.children(idx)), "repeated label among children"
+    return out
+
+
+def build_intertwiner(
+    tree_x: OrbitTree, tree_y: OrbitTree, depth: int
+) -> Intertwiner | NoLabelRespectingIso:
+    """Construct and verify the unique label-respecting isomorphism of the
+    two windows truncated at ``depth``, if it exists."""
+    if not (tree_x.is_escape_window and tree_y.is_escape_window):
+        raise NotAnEscapePointError("intertwiners are built for escape windows")
+    if tree_x.map != tree_y.map:
+        raise InconsistentInputsError("windows must come from the same map")
+    tx = truncate_tree(tree_x, depth)
+    ty = truncate_tree(tree_y, depth)
+
+    pairs: list[tuple[int, int]] = []
+
+    def match(u: int, w: int) -> bool:
+        pairs.append((u, w))
+        cu = children_by_label(tx, u)
+        cw = children_by_label(ty, w)
+        if set(cu) != set(cw):
+            return False
+        return all(match(cu[label], cw[label]) for label in sorted(cu))
+
+    if not match(0, 0):
+        unlabeled = ahu_canonical(tx, depth) == ahu_canonical(ty, depth)
+        return NoLabelRespectingIso(unlabeled)
+
+    forward = dict(pairs)
+    rep_x = realize(tx)
+    rep_y = realize(ty)
+    verified = True
+    for edge in rep_x.edges():
+        sx = rep_x.edge_isometry(*edge)
+        sy = rep_y.edge_isometry(*edge)
+        mapped = {(forward[a], forward[b]) for a, b in sx.entries}
+        if mapped != set(sy.entries):
+            verified = False
+    for i in range(1, rep_x.n + 1):
+        px = {forward[a] for a in rep_x.vertex_projection(i).support()}
+        if px != set(rep_y.vertex_projection(i).support()):
+            verified = False
+    return Intertwiner(tuple(sorted(pairs)), verified)
+
+
+def _oracle_same_unrolling(markov, cx, cy, depth) -> bool:
+    """Whether the roots with incidence rows cx and cy have isomorphic
+    unrollings of the given depth in the graph whose state s has the rows i
+    with markov[i][s] = 1 as children."""
+    n = len(markov)
+    children = [[i for i in range(n) if markov[i][s]] for s in range(n)]
+    children.append([i for i in range(n) if cx[i]])
+    children.append([i for i in range(n) if cy[i]])
+    # Each distinct shape gets a number, so comparing two unrollings never
+    # walks their (exponentially large) trees.
+    memo: dict[tuple[int, int], int] = {}
+    numbers: dict[tuple[int, ...], int] = {}
+
+    def shape(node, d):
+        if d == 0:
+            return 0
+        key = (node, d)
+        if key not in memo:
+            kids = tuple(sorted(shape(c, d - 1) for c in children[node]))
+            memo[key] = numbers.setdefault(kids, len(numbers) + 1)
+        return memo[key]
+
+    return shape(n, depth) == shape(n + 1, depth)

@@ -5,7 +5,7 @@ terminal, bypassing capture) and enforces a wall-clock bound on top of its
 exactness assertions.  Every expected value here was computed independently
 of the library: escape matrices, windows, operator supports, and refinement
 rounds by hand; primitivity and bisimulation against brute-force oracles
-written from scratch in this file.
+written from scratch, here and in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from escapemaps import (
     UndeterminedRegular,
     bisim_equivalent,
     block_form,
-    build_intertwiner,
     build_orbit_tree,
     check_relations,
     classify_corpus,
@@ -52,6 +51,8 @@ from escapemaps import (
     transition_data,
     wielandt_bound,
 )
+
+from oracles import _oracle_same_unrolling, build_intertwiner
 
 F = Fraction
 
@@ -256,24 +257,6 @@ def test_criterion_5_equivalence(capsys):
 
 
 # -- criterion 6: bisimulation against an unrolled-tree oracle ------------
-
-
-def _oracle_same_unrolling(markov, cx, cy, depth):
-    n = len(markov)
-    children = [[i for i in range(n) if markov[i][s]] for s in range(n)]
-    children.append([i for i in range(n) if cx[i]])
-    children.append([i for i in range(n) if cy[i]])
-    memo: dict[tuple[int, int], tuple] = {}
-
-    def shape(node, d):
-        if d == 0:
-            return ()
-        key = (node, d)
-        if key not in memo:
-            memo[key] = tuple(sorted(shape(c, d - 1) for c in children[node]))
-        return memo[key]
-
-    return shape(n, depth) == shape(n + 1, depth)
 
 
 def test_criterion_6_bisimulation_oracle(capsys):

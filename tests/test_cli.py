@@ -320,6 +320,15 @@ def test_equiv_boundary_point_is_exit_one(capsys):
     assert code == 1 and "partition point" in err
 
 
+def test_equiv_escape_root_with_a_partition_preimage_is_exit_one(capsys):
+    # The forward orbit of 3/5 is clean, but its preimage 9/10 under branch 4
+    # is a partition point, which only building the window finds.
+    argv = ("equiv", "--x", "3/5", "--y", "3/5", "--depth", "1", REACHING)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "9/10" in err
+
+
 # -- synth ---------------------------------------------------------------
 
 

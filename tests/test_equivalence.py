@@ -14,24 +14,30 @@ from escapemaps import (
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
     OrbitTree,
-    ahu_canonical,
+    PARTIAL,
+    STRICT,
+    SynthesisSpec,
     bisim_equivalent,
-    build_intertwiner,
     build_orbit_tree,
     classify_corpus,
     classify_point,
     compare_points,
     escape_point_with_incidence,
+    incidence_cells,
+    synthesize,
     truncate_tree,
     verdict_to_jsonable,
 )
+
+from oracles import _oracle_same_unrolling, ahu_canonical, build_intertwiner
+from test_orbits import _pull_back, _synthesized_spec
 
 F = Fraction
 
 FOUR_A = ((0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 0))
 
 
-# -- canonical forms -----------------------------------------------------
+# -- canonical forms (the oracle in oracles.py) -------------------------
 
 
 def test_ahu_canonical_chain(four_map):
@@ -92,30 +98,9 @@ def test_bisim_rejects_wrong_length():
         bisim_equivalent(FOUR_A, (1, 0, 0), (1, 0, 0, 0))
 
 
-def _unrolled(children, node, depth, memo):
-    key = (node, depth)
-    if key not in memo:
-        if depth == 0:
-            memo[key] = ()
-        else:
-            memo[key] = tuple(
-                sorted(_unrolled(children, c, depth - 1, memo) for c in children[node])
-            )
-    return memo[key]
-
-
-def _oracle_same_unrolling(markov, cx, cy, depth):
-    n = len(markov)
-    children = [[i for i in range(n) if markov[i][s]] for s in range(n)]
-    children.append([i for i in range(n) if cx[i]])
-    children.append([i for i in range(n) if cy[i]])
-    memo = {}
-    return _unrolled(children, n, depth, memo) == _unrolled(children, n + 1, depth, memo)
-
-
 @settings(max_examples=120, deadline=None)
 @given(
-    st.integers(1, 5).flatmap(
+    st.integers(1, 8).flatmap(
         lambda n: st.tuples(
             st.lists(
                 st.lists(st.integers(0, 1), min_size=n, max_size=n),
@@ -131,14 +116,14 @@ def test_bisim_matches_depth_six_unrolling_oracle(case):
     rows, cx, cy = case
     markov = tuple(tuple(r) for r in rows)
     verdict = bisim_equivalent(markov, tuple(cx), tuple(cy))
-    # For graphs on at most 5 states the refinement stabilizes within 5
-    # rounds, so depth-6 unrollings decide equivalence exactly.
+    # Markov colors stabilize within n rounds and root colors one round
+    # later, so depth-(n + 2) unrollings decide equivalence exactly.
     assert isinstance(verdict, Equivalent) == _oracle_same_unrolling(
-        markov, cx, cy, 6
+        markov, cx, cy, len(markov) + 2
     )
 
 
-# -- intertwiners --------------------------------------------------------
+# -- intertwiners (the matcher oracle in oracles.py) ---------------------
 
 
 def test_intertwiner_between_equivalent_points(four_map):
@@ -234,6 +219,13 @@ def test_classify_corpus_rejects_regular_points(four_map):
         classify_corpus(four_map, [F(1, 2), F(5, 27)])
 
 
+def test_classify_corpus_refuses_an_undefined_window_at_any_depth(reaching_map):
+    # The escape root 3/5 has the partition point 9/10 as a preimage.
+    for depth in (1, 8):
+        with pytest.raises(OrbitMeetsBoundaryError, match="9/10"):
+            classify_corpus(reaching_map, [F(1, 2), F(3, 5)], depth=depth)
+
+
 # -- point comparison ----------------------------------------------------
 
 
@@ -271,6 +263,56 @@ def test_compare_distinct_cells_on_partial_map(partial_map):
     result = compare_points(partial_map, x, y)
     assert result.verdict == Distinct(0, "out-degree 1", "out-degree 2")
     assert result.intertwiner is None
+
+
+def test_compare_bisimilar_rows_with_different_labels():
+    # States 1 and 2 are bisimilar, so the rows (0, 1, 0, 1, 0) and
+    # (1, 0, 0, 1, 0) are equivalent while their windows differ in labels.
+    markov = (
+        (0, 0, 0, 1, 0),
+        (1, 1, 1, 0, 0),
+        (0, 0, 0, 0, 1),
+        (0, 0, 1, 1, 0),
+        (1, 1, 0, 0, 0),
+    )
+    spec = SynthesisSpec(markov, ((1,), (1,), (0,), (1,), (0,)), (3,), PARTIAL)
+    m = synthesize(spec).map
+    x = escape_point_with_incidence(m, (0, 1, 0, 1, 0))
+    y = escape_point_with_incidence(m, (1, 0, 0, 1, 0))
+    result = compare_points(m, x, y, depth=2)
+    assert isinstance(result.verdict, Equivalent)
+    assert result.intertwiner == NoLabelRespectingIso(unlabeled_iso_exists=True)
+    tx, ty = build_orbit_tree(m, x, 2), build_orbit_tree(m, y, 2)
+    assert build_intertwiner(tx, ty, 2) == result.intertwiner
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_intertwiners_and_canonical_forms_match_the_oracles(data):
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    spec = _synthesized_spec(data, mode)
+    if spec is None:
+        return
+    m = synthesize(spec).map
+    depth = data.draw(st.integers(0, 3), label="depth")
+    ((gap, _, _),) = m.gaps
+    points = []
+    for lo, hi, _ in incidence_cells(m, gap):
+        e = (lo + hi) / 2
+        points += [e, _pull_back(m, e, data, data.draw(st.integers(1, 2), label="steps"))]
+    for a, x in enumerate(points):
+        for y in points[a:]:
+            result = compare_points(m, x, y, depth=depth)
+            tx, ty = build_orbit_tree(m, x, depth), build_orbit_tree(m, y, depth)
+            verdict = result.verdict
+            if isinstance(verdict, Equivalent):
+                assert result.intertwiner == build_intertwiner(tx, ty, depth)
+            else:
+                assert result.intertwiner is None
+            # Root colors at round r mirror the unrollings of depth r + 1, and
+            # once separated, two roots stay separated.
+            same_colors = isinstance(verdict, Equivalent) or depth <= verdict.separating_round
+            assert (ahu_canonical(tx, depth) == ahu_canonical(ty, depth)) == same_colors
 
 
 # -- verdict serialization ----------------------------------------------

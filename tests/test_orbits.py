@@ -37,6 +37,8 @@ from escapemaps import (
 )
 from escapemaps.orbits import DEFAULT_MAX_ITER
 
+from oracles import children_by_label
+
 F = Fraction
 
 
@@ -125,7 +127,7 @@ def test_escape_window_shape(four_map):
     assert tree.node_count == 5
     assert tree.interior_indices() == (0, 1, 2)
     assert tree.children(2) == (3, 4)
-    assert tree.children_by_label(2) == {1: 3, 4: 4}
+    assert children_by_label(tree, 2) == {1: 3, 4: 4}
     assert tree.index_of(F(269, 350)) == 2
 
 
