@@ -20,6 +20,7 @@ A fifth, purely diagnostic property:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,12 @@ from .errors import (
 from .rationals import format_rational, parse_rational
 
 Interval = tuple[Fraction, Fraction]
+
+
+def _as_fraction(x) -> Fraction:
+    # Fraction(x) copies a Fraction through an abstract-base-class check,
+    # which costs a third of an exact inverse on the hot point queries.
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def merge_closed_intervals(items: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -255,13 +262,26 @@ class MarkovMap:
             for lo, hi in self.images
         )
 
-    @cached_property
+    @property
     def partition_points(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self._partition_set))
+        return self._breakpoints[0]
 
     @cached_property
-    def _partition_set(self) -> frozenset[Fraction]:
-        return frozenset(p for b in self.branches for p in (b.left, b.right))
+    def _breakpoints(
+        self,
+    ) -> tuple[tuple[Fraction, ...], tuple[tuple[str, int], ...]]:
+        """The breakpoint index: the sorted partition points p_0 < ... < p_m
+        and, for each open slot (p_s, p_s+1), its location kind and the index
+        of the Markov interval or gap that it is."""
+        points = [self.branches[0].left]
+        slots = []
+        for i, b in enumerate(self.branches, start=1):
+            if points[-1] < b.left:
+                slots.append((ESCAPE_INTERIOR, i - 1))
+                points.append(b.left)
+            slots.append((MARKOV_INTERIOR, i))
+            points.append(b.right)
+        return tuple(points), tuple(slots)
 
     def gap_bounds(self, gap_index: int) -> tuple[Fraction, Fraction]:
         for k, lo, hi in self.gaps:
@@ -278,19 +298,22 @@ class MarkovMap:
     # -- point queries --------------------------------------------------
 
     def locate(self, x: Fraction) -> Location:
-        x = Fraction(x)
-        lo, hi = self.ambient
-        if not lo <= x <= hi:
-            return Location(OUTSIDE, None, x)
-        if x in self._partition_set:
+        """Bisect the breakpoint index: about log2(2n) comparisons."""
+        x = _as_fraction(x)
+        points, slots = self._breakpoints
+        s = bisect.bisect_left(points, x)
+        if s < len(points) and points[s] == x:
             return Location(PARTITION_POINT, None, x)
-        for i, b in enumerate(self.branches, start=1):
-            if b.left < x < b.right:
-                return Location(MARKOV_INTERIOR, i, x)
-        for k, glo, ghi in self.gaps:
-            if glo < x < ghi:
-                return Location(ESCAPE_INTERIOR, k, x)
-        raise AssertionError("unreachable: ambient point neither located nor boundary")
+        if s == 0 or s == len(points):
+            return Location(OUTSIDE, None, x)
+        kind, index = slots[s - 1]
+        return Location(kind, index, x)
+
+    def is_partition_point(self, x: Fraction) -> bool:
+        """Whether x is a partition point, by the same bisection."""
+        points = self.partition_points
+        s = bisect.bisect_left(points, x)
+        return s < len(points) and points[s] == x
 
     def evaluate(self, x: Fraction) -> EvalResult:
         """Apply the map at x.  Raises NotInDomainError inside an open gap and
@@ -317,7 +340,7 @@ class MarkovMap:
         """Preimage of y under branch i (1-based), or None when y is outside
         the closed image of interval i."""
         self._check_branch_index(i)
-        return self.branches[i - 1].inverse_at(Fraction(y))
+        return self.branches[i - 1].inverse_at(_as_fraction(y))
 
     def interval_image(self, i: int) -> Interval:
         """Closed image f(I_i) as an interval (endpoints sorted)."""

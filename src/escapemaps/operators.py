@@ -18,7 +18,9 @@ image inside the window, which excludes a non-periodic regular root.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -37,23 +39,40 @@ from .transitions import TransitionData, transition_data
 @dataclass(frozen=True)
 class PartialBasisMap:
     """A partial injection of basis indices: entries are (source, target)
-    pairs, sorted by source, with pairwise distinct targets."""
+    pairs, sorted by source, with pairwise distinct targets.  The map is
+    frozen: validation builds its source -> target mapping and codomain once,
+    and its domain is built on first use."""
 
     dim: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(tuple(pair) for pair in self.entries))
-        object.__setattr__(self, "entries", entries)
-        sources = [a for a, _ in entries]
-        targets = [b for _, b in entries]
-        if len(set(sources)) != len(sources):
+        entries = tuple(sorted(map(tuple, self.entries)))
+        mapping = dict(entries)
+        codomain = frozenset(mapping.values())
+        if len(mapping) != len(entries):
             raise MapStructureError("partial basis map has a repeated source")
-        if len(set(targets)) != len(targets):
+        if len(codomain) != len(entries):
             raise MapStructureError("partial basis map is not injective")
-        for idx in sources + targets:
-            if not 0 <= idx < self.dim:
-                raise MapStructureError(f"basis index {idx} out of range")
+        if entries and not (
+            0 <= entries[0][0]
+            and entries[-1][0] < self.dim
+            and 0 <= min(codomain)
+            and max(codomain) < self.dim
+        ):
+            bad = next(
+                idx
+                for idx in [a for a, _ in entries] + [b for _, b in entries]
+                if not 0 <= idx < self.dim
+            )
+            raise MapStructureError(f"basis index {bad} out of range")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_mapping", mapping)
+        object.__setattr__(self, "_codomain", codomain)
+
+    @functools.cached_property
+    def _domain(self) -> frozenset[int]:
+        return frozenset(self._mapping)
 
     @staticmethod
     def empty(dim: int) -> "PartialBasisMap":
@@ -61,16 +80,14 @@ class PartialBasisMap:
 
     @staticmethod
     def diagonal(dim: int, indices: Iterable[int]) -> "PartialBasisMap":
-        return PartialBasisMap(dim, tuple((i, i) for i in set(indices)))
+        support = set(indices)
+        return PartialBasisMap(dim, tuple(zip(support, support)))
 
     def apply(self, idx: int) -> int | None:
-        for a, b in self.entries:
-            if a == idx:
-                return b
-        return None
+        return self._mapping.get(idx)
 
     def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
+        return dict(self._mapping)
 
     def compose(self, inner: "PartialBasisMap") -> "PartialBasisMap":
         """self after inner: x -> self(inner(x)) where both are defined."""
@@ -78,10 +95,8 @@ class PartialBasisMap:
             raise BasisMismatchError(
                 f"cannot compose maps over bases of size {inner.dim} and {self.dim}"
             )
-        outer = self.as_dict()
-        pairs = [
-            (a, outer[b]) for a, b in inner.entries if b in outer
-        ]
+        outer = self._mapping
+        pairs = [(a, outer[b]) for a, b in inner.entries if b in outer]
         return PartialBasisMap(self.dim, tuple(pairs))
 
     def adjoint(self) -> "PartialBasisMap":
@@ -89,23 +104,23 @@ class PartialBasisMap:
         return PartialBasisMap(self.dim, tuple((b, a) for a, b in self.entries))
 
     def domain(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.entries)
+        return self._domain
 
     def codomain(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.entries)
+        return self._codomain
 
     @property
     def is_empty(self) -> bool:
         return not self.entries
 
-    @property
+    @functools.cached_property
     def is_diagonal(self) -> bool:
-        return all(a == b for a, b in self.entries)
+        return all(map(operator.eq, self._mapping, self._mapping.values()))
 
     def support(self) -> frozenset[int]:
         """Fixed set of a diagonal map."""
         assert self.is_diagonal
-        return self.domain()
+        return self._domain
 
     def restrict(self, keep: Iterable[int]) -> "PartialBasisMap":
         keep_set = set(keep)
@@ -286,41 +301,43 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     and ss* are the diagonals over its domain and its codomain.
     """
     vlist = _validated_vertices(vertices, rep.n)
+    supports = [p.support() for p in rep.vertex_projections]
+    interior_supports = [support & rep.interior for support in supports]
     checks = []
     for i, j in rep.edges():
         s = rep.edge_isometry(i, j)
-        lhs = s.domain()
-        rhs = rep.vertex_projection(j).support() & rep.interior
+        lhs, rhs = s.domain(), interior_supports[j - 1]
+        passed = lhs == rhs
         checks.append(
             RelationCheck(
                 "edge-isometry",
                 (i, j),
                 None,
-                lhs == rhs,
-                rep.point_strings(lhs ^ rhs),
+                passed,
+                () if passed else rep.point_strings(lhs ^ rhs),
             )
         )
-        range_support = s.codomain()
-        covered = range_support <= rep.vertex_projection(i).support()
+        outside = s.codomain() - supports[i - 1]
         checks.append(
             RelationCheck(
                 "edge-range",
                 (i, j),
                 None,
-                covered,
-                rep.point_strings(range_support - rep.vertex_projection(i).support()),
+                not outside,
+                rep.point_strings(outside) if outside else (),
             )
         )
     for v in vlist:
-        lhs_set = rep.vertex_projection(v).support() & rep.check_domain
+        lhs_set = supports[v - 1] & rep.check_domain
         rhs_set = rep.edge_ranges[v - 1] & rep.check_domain
+        passed = lhs_set == rhs_set
         checks.append(
             RelationCheck(
                 "vertex-sum",
                 None,
                 v,
-                lhs_set == rhs_set,
-                rep.point_strings(lhs_set ^ rhs_set),
+                passed,
+                () if passed else rep.point_strings(lhs_set ^ rhs_set),
             )
         )
     return RelationReport(tuple(checks))
@@ -369,25 +386,57 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     q_i = sum of p_j over unit transitions (i, j), plus the root projection
     when the escape root lies in the closed image of I_i.  ``realize`` builds
     q_i by that formula, so this compares it with exact closed-image
-    membership, and confirms the two exact branch identities behind it."""
+    membership, found by two bisections per image in the sorted interior
+    points.
+
+    It also confirms the two exact branch identities behind it, once per
+    window edge: for y in the closed image of I_i, z = f_i^{-1}(y) must
+    satisfy f_i(z) = y and be the point of y's child labelled i, which is the
+    round trip f_i^{-1}(f_i(z)) = z at that child.  An interior node that is
+    no such child, such as a regular root whose forward image is not in the
+    window, gets its round trip checked directly."""
     m, tree = rep.tree.map, rep.tree
-    inside: list[set[int]] = [set() for _ in m.images]
-    failures = []
-    for idx in sorted(rep.interior):
-        y = tree.points[idx]
-        for i, ((lo, hi), b) in enumerate(zip(m.images, m.branches), start=1):
-            if lo <= y <= hi:
-                inside[i - 1].add(idx)
-                if b.value_at(m.branch_inverse(i, y)) != y:
-                    failures.append(f"branch {i} inverse identity fails at {y}")
-            if tree.labels[idx] == i and m.branch_inverse(i, b.value_at(y)) != y:
-                failures.append(f"branch {i} round trip fails at {y}")
-    failures[:0] = [
-        f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
-        for i, q in enumerate(rep.image_projections, start=1)
-        if (diff := inside[i - 1] ^ (q.support() & rep.interior))
-    ]
-    return ImageDecompositionReport(not failures, tuple(failures))
+    points, labels = tree.points, tree.labels
+    # Interior nodes in value order: each level is stored sorted already, so
+    # the sort mostly merges runs.
+    ordered = sorted(sorted(rep.interior), key=points.__getitem__)
+    keys = [points[idx] for idx in ordered]
+    child_of = {
+        (parent, label): idx
+        for idx, (parent, label) in enumerate(zip(tree.parents, labels))
+        if parent is not None
+    }
+    mismatches = []
+    failures: list[tuple[tuple[int, int, int], str]] = []
+    covered: set[int] = set()
+    for i, ((lo, hi), b, q) in enumerate(
+        zip(m.images, m.branches, rep.image_projections), start=1
+    ):
+        members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
+        if diff := set(members) ^ (q.support() & rep.interior):
+            mismatches.append(
+                f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
+            )
+        for idx in members:
+            y = points[idx]
+            z = m.branch_inverse(i, y)
+            if b.value_at(z) != y:
+                failures.append(((idx, i, 0), f"branch {i} inverse identity fails at {y}"))
+                continue
+            child = child_of.get((idx, i))
+            if child is not None:
+                covered.add(child)
+                if z != points[child]:
+                    failures.append(
+                        ((child, i, 1), f"branch {i} round trip fails at {points[child]}")
+                    )
+    for idx in rep.interior - covered:
+        i, x = labels[idx], points[idx]
+        if i is not None and m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
+            failures.append(((idx, i, 1), f"branch {i} round trip fails at {x}"))
+    failures.sort()
+    texts = mismatches + [text for _, text in failures]
+    return ImageDecompositionReport(not texts, tuple(texts))
 
 
 # -- admissibility and faithfulness -------------------------------------

@@ -260,7 +260,7 @@ def build_orbit_tree(
         # partially covering image can end exactly at the escape root.
         for k in root_kids if depth else ():
             z = m.branch_inverse(k + 1, root)
-            if z in m.partition_points:
+            if m.is_partition_point(z):
                 raise OrbitMeetsBoundaryError(
                     f"preimage {z} of window node {root} under branch {k + 1} "
                     f"is a partition point; the window is undefined"

@@ -1,6 +1,7 @@
-"""Shared fixtures: the bundled corpus maps and one synthesized map that
-several suites exercise (built once per session; synthesis is exact, so the
-result is deterministic)."""
+"""Shared fixtures: the bundled corpus maps, a map whose second branch
+reverses orientation, and one synthesized map that several suites exercise
+(built once per session; synthesis is exact, so the result is
+deterministic)."""
 
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 from escapemaps import (
     PARTIAL,
     FOUR_INTERVAL_MARKOV,
+    AffineBranch,
+    MarkovMap,
     SynthesisSpec,
     four_interval_document,
     four_interval_map,
@@ -38,6 +41,15 @@ def reaching_map():
 @pytest.fixture(scope="session")
 def full2_map():
     return full_two_interval_map()
+
+
+@pytest.fixture(scope="session")
+def reversing_map():
+    """x -> 3x on [0, 1/3] and x -> 3 - 3x on [2/3, 1], with the escape gap
+    (1/3, 2/3) between them: the second branch reverses orientation."""
+    return MarkovMap(
+        (AffineBranch(3, 0, 0, F(1, 3)), AffineBranch(-3, 3, F(2, 3), 1))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
-"""Brute-force equivalence oracles that the library no longer runs.
+"""Brute-force oracles that the library no longer runs.
 
-The library decides equivalence from the transition matrix and the incidence
-rows alone.  The tools here decide the same questions the long way, on the
-windows themselves, so the tests can check the short way against them:
+The library locates points by bisecting a breakpoint index, and decides
+equivalence from the transition matrix and the incidence rows alone.  The
+tools here decide the same questions the long way, so the tests can check the
+short way against them:
 
+  * ``linear_locate``: a point's location by scanning the ambient interval,
+    every partition point, every interval and every gap in turn;
   * ``ahu_canonical``: label-free canonical forms of truncated windows
     (bottom-up, children sorted); equal forms at equal depth iff the
     truncated trees are isomorphic as unlabeled rooted trees;
@@ -17,17 +20,40 @@ windows themselves, so the tests can check the short way against them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from escapemaps import (
+    ESCAPE_INTERIOR,
+    MARKOV_INTERIOR,
+    OUTSIDE,
+    PARTITION_POINT,
     DepthExceedsTreeError,
     InconsistentInputsError,
     Intertwiner,
+    MarkovMap,
     NoLabelRespectingIso,
     NotAnEscapePointError,
     OrbitTree,
     realize,
     truncate_tree,
 )
+from escapemaps.maps import Location
+
+
+def linear_locate(m: MarkovMap, x: Fraction) -> Location:
+    x = Fraction(x)
+    lo, hi = m.ambient
+    if not lo <= x <= hi:
+        return Location(OUTSIDE, None, x)
+    if x in {p for b in m.branches for p in (b.left, b.right)}:
+        return Location(PARTITION_POINT, None, x)
+    for i, b in enumerate(m.branches, start=1):
+        if b.left < x < b.right:
+            return Location(MARKOV_INTERIOR, i, x)
+    for k, glo, ghi in m.gaps:
+        if glo < x < ghi:
+            return Location(ESCAPE_INTERIOR, k, x)
+    raise AssertionError("unreachable: ambient point neither located nor boundary")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
     ESCAPE_INTERIOR,
     MARKOV_INTERIOR,
     OUTSIDE,
+    PARTIAL,
     PARTITION_POINT,
+    STRICT,
     AffineBranch,
     EscapeMapsError,
     MapFormatError,
@@ -17,11 +20,16 @@ from escapemaps import (
     NotInDomainError,
     OutsideAmbientError,
     RationalParseError,
+    SynthesisSpec,
+    feasibility_check,
     map_document_from_jsonable,
     map_document_to_jsonable,
     merge_closed_intervals,
+    synthesize,
 )
 from escapemaps.corpus import load_document
+
+from oracles import linear_locate
 
 F = Fraction
 
@@ -140,6 +148,56 @@ def test_locate_kinds(four_map):
     assert four_map.locate(F(9, 20)).index == 2
     assert four_map.locate(F(1, 4)).kind == PARTITION_POINT
     assert four_map.locate(F(2)).kind == OUTSIDE
+
+
+def _banded_map(data):
+    """A synthesized map at n = 5..32, or None when the drawn spec is not
+    feasible.  Row i covers the intervals i - a..i + b with a, b in {1, 2}, so
+    the matrix is primitive; each of one or two gaps gets the straddle
+    column, which partial mode widens at random."""
+    n = data.draw(st.integers(5, 32), label="n")
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = []
+    for i in range(n):
+        lo, hi = max(0, i - rng.randint(1, 2)), min(n - 1, i + rng.randint(1, 2))
+        rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
+    positions = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+    columns = []
+    for p in positions:
+        column = [row[p - 1] & row[p] for row in rows]
+        if mode == PARTIAL:
+            column = [u | (row[p - 1] != row[p] and rng.random() < 0.5)
+                      for u, row in zip(column, rows)]
+        columns.append(column)
+    spec = SynthesisSpec(tuple(rows), tuple(zip(*columns)), tuple(positions), mode)
+    return synthesize(spec).map if feasibility_check(spec).feasible else None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_locate_matches_the_linear_scan(
+    four_map, reaching_map, full2_map, reversing_map, data
+):
+    maps = [four_map, reaching_map, full2_map, reversing_map]
+    if (m := _banded_map(data)) is not None:
+        maps.append(m)
+    for m in maps:
+        lo, hi = m.ambient
+        cuts = m.partition_points
+        points = [
+            *cuts,
+            *((a + b) / 2 for a, b in zip(cuts, cuts[1:])),
+            *(end for image in m.images for end in image),
+            lo - (hi - lo) / 10**6,
+            hi + (hi - lo) / 10**6,
+            *data.draw(
+                st.lists(st.fractions(lo - 1, hi + 1, max_denominator=10**6), max_size=8),
+                label="extra points",
+            ),
+        ]
+        for x in points:
+            assert m.locate(x) == linear_locate(m, x)
 
 
 def test_evaluate_values_and_shared_endpoints(four_map):

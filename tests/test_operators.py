@@ -192,6 +192,44 @@ def test_image_decomposition_check_catches_a_wrong_projection(four_map):
     assert not report.passed
     assert len(report.failures) == 1
     assert report.failures[0].startswith("image projection 3 mismatch at: ")
+    assert report.failures == ("image projection 3 mismatch at: 3/35, 199/1225, 269/350",)
+
+
+@pytest.mark.parametrize("node", ["interior", "leaf"])
+def test_image_decomposition_check_names_a_corrupted_window_point(four_map, node):
+    # Each window edge y <- z labelled i is checked once: z must be the exact
+    # preimage f_i^{-1}(y).  Nudge one cached point, keeping it inside the
+    # same interval and the same closed images, and the edge into it fails.
+    tree = build_orbit_tree(four_map, F(1, 2), 4)
+    rep = realize(tree)
+    assert image_decomposition_check(rep).passed
+    idx = 1 if node == "interior" else tree.node_count - 1
+    assert (idx in rep.interior) == (node == "interior")
+    points = list(tree.points)
+    points[idx] += F(1, 10**9)
+    assert four_map.locate(points[idx]) == dataclasses.replace(
+        four_map.locate(tree.points[idx]), point=points[idx]
+    )
+    assert [lo <= points[idx] <= hi for lo, hi in four_map.images] == [
+        lo <= tree.points[idx] <= hi for lo, hi in four_map.images
+    ]
+    tree.__dict__["points"] = tuple(points)
+    report = image_decomposition_check(rep)
+    assert not report.passed
+    assert f"branch {tree.labels[idx]} round trip fails at {points[idx]}" in report.failures
+
+
+def test_image_decomposition_check_round_trips_an_open_regular_root(four_map):
+    # At depth 1 the period-2 cycle of the root 229/270 does not close, so no
+    # window edge ends at the root and its round trip is checked on its own:
+    # under a wrong label the root's image leaves that branch's image.
+    tree = build_orbit_tree(four_map, F(5, 27), 1, horizon=1)
+    assert tree.root_point == F(229, 270) and tree.parents[0] is None
+    rep = realize(tree)
+    assert image_decomposition_check(rep).passed
+    relabelled = dataclasses.replace(tree, labels=(1,) + tree.labels[1:])
+    report = image_decomposition_check(dataclasses.replace(rep, tree=relabelled))
+    assert report.failures == ("branch 1 round trip fails at 229/270",)
 
 
 def test_regular_window_relations(four_map):
@@ -291,6 +329,19 @@ def test_realize_matches_the_formula_construction(name):
     assert rep.edges() == build_graph(markov_matrix(tree.map)).edges
     for (i, j), expected in edges.items():
         assert rep.edge_isometry(i, j) == expected
+
+
+def test_transfers_apply_each_parent_to_its_child():
+    tree = _band8_escape_window()
+    rep = realize(tree)
+    interior_edges = 0
+    for i, t in enumerate(rep.transfers, start=1):
+        for parent, child in t.entries:
+            assert t.apply(parent) == child
+            assert (tree.parents[child], tree.labels[child]) == (parent, i)
+        assert all(t.apply(idx) is None for idx in range(rep.dim) if idx not in t.domain())
+        interior_edges += len(t.entries)
+    assert interior_edges == sum(p in rep.interior for p in tree.parents[1:]) > 0
 
 
 # -- admissibility and certificates --------------------------------------

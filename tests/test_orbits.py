@@ -306,16 +306,8 @@ def _assert_matches_geometric_window(m, x, depth, max_iter=DEFAULT_MAX_ITER, hor
     return tree
 
 
-def _reversing_map():
-    """x -> 3x on [0, 1/3] and x -> 3 - 3x on [2/3, 1], with the escape gap
-    (1/3, 2/3) between them: the second branch reverses orientation."""
-    return MarkovMap(
-        (AffineBranch(3, 0, 0, F(1, 3)), AffineBranch(-3, 3, F(2, 3), 1))
-    )
-
-
-def test_reversing_map_is_valid_and_reverses_its_second_level():
-    m = _reversing_map()
+def test_reversing_map_is_valid_and_reverses_its_second_level(reversing_map):
+    m = reversing_map
     assert m.validate().all_ok
     tree = build_orbit_tree(m, F(1, 2), 2)
     # Branch 2 turns the order of its parents 1/6 < 5/6 around.
@@ -340,8 +332,10 @@ def test_reversing_map_is_valid_and_reverses_its_second_level():
         ("reversing", F(17, 18)),
     ],
 )
-def test_escape_windows_match_the_geometric_builder(which, x, four_map, reaching_map):
-    m = {"four": four_map, "reaching": reaching_map, "reversing": _reversing_map()}[which]
+def test_escape_windows_match_the_geometric_builder(
+    which, x, four_map, reaching_map, reversing_map
+):
+    m = {"four": four_map, "reaching": reaching_map, "reversing": reversing_map}[which]
     assert isinstance(classify_point(m, x), Escaped)
     for depth in range(5):
         _assert_matches_geometric_window(m, x, depth)
@@ -360,8 +354,10 @@ def test_escape_windows_match_the_geometric_builder(which, x, four_map, reaching
         ("reversing", F(1, 10)),  # reaches the cycle of 3/10 after one step
     ],
 )
-def test_regular_windows_match_the_geometric_builder(which, x, four_map, full2_map):
-    m = {"four": four_map, "full2": full2_map, "reversing": _reversing_map()}[which]
+def test_regular_windows_match_the_geometric_builder(
+    which, x, four_map, full2_map, reversing_map
+):
+    m = {"four": four_map, "full2": full2_map, "reversing": reversing_map}[which]
     pc = classify_point(m, x)
     assert isinstance(pc, UndeterminedRegular) and pc.period is not None
     closed = 0
