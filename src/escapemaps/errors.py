@@ -48,10 +48,6 @@ class InconsistentInputsError(EscapeMapsError, ValueError):
     """Two inputs that must derive from the same map do not agree."""
 
 
-class BasisMismatchError(EscapeMapsError, ValueError):
-    """Partial basis maps over different bases were combined."""
-
-
 class NotAdmissibleError(EscapeMapsError):
     """A certificate was requested for a vertex set that is not admissible."""
 

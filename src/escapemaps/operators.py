@@ -1,31 +1,33 @@
 """Partial-isometry representations on backward orbit windows.
 
-On the finite basis given by a window's points, every operator here is a
-partial injection of basis vectors (a 0/1 partial permutation matrix), so all
-algebra is exact set combinatorics:
+On the finite basis given by a window's points, every operator here is a 0/1
+partial permutation matrix, held as plain index data: a partial isometry is a
+dict from source to target basis index, and a projection is the frozenset of
+basis indices it fixes.  All algebra is exact set combinatorics:
 
   * transfer(i)        |y> -> |f_i^{-1}(y)>   for y in the closed image of I_i
   * edge_isometry(i,j) |y> -> |f_i^{-1}(y)>   for y in I_j (defined per unit
                         transition entry (i, j))
-  * vertex_projection(i)  diagonal over nodes in I_i
-  * image_projection(i)   diagonal over nodes in the closed image of I_i
+  * vertex_projection(i)  the nodes in I_i
+  * image_projection(i)   the nodes in the closed image of I_i
 
-The preimage f_i^{-1}(y) is read off the window as the child of y labelled i.
-Relations are checked on the window interior (nodes whose preimages are fully
-materialized); the vertex-sum relation additionally needs the node's forward
-image inside the window, which excludes a non-periodic regular root.
+The preimage f_i^{-1}(y) is read off the window as the child of y labelled i;
+a child has one parent and a parent at most one child per label, so every
+isometry is injective.  For an isometry s, s*s and ss* are the projections
+onto ``s.keys()`` and ``s.values()``.  Relations are checked on the window
+interior (nodes whose preimages are fully materialized); the vertex-sum
+relation additionally needs the node's forward image inside the window, which
+excludes a non-periodic regular root.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
-    BasisMismatchError,
     NotAdmissibleError,
     NotAnEscapePointError,
     WindowTooShallowError,
@@ -36,99 +38,6 @@ from .rationals import format_rational
 from .transitions import TransitionData, transition_data
 
 
-@dataclass(frozen=True)
-class PartialBasisMap:
-    """A partial injection of basis indices: entries are (source, target)
-    pairs, sorted by source, with pairwise distinct targets.  The map is
-    frozen: validation builds its source -> target mapping and codomain once,
-    and its domain is built on first use."""
-
-    dim: int
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(sorted(map(tuple, self.entries)))
-        mapping = dict(entries)
-        codomain = frozenset(mapping.values())
-        if len(mapping) != len(entries):
-            raise MapStructureError("partial basis map has a repeated source")
-        if len(codomain) != len(entries):
-            raise MapStructureError("partial basis map is not injective")
-        if entries and not (
-            0 <= entries[0][0]
-            and entries[-1][0] < self.dim
-            and 0 <= min(codomain)
-            and max(codomain) < self.dim
-        ):
-            bad = next(
-                idx
-                for idx in [a for a, _ in entries] + [b for _, b in entries]
-                if not 0 <= idx < self.dim
-            )
-            raise MapStructureError(f"basis index {bad} out of range")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_mapping", mapping)
-        object.__setattr__(self, "_codomain", codomain)
-
-    @functools.cached_property
-    def _domain(self) -> frozenset[int]:
-        return frozenset(self._mapping)
-
-    @staticmethod
-    def empty(dim: int) -> "PartialBasisMap":
-        return PartialBasisMap(dim, ())
-
-    @staticmethod
-    def diagonal(dim: int, indices: Iterable[int]) -> "PartialBasisMap":
-        support = set(indices)
-        return PartialBasisMap(dim, tuple(zip(support, support)))
-
-    def apply(self, idx: int) -> int | None:
-        return self._mapping.get(idx)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._mapping)
-
-    def compose(self, inner: "PartialBasisMap") -> "PartialBasisMap":
-        """self after inner: x -> self(inner(x)) where both are defined."""
-        if self.dim != inner.dim:
-            raise BasisMismatchError(
-                f"cannot compose maps over bases of size {inner.dim} and {self.dim}"
-            )
-        outer = self._mapping
-        pairs = [(a, outer[b]) for a, b in inner.entries if b in outer]
-        return PartialBasisMap(self.dim, tuple(pairs))
-
-    def adjoint(self) -> "PartialBasisMap":
-        """The adjoint of a partial permutation is its inverse."""
-        return PartialBasisMap(self.dim, tuple((b, a) for a, b in self.entries))
-
-    def domain(self) -> frozenset[int]:
-        return self._domain
-
-    def codomain(self) -> frozenset[int]:
-        return self._codomain
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    @functools.cached_property
-    def is_diagonal(self) -> bool:
-        return all(map(operator.eq, self._mapping, self._mapping.values()))
-
-    def support(self) -> frozenset[int]:
-        """Fixed set of a diagonal map."""
-        assert self.is_diagonal
-        return self._domain
-
-    def restrict(self, keep: Iterable[int]) -> "PartialBasisMap":
-        keep_set = set(keep)
-        return PartialBasisMap(
-            self.dim, tuple(pair for pair in self.entries if pair[0] in keep_set)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Representation:
     """All operators realized on one window, plus the transition data they
@@ -137,10 +46,10 @@ class Representation:
 
     tree: OrbitTree
     data: TransitionData
-    transfers: tuple[PartialBasisMap, ...]
-    edge_isometries: Mapping[tuple[int, int], PartialBasisMap]
-    vertex_projections: tuple[PartialBasisMap, ...]
-    image_projections: tuple[PartialBasisMap, ...]
+    transfers: tuple[dict[int, int], ...]
+    edge_isometries: Mapping[tuple[int, int], dict[int, int]]
+    vertex_projections: tuple[frozenset[int], ...]
+    image_projections: tuple[frozenset[int], ...]
     incidence: tuple[int, ...] | None
     interior: frozenset[int]
     check_domain: frozenset[int]
@@ -153,18 +62,25 @@ class Representation:
     def dim(self) -> int:
         return self.tree.node_count
 
-    def transfer(self, i: int) -> PartialBasisMap:
+    def _check_vertex(self, i: int) -> None:
+        if not 1 <= i <= self.n:
+            raise MapStructureError(f"vertex {i} out of range 1..{self.n}")
+
+    def transfer(self, i: int) -> dict[int, int]:
+        self._check_vertex(i)
         return self.transfers[i - 1]
 
-    def edge_isometry(self, i: int, j: int) -> PartialBasisMap:
+    def edge_isometry(self, i: int, j: int) -> dict[int, int]:
         if (i, j) not in self.edge_isometries:
             raise MapStructureError(f"no transition from {i} to {j}")
         return self.edge_isometries[(i, j)]
 
-    def vertex_projection(self, i: int) -> PartialBasisMap:
+    def vertex_projection(self, i: int) -> frozenset[int]:
+        self._check_vertex(i)
         return self.vertex_projections[i - 1]
 
-    def image_projection(self, i: int) -> PartialBasisMap:
+    def image_projection(self, i: int) -> frozenset[int]:
+        self._check_vertex(i)
         return self.image_projections[i - 1]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -176,9 +92,8 @@ class Representation:
         the edges s leaving i."""
         ranges: list[set[int]] = [set() for _ in range(self.n)]
         for (i, _), s in self.edge_isometries.items():
-            part = s.codomain()
-            assert not (ranges[i - 1] & part), "edge ranges must be orthogonal"
-            ranges[i - 1] |= part
+            assert ranges[i - 1].isdisjoint(s.values()), "edge ranges must be orthogonal"
+            ranges[i - 1].update(s.values())
         return tuple(frozenset(r) for r in ranges)
 
     def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
@@ -193,12 +108,11 @@ def realize(tree: OrbitTree) -> Representation:
     child of y labelled i."""
     data = transition_data(tree.map)
     n = data.n
-    dim = tree.node_count
     interior = frozenset(tree.interior_indices())
 
-    transfer_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    edge_pairs: dict[tuple[int, int], list[tuple[int, int]]] = {
-        (i, j): []
+    transfers: list[dict[int, int]] = [{} for _ in range(n)]
+    edge_isometries: dict[tuple[int, int], dict[int, int]] = {
+        (i, j): {}
         for i, row in enumerate(data.markov, start=1)
         for j, unit in enumerate(row, start=1)
         if unit
@@ -209,28 +123,22 @@ def realize(tree: OrbitTree) -> Representation:
             continue
         by_label[i - 1].append(idx)
         if parent in interior:
-            transfer_pairs[i - 1].append((parent, idx))
-            edge = (i, tree.labels[parent])
-            if edge in edge_pairs:
-                edge_pairs[edge].append((parent, idx))
+            transfers[i - 1][parent] = idx
+            edge = edge_isometries.get((i, tree.labels[parent]))
+            if edge is not None:
+                edge[parent] = idx
 
-    transfers = [PartialBasisMap(dim, tuple(pairs)) for pairs in transfer_pairs]
-    edge_isometries = {
-        edge: PartialBasisMap(dim, tuple(pairs)) for edge, pairs in edge_pairs.items()
-    }
-    vertex_projections = [PartialBasisMap.diagonal(dim, nodes) for nodes in by_label]
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # A node of I_j lies in f(I_i) iff A[i][j] = 1; the escape root lies there
     # iff its incidence is 1 at i.  image_decomposition_check confirms this
     # against the closed images.
-    image_projections = [
-        PartialBasisMap.diagonal(
-            dim,
+    image_projections = tuple(
+        frozenset(
             [idx for j, unit in enumerate(row) if unit for idx in by_label[j]]
-            + ([0] if incidence is not None and incidence[i] else []),
+            + ([0] if incidence is not None and incidence[i] else [])
         )
         for i, row in enumerate(data.markov)
-    ]
+    )
 
     # The vertex-sum relation speaks about a node's forward image, so it can
     # only be checked where that image is materialized: everywhere on the
@@ -244,11 +152,11 @@ def realize(tree: OrbitTree) -> Representation:
         data=data,
         transfers=tuple(transfers),
         edge_isometries=edge_isometries,
-        vertex_projections=tuple(vertex_projections),
-        image_projections=tuple(image_projections),
+        vertex_projections=tuple(frozenset(nodes) for nodes in by_label),
+        image_projections=image_projections,
         incidence=incidence,
         interior=interior,
-        check_domain=frozenset(check_domain),
+        check_domain=check_domain,
     )
 
 
@@ -297,16 +205,16 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     Per transition edge e = (i, j): the isometry relation s*s = p_j and the
     range bound ss* <= p_i, both on the interior.  Per requested vertex v: the
     vertex-sum relation p_v = sum of ss* over edges leaving v, on the domain
-    where forward images are materialized.  For a partial injection s, s*s
-    and ss* are the diagonals over its domain and its codomain.
+    where forward images are materialized.  For an isometry s, s*s and ss*
+    are the projections onto its keys and its values.
     """
     vlist = _validated_vertices(vertices, rep.n)
-    supports = [p.support() for p in rep.vertex_projections]
+    supports = rep.vertex_projections
     interior_supports = [support & rep.interior for support in supports]
     checks = []
     for i, j in rep.edges():
         s = rep.edge_isometry(i, j)
-        lhs, rhs = s.domain(), interior_supports[j - 1]
+        lhs, rhs = s.keys(), interior_supports[j - 1]
         passed = lhs == rhs
         checks.append(
             RelationCheck(
@@ -317,7 +225,7 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
                 () if passed else rep.point_strings(lhs ^ rhs),
             )
         )
-        outside = s.codomain() - supports[i - 1]
+        outside = set(s.values()) - supports[i - 1]
         checks.append(
             RelationCheck(
                 "edge-range",
@@ -351,17 +259,12 @@ def _validated_vertices(vertices: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(vset)
 
 
-def gap_projection(rep: Representation, i: int) -> PartialBasisMap:
-    """The defect p_i - sum of ss* over edges leaving i, as a diagonal on the
-    checkable domain.  For an escape window this is nonzero exactly when the
-    root lies in the closed image of I_i, where it fixes the single point
+def gap_projection(rep: Representation, i: int) -> frozenset[int]:
+    """The defect p_i - sum of ss* over edges leaving i, as a projection on
+    the checkable domain.  For an escape window this is nonzero exactly when
+    the root lies in the closed image of I_i, where it fixes the single point
     f_i^{-1}(root)."""
-    if not 1 <= i <= rep.n:
-        raise MapStructureError(f"vertex {i} out of range 1..{rep.n}")
-    support = (
-        rep.vertex_projection(i).support() & rep.check_domain
-    ) - rep.edge_ranges[i - 1]
-    return PartialBasisMap.diagonal(rep.dim, support)
+    return (rep.vertex_projection(i) & rep.check_domain) - rep.edge_ranges[i - 1]
 
 
 def projection_sum_is_identity(rep: Representation) -> bool:
@@ -369,7 +272,7 @@ def projection_sum_is_identity(rep: Representation) -> bool:
     (true for regular windows; an escape root lies in no interval)."""
     union: set[int] = set()
     for i in range(1, rep.n + 1):
-        support = rep.vertex_projection(i).support()
+        support = rep.vertex_projection(i)
         assert not (union & support), "vertex projections must be orthogonal"
         union |= support
     return rep.interior <= union
@@ -413,7 +316,7 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
         zip(m.images, m.branches, rep.image_projections), start=1
     ):
         members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
-        if diff := set(members) ^ (q.support() & rep.interior):
+        if diff := set(members) ^ (q & rep.interior):
             mismatches.append(
                 f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
             )
@@ -524,12 +427,12 @@ def faithfulness_certificate(
     for i in range(1, rep.n + 1):
         nonvanishing.append(
             NonvanishingCheck(
-                "vertex-projection", i, not rep.vertex_projection(i).is_empty
+                "vertex-projection", i, bool(rep.vertex_projection(i))
             )
         )
     for k in complement:
         nonvanishing.append(
-            NonvanishingCheck("gap-projection", k, not gap_projection(rep, k).is_empty)
+            NonvanishingCheck("gap-projection", k, bool(gap_projection(rep, k)))
         )
         nonvanishing.append(
             NonvanishingCheck("edge-range-sum", k, bool(rep.edge_ranges[k - 1]))
@@ -571,4 +474,4 @@ def quotient_nonfaithfulness_demo(
     if not admissible(rep.tree.base_class, outer_set):
         raise NotAdmissibleError("outer vertex set is not admissible")
     vertex = min(outer_set - inner_set)
-    return QuotientWitness(vertex, gap_projection(rep, vertex).is_empty)
+    return QuotientWitness(vertex, not gap_projection(rep, vertex))

@@ -108,7 +108,7 @@ def classify_point(
         if loc.kind == PARTITION_POINT:
             return BoundaryOrbit(step, y)
         if loc.kind == ESCAPE_INTERIOR:
-            return Escaped(step, y, loc.index, escape_incidence(m, y))
+            return Escaped(step, y, loc.index, _image_incidence(m, y))
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
@@ -120,9 +120,14 @@ def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     """0/1 vector over branches: unit at i iff the escape point e lies in the
     closed image of I_i.  Requires e strictly inside an open gap."""
     e = Fraction(e)
-    loc = m.locate(e)
-    if loc.kind != ESCAPE_INTERIOR:
+    if m.locate(e).kind != ESCAPE_INTERIOR:
         raise NotAnEscapePointError(f"{e} is not strictly inside an open gap")
+    return _image_incidence(m, e)
+
+
+def _image_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
+    """The image scan behind ``escape_incidence``, for a point already located
+    strictly inside an open gap."""
     return tuple(1 if lo <= e <= hi else 0 for lo, hi in m.images)
 
 
@@ -142,7 +147,7 @@ def incidence_cells(
     cells = []
     for lo, hi in zip(ordered, ordered[1:]):
         mid = (lo + hi) / 2
-        cells.append((lo, hi, escape_incidence(m, mid)))
+        cells.append((lo, hi, _image_incidence(m, mid)))
     return tuple(cells)
 
 

@@ -14,7 +14,10 @@ short way against them:
     windows, found by matching children by branch label and verified against
     the realized operators;
   * ``_oracle_same_unrolling``: equality of the depth-d unrollings of two
-    roots of the symbolic pointed graph.
+    roots of the symbolic pointed graph;
+  * ``compose`` and ``adjoint``: literal products and adjoints of partial
+    permutations held as source -> target dicts, the reference for the
+    relation verdicts that the library reads off keys and values.
 """
 
 from __future__ import annotations
@@ -124,12 +127,12 @@ def build_intertwiner(
     for edge in rep_x.edges():
         sx = rep_x.edge_isometry(*edge)
         sy = rep_y.edge_isometry(*edge)
-        mapped = {(forward[a], forward[b]) for a, b in sx.entries}
-        if mapped != set(sy.entries):
+        mapped = {(forward[a], forward[b]) for a, b in sx.items()}
+        if mapped != set(sy.items()):
             verified = False
     for i in range(1, rep_x.n + 1):
-        px = {forward[a] for a in rep_x.vertex_projection(i).support()}
-        if px != set(rep_y.vertex_projection(i).support()):
+        px = {forward[a] for a in rep_x.vertex_projection(i)}
+        if px != rep_y.vertex_projection(i):
             verified = False
     return Intertwiner(tuple(sorted(pairs)), verified)
 
@@ -157,3 +160,15 @@ def _oracle_same_unrolling(markov, cx, cy, depth) -> bool:
         return memo[key]
 
     return shape(n, depth) == shape(n + 1, depth)
+
+
+def compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:
+    """The product outer * inner: x -> outer(inner(x)) where both are defined."""
+    return {a: outer[b] for a, b in inner.items() if b in outer}
+
+
+def adjoint(s: dict[int, int]) -> dict[int, int]:
+    """The adjoint of a partial permutation is its inverse."""
+    inverse = {b: a for a, b in s.items()}
+    assert len(inverse) == len(s), "not a partial permutation"
+    return inverse

@@ -29,8 +29,8 @@ from escapemaps import (
     verdict_to_jsonable,
 )
 
+from conftest import pull_back, synthesized_spec
 from oracles import _oracle_same_unrolling, ahu_canonical, build_intertwiner
-from test_orbits import _pull_back, _synthesized_spec
 
 F = Fraction
 
@@ -290,7 +290,7 @@ def test_compare_bisimilar_rows_with_different_labels():
 @given(st.data())
 def test_intertwiners_and_canonical_forms_match_the_oracles(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
-    spec = _synthesized_spec(data, mode)
+    spec = synthesized_spec(data, mode)
     if spec is None:
         return
     m = synthesize(spec).map
@@ -299,7 +299,7 @@ def test_intertwiners_and_canonical_forms_match_the_oracles(data):
     points = []
     for lo, hi, _ in incidence_cells(m, gap):
         e = (lo + hi) / 2
-        points += [e, _pull_back(m, e, data, data.draw(st.integers(1, 2), label="steps"))]
+        points += [e, pull_back(m, e, data, data.draw(st.integers(1, 2), label="steps"))]
     for a, x in enumerate(points):
         for y in points[a:]:
             result = compare_points(m, x, y, depth=depth)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
+    PARTIAL,
     STRICT,
-    BasisMismatchError,
     MapStructureError,
     NotAdmissibleError,
     NotAnEscapePointError,
-    PartialBasisMap,
+    OrbitMeetsBoundaryError,
     SynthesisSpec,
     WindowTooShallowError,
     admissible,
@@ -26,6 +26,7 @@ from escapemaps import (
     full_two_interval_map,
     gap_projection,
     image_decomposition_check,
+    incidence_cells,
     markov_matrix,
     projection_sum_is_identity,
     quotient_nonfaithfulness_demo,
@@ -34,35 +35,24 @@ from escapemaps import (
     truncate_tree,
 )
 
+from conftest import periodic_point, pull_back, synthesized_spec
+from oracles import adjoint, compose
+
 F = Fraction
 
 
-# -- partial injections of basis vectors ---------------------------------
+# -- the dict products that the relation verdicts are checked against ----
 
 
-def test_partial_basis_map_validation():
-    with pytest.raises(MapStructureError):
-        PartialBasisMap(3, ((0, 1), (0, 2)))  # repeated source
-    with pytest.raises(MapStructureError):
-        PartialBasisMap(3, ((0, 1), (2, 1)))  # not injective
-    with pytest.raises(MapStructureError):
-        PartialBasisMap(2, ((0, 2),))  # out of range
-
-
-def test_partial_basis_map_algebra():
-    s = PartialBasisMap(4, ((0, 2), (1, 3)))
-    t = PartialBasisMap(4, ((2, 0), (3, 3)))
-    assert s.apply(0) == 2 and s.apply(2) is None
-    assert s.domain() == frozenset({0, 1})
-    assert s.codomain() == frozenset({2, 3})
-    assert t.compose(s).entries == ((0, 0), (1, 3))
-    assert s.adjoint().entries == ((2, 0), (3, 1))
-    assert s.restrict([1]).entries == ((1, 3),)
-    assert PartialBasisMap.empty(3).is_empty
-    d = PartialBasisMap.diagonal(3, [2, 0])
-    assert d.is_diagonal and d.support() == frozenset({0, 2})
-    with pytest.raises(BasisMismatchError):
-        s.compose(PartialBasisMap(3, ()))
+def test_compose_and_adjoint_oracles():
+    s = {0: 2, 1: 3}
+    t = {2: 0, 3: 3}
+    assert compose(t, s) == {0: 0, 1: 3}
+    assert compose(s, t) == {2: 2}
+    assert adjoint(s) == {2: 0, 3: 1}
+    assert compose(s, {}) == compose({}, s) == {}
+    with pytest.raises(AssertionError):
+        adjoint({0: 1, 2: 1})
 
 
 @st.composite
@@ -70,7 +60,7 @@ def partial_injections(draw, dim):
     size = draw(st.integers(0, dim))
     sources = draw(st.permutations(range(dim)))[:size]
     targets = draw(st.permutations(range(dim)))[:size]
-    return PartialBasisMap(dim, tuple(zip(sources, targets)))
+    return dict(zip(sources, targets))
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,15 +73,13 @@ def test_partial_injection_laws(maps):
     s, t, u = maps
     # Associativity, adjoint anti-homomorphism, and the projection identities
     # s s* s = s / s* s s* = s*.
-    assert s.compose(t).compose(u).entries == s.compose(t.compose(u)).entries
-    assert s.compose(t).adjoint().entries == t.adjoint().compose(s.adjoint()).entries
-    sts = s.compose(s.adjoint()).compose(s)
-    assert sts.entries == s.entries
-    star = s.adjoint().compose(s).compose(s.adjoint())
-    assert star.entries == s.adjoint().entries
-    assert s.adjoint().compose(s).is_diagonal
-    assert s.adjoint().compose(s).support() == s.domain()
-    assert s.compose(s.adjoint()).support() == s.codomain()
+    assert compose(compose(s, t), u) == compose(s, compose(t, u))
+    assert adjoint(compose(s, t)) == compose(adjoint(t), adjoint(s))
+    assert compose(compose(s, adjoint(s)), s) == s
+    assert compose(compose(adjoint(s), s), adjoint(s)) == adjoint(s)
+    # s*s and ss* are the projections onto the keys and the values of s.
+    assert compose(adjoint(s), s) == {a: a for a in s}
+    assert compose(s, adjoint(s)) == {b: b for b in s.values()}
 
 
 # -- realized operators on a small escape window -------------------------
@@ -114,23 +102,32 @@ def test_realized_operator_entries(half_rep):
     assert rep.dim == 5 and rep.n == 4
     assert rep.interior == frozenset({0, 1, 2})
     # Basis: 0:1/2, 1:3/35, 2:269/350, 3:199/1225, 4:327/350.
-    assert rep.transfer(1).entries == ((0, 1), (2, 3))
-    assert rep.transfer(3).entries == ((1, 2),)
-    assert rep.transfer(2).entries == ()
+    assert rep.transfer(1) == {0: 1, 2: 3}
+    assert rep.transfer(3) == {1: 2}
+    assert rep.transfer(2) == {}
     assert rep.edges() == ((1, 2), (1, 3), (2, 4), (3, 1), (3, 2), (4, 3))
-    assert rep.edge_isometry(3, 1).entries == ((1, 2),)
-    assert rep.edge_isometry(1, 3).entries == ((2, 3),)
-    assert rep.edge_isometry(4, 3).entries == ((2, 4),)
-    assert rep.edge_isometry(1, 2).entries == ()
+    assert rep.edge_isometry(3, 1) == {1: 2}
+    assert rep.edge_isometry(1, 3) == {2: 3}
+    assert rep.edge_isometry(4, 3) == {2: 4}
+    assert rep.edge_isometry(1, 2) == {}
     with pytest.raises(MapStructureError):
         rep.edge_isometry(1, 1)
-    assert rep.vertex_projection(1).support() == frozenset({1, 3})
-    assert rep.vertex_projection(3).support() == frozenset({2})
-    assert rep.vertex_projection(4).support() == frozenset({4})
-    assert rep.vertex_projection(2).support() == frozenset()
-    assert rep.image_projection(1).support() == frozenset({0, 2})
-    assert rep.image_projection(3).support() == frozenset({1, 3})
+    assert rep.vertex_projection(1) == frozenset({1, 3})
+    assert rep.vertex_projection(3) == frozenset({2})
+    assert rep.vertex_projection(4) == frozenset({4})
+    assert rep.vertex_projection(2) == frozenset()
+    assert rep.image_projection(1) == frozenset({0, 2})
+    assert rep.image_projection(3) == frozenset({1, 3})
     assert rep.incidence == (1, 0, 0, 0)
+
+
+def test_operator_accessors_check_the_vertex(half_rep):
+    # Index 0 must not wrap around to vertex 4, nor 5 end in an IndexError.
+    rep = half_rep
+    for accessor in (rep.transfer, rep.vertex_projection, rep.image_projection):
+        for i in (0, 5, -1):
+            with pytest.raises(MapStructureError, match=rf"^vertex {i} out of range 1\.\.4$"):
+                accessor(i)
 
 
 def test_relations_pass_on_escape_window(half_rep):
@@ -153,9 +150,9 @@ def test_vertex_sum_fails_at_the_escape_vertex(half_rep):
 
 
 def test_gap_projection_supports(half_rep):
-    assert gap_projection(half_rep, 1).support() == frozenset({1})
+    assert gap_projection(half_rep, 1) == frozenset({1})
     for i in (2, 3, 4):
-        assert gap_projection(half_rep, i).is_empty
+        assert not gap_projection(half_rep, i)
     with pytest.raises(MapStructureError):
         gap_projection(half_rep, 5)
 
@@ -249,18 +246,11 @@ def formula_operators(tree):
     images, then a lookup of that point in the window; q_i over the nodes in
     the closed image of I_i."""
     m = tree.map
-    dim = tree.node_count
     point_index = {p: idx for idx, p in enumerate(tree.points)}
     interior = tree.interior_indices()
 
     def pull_back(i, nodes):
-        return PartialBasisMap(
-            dim,
-            tuple(
-                (idx, point_index[m.branch_inverse(i, tree.points[idx])])
-                for idx in nodes
-            ),
-        )
+        return {idx: point_index[m.branch_inverse(i, tree.points[idx])] for idx in nodes}
 
     transfers = []
     for i in range(1, m.n + 1):
@@ -276,9 +266,7 @@ def formula_operators(tree):
         if markov[i - 1][j - 1]
     }
     images = [
-        PartialBasisMap.diagonal(
-            dim, (idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
-        )
+        frozenset(idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
         for lo, hi in m.images
     ]
     return transfers, edges, images
@@ -314,21 +302,52 @@ ORACLE_WINDOWS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
-def test_realize_matches_the_formula_construction(name):
-    tree = ORACLE_WINDOWS[name]()
-    if not tree.is_escape_window:
-        assert tree.parents[0] is not None  # the root closes its cycle
+def _assert_realize_matches_the_formula(tree):
     rep = realize(tree)
     transfers, edges, images = formula_operators(tree)
     assert rep.image_projections == tuple(images)
-    assert any(not t.is_empty for t in transfers)
     for i, expected in enumerate(transfers, start=1):
         assert rep.transfer(i) == expected
     assert rep.edges() == tuple(sorted(edges))
     assert rep.edges() == build_graph(markov_matrix(tree.map)).edges
     for (i, j), expected in edges.items():
         assert rep.edge_isometry(i, j) == expected
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+def test_realize_matches_the_formula_construction(name):
+    tree = ORACLE_WINDOWS[name]()
+    if not tree.is_escape_window:
+        assert tree.parents[0] is not None  # the root closes its cycle
+    rep = _assert_realize_matches_the_formula(tree)
+    assert any(rep.transfers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_realize_matches_the_formula_on_synthesized_windows(data):
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    spec = synthesized_spec(data, mode)
+    if spec is None:
+        return
+    m = synthesize(spec).map
+    depth = data.draw(st.integers(1, 4), label="depth")
+    ((gap, _, _),) = m.gaps
+    roots = []
+    for lo, hi, _ in incidence_cells(m, gap):
+        e = (lo + hi) / 2
+        steps = data.draw(st.integers(0, 2), label="steps")
+        roots.append((pull_back(m, e, data, steps), 0))
+    x = periodic_point(m, data)
+    if x is not None:
+        roots.append((x, data.draw(st.integers(0, 3), label="horizon")))
+    for x, horizon in roots:
+        try:
+            tree = build_orbit_tree(m, x, depth + (horizon > 0), horizon=horizon)
+        except OrbitMeetsBoundaryError:
+            continue
+        _assert_realize_matches_the_formula(tree)
 
 
 def test_transfers_apply_each_parent_to_its_child():
@@ -336,12 +355,69 @@ def test_transfers_apply_each_parent_to_its_child():
     rep = realize(tree)
     interior_edges = 0
     for i, t in enumerate(rep.transfers, start=1):
-        for parent, child in t.entries:
-            assert t.apply(parent) == child
+        for parent, child in t.items():
             assert (tree.parents[child], tree.labels[child]) == (parent, i)
-        assert all(t.apply(idx) is None for idx in range(rep.dim) if idx not in t.domain())
-        interior_edges += len(t.entries)
+        assert len(set(t.values())) == len(t)  # injective
+        interior_edges += len(t)
     assert interior_edges == sum(p in rep.interior for p in tree.parents[1:]) > 0
+
+
+# -- relation verdicts against literal operator products -----------------
+
+
+def _diagonal(indices):
+    return {idx: idx for idx in indices}
+
+
+def _product_verdicts(rep):
+    """The relation verdicts of ``check_relations(rep, 1..n)`` decided from
+    dict products: s*s = p_j on the interior, p_i ss* = ss*, and p_v equal to
+    the sum of ss* over edges leaving v on the checkable domain."""
+    interior, domain = _diagonal(rep.interior), _diagonal(rep.check_domain)
+    verdicts = []
+    sums = {v: {} for v in range(1, rep.n + 1)}
+    for i, j in rep.edges():
+        s = rep.edge_isometry(i, j)
+        p_i = _diagonal(rep.vertex_projection(i))
+        p_j = _diagonal(rep.vertex_projection(j))
+        ss_star = compose(s, adjoint(s))
+        isometry = compose(adjoint(s), s) == compose(interior, p_j)
+        verdicts.append(("edge-isometry", (i, j), None, isometry))
+        verdicts.append(("edge-range", (i, j), None, compose(p_i, ss_star) == ss_star))
+        assert not sums[i].keys() & ss_star.keys()
+        sums[i].update(ss_star)
+    for v in range(1, rep.n + 1):
+        p_v = _diagonal(rep.vertex_projection(v))
+        vertex_sum = compose(domain, p_v) == compose(domain, sums[v])
+        verdicts.append(("vertex-sum", None, v, vertex_sum))
+    return verdicts
+
+
+def _corrupted(rep):
+    """A copy with one edge isometry missing an entry and another sending a
+    node outside the range of its vertex projection."""
+    edges = {edge: dict(s) for edge, s in rep.edge_isometries.items()}
+    nonempty = [edge for edge in rep.edges() if edges[edge]]
+    first, last = edges[nonempty[0]], edges[nonempty[-1]]
+    del first[min(first)]
+    i = nonempty[-1][0]
+    last[min(last)] = next(
+        idx for idx in range(rep.dim)
+        if idx not in rep.vertex_projection(i) and idx not in last.values()
+    )
+    return dataclasses.replace(rep, edge_isometries=edges)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+def test_relation_verdicts_match_literal_products(name):
+    rep = realize(ORACLE_WINDOWS[name]())
+    for candidate in (rep, _corrupted(rep)):
+        report = check_relations(candidate, range(1, candidate.n + 1))
+        got = [(c.kind, c.edge, c.vertex, c.passed) for c in report.checks]
+        assert got == _product_verdicts(candidate)
+    # The corrupted copy fails both kinds of edge verdict.
+    failed = {c.kind for c in report.checks if not c.passed}
+    assert failed >= {"edge-isometry", "edge-range"}
 
 
 # -- admissibility and certificates --------------------------------------

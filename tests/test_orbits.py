@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,15 +17,12 @@ from escapemaps import (
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
-    SynthesisSpec,
     UndeterminedRegular,
     build_orbit_tree,
     classify_point,
     escape_incidence,
     escape_point_with_incidence,
-    feasibility_check,
     incidence_cells,
-    is_primitive,
     itinerary,
     point_class_to_jsonable,
     synthesize,
@@ -37,6 +33,7 @@ from escapemaps import (
 )
 from escapemaps.orbits import DEFAULT_MAX_ITER
 
+from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import children_by_label
 
 F = Fraction
@@ -72,6 +69,18 @@ def test_boundary_orbits(four_map):
     assert classify_point(four_map, F(0)) == BoundaryOrbit(0, F(0))
     # 1/70 maps onto the partition point 1/4 in one step.
     assert classify_point(four_map, F(1, 70)) == BoundaryOrbit(1, F(1, 4))
+
+
+def test_classification_locates_each_orbit_point_once(four_map, monkeypatch):
+    # The escape point's location comes from the orbit step that found it;
+    # its incidence needs no second lookup.
+    located = []
+    locate = MarkovMap.locate
+    monkeypatch.setattr(
+        MarkovMap, "locate", lambda m, x: located.append(x) or locate(m, x)
+    )
+    assert classify_point(four_map, F(1, 10)) == Escaped(1, F(11, 20), 2, (1, 0, 0, 0))
+    assert located == [F(1, 10), F(11, 20)]
 
 
 def test_classify_outside_raises(four_map):
@@ -377,67 +386,11 @@ def test_a_cycle_beyond_the_iteration_budget_still_closes(four_map):
     assert tree.parents[0] is not None
 
 
-def _synthesized_spec(data, mode):
-    """A primitive n x n matrix, n = 5..8, whose rows are runs of one to three
-    intervals, with one gap and an escape column that is feasible in the
-    given mode (None when the draw is not)."""
-    n = data.draw(st.integers(5, 8), label="n")
-    p = data.draw(st.integers(1, n - 1), label="gap position")
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="matrix seed"))
-    while True:
-        rows = []
-        for _ in range(n):
-            lo = rng.randrange(n)
-            hi = min(lo + rng.randrange(3), n - 1)
-            rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
-        if is_primitive(rows).primitive:
-            break
-    column = [row[p - 1] & row[p] for row in rows]
-    if mode == PARTIAL:
-        # Rows ending at interval p or starting at p + 1 may reach into the gap.
-        for i, row in enumerate(rows):
-            if row[p - 1] != row[p] and data.draw(st.booleans(), label=f"reach {i}"):
-                column[i] = 1
-    spec = SynthesisSpec(tuple(rows), tuple((u,) for u in column), (p,), mode)
-    return spec if feasibility_check(spec).feasible else None
-
-
-def _pull_back(m, x, data, steps):
-    """A preimage of x along an admissible word of the given length."""
-    for _ in range(steps):
-        kids = [i for i, (lo, hi) in enumerate(m.images, start=1) if lo <= x <= hi]
-        x = m.branch_inverse(data.draw(st.sampled_from(kids), label="branch"), x)
-    return x
-
-
-def _periodic_point(m, data):
-    """The periodic point of a closed walk in the transition graph, or None
-    when the drawn walk does not close within six steps."""
-    markov = m.transition_matrix
-    start = j = data.draw(st.integers(1, m.n), label="cycle start")
-    word = [j]
-    for _ in range(6):
-        j = data.draw(
-            st.sampled_from([k for k in range(1, m.n + 1) if markov[j - 1][k - 1]]),
-            label="cycle step",
-        )
-        if j == start:
-            break
-        word.append(j)
-    else:
-        return None
-    slope, intercept = F(1), F(0)
-    for j in word:
-        b = m.branches[j - 1]
-        slope, intercept = b.slope * slope, b.slope * intercept + b.intercept
-    return intercept / (1 - slope)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_synthesized_windows_match_the_geometric_builder(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
-    spec = _synthesized_spec(data, mode)
+    spec = synthesized_spec(data, mode)
     if spec is None:
         return
     m = synthesize(spec).map
@@ -447,11 +400,11 @@ def test_synthesized_windows_match_the_geometric_builder(data):
         # A cut inside the gap is an image endpoint: its preimage under that
         # branch is a partition point.
         for e in [(lo + hi) / 2] + [lo] * (lo != glo):
-            x = _pull_back(m, e, data, data.draw(st.integers(0, 3), label="steps"))
+            x = pull_back(m, e, data, data.draw(st.integers(0, 3), label="steps"))
             _assert_matches_geometric_window(m, x, depth)
-    x = _periodic_point(m, data)
+    x = periodic_point(m, data)
     if x is not None:
-        x = _pull_back(m, x, data, data.draw(st.integers(0, 2), label="steps"))
+        x = pull_back(m, x, data, data.draw(st.integers(0, 2), label="steps"))
         horizon = data.draw(st.integers(0, 4), label="horizon")
         _assert_matches_geometric_window(m, x, depth + 2, horizon=horizon)
 
