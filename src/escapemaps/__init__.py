@@ -6,229 +6,95 @@ classification, backward orbit windows, the partial-isometry operators those
 windows carry with their relation checks and faithfulness certificates,
 equivalence classification of windows, and synthesis of maps realizing
 prescribed matrices.
-"""
 
-from .corpus import (
-    CORPUS_NAMES,
-    FOUR_INTERVAL_MARKOV,
-    corpus_path,
-    four_interval_document,
-    four_interval_map,
-    four_interval_reaching_document,
-    four_interval_reaching_map,
-    full_two_interval_document,
-    full_two_interval_map,
-    load_document,
-)
-from .equivalence import (
-    ComparisonResult,
-    Distinct,
-    Equivalent,
-    EscapeVsRegular,
-    Intertwiner,
-    NoLabelRespectingIso,
-    bisim_equivalent,
-    classify_corpus,
-    compare_points,
-    verdict_to_jsonable,
-)
-from .errors import (
-    DepthExceedsTreeError,
-    EscapeMapsError,
-    InconsistentInputsError,
-    InfeasibleSpecError,
-    MapFormatError,
-    MapStructureError,
-    NotAdmissibleError,
-    NotAnEscapePointError,
-    NotInDomainError,
-    OrbitMeetsBoundaryError,
-    OutsideAmbientError,
-    RationalParseError,
-    WidthSnapError,
-    WindowTooShallowError,
-)
-from .maps import (
-    ESCAPE_INTERIOR,
-    MARKOV_INTERIOR,
-    OUTSIDE,
-    PARTITION_POINT,
-    AffineBranch,
-    ExpectedEscapeMatrix,
-    MapDocument,
-    MarkovMap,
-    ValidationReport,
-    map_document_from_jsonable,
-    map_document_to_jsonable,
-    merge_closed_intervals,
-)
-from .operators import (
-    Certificate,
-    RelationReport,
-    Representation,
-    admissible,
-    check_relations,
-    faithfulness_certificate,
-    gap_projection,
-    image_decomposition_check,
-    projection_sum_is_identity,
-    quotient_nonfaithfulness_demo,
-    realize,
-)
-from .orbits import (
-    BoundaryOrbit,
-    Escaped,
-    Itinerary,
-    OrbitTree,
-    UndeterminedRegular,
-    build_orbit_tree,
-    classify_point,
-    escape_incidence,
-    escape_point_with_incidence,
-    incidence_cells,
-    itinerary,
-    point_class_to_jsonable,
-    tree_to_dot,
-    tree_to_jsonable,
-    truncate_tree,
-)
-from .rationals import format_rational, parse_rational
-from .synthesis import (
-    PARTIAL,
-    STRICT,
-    FeasibilityReport,
-    SynthesisResult,
-    SynthesisSpec,
-    WidthAllocation,
-    auto_gap_positions,
-    feasibility_check,
-    perron_widths,
-    spec_from_jsonable,
-    synthesize,
-)
-from .transitions import (
-    BlockForm,
-    EscapeMatrix,
-    InterleavedLayout,
-    TransitionData,
-    as_binary_matrix,
-    block_form,
-    build_graph,
-    dot_export,
-    escape_matrix,
-    expected_matrix_notes,
-    interleaved_layout,
-    is_primitive,
-    markov_matrix,
-    transition_data,
-    vector_from_vertex_subset,
-    vertex_subset_from_vector,
-    wielandt_bound,
-)
+``import escapemaps`` loads none of these layers.  The first use of any
+name in ``__all__`` imports every layer module and binds all of the names
+here at once (PEP 562), so later lookups are plain attribute reads.  A
+command-line process therefore imports only the layers its subcommand
+calls (see ``escapemaps.commands``).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineBranch",
-    "BlockForm",
-    "BoundaryOrbit",
-    "Certificate",
-    "ComparisonResult",
-    "CORPUS_NAMES",
-    "DepthExceedsTreeError",
-    "Distinct",
-    "ESCAPE_INTERIOR",
-    "Equivalent",
-    "EscapeMapsError",
-    "EscapeMatrix",
-    "EscapeVsRegular",
-    "Escaped",
-    "ExpectedEscapeMatrix",
-    "FOUR_INTERVAL_MARKOV",
-    "FeasibilityReport",
-    "InconsistentInputsError",
-    "InfeasibleSpecError",
-    "InterleavedLayout",
-    "Intertwiner",
-    "Itinerary",
-    "MARKOV_INTERIOR",
-    "MapDocument",
-    "MapFormatError",
-    "MapStructureError",
-    "MarkovMap",
-    "NoLabelRespectingIso",
-    "NotAdmissibleError",
-    "NotAnEscapePointError",
-    "NotInDomainError",
-    "OUTSIDE",
-    "OrbitMeetsBoundaryError",
-    "OrbitTree",
-    "OutsideAmbientError",
-    "PARTIAL",
-    "PARTITION_POINT",
-    "RationalParseError",
-    "RelationReport",
-    "Representation",
-    "STRICT",
-    "SynthesisResult",
-    "SynthesisSpec",
-    "TransitionData",
-    "UndeterminedRegular",
-    "ValidationReport",
-    "WidthAllocation",
-    "WidthSnapError",
-    "WindowTooShallowError",
-    "admissible",
-    "as_binary_matrix",
-    "auto_gap_positions",
-    "bisim_equivalent",
-    "block_form",
-    "build_graph",
-    "build_orbit_tree",
-    "check_relations",
-    "classify_corpus",
-    "classify_point",
-    "compare_points",
-    "corpus_path",
-    "dot_export",
-    "escape_incidence",
-    "escape_matrix",
-    "escape_point_with_incidence",
-    "expected_matrix_notes",
-    "faithfulness_certificate",
-    "feasibility_check",
-    "format_rational",
-    "four_interval_document",
-    "four_interval_map",
-    "four_interval_reaching_document",
-    "four_interval_reaching_map",
-    "full_two_interval_document",
-    "full_two_interval_map",
-    "gap_projection",
-    "incidence_cells",
-    "interleaved_layout",
-    "is_primitive",
-    "itinerary",
-    "image_decomposition_check",
-    "load_document",
-    "map_document_from_jsonable",
-    "map_document_to_jsonable",
-    "markov_matrix",
-    "merge_closed_intervals",
-    "parse_rational",
-    "perron_widths",
-    "point_class_to_jsonable",
-    "projection_sum_is_identity",
-    "quotient_nonfaithfulness_demo",
-    "realize",
-    "spec_from_jsonable",
-    "synthesize",
-    "transition_data",
-    "tree_to_dot",
-    "tree_to_jsonable",
-    "truncate_tree",
-    "verdict_to_jsonable",
-    "vector_from_vertex_subset",
-    "vertex_subset_from_vector",
-    "wielandt_bound",
-]
+# Layer module -> the names the package exports from it.
+_EXPORTS = {
+    "corpus": (
+        "CORPUS_NAMES", "FOUR_INTERVAL_MARKOV", "corpus_path",
+        "four_interval_document", "four_interval_map",
+        "four_interval_reaching_document", "four_interval_reaching_map",
+        "full_two_interval_document", "full_two_interval_map", "load_document",
+    ),
+    "equivalence": (
+        "ComparisonResult", "Distinct", "Equivalent", "EscapeVsRegular",
+        "Intertwiner", "NoLabelRespectingIso", "bisim_equivalent",
+        "classify_corpus", "compare_points", "verdict_to_jsonable",
+    ),
+    "errors": (
+        "DepthExceedsTreeError", "EscapeMapsError", "InconsistentInputsError",
+        "InfeasibleSpecError", "MapFormatError", "MapStructureError",
+        "NotAdmissibleError", "NotAnEscapePointError", "NotInDomainError",
+        "OrbitMeetsBoundaryError", "OutsideAmbientError", "RationalParseError",
+        "WidthSnapError", "WindowTooShallowError",
+    ),
+    "maps": (
+        "ESCAPE_INTERIOR", "MARKOV_INTERIOR", "OUTSIDE", "PARTITION_POINT",
+        "AffineBranch", "ExpectedEscapeMatrix", "MapDocument", "MarkovMap",
+        "ValidationReport", "map_document_from_jsonable",
+        "map_document_to_jsonable", "merge_closed_intervals",
+    ),
+    "operators": (
+        "Certificate", "RelationReport", "Representation", "admissible",
+        "check_relations", "faithfulness_certificate", "gap_projection",
+        "image_decomposition_check", "projection_sum_is_identity",
+        "quotient_nonfaithfulness_demo", "realize",
+    ),
+    "orbits": (
+        "BoundaryOrbit", "Escaped", "Itinerary", "OrbitTree",
+        "UndeterminedRegular", "build_orbit_tree", "classify_point",
+        "escape_incidence", "escape_point_with_incidence", "incidence_cells",
+        "itinerary", "point_class_to_jsonable", "tree_to_dot",
+        "tree_to_jsonable", "truncate_tree",
+    ),
+    "rationals": (
+        "format_rational", "parse_rational",
+    ),
+    "synthesis": (
+        "PARTIAL", "STRICT", "FeasibilityReport", "SynthesisResult",
+        "SynthesisSpec", "WidthAllocation", "auto_gap_positions",
+        "feasibility_check", "perron_widths", "spec_from_jsonable",
+        "synthesize",
+    ),
+    "transitions": (
+        "BlockForm", "EscapeMatrix", "InterleavedLayout", "TransitionData",
+        "as_binary_matrix", "block_form", "build_graph", "dot_export",
+        "escape_matrix", "expected_matrix_notes", "interleaved_layout",
+        "is_primitive", "markov_matrix", "transition_data",
+        "vector_from_vertex_subset", "vertex_subset_from_vector",
+        "wielandt_bound",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def _load() -> None:
+    """Import every layer module and bind all exported names in the package
+    namespace at once, so that ``__getattr__`` loads at most once."""
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        # The import statement's machinery, unlike importlib.import_module,
+        # shows these imports in ``python -X importtime``.
+        layer = __import__(f"{__name__}.{module}", fromlist=names)
+        for name in names:
+            namespace[name] = getattr(layer, name)
+
+
+def __getattr__(name: str):
+    if name not in __all__ and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,3 +1,3 @@
-from .cli import main
+from .commands import main
 
 raise SystemExit(main())

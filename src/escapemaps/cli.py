@@ -1,411 +1,20 @@
-"""Command-line front end.
+"""The command line of ``escapemaps.commands``, with every layer loaded.
 
-One subcommand per pipeline stage:
-
-  validate   check the four validity properties plus the coverage diagnostic
-  matrices   transition matrix, escape block, interleaved escape matrix
-  graph      DOT export of the transition graph plus primitivity data
-  point      forward classification of a rational point
-  tree       backward orbit window of a point
-  rep        realized operators on a window, optionally with relation checks
-  certify    admissibility and faithfulness certificate for a vertex set
-  equiv      equivalence verdict for two points
-  synth      construct a map realizing prescribed matrices
-
-All reports are canonical JSON (sorted keys, two-space indent) on stdout;
-diagnostics go to stderr.  Exit codes: 0 success / all checks pass, 1 check
-failure or infeasible spec, 2 malformed input.  Points, slopes, and
-breakpoints are rational strings ("p/q") end to end; floats never enter.
+``build_parser`` and ``main`` are those of ``escapemaps.commands``.
+Importing this module also imports every layer module and binds every name
+of ``escapemaps.__all__`` in the package namespace, for code that patches
+library functions at each of their bindings after this import (the
+benchmark's tracer, ``perfbench/tracing.py``).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import re
 import sys
-from pathlib import Path
 
-from .equivalence import compare_points, verdict_to_jsonable
-from .errors import (
-    EscapeMapsError,
-    InfeasibleSpecError,
-    MapFormatError,
-    MapStructureError,
-    NotAdmissibleError,
-    RationalParseError,
-)
-from .maps import MapDocument, map_document_from_jsonable, map_document_to_jsonable
-from .operators import (
-    check_relations,
-    faithfulness_certificate,
-    image_decomposition_check,
-    projection_sum_is_identity,
-    realize,
-)
-from .orbits import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TREE_DEPTH,
-    Escaped,
-    build_orbit_tree,
-    classify_point,
-    itinerary,
-    point_class_to_jsonable,
-    tree_to_dot,
-    tree_to_jsonable,
-)
-from .rationals import format_rational, parse_rational
-from .synthesis import spec_from_jsonable, synthesize
-from .transitions import (
-    block_form,
-    build_graph,
-    dot_export,
-    escape_matrix,
-    expected_matrix_notes,
-    is_primitive,
-    wielandt_bound,
-)
+from . import _load
+from .commands import build_parser, main
 
-DEFAULT_CERTIFY_DEPTH = 4
+__all__ = ["build_parser", "main"]
 
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-
-
-def _load_json(path: str) -> object:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MapFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MapFormatError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_document(path: str, valid: bool = False) -> MapDocument:
-    """Load a map; for orbit analysis (``valid``) a map failing P1-P4 is a
-    check failure (exit 1) that lists its issues."""
-    doc = map_document_from_jsonable(_load_json(path))
-    if valid:
-        doc.map.require_valid()
-    return doc
-
-
-def _budget(text: str) -> int:
-    """argparse type for --depth, --max-iter and --horizon: a count of steps,
-    so negative values are usage errors (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not re.fullmatch(r"[+-]?\d+", piece):
-            raise MapFormatError(f"vertex list entry {piece!r} is not an integer")
-        out.append(int(piece))
-    bad = [v for v in out if not 1 <= v <= n]
-    if bad:
-        raise MapFormatError(f"vertices out of range 1..{n}: {bad}")
-    return tuple(sorted(set(out)))
-
-
-# -- handlers ------------------------------------------------------------
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
-    report = doc.map.validate()
-    _emit(report.to_jsonable())
-    return 0 if report.all_ok else 1
-
-
-def _cmd_matrices(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
-    em = escape_matrix(doc.map)
-    out: dict = {
-        "symbols": list(em.symbols),
-        "markov": [list(row) for row in em.data.markov],
-        "escape_block": [list(row) for row in em.data.escape],
-        "gap_positions": list(em.data.gap_positions),
-        "escape_matrix": [list(row) for row in em.entries],
-    }
-    if args.block:
-        bf = block_form(em)
-        out["block_form"] = {
-            "permutation": list(em.block_permutation),
-            "permutation_matrix": [list(row) for row in bf.permutation_matrix],
-            "markov": [list(row) for row in bf.markov],
-            "escape_block": [list(row) for row in bf.escape],
-        }
-    if doc.expected_escape_matrix is not None:
-        notes = expected_matrix_notes(doc.map, em, doc.expected_escape_matrix)
-        out["claim_notes"] = list(notes)
-        out["claim_matches"] = not notes
-    _emit(out)
-    return 0
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map)
-    em = escape_matrix(doc.map)
-    graph = build_graph(em.data.markov)
-    dot = dot_export(graph)
-    try:
-        Path(args.dot).write_text(dot)
-    except OSError as exc:
-        _fail(f"cannot write {args.dot}: {exc}")
-        return 1
-    prim = is_primitive(em.data.markov)
-    _emit(
-        {
-            "vertices": graph.vertex_count,
-            "edges": [list(edge) for edge in graph.edges],
-            "primitive": prim.primitive,
-            "aperiodicity_exponent": prim.exponent,
-            "wielandt_bound": wielandt_bound(graph.vertex_count),
-            "dot_file": args.dot,
-        }
-    )
-    return 0
-
-
-def _cmd_point(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map, valid=True)
-    x = parse_rational(args.x)
-    pc = classify_point(doc.map, x, args.max_iter)
-    out = {"point": format_rational(x)}
-    out.update(point_class_to_jsonable(pc))
-    if isinstance(pc, Escaped):
-        out["itinerary"] = list(itinerary(doc.map, x, args.max_iter).symbols)
-    _emit(out)
-    return 0
-
-
-def _cmd_tree(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map, valid=True)
-    x = parse_rational(args.x)
-    tree = build_orbit_tree(
-        doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
-    )
-    if args.dot:
-        print(tree_to_dot(tree), end="")
-    else:
-        _emit(tree_to_jsonable(tree))
-    return 0
-
-
-def _cmd_rep(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map, valid=True)
-    x = parse_rational(args.x)
-    vertices = _parse_vertices(args.vertices, doc.map.n)
-    tree = build_orbit_tree(
-        doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
-    )
-    rep = realize(tree)
-    out: dict = {
-        "base_point": format_rational(tree.base_point),
-        "root": format_rational(tree.root_point),
-        "depth": tree.max_depth,
-        "basis_size": rep.dim,
-        "basis": [format_rational(p) for p in tree.points],
-        "interior_size": len(rep.interior),
-        "edges": [list(edge) for edge in rep.edges()],
-        "incidence": list(rep.incidence) if rep.incidence is not None else None,
-        "vertex_set": list(vertices),
-    }
-    exit_code = 0
-    if args.check:
-        relations = check_relations(rep, vertices)
-        identities = image_decomposition_check(rep)
-        out["relations"] = relations.to_jsonable()
-        out["projection_identities"] = {
-            "passed": identities.passed,
-            "failures": list(identities.failures),
-        }
-        out["projection_sum_is_identity"] = projection_sum_is_identity(rep)
-        if not (relations.all_passed and identities.passed):
-            exit_code = 1
-    _emit(out)
-    return exit_code
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map, valid=True)
-    x = parse_rational(args.x)
-    vertices = _parse_vertices(args.vertices, doc.map.n)
-    tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter)
-    rep = realize(tree)
-    try:
-        certificate = faithfulness_certificate(rep, vertices)
-    except NotAdmissibleError as exc:
-        _fail(str(exc))
-        return 1
-    _emit(certificate.to_jsonable())
-    return 0 if certificate.all_verified else 1
-
-
-def _cmd_equiv(args: argparse.Namespace) -> int:
-    doc = _load_document(args.map, valid=True)
-    x = parse_rational(args.x)
-    y = parse_rational(args.y)
-    result = compare_points(
-        doc.map, x, y, max_iter=args.max_iter, depth=args.depth
-    )
-    out = {
-        "x": point_class_to_jsonable(result.class_x),
-        "y": point_class_to_jsonable(result.class_y),
-        "verdict": verdict_to_jsonable(result.verdict),
-    }
-    if result.intertwiner is not None:
-        out["intertwiner"] = verdict_to_jsonable(result.intertwiner)
-    _emit(out)
-    return 0
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = spec_from_jsonable(
-        _load_json(args.transition), _load_json(args.escape), args.mode
-    )
-    try:
-        result = synthesize(spec)
-    except InfeasibleSpecError as exc:
-        _emit(exc.report.to_jsonable())
-        _fail("synthesis spec is infeasible")
-        return 1
-    doc = MapDocument(result.map)
-    payload = json.dumps(map_document_to_jsonable(doc), indent=2, sort_keys=True)
-    try:
-        Path(args.output).write_text(payload + "\n")
-    except OSError as exc:
-        _fail(f"cannot write {args.output}: {exc}")
-        return 1
-    _emit(
-        {
-            "output": args.output,
-            "mode": spec.mode,
-            "gap_positions": list(result.positions),
-            "allocation": result.allocation.to_jsonable(),
-            "validation": result.validation.to_jsonable(),
-        }
-    )
-    return 0
-
-
-# -- parser --------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="escapemaps",
-        description="Exact toolkit for interval maps with escape gaps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_map_command(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("map", help="map JSON file")
-        return p
-
-    p = add_map_command("validate", "check the validity properties")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = add_map_command("matrices", "transition and escape matrices")
-    p.add_argument("--block", action="store_true", help="include the block form")
-    p.set_defaults(handler=_cmd_matrices)
-
-    p = add_map_command("graph", "export the transition graph")
-    p.add_argument("--dot", required=True, metavar="FILE", help="DOT output file")
-    p.set_defaults(handler=_cmd_graph)
-
-    p = add_map_command("point", "classify the forward orbit of a point")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_point)
-
-    p = add_map_command("tree", "backward orbit window of a point")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=_budget, default=0,
-                   help="forward steps before rooting a non-escaping window")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--dot", action="store_true", help="DOT output")
-    p.set_defaults(handler=_cmd_tree)
-
-    p = add_map_command("rep", "realize the operators on a window")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--V", dest="vertices", default="",
-                   help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=_budget, default=0,
-                   help="forward steps before rooting a non-escaping window")
-    p.add_argument("--check", action="store_true", help="run the relation checks")
-    p.set_defaults(handler=_cmd_rep)
-
-    p = add_map_command("certify", "faithfulness certificate for a vertex set")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--V", dest="vertices", default="",
-                   help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_CERTIFY_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = add_map_command("equiv", "equivalence verdict for two points")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--y", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_equiv)
-
-    p = sub.add_parser("synth", help="construct a map realizing given matrices")
-    p.add_argument("--A", dest="transition", required=True,
-                   help="transition matrix JSON file")
-    p.add_argument("--B", dest="escape", required=True,
-                   help="escape block JSON file")
-    p.add_argument("--mode", choices=["strict", "partial"], default=None)
-    p.add_argument("-o", "--output", required=True, help="map JSON output file")
-    p.set_defaults(handler=_cmd_synth)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        code = args.handler(args)
-        sys.stdout.flush()  # meet a closed pipe here rather than at exit
-        return code
-    except BrokenPipeError:
-        # The reader left early (`escapemaps ... | head -1`).  Point stdout at
-        # devnull so the interpreter's final flush does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (RationalParseError, MapFormatError, MapStructureError) as exc:
-        _fail(str(exc))
-        return 2
-    except EscapeMapsError as exc:
-        _fail(str(exc))
-        return 1
-
+_load()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -18,13 +18,13 @@ Three maps ship as package data:
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .maps import MapDocument, MarkovMap, map_document_from_jsonable
 from .transitions import Matrix
 
 CORPUS_NAMES = ("four_interval", "four_interval_reaching", "full_two_interval")
+_MAPS_DIR = Path(__file__).parent / "maps"
 
 FOUR_INTERVAL_MARKOV: Matrix = (
     (0, 1, 1, 0),
@@ -48,12 +48,7 @@ CLAIMED_ESCAPE_ROWS: Matrix = (
 
 def load_document(name: str) -> MapDocument:
     """Load a bundled map by corpus name."""
-    if name not in CORPUS_NAMES:
-        raise KeyError(f"unknown corpus map {name!r}; choose from {CORPUS_NAMES}")
-    payload = (
-        resources.files("escapemaps").joinpath("maps", f"{name}.json").read_text()
-    )
-    return map_document_from_jsonable(json.loads(payload))
+    return map_document_from_jsonable(json.loads(corpus_path(name).read_text()))
 
 
 def four_interval_document() -> MapDocument:
@@ -84,4 +79,4 @@ def corpus_path(name: str) -> Path:
     """Filesystem path of a bundled map file (for handing to the CLI)."""
     if name not in CORPUS_NAMES:
         raise KeyError(f"unknown corpus map {name!r}; choose from {CORPUS_NAMES}")
-    return Path(str(resources.files("escapemaps").joinpath("maps", f"{name}.json")))
+    return _MAPS_DIR / f"{name}.json"

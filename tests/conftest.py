@@ -77,29 +77,34 @@ def partial_map(partial_result):
     return partial_result.map
 
 
-def synthesized_spec(data, mode):
+def synthesized_spec(data, mode, tries=10):
     """A primitive n x n matrix, n = 5..8, whose rows are runs of one to three
     intervals, with one gap and an escape column that is feasible in the
-    given mode (None when the draw is not)."""
-    n = data.draw(st.integers(5, 8), label="n")
+    given mode.  n is sampled uniformly; an infeasible draw of the matrix
+    and column is drawn again from the seeded rng, up to ``tries`` times
+    (then None), so rejection does not favour small n."""
+    n = data.draw(st.sampled_from((5, 6, 7, 8)), label="n")
     p = data.draw(st.integers(1, n - 1), label="gap position")
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="matrix seed"))
-    while True:
-        rows = []
-        for _ in range(n):
-            lo = rng.randrange(n)
-            hi = min(lo + rng.randrange(3), n - 1)
-            rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
-        if is_primitive(rows).primitive:
-            break
-    column = [row[p - 1] & row[p] for row in rows]
-    if mode == PARTIAL:
-        # Rows ending at interval p or starting at p + 1 may reach into the gap.
-        for i, row in enumerate(rows):
-            if row[p - 1] != row[p] and data.draw(st.booleans(), label=f"reach {i}"):
-                column[i] = 1
-    spec = SynthesisSpec(tuple(rows), tuple((u,) for u in column), (p,), mode)
-    return spec if feasibility_check(spec).feasible else None
+    for _ in range(tries):
+        while True:
+            rows = []
+            for _ in range(n):
+                lo = rng.randrange(n)
+                hi = min(lo + rng.randrange(3), n - 1)
+                rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
+            if is_primitive(rows).primitive:
+                break
+        column = [row[p - 1] & row[p] for row in rows]
+        if mode == PARTIAL:
+            # Rows ending at interval p or starting at p + 1 may reach into the gap.
+            for i, row in enumerate(rows):
+                if row[p - 1] != row[p] and rng.random() < 0.5:
+                    column[i] = 1
+        spec = SynthesisSpec(tuple(rows), tuple((u,) for u in column), (p,), mode)
+        if feasibility_check(spec).feasible:
+            return spec
+    return None
 
 
 def pull_back(m, x, data, steps):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import escapemaps
+from escapemaps import cli, commands, orbits
 from escapemaps import escape_point_with_incidence, format_rational
-from escapemaps.cli import main
+from escapemaps.cli import build_parser, main
 from escapemaps.corpus import corpus_path
 
 F = Fraction
@@ -532,3 +535,111 @@ def test_runtime_imports_do_not_load_numpy():
         check=True,
         timeout=60,
     )
+
+
+# -- what each entry point imports ---------------------------------------
+
+LAYERS = (
+    "corpus", "equivalence", "maps", "operators", "orbits", "synthesis", "transitions"
+)
+
+
+def _loaded_layers(code: str) -> set[str]:
+    """The layer modules in ``sys.modules`` after a fresh interpreter has run
+    CODE, which may end in a successful ``SystemExit``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys\ntry:\n    {code}\n"
+        "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+        "print(*sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    return {layer for layer in LAYERS if f"escapemaps.{layer}" in loaded}
+
+
+def _python_m_escapemaps(*argv: str) -> str:
+    """Code that runs ``python -m escapemaps ARGV`` in the current process."""
+    return (
+        f"import runpy; sys.argv = {['escapemaps', *argv]!r}; "
+        "runpy.run_module('escapemaps', run_name='__main__')"
+    )
+
+
+def test_validate_loads_no_analysis_layer():
+    loaded = _loaded_layers(_python_m_escapemaps("validate", FOUR))
+    assert loaded == {"maps", "transitions"}
+
+
+def test_tree_loads_neither_operators_nor_synthesis():
+    assert _loaded_layers(_python_m_escapemaps("tree", "--x", "1/2", FOUR)) == {
+        "maps",
+        "orbits",
+        "transitions",
+    }
+
+
+def test_package_import_loads_no_layer():
+    assert _loaded_layers("import escapemaps") == set()
+
+
+def test_cli_import_loads_and_binds_every_layer():
+    """``perfbench/tracing.py`` imports ``escapemaps.cli`` and then patches
+    each traced function at every binding it finds in the loaded modules,
+    the package namespace included.  So that import must load every layer
+    and bind every name of ``__all__`` in the package."""
+    code = (
+        "import escapemaps, escapemaps.cli; "
+        "missing = [n for n in escapemaps.__all__ if n not in vars(escapemaps)]; "
+        "assert not missing, missing"
+    )
+    assert _loaded_layers(code) == set(LAYERS)
+
+
+def test_parser_defaults_are_the_orbit_budgets():
+    assert commands.DEFAULT_MAX_ITER == orbits.DEFAULT_MAX_ITER
+    assert commands.DEFAULT_TREE_DEPTH == orbits.DEFAULT_TREE_DEPTH
+    tree = build_parser().parse_args(["tree", "--x", "1/2", FOUR])
+    assert tree.max_iter == orbits.DEFAULT_MAX_ITER
+    assert tree.depth == orbits.DEFAULT_TREE_DEPTH
+
+
+def test_cli_is_the_commands_entry_point():
+    assert cli.main is commands.main and cli.build_parser is commands.build_parser
+
+
+# -- the package namespace -----------------------------------------------
+
+
+def test_exported_names_are_their_modules_attributes():
+    assert len(set(escapemaps.__all__)) == len(escapemaps.__all__)
+    for module, names in escapemaps._EXPORTS.items():
+        layer = importlib.import_module(f"escapemaps.{module}")
+        for name in names:
+            value = getattr(escapemaps, name)
+            assert value is getattr(layer, name), name
+            # Classes and functions are exported from the module defining them.
+            assert getattr(value, "__module__", layer.__name__) == layer.__name__, name
+
+
+def test_dir_covers_all_and_unknown_names_raise():
+    assert set(escapemaps.__all__) <= set(dir(escapemaps))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        escapemaps.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_all():
+    """In a fresh interpreter, where no layer is loaded yet."""
+    code = (
+        "from escapemaps import *; import escapemaps; "
+        "missing = [n for n in escapemaps.__all__ if n not in globals()]; "
+        "assert not missing, missing"
+    )
+    assert _loaded_layers(code) == set(LAYERS)
