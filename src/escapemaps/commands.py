@@ -66,6 +66,8 @@ def _load_json(path: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MapFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MapFormatError(f"{path} is nested too deeply to parse") from None
 
 
 def _load_document(path: str, valid: bool = False) -> MapDocument:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -261,6 +262,40 @@ class MarkovMap:
             tuple(int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in self.gaps)
             for lo, hi in self.images
         )
+
+    @cached_property
+    def gap_incidence(self) -> dict[int, tuple[tuple[int, ...], tuple]]:
+        """Per open gap index, the closed-image incidence of the points
+        strictly inside the gap: the row of entries that are the same for
+        all of them, and (i, lo, hi) for each image f(I_{i+1}) = [lo, hi]
+        with an endpoint strictly inside the gap, whose entry i varies."""
+        out = {}
+        for k, glo, ghi in self.gaps:
+            row, partial = [], []
+            for i, (lo, hi) in enumerate(self.images):
+                if glo < lo < ghi or glo < hi < ghi:
+                    partial.append((i, lo, hi))
+                row.append(int(lo <= glo and ghi <= hi))
+            out[k] = (tuple(row), tuple(partial))
+        return out
+
+    @cached_property
+    def integer_forms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per branch, integers for exact arithmetic on (num, den) pairs with
+        den > 0, returned as (forward, inverse, domains): forward (a, b, d)
+        with f(p/q) = (a*p + b*q) / (d*q), inverse (u, v, w) with
+        f^{-1}(p/q) = (u*p + v*q) / (w*q), and domains (l, l', r, r') with
+        I = [l/l', r/r'].  The entries d, w, l' and r' are positive."""
+        forward, inverse, domains = [], [], []
+        for b in self.branches:
+            d = math.lcm(b.slope.denominator, b.intercept.denominator)
+            a = b.slope.numerator * (d // b.slope.denominator)
+            c = b.intercept.numerator * (d // b.intercept.denominator)
+            sign = 1 if a > 0 else -1
+            forward.append((a, c, d))
+            inverse.append((sign * d, -sign * c, sign * a))
+            domains.append(b.left.as_integer_ratio() + b.right.as_integer_ratio())
+        return tuple(forward), tuple(inverse), tuple(domains)
 
     @property
     def partition_points(self) -> tuple[Fraction, ...]:

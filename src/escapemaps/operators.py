@@ -22,7 +22,6 @@ excludes a non-periodic regular root.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -289,56 +288,68 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     q_i = sum of p_j over unit transitions (i, j), plus the root projection
     when the escape root lies in the closed image of I_i.  ``realize`` builds
     q_i by that formula, so this compares it with exact closed-image
-    membership, found by two bisections per image in the sorted interior
-    points.
+    membership of the interior nodes, read from the window points.
 
-    It also confirms the two exact branch identities behind it, once per
-    window edge: for y in the closed image of I_i, z = f_i^{-1}(y) must
-    satisfy f_i(z) = y and be the point of y's child labelled i, which is the
-    round trip f_i^{-1}(f_i(z)) = z at that child.  An interior node that is
-    no such child, such as a regular root whose forward image is not in the
-    window, gets its round trip checked directly."""
+    Membership follows from a node's label wherever that is sound.  On a map
+    passing P2, the closed image of I_i meets the domain in whole intervals,
+    so a point strictly inside I_j lies in it iff I_j is inside it, that is,
+    iff A[i][j] = 1.  A node that is not strictly inside the interval of its
+    label (the escape root, or a corrupted point or label) is compared
+    exactly with every closed image.
+
+    It also checks each window edge z -> y labelled i once, forwards:
+    f_i(z) = y with y in the closed image of I_i, so that z is the preimage
+    f_i^{-1}(y) under the branch.  An interior node that is no edge's child,
+    such as a regular root whose forward image is not in the window, gets the
+    round trip f_i^{-1}(f_i(z)) = z checked directly.  All of this is
+    integer arithmetic on the points' (num, den) pairs."""
     m, tree = rep.tree.map, rep.tree
     points, labels = tree.points, tree.labels
-    # Interior nodes in value order: each level is stored sorted already, so
-    # the sort mostly merges runs.
-    ordered = sorted(sorted(rep.interior), key=points.__getitem__)
-    keys = [points[idx] for idx in ordered]
-    child_of = {
-        (parent, label): idx
-        for idx, (parent, label) in enumerate(zip(tree.parents, labels))
-        if parent is not None
-    }
-    mismatches = []
-    failures: list[tuple[tuple[int, int, int], str]] = []
-    covered: set[int] = set()
-    for i, ((lo, hi), b, q) in enumerate(
-        zip(m.images, m.branches, rep.image_projections), start=1
-    ):
-        members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
-        if diff := set(members) ^ (q & rep.interior):
-            mismatches.append(
+    forward, _, domains = m.integer_forms
+    markov = m.transition_matrix
+    pairs = [point.as_integer_ratio() for point in points]
+    # Per interior node, the label whose interval it is strictly inside; the
+    # other interior nodes get their memberships from the closed images.
+    inside: list[int | None] = [None] * len(points)
+    by_label: list[list[int]] = [[] for _ in markov]
+    members: list[set[int]] = [set() for _ in markov]
+    for idx in rep.interior:
+        j = labels[idx]
+        if j is not None:
+            lo, lo_den, hi, hi_den = domains[j - 1]
+            p, q = pairs[idx]
+            if lo * q < p * lo_den and p * hi_den < hi * q:
+                inside[idx] = j
+                by_label[j - 1].append(idx)
+                continue
+        y = points[idx]
+        for i, (lo, hi) in enumerate(m.images):
+            if lo <= y <= hi:
+                members[i].add(idx)
+    texts = []
+    for i, (row, q) in enumerate(zip(markov, rep.image_projections), start=1):
+        exact = members[i - 1].union(*(by_label[j] for j, unit in enumerate(row) if unit))
+        if diff := exact ^ (q & rep.interior):
+            texts.append(
                 f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
             )
-        for idx in members:
-            y = points[idx]
-            z = m.branch_inverse(i, y)
-            if b.value_at(z) != y:
-                failures.append(((idx, i, 0), f"branch {i} inverse identity fails at {y}"))
-                continue
-            child = child_of.get((idx, i))
-            if child is not None:
-                covered.add(child)
-                if z != points[child]:
-                    failures.append(
-                        ((child, i, 1), f"branch {i} round trip fails at {points[child]}")
-                    )
-    for idx in rep.interior - covered:
-        i, x = labels[idx], points[idx]
-        if i is not None and m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
-            failures.append(((idx, i, 1), f"branch {i} round trip fails at {x}"))
-    failures.sort()
-    texts = mismatches + [text for _, text in failures]
+    for idx, (parent, i) in enumerate(zip(tree.parents, labels)):
+        if i is None:
+            continue
+        if parent is None:
+            if idx in rep.interior:
+                x = points[idx]
+                if m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
+                    texts.append(f"branch {i} round trip fails at {x}")
+            continue
+        a, b, d = forward[i - 1]
+        p, q = pairs[idx]
+        y_num, y_den = pairs[parent]
+        j = inside[parent]
+        if (a * p + b * q) * y_den != y_num * d * q or not (
+            markov[i - 1][j - 1] if j is not None else parent in members[i - 1]
+        ):
+            texts.append(f"branch {i} round trip fails at {points[idx]}")
     return ImageDecompositionReport(not texts, tuple(texts))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -108,7 +109,7 @@ def classify_point(
         if loc.kind == PARTITION_POINT:
             return BoundaryOrbit(step, y)
         if loc.kind == ESCAPE_INTERIOR:
-            return Escaped(step, y, loc.index, _image_incidence(m, y))
+            return Escaped(step, y, loc.index, _image_incidence(m, y, loc.index))
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
@@ -119,16 +120,23 @@ def classify_point(
 def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     """0/1 vector over branches: unit at i iff the escape point e lies in the
     closed image of I_i.  Requires e strictly inside an open gap."""
-    e = Fraction(e)
-    if m.locate(e).kind != ESCAPE_INTERIOR:
-        raise NotAnEscapePointError(f"{e} is not strictly inside an open gap")
-    return _image_incidence(m, e)
+    loc = m.locate(Fraction(e))
+    if loc.kind != ESCAPE_INTERIOR:
+        raise NotAnEscapePointError(f"{loc.point} is not strictly inside an open gap")
+    return _image_incidence(m, loc.point, loc.index)
 
 
-def _image_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
-    """The image scan behind ``escape_incidence``, for a point already located
-    strictly inside an open gap."""
-    return tuple(1 if lo <= e <= hi else 0 for lo, hi in m.images)
+def _image_incidence(m: MarkovMap, e: Fraction, gap_index: int) -> tuple[int, ...]:
+    """The incidence row behind ``escape_incidence``, for a point already
+    located strictly inside gap ``gap_index``: only the images with an
+    endpoint inside that gap are compared with the point."""
+    row, partial = m.gap_incidence[gap_index]
+    if not partial:
+        return row
+    row = list(row)
+    for i, lo, hi in partial:
+        row[i] = int(lo <= e <= hi)
+    return tuple(row)
 
 
 def incidence_cells(
@@ -139,15 +147,13 @@ def incidence_cells(
     each cell interior."""
     glo, ghi = m.gap_bounds(gap_index)
     cuts = {glo, ghi}
-    for image in m.images:
-        for endpoint in image:
-            if glo < endpoint < ghi:
-                cuts.add(endpoint)
+    for _, lo, hi in m.gap_incidence[gap_index][1]:
+        cuts.update(end for end in (lo, hi) if glo < end < ghi)
     ordered = sorted(cuts)
     cells = []
     for lo, hi in zip(ordered, ordered[1:]):
         mid = (lo + hi) / 2
-        cells.append((lo, hi, _image_incidence(m, mid)))
+        cells.append((lo, hi, _image_incidence(m, mid, gap_index)))
     return tuple(cells)
 
 
@@ -201,12 +207,19 @@ class OrbitTree:
     @cached_property
     def points(self) -> tuple[Fraction, ...]:
         """Node values: each node is the preimage of its parent under the
-        branch of its label, and parents come first."""
-        points = [self.root_point]
+        branch of its label, and parents come first.  Each value is computed
+        as a reduced integer pair from its parent's pair, with the map's
+        integer inverse coefficients and one gcd; the pairs become Fractions
+        once, at the end."""
+        inverse = self.map.integer_forms[1]
+        pairs = [self.root_point.as_integer_ratio()]
         for parent, label in zip(self.parents[1:], self.labels[1:]):
-            b = self.map.branches[label - 1]
-            points.append((points[parent] - b.intercept) / b.slope)
-        return tuple(points)
+            u, v, w = inverse[label - 1]
+            p, q = pairs[parent]
+            num, den = u * p + v * q, w * q
+            g = math.gcd(num, den)
+            pairs.append((num // g, den // g))
+        return tuple([Fraction(p, q) for p, q in pairs])
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:

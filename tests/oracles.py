@@ -17,11 +17,15 @@ short way against them:
     roots of the symbolic pointed graph;
   * ``compose`` and ``adjoint``: literal products and adjoints of partial
     permutations held as source -> target dicts, the reference for the
-    relation verdicts that the library reads off keys and values.
+    relation verdicts that the library reads off keys and values;
+  * ``bisect_image_decomposition_check``: the window check in ``Fraction``
+    arithmetic, with closed-image membership found by bisecting the sorted
+    interior points and each edge checked through the exact inverse.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +45,7 @@ from escapemaps import (
     truncate_tree,
 )
 from escapemaps.maps import Location
+from escapemaps.operators import ImageDecompositionReport, Representation
 
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
@@ -172,3 +177,52 @@ def adjoint(s: dict[int, int]) -> dict[int, int]:
     inverse = {b: a for a, b in s.items()}
     assert len(inverse) == len(s), "not a partial permutation"
     return inverse
+
+
+def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
+    """The reference for ``image_decomposition_check``.  Each closed image's
+    interior members come from two bisections in the interior points sorted
+    by value, and are compared with q_i.  For each member y of the image of
+    I_i, z = f_i^{-1}(y) must satisfy f_i(z) = y and be the point of y's
+    child labelled i.  An interior node that is no such child gets the round
+    trip f_i^{-1}(f_i(x)) = x checked directly."""
+    m, tree = rep.tree.map, rep.tree
+    points, labels = tree.points, tree.labels
+    ordered = sorted(sorted(rep.interior), key=points.__getitem__)
+    keys = [points[idx] for idx in ordered]
+    child_of = {
+        (parent, label): idx
+        for idx, (parent, label) in enumerate(zip(tree.parents, labels))
+        if parent is not None
+    }
+    mismatches = []
+    failures: list[tuple[tuple[int, int, int], str]] = []
+    covered: set[int] = set()
+    for i, ((lo, hi), b, q) in enumerate(
+        zip(m.images, m.branches, rep.image_projections), start=1
+    ):
+        members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
+        if diff := set(members) ^ (q & rep.interior):
+            mismatches.append(
+                f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
+            )
+        for idx in members:
+            y = points[idx]
+            z = m.branch_inverse(i, y)
+            if b.value_at(z) != y:
+                failures.append(((idx, i, 0), f"branch {i} inverse identity fails at {y}"))
+                continue
+            child = child_of.get((idx, i))
+            if child is not None:
+                covered.add(child)
+                if z != points[child]:
+                    failures.append(
+                        ((child, i, 1), f"branch {i} round trip fails at {points[child]}")
+                    )
+    for idx in rep.interior - covered:
+        i, x = labels[idx], points[idx]
+        if i is not None and m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
+            failures.append(((idx, i, 1), f"branch {i} round trip fails at {x}"))
+    failures.sort()
+    texts = mismatches + [text for _, text in failures]
+    return ImageDecompositionReport(not texts, tuple(texts))

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -71,6 +72,23 @@ def test_validate_malformed_input_is_exit_two(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "synth-A", "synth-B"])
+def test_deeply_nested_json_is_exit_two(capsys, tmp_path, command):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    a = tmp_path / "a.json"
+    a.write_text("[[1]]")
+    argv = {
+        "validate": ["validate", str(deep)],
+        "synth-A": ["synth", "--A", str(deep), "--B", str(a), "-o", str(tmp_path / "m.json")],
+        "synth-B": ["synth", "--A", str(a), "--B", str(deep), "-o", str(tmp_path / "m.json")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {deep} is nested too deeply to parse\n"
 
 
 # -- matrices ------------------------------------------------------------
@@ -514,6 +532,25 @@ def test_closed_stdout_exits_one_without_a_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- the committed transcript --------------------------------------------
+
+
+def test_cli_transcript_replays(tmp_path):
+    """Every command line of ``scripts/cli_transcript.py`` still exits and
+    prints as committed in ``tests/cli_transcript.json``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_transcript.py"
+    spec = importlib.util.spec_from_file_location("cli_transcript", path)
+    transcript = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(transcript)
+    committed = json.loads(transcript.TRANSCRIPT.read_text())
+    assert [entry["argv"] for entry in committed] == transcript.argv_list()
+    transcript.prepare(tmp_path)
+    differ = [
+        entry["argv"] for entry in committed if transcript.run(entry["argv"], tmp_path) != entry
+    ]
+    assert differ == []
 
 
 # -- runtime dependencies ------------------------------------------------

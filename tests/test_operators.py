@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
@@ -36,7 +36,7 @@ from escapemaps import (
 )
 
 from conftest import periodic_point, pull_back, synthesized_spec
-from oracles import adjoint, compose
+from oracles import adjoint, bisect_image_decomposition_check, compose
 
 F = Fraction
 
@@ -227,6 +227,152 @@ def test_image_decomposition_check_round_trips_an_open_regular_root(four_map):
     relabelled = dataclasses.replace(tree, labels=(1,) + tree.labels[1:])
     report = image_decomposition_check(dataclasses.replace(rep, tree=relabelled))
     assert report.failures == ("branch 1 round trip fails at 229/270",)
+
+
+def test_image_decomposition_check_needs_the_parent_in_the_branch_image(four_map):
+    # Relabel the leaf 199/1225 (branch 1, parent in I_3) to branch 2 and let
+    # its point follow: the leaf becomes the affine preimage 47/350 of its
+    # parent under branch 2, so the forward identity holds, but I_3 is not
+    # in the image of I_2 (A[2][3] = 0) and the edge fails.
+    tree = build_orbit_tree(four_map, F(1, 2), 3)
+    assert (tree.labels[3], tree.labels[tree.parents[3]]) == (1, 3)
+    assert 3 not in tree.interior_indices()
+    relabelled = dataclasses.replace(tree, labels=tree.labels[:3] + (2,) + tree.labels[4:])
+    leaf, parent = relabelled.points[3], relabelled.points[tree.parents[3]]
+    assert four_map.branches[1].value_at(leaf) == parent and leaf == F(47, 350)
+    rep = dataclasses.replace(realize(tree), tree=relabelled)
+    assert image_decomposition_check(rep).failures == ("branch 2 round trip fails at 47/350",)
+
+
+# -- the window check against the bisection oracle -----------------------
+
+
+def _drawn_window(data, maps):
+    """A window on one of ``maps`` or on a synthesized map (n = 5..8),
+    rooted at a pulled-back escape cell midpoint or at a periodic point, or
+    None when the draw gives no window."""
+    name = data.draw(st.sampled_from(sorted(maps) + ["synthesized"]), label="map")
+    if name == "synthesized":
+        mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+        spec = synthesized_spec(data, mode)
+        if spec is None:
+            return None
+        m = synthesize(spec).map
+    else:
+        m = maps[name]
+    depth = data.draw(st.integers(1, 4), label="depth")
+    cells = [cell for k, _, _ in m.gaps for cell in incidence_cells(m, k)]
+    horizon = 0
+    if cells and data.draw(st.booleans(), label="escape root"):
+        lo, hi, _ = data.draw(st.sampled_from(cells), label="cell")
+        x = pull_back(m, (lo + hi) / 2, data, data.draw(st.integers(0, 2), label="steps"))
+    else:
+        x = periodic_point(m, data)
+        horizon = data.draw(st.integers(0, 2), label="horizon")
+    if x is None:
+        return None
+    try:
+        return build_orbit_tree(m, x, depth, horizon=horizon)
+    except OrbitMeetsBoundaryError:
+        return None
+
+
+def _with_points(rep, points, labels=None):
+    """A copy of the representation whose window has the given points (and
+    labels), as a corrupted cache would."""
+    tree = dataclasses.replace(rep.tree, labels=labels or rep.tree.labels)
+    tree.__dict__["points"] = tuple(points)
+    return dataclasses.replace(rep, tree=tree)
+
+
+def _round_trip(i, x):
+    return f"branch {i} round trip fails at {x}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_image_decomposition_check_matches_the_bisection_oracle(
+    four_map, reaching_map, full2_map, reversing_map, data
+):
+    maps = {
+        "four": four_map,
+        "reaching": reaching_map,
+        "full2": full2_map,
+        "reversing": reversing_map,
+    }
+    tree = _drawn_window(data, maps)
+    if tree is None:
+        return
+    m, rep = tree.map, realize(tree)
+    points, labels = tree.points, tree.labels
+    kind = data.draw(
+        st.sampled_from(["none", "nudge-inside", "nudge-outside", "relabel", "projection"]),
+        label="corruption",
+    )
+    node = data.draw(st.integers(0, tree.node_count - 1), label="node")
+    # Round-trip failures the oracle misses: children of a node moved out of
+    # the closed image of their branch (the oracle skips edges out of a
+    # parent that is no member of that image), and a relabelled leaf.
+    extra = set()
+    broken = rep
+    if kind.startswith("nudge"):
+        loc = m.locate(points[node])
+        lo, hi = m.intervals[loc.index - 1] if labels[node] else m.gap_bounds(loc.index)
+        if kind == "nudge-inside":
+            k = data.draw(st.integers(2, 10**6), label="nudge")
+            x = points[node] + (hi - points[node]) / k
+        else:
+            cuts = m.partition_points
+            outside = [*cuts, cuts[0] - 1, cuts[-1] + 1]
+            outside += [(a + b) / 2 for a, b in zip(cuts, cuts[1:]) if (a, b) != (lo, hi)]
+            x = data.draw(st.sampled_from(outside), label="moved to")
+        broken = _with_points(rep, points[:node] + (x,) + points[node + 1 :])
+        for child in tree.children(node):
+            i = labels[child]
+            image_lo, image_hi = m.images[i - 1]
+            if not image_lo <= x <= image_hi:
+                extra.add(_round_trip(i, points[child]))
+    elif kind == "relabel":
+        label = data.draw(
+            st.sampled_from([i for i in range(1, m.n + 1) if i != labels[node]]),
+            label="label",
+        )
+        broken = _with_points(
+            rep, points, labels[:node] + (label,) + labels[node + 1 :]
+        )
+        if tree.parents[node] is not None:
+            extra.add(_round_trip(label, points[node]))
+    elif kind == "projection":
+        i = data.draw(st.integers(0, m.n - 1), label="image")
+        nodes = data.draw(st.sets(st.integers(0, rep.dim - 1)), label="replacement")
+        wrong = rep.image_projections[:i] + (frozenset(nodes),) + rep.image_projections[i + 1 :]
+        broken = dataclasses.replace(rep, image_projections=wrong)
+
+    old = bisect_image_decomposition_check(broken)
+    new = image_decomposition_check(broken)
+    event(f"{kind}, {'extra failures' if extra - set(old.failures) else 'same failures'}")
+
+    def split(report):
+        mismatches = [t for t in report.failures if t.startswith("image projection")]
+        return mismatches, set(report.failures) - set(mismatches)
+
+    (old_mismatches, old_trips), (new_mismatches, new_trips) = split(old), split(new)
+    assert new_mismatches == old_mismatches
+    assert new_trips == old_trips | extra
+    if extra <= old_trips:
+        assert new.failures == old.failures
+    relabelled_leaf = kind == "relabel" and node not in rep.interior
+    if not relabelled_leaf:
+        # An extra failure never decides the verdict: the moved parent is
+        # also an image projection mismatch, and the oracle's direct round
+        # trip catches an interior relabel.
+        assert new.passed == old.passed
+    # Every moved point and every relabel is caught.
+    expect_pass = kind == "none" or (
+        kind == "projection" and broken.image_projections[i] & rep.interior
+        == rep.image_projections[i] & rep.interior
+    )
+    assert new.passed == expect_pass
 
 
 def test_regular_window_relations(four_map):

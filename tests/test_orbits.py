@@ -111,6 +111,40 @@ def test_incidence_cells(four_map, reaching_map):
         incidence_cells(four_map, 1)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_gap_incidence_matches_the_full_image_scan(
+    four_map, reaching_map, reversing_map, data
+):
+    # The incidence row of a gap point compares it only with the images that
+    # end inside the gap; the scan compares it with every closed image.
+    maps = [four_map, reaching_map, reversing_map]
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    if (spec := synthesized_spec(data, mode)) is not None:
+        maps.append(synthesize(spec).map)
+    for m in maps:
+        for k, glo, ghi in m.gaps:
+            cuts = [end for image in m.images for end in image if glo < end < ghi]
+            points = [
+                *cuts,
+                *((lo + hi) / 2 for lo, hi, _ in incidence_cells(m, k)),
+                glo + (ghi - glo) / 10**9,
+                ghi - (ghi - glo) / 10**9,
+                *(
+                    glo + (ghi - glo) * t
+                    for t in data.draw(
+                        st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=6),
+                        label="gap fractions",
+                    )
+                    if 0 < t < 1
+                ),
+            ]
+            for e in points:
+                scan = tuple(int(lo <= e <= hi) for lo, hi in m.images)
+                assert escape_incidence(m, e) == scan
+                assert classify_point(m, e).incidence == scan
+
+
 def test_escape_point_with_incidence(four_map, reaching_map):
     assert escape_point_with_incidence(four_map, (1, 0, 0, 0)) == F(19, 40)
     assert escape_point_with_incidence(reaching_map, (1, 0, 0, 1)) == F(13, 20)
