@@ -53,24 +53,21 @@ _EXPORTS = {
         "UndeterminedRegular", "build_orbit_tree", "classify_point",
         "escape_incidence", "escape_point_with_incidence", "incidence_cells",
         "itinerary", "point_class_to_jsonable", "tree_to_dot",
-        "tree_to_jsonable", "truncate_tree",
+        "tree_to_jsonable",
     ),
     "rationals": (
         "format_rational", "parse_rational",
     ),
     "synthesis": (
         "PARTIAL", "STRICT", "FeasibilityReport", "SynthesisResult",
-        "SynthesisSpec", "WidthAllocation", "auto_gap_positions",
-        "feasibility_check", "perron_widths", "spec_from_jsonable",
-        "synthesize",
+        "SynthesisSpec", "WidthAllocation", "feasibility_check",
+        "perron_widths", "spec_from_jsonable", "synthesize",
     ),
     "transitions": (
         "BlockForm", "EscapeMatrix", "InterleavedLayout", "TransitionData",
         "as_binary_matrix", "block_form", "build_graph", "dot_export",
         "escape_matrix", "expected_matrix_notes", "interleaved_layout",
-        "is_primitive", "markov_matrix", "transition_data",
-        "vector_from_vertex_subset", "vertex_subset_from_vector",
-        "wielandt_bound",
+        "is_primitive", "markov_matrix", "transition_data", "wielandt_bound",
     ),
 }
 

@@ -6,13 +6,14 @@ escape point.  Equivalence is therefore decided on the symbolic pointed
 graph: Markov states have the transition columns as children, each compared
 point contributes a root state whose children are the unit positions of its
 incidence row, and colors are refined from out-degrees until stable, so
-verdicts are exact, not depth-limited.
+verdicts are exact, not depth-limited.  No window is built.
 
 Roots never receive edges, so Markov colors stabilize within n rounds and
 root colors one round later; colors at round r mirror the unlabeled
 unrollings of depth r + 1.  Equivalent roots thus have isomorphic windows at
-every depth, and the label-respecting isomorphism, when there is one, is the
-identity on two windows with equal parent and label arrays.
+every depth.  A label-respecting isomorphism matches children by label, and
+level 1 of a window has one child per unit of the incidence row, so at
+depth >= 1 it exists exactly when the rows, and so the windows, are equal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    DepthExceedsTreeError,
     InconsistentInputsError,
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
@@ -33,8 +35,9 @@ from .orbits import (
     BoundaryOrbit,
     Escaped,
     PointClass,
-    build_orbit_tree,
+    check_window_root,
     classify_point,
+    window_node_count,
 )
 from .rationals import format_rational
 from .transitions import Matrix, predecessors
@@ -107,10 +110,15 @@ def bisim_equivalent(
 ) -> Equivalent | Distinct:
     """Exact equivalence of two pointed symbolic graphs over the same
     transition matrix, decided by color refinement."""
-    n = len(markov)
+    return _pointed_verdict(predecessors(markov), incidence_x, incidence_y, note)
+
+
+def _pointed_verdict(preds, incidence_x, incidence_y, note) -> Equivalent | Distinct:
+    """``bisim_equivalent`` from the predecessor columns of A."""
+    n = len(preds)
     if len(incidence_x) != n or len(incidence_y) != n:
         raise InconsistentInputsError("incidence vectors must have length n")
-    children = list(predecessors(markov))
+    children = list(preds)
     root_x, root_y = n, n + 1
     children.append([i for i in range(n) if incidence_x[i]])
     children.append([i for i in range(n) if incidence_y[i]])
@@ -202,14 +210,15 @@ def classify_corpus(
 ) -> Classification:
     """Partition escaping points into equivalence classes by joint color
     refinement, with one root state per distinct incidence row.  ``depth``
-    is accepted but no longer changes the result: the classes follow from
-    the rows alone."""
+    no longer changes the result, since the classes follow from the rows
+    alone; it stays because the ``window-chain`` benchmark passes it."""
     pts = [Fraction(p) for p in points]
     classes_of: list[Escaped] = []
     for p in pts:
-        # The depth-1 window refuses, as compare_points does, an escape root
-        # with a partition point among its preimages.
-        pc = build_orbit_tree(m, p, 1, max_iter).base_class
+        # The checks of a depth-1 window, which compare_points runs too.
+        m.require_valid()
+        pc = classify_point(m, p, max_iter)
+        check_window_root(m, p, pc, 1)
         if not isinstance(pc, Escaped):
             raise NotAnEscapePointError(
                 f"{p} does not escape within the budget; corpus classification "
@@ -219,7 +228,7 @@ def classify_corpus(
 
     n = m.n
     rows = list(dict.fromkeys(pc.incidence for pc in classes_of))
-    children = list(predecessors(m.transition_matrix))
+    children = list(m.transition_predecessors)
     children.extend([i for i in range(n) if row[i]] for row in rows)
     history = _refine(children)
     color_of = {row: history[-1][n + k] for k, row in enumerate(rows)}
@@ -298,10 +307,13 @@ def compare_points(
 ) -> ComparisonResult:
     """Classify two points and decide equivalence of their representations.
 
-    Escaping pairs get the exact bisimulation verdict and, when equivalent,
-    the intertwiner of their windows at ``depth``.  A regular/escape mix is
-    never equivalent.  Two regular points are compared through the symbolic
-    states of their current intervals (window-level comparison)."""
+    Escaping pairs get the exact verdict from A and their incidence rows.
+    An equivalent pair also gets the label-respecting isomorphism of its
+    windows at ``depth`` (the identity when ``depth`` is 0 or the rows are
+    equal, else none) after the checks a window build runs: a valid map and
+    both escape roots.  A regular/escape mix is never equivalent.  Two
+    regular points are compared through the symbolic states of their
+    current intervals (window-level comparison)."""
     cls_x = classify_point(m, x, max_iter)
     cls_y = classify_point(m, y, max_iter)
     for label, pc in (("x", cls_x), ("y", cls_y)):
@@ -310,24 +322,23 @@ def compare_points(
                 f"point {label} hits a partition point at step {pc.hit_step}; "
                 f"no representation is defined"
             )
-    markov = m.transition_matrix
+    preds = m.transition_predecessors
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())
     if isinstance(cls_x, Escaped):
-        verdict = bisim_equivalent(markov, cls_x.incidence, cls_y.incidence)
+        verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence, "")
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            # Building a window checks its root for partition-point preimages;
-            # the points are never computed.  A label-respecting isomorphism
-            # matches children by label, so it exists only when the labeled
-            # trees coincide, which the builder lays out as equal arrays, and
-            # ``realize`` reads nothing else, so the identity then exchanges
-            # the operators.  Bisimilar roots keep isomorphic unlabeled
-            # windows at every depth.
-            tx = build_orbit_tree(m, x, depth, max_iter)
-            ty = build_orbit_tree(m, y, depth, max_iter)
-            if tx.parents == ty.parents and tx.labels == ty.labels:
-                pairs = tuple((i, i) for i in range(tx.node_count))
+            if depth < 0:
+                raise DepthExceedsTreeError("depth must be nonnegative")
+            m.require_valid()
+            check_window_root(m, x, cls_x, depth)
+            check_window_root(m, y, cls_y, depth)
+            # ``realize`` reads only the parent and label arrays, which are
+            # equal for equal rows, so the identity exchanges the operators.
+            if depth == 0 or cls_x.incidence == cls_y.incidence:
+                size = window_node_count(m, cls_x.incidence, depth)
+                pairs = tuple((i, i) for i in range(size))
                 intertwiner = Intertwiner(pairs, verified=True)
             else:
                 intertwiner = NoLabelRespectingIso(unlabeled_iso_exists=True)
@@ -335,8 +346,9 @@ def compare_points(
     # Both regular: compare the unrollings of their current symbolic states.
     jx = m.locate(Fraction(x)).index
     jy = m.locate(Fraction(y)).index
-    verdict = bisim_equivalent(
-        markov,
+    markov = m.transition_matrix
+    verdict = _pointed_verdict(
+        preds,
         tuple(markov[i][jx - 1] for i in range(m.n)),
         tuple(markov[i][jy - 1] for i in range(m.n)),
         note="window-level comparison of non-escaping points",

@@ -255,6 +255,14 @@ class MarkovMap:
         )
 
     @cached_property
+    def transition_predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Per column j of A, the 0-based rows with a unit there: the
+        branches under which a point of I_j has a preimage."""
+        from .transitions import predecessors
+
+        return predecessors(self.transition_matrix)
+
+    @cached_property
     def escape_block(self) -> tuple[tuple[int, ...], ...]:
         """Escape block B, one column per entry of ``gaps``: unit at (i, k)
         iff the open image of I_i meets the open gap."""
@@ -343,12 +351,6 @@ class MarkovMap:
             return Location(OUTSIDE, None, x)
         kind, index = slots[s - 1]
         return Location(kind, index, x)
-
-    def is_partition_point(self, x: Fraction) -> bool:
-        """Whether x is a partition point, by the same bisection."""
-        points = self.partition_points
-        s = bisect.bisect_left(points, x)
-        return s < len(points) and points[s] == x
 
     def evaluate(self, x: Fraction) -> EvalResult:
         """Apply the map at x.  Raises NotInDomainError inside an open gap and

@@ -475,7 +475,8 @@ def quotient_nonfaithfulness_demo(
 ) -> QuotientWitness:
     """For nested vertex sets inner < outer and a window admissible for
     ``outer``: pick a vertex of outer - inner and exhibit its vanishing gap
-    defect."""
+    defect.  Only tests call it; it stays in the library because the
+    acceptance gate (criterion 4) asserts its witness."""
     inner_set = set(_validated_vertices(inner, rep.n))
     outer_set = set(_validated_vertices(outer, rep.n))
     if not inner_set < outer_set:

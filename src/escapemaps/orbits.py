@@ -19,10 +19,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     DepthExceedsTreeError,
@@ -39,7 +39,7 @@ from .maps import (
     MarkovMap,
 )
 from .rationals import format_rational
-from .transitions import gap_symbol, markov_symbol, predecessors
+from .transitions import gap_symbol, markov_symbol
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_TREE_DEPTH = 6
@@ -103,7 +103,9 @@ def classify_point(
 ) -> PointClass:
     """Iterate the map exactly until escape, a partition-point hit, a cycle,
     or the budget runs out.  Raises OutsideAmbientError for points outside the
-    ambient interval."""
+    ambient interval and DepthExceedsTreeError for a negative budget."""
+    if max_iter < 0:
+        raise DepthExceedsTreeError("max_iter must be nonnegative")
     seen: dict[Fraction, int] = {}
     for step, (y, loc, _) in enumerate(_forward_orbit(m, x)):
         if loc.kind == PARTITION_POINT:
@@ -242,6 +244,46 @@ class OrbitTree:
         return self.points.index(Fraction(point))
 
 
+def check_window_root(m: MarkovMap, x: Fraction, pc: PointClass, depth: int) -> None:
+    """Raise OrbitMeetsBoundaryError when the window of x at this depth is
+    undefined: the forward orbit of x hits a partition point, or depth >= 1
+    and a preimage of its escape root is one.  P2 keeps every other
+    preimage off the partition points, but a partially covering image can
+    end exactly at the escape root."""
+    if isinstance(pc, BoundaryOrbit):
+        raise OrbitMeetsBoundaryError(
+            f"forward orbit of {x} hits partition point "
+            f"{pc.hit_point} at step {pc.hit_step}"
+        )
+    if not (isinstance(pc, Escaped) and depth):
+        return
+    for k, unit in enumerate(pc.incidence, start=1):
+        if unit:
+            z = m.branch_inverse(k, pc.final_point)
+            if m.locate(z).kind == PARTITION_POINT:
+                raise OrbitMeetsBoundaryError(
+                    f"preimage {z} of window node {pc.final_point} under "
+                    f"branch {k} is a partition point; the window is undefined"
+                )
+
+
+def window_node_count(m: MarkovMap, incidence: Sequence[int], depth: int) -> int:
+    """Node count of the escape window of the given depth whose root has
+    this incidence row, without building it: level 1 has a node labelled k
+    per unit k of the row, and level d + 1 has A[k][j] nodes labelled k for
+    each node labelled j at level d."""
+    preds = m.transition_predecessors
+    level, total = list(incidence), 1
+    for _ in range(depth):
+        total += sum(level)
+        below = [0] * m.n
+        for j, count in enumerate(level):
+            for k in preds[j]:
+                below[k] += count
+        level = below
+    return total
+
+
 def build_orbit_tree(
     m: MarkovMap,
     x: Fraction,
@@ -264,25 +306,12 @@ def build_orbit_tree(
         raise DepthExceedsTreeError("horizon must satisfy 0 <= horizon <= max_iter")
     m.require_valid()
     base_class = classify_point(m, x, max_iter)
-    if isinstance(base_class, BoundaryOrbit):
-        raise OrbitMeetsBoundaryError(
-            f"forward orbit of {x} hits partition point "
-            f"{base_class.hit_point} at step {base_class.hit_step}"
-        )
-    preds = predecessors(m.transition_matrix)
+    check_window_root(m, x, base_class, depth)
+    preds = m.transition_predecessors
     cycle: list[int] = []
     if isinstance(base_class, Escaped):
         root, root_label = base_class.final_point, None
         root_kids = tuple(k for k, unit in enumerate(base_class.incidence) if unit)
-        # P2 keeps every other preimage off the partition points, but a
-        # partially covering image can end exactly at the escape root.
-        for k in root_kids if depth else ():
-            z = m.branch_inverse(k + 1, root)
-            if m.is_partition_point(z):
-                raise OrbitMeetsBoundaryError(
-                    f"preimage {z} of window node {root} under branch {k + 1} "
-                    f"is a partition point; the window is undefined"
-                )
     else:
         # With a detected cycle the orbit stays in verified Markov interiors
         # forever, so any horizon is safe; otherwise stay within the budget
@@ -337,27 +366,6 @@ def build_orbit_tree(
         depths=tuple(depths),
         parents=tuple(parents),
         labels=tuple(labels),
-    )
-
-
-def truncate_tree(tree: OrbitTree, depth: int) -> OrbitTree:
-    """Restrict a window to nodes of discovery depth at most ``depth``: a
-    prefix, since nodes are stored level by level."""
-    if not 0 <= depth <= tree.max_depth:
-        raise DepthExceedsTreeError(
-            f"truncation depth {depth} is outside 0..{tree.max_depth}"
-        )
-    cut = bisect.bisect_right(tree.depths, depth)
-    # As in a direct build, the root's cycle closes only if f(root) expanded.
-    root_parent = tree.parents[0]
-    if root_parent is not None and tree.depths[root_parent] >= depth:
-        root_parent = None
-    return replace(
-        tree,
-        max_depth=depth,
-        depths=tree.depths[:cut],
-        parents=(root_parent,) + tree.parents[1:cut],
-        labels=tree.labels[:cut],
     )
 
 

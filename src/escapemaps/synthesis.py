@@ -208,6 +208,9 @@ def _layout_issues(
 def _first_workable(
     markov: Matrix, escape: Matrix, mode: str
 ) -> tuple[tuple[int, ...], InterleavedLayout] | None:
+    """First placement (in lexicographic order) of the escape columns into the
+    n-1 inter-interval slots that makes every row and column workable, with
+    its layout, or None when no placement does."""
     n = len(markov)
     m = len(escape[0]) if escape and escape[0] else 0
     for combo in itertools.combinations(range(1, n), m):
@@ -216,15 +219,6 @@ def _first_workable(
         if not rows and not cols:
             return combo, layout
     return None
-
-
-def auto_gap_positions(
-    markov: Matrix, escape: Matrix, mode: str
-) -> tuple[int, ...] | None:
-    """First placement (in lexicographic order) of the escape columns into the
-    n-1 inter-interval slots that makes every row and column workable, or None
-    when no placement does."""
-    return (_first_workable(markov, escape, mode) or (None,))[0]
 
 
 def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:

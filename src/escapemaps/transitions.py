@@ -18,7 +18,7 @@ bound n^2 - 2n + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MapFormatError
 from .maps import MarkovMap
@@ -285,26 +285,6 @@ def dot_export(graph: GraphSpec, labels: Mapping[int, str] | None = None) -> str
         lines.append(f"  {i} -> {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# -- vertex subsets -----------------------------------------------------
-
-
-def vertex_subset_from_vector(u: Sequence[int]) -> tuple[int, ...]:
-    """Zero positions of a 0/1 column, as a sorted vertex tuple: the vertex
-    set associated with an escape column is {i : u_i = 0}."""
-    for entry in u:
-        if isinstance(entry, bool) or entry not in (0, 1):
-            raise MapFormatError(f"column entries must be 0 or 1, got {entry!r}")
-    return tuple(i for i, entry in enumerate(u, start=1) if entry == 0)
-
-
-def vector_from_vertex_subset(vertices: Iterable[int], n: int) -> tuple[int, ...]:
-    vset = set(vertices)
-    bad = [v for v in vset if not 1 <= v <= n]
-    if bad:
-        raise MapFormatError(f"vertices out of range 1..{n}: {sorted(bad)}")
-    return tuple(0 if i in vset else 1 for i in range(1, n + 1))
 
 
 # -- comparison against a claimed matrix --------------------------------

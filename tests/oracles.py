@@ -42,7 +42,6 @@ from escapemaps import (
     NotAnEscapePointError,
     OrbitTree,
     realize,
-    truncate_tree,
 )
 from escapemaps.maps import Location
 from escapemaps.operators import ImageDecompositionReport, Representation
@@ -100,16 +99,15 @@ def children_by_label(tree: OrbitTree, idx: int) -> dict[int, int]:
 
 
 def build_intertwiner(
-    tree_x: OrbitTree, tree_y: OrbitTree, depth: int
+    tx: OrbitTree, ty: OrbitTree
 ) -> Intertwiner | NoLabelRespectingIso:
-    """Construct and verify the unique label-respecting isomorphism of the
-    two windows truncated at ``depth``, if it exists."""
-    if not (tree_x.is_escape_window and tree_y.is_escape_window):
+    """Construct and verify the unique label-respecting isomorphism of two
+    windows built at one depth, if it exists."""
+    if not (tx.is_escape_window and ty.is_escape_window):
         raise NotAnEscapePointError("intertwiners are built for escape windows")
-    if tree_x.map != tree_y.map:
-        raise InconsistentInputsError("windows must come from the same map")
-    tx = truncate_tree(tree_x, depth)
-    ty = truncate_tree(tree_y, depth)
+    if tx.map != ty.map or tx.max_depth != ty.max_depth:
+        raise InconsistentInputsError("windows must come from one map at one depth")
+    depth = tx.max_depth
 
     pairs: list[tuple[int, int]] = []
 

@@ -240,7 +240,7 @@ def test_criterion_5_equivalence(capsys):
 
         tx = build_orbit_tree(m, F(1, 2), depth=6)
         ty = build_orbit_tree(m, F(9, 20), depth=6)
-        iso = build_intertwiner(tx, ty, depth=6)
+        iso = build_intertwiner(tx, ty)
         assert iso.verified
         pair_map = dict(iso.pairs)
         assert pair_map[0] == 0

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
+    AffineBranch,
+    DepthExceedsTreeError,
     Distinct,
     Equivalent,
+    EscapeMapsError,
     EscapeVsRegular,
     InconsistentInputsError,
     Intertwiner,
+    MarkovMap,
     NoLabelRespectingIso,
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
@@ -25,7 +29,6 @@ from escapemaps import (
     escape_point_with_incidence,
     incidence_cells,
     synthesize,
-    truncate_tree,
     verdict_to_jsonable,
 )
 
@@ -129,32 +132,32 @@ def test_bisim_matches_depth_six_unrolling_oracle(case):
 def test_intertwiner_between_equivalent_points(four_map):
     tx = build_orbit_tree(four_map, F(1, 2), 6)
     ty = build_orbit_tree(four_map, F(9, 20), 6)
-    result = build_intertwiner(tx, ty, 6)
+    result = build_intertwiner(tx, ty)
     assert isinstance(result, Intertwiner)
     assert result.verified
     assert len(result.pairs) == 16
     assert result.pairs[0] == (0, 0)
-    cut_x = truncate_tree(tx, 6)
-    cut_y = truncate_tree(ty, 6)
     forward = dict(result.pairs)
-    assert sorted(forward) == list(range(cut_x.node_count))
-    assert sorted(forward.values()) == list(range(cut_y.node_count))
+    assert sorted(forward) == list(range(tx.node_count))
+    assert sorted(forward.values()) == list(range(ty.node_count))
     for a, b in result.pairs:
-        assert cut_x.labels[a] == cut_y.labels[b]
-        assert cut_x.depths[a] == cut_y.depths[b]
+        assert tx.labels[a] == ty.labels[b]
+        assert tx.depths[a] == ty.depths[b]
 
 
 def test_intertwiner_requires_escape_windows_on_one_map(four_map, full2_map):
     regular = build_orbit_tree(four_map, F(5, 27), 3, horizon=2)
     escape = build_orbit_tree(four_map, F(1, 2), 3)
     with pytest.raises(NotAnEscapePointError):
-        build_intertwiner(regular, escape, 2)
+        build_intertwiner(regular, escape)
     import dataclasses
 
     other = build_orbit_tree(four_map, F(9, 20), 3)
     foreign = dataclasses.replace(other, map=full2_map)
     with pytest.raises(InconsistentInputsError):
-        build_intertwiner(escape, foreign, 2)
+        build_intertwiner(escape, foreign)
+    with pytest.raises(InconsistentInputsError):
+        build_intertwiner(escape, build_orbit_tree(four_map, F(9, 20), 2))
 
 
 def _toy_window(four_map, child_labels):
@@ -178,14 +181,14 @@ def _toy_window(four_map, child_labels):
 def test_label_mismatch_with_shape_match(four_map):
     tx = _toy_window(four_map, [1])
     ty = _toy_window(four_map, [3])
-    result = build_intertwiner(tx, ty, 1)
+    result = build_intertwiner(tx, ty)
     assert result == NoLabelRespectingIso(unlabeled_iso_exists=True)
 
 
 def test_label_and_shape_mismatch(four_map):
     tx = _toy_window(four_map, [1])
     ty = _toy_window(four_map, [3, 4])
-    result = build_intertwiner(tx, ty, 1)
+    result = build_intertwiner(tx, ty)
     assert result == NoLabelRespectingIso(unlabeled_iso_exists=False)
 
 
@@ -217,6 +220,18 @@ def test_classify_corpus_two_classes(partial_map):
 def test_classify_corpus_rejects_regular_points(four_map):
     with pytest.raises(NotAnEscapePointError):
         classify_corpus(four_map, [F(1, 2), F(5, 27)])
+
+
+def test_classify_corpus_refuses_a_boundary_orbit(four_map):
+    # 0 is a partition point, so its orbit meets the boundary at step 0.
+    with pytest.raises(OrbitMeetsBoundaryError, match="hits partition point 0"):
+        classify_corpus(four_map, [F(1, 2), F(0)])
+
+
+def test_classify_corpus_needs_a_valid_map():
+    doubling = MarkovMap((AffineBranch(2, 0, 0, 1),))  # the image [0, 2] breaks P1
+    with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
+        classify_corpus(doubling, [F(1, 3)])
 
 
 def test_classify_corpus_refuses_an_undefined_window_at_any_depth(reaching_map):
@@ -257,6 +272,18 @@ def test_compare_rejects_boundary_orbits(four_map):
         compare_points(four_map, F(0), F(1, 2))
 
 
+def test_negative_budgets_are_refused(four_map):
+    with pytest.raises(DepthExceedsTreeError, match="max_iter"):
+        classify_point(four_map, F(5, 27), max_iter=-1)
+    for x, y in ((F(1, 2), F(9, 20)), (F(1, 2), F(5, 27))):
+        with pytest.raises(DepthExceedsTreeError, match="max_iter"):
+            compare_points(four_map, x, y, max_iter=-1)
+    with pytest.raises(DepthExceedsTreeError, match="max_iter"):
+        classify_corpus(four_map, [F(1, 2)], max_iter=-1)
+    with pytest.raises(DepthExceedsTreeError, match="depth"):
+        compare_points(four_map, F(1, 2), F(9, 20), depth=-1)
+
+
 def test_compare_distinct_cells_on_partial_map(partial_map):
     x = escape_point_with_incidence(partial_map, (1, 0, 0, 0))
     y = escape_point_with_incidence(partial_map, (1, 0, 0, 1))
@@ -283,7 +310,7 @@ def test_compare_bisimilar_rows_with_different_labels():
     assert isinstance(result.verdict, Equivalent)
     assert result.intertwiner == NoLabelRespectingIso(unlabeled_iso_exists=True)
     tx, ty = build_orbit_tree(m, x, 2), build_orbit_tree(m, y, 2)
-    assert build_intertwiner(tx, ty, 2) == result.intertwiner
+    assert build_intertwiner(tx, ty) == result.intertwiner
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -306,7 +333,7 @@ def test_intertwiners_and_canonical_forms_match_the_oracles(data):
             tx, ty = build_orbit_tree(m, x, depth), build_orbit_tree(m, y, depth)
             verdict = result.verdict
             if isinstance(verdict, Equivalent):
-                assert result.intertwiner == build_intertwiner(tx, ty, depth)
+                assert result.intertwiner == build_intertwiner(tx, ty)
             else:
                 assert result.intertwiner is None
             # Root colors at round r mirror the unrollings of depth r + 1, and
@@ -337,7 +364,7 @@ def test_verdict_to_jsonable_covers_every_shape(four_map):
     }
     tx = build_orbit_tree(four_map, F(1, 2), 3)
     ty = build_orbit_tree(four_map, F(9, 20), 3)
-    inter = verdict_to_jsonable(build_intertwiner(tx, ty, 3))
+    inter = verdict_to_jsonable(build_intertwiner(tx, ty))
     assert inter["label_respecting"] is True and inter["verified"] is True
     noiso = verdict_to_jsonable(NoLabelRespectingIso(unlabeled_iso_exists=False))
     assert noiso == {"label_respecting": False, "unlabeled_iso_exists": False}

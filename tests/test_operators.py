@@ -32,7 +32,6 @@ from escapemaps import (
     quotient_nonfaithfulness_demo,
     realize,
     synthesize,
-    truncate_tree,
 )
 
 from conftest import periodic_point, pull_back, synthesized_spec

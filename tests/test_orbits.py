@@ -29,9 +29,8 @@ from escapemaps import (
     transition_data,
     tree_to_dot,
     tree_to_jsonable,
-    truncate_tree,
 )
-from escapemaps.orbits import DEFAULT_MAX_ITER
+from escapemaps.orbits import DEFAULT_MAX_ITER, window_node_count
 
 from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import children_by_label
@@ -264,25 +263,6 @@ def test_window_edges_invert_the_map(four_map):
         assert branch.value_at(tree.points[idx]) == tree.points[parent]
 
 
-def test_truncation_matches_direct_build(four_map):
-    deep = build_orbit_tree(four_map, F(1, 2), 4)
-    shallow = build_orbit_tree(four_map, F(1, 2), 2)
-    cut = truncate_tree(deep, 2)
-    assert cut == shallow
-    with pytest.raises(DepthExceedsTreeError):
-        truncate_tree(deep, 5)
-    regular_deep = build_orbit_tree(four_map, F(5, 27), 5, horizon=4)
-    regular_cut = truncate_tree(regular_deep, 2)
-    assert regular_cut == build_orbit_tree(four_map, F(5, 27), 2, horizon=4)
-    assert regular_cut.parents[0] == 1
-    # At depth 1 the root's image 229/270 is a leaf that was never expanded,
-    # so the cycle stays open, as it does in a direct build.
-    for depth in range(6):
-        direct = build_orbit_tree(four_map, F(5, 27), depth, horizon=4)
-        assert truncate_tree(regular_deep, depth) == direct
-    assert truncate_tree(regular_deep, 1).parents[0] is None
-
-
 # -- the geometric builder as an oracle for the symbolic one -------------
 
 
@@ -430,12 +410,17 @@ def test_synthesized_windows_match_the_geometric_builder(data):
     m = synthesize(spec).map
     depth = data.draw(st.integers(0, 3), label="depth")
     ((gap, glo, _),) = m.gaps
-    for lo, hi, _ in incidence_cells(m, gap):
+    for lo, hi, incidence in incidence_cells(m, gap):
         # A cut inside the gap is an image endpoint: its preimage under that
         # branch is a partition point.
         for e in [(lo + hi) / 2] + [lo] * (lo != glo):
             x = pull_back(m, e, data, data.draw(st.integers(0, 3), label="steps"))
             _assert_matches_geometric_window(m, x, depth)
+        # Window sizes follow from A and the row of the cell interior.
+        e = (lo + hi) / 2
+        for d in range(7):
+            size = build_orbit_tree(m, e, d).node_count
+            assert window_node_count(m, incidence, d) == size
     x = periodic_point(m, data)
     if x is not None:
         x = pull_back(m, x, data, data.draw(st.integers(0, 2), label="steps"))

@@ -15,7 +15,6 @@ from escapemaps import (
     SynthesisSpec,
     TransitionData,
     WidthSnapError,
-    auto_gap_positions,
     escape_matrix,
     feasibility_check,
     is_primitive,
@@ -124,15 +123,20 @@ def test_row_level_issues():
 
 
 def test_auto_positions(partial_spec):
-    assert auto_gap_positions(
-        FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), STRICT
-    ) == (2,)
-    assert (
-        auto_gap_positions(partial_spec.markov, partial_spec.escape, PARTIAL) == (2,)
+    # gap_positions=None asks feasibility_check for the first workable slot.
+    strict = feasibility_check(
+        SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)))
     )
-    assert (
-        auto_gap_positions(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (1,)), STRICT)
-        is None
+    assert strict.feasible and strict.positions == (2,)
+    assert partial_spec.gap_positions is None
+    assert feasibility_check(partial_spec).positions == (2,)
+    stuck = feasibility_check(
+        SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (1,)))
+    )
+    assert not stuck.feasible and stuck.positions == ()
+    assert stuck.structure_issues == (
+        "no placement of the escape columns makes every row contiguous and "
+        "every gap covered",
     )
 
 

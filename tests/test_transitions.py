@@ -21,8 +21,6 @@ from escapemaps import (
     markov_matrix,
     synthesize,
     transition_data,
-    vector_from_vertex_subset,
-    vertex_subset_from_vector,
     wielandt_bound,
 )
 
@@ -242,26 +240,6 @@ def test_graph_strong_connectivity_matches_networkx(four_map):
     assert networkx.is_strongly_connected(dg)
     # Primitivity = strong connectivity + aperiodicity (cycle gcd 1).
     assert networkx.is_aperiodic(dg)
-
-
-# -- vertex subsets ------------------------------------------------------
-
-
-def test_vertex_subset_round_trip():
-    assert vertex_subset_from_vector((1, 0, 0, 0)) == (2, 3, 4)
-    assert vertex_subset_from_vector((1, 1, 1)) == ()
-    assert vector_from_vertex_subset((2, 3, 4), 4) == (1, 0, 0, 0)
-    assert vector_from_vertex_subset((), 3) == (1, 1, 1)
-    with pytest.raises(MapFormatError):
-        vertex_subset_from_vector((1, 2, 0))
-    with pytest.raises(MapFormatError):
-        vector_from_vertex_subset((0,), 3)
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
-def test_vertex_subset_inverse_property(column):
-    subset = vertex_subset_from_vector(column)
-    assert vector_from_vertex_subset(subset, len(column)) == tuple(column)
 
 
 # -- claimed-matrix comparison ------------------------------------------
