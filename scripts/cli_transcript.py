@@ -12,8 +12,9 @@ The transcript is ``tests/cli_transcript.json``, one entry per line, and
 in-process through ``escapemaps.commands.main``, in order, since later
 entries read the maps that the ``synth`` entries write.  The inputs are the
 three bundled maps, a map whose second branch reverses orientation, an
-n = 8 band and the four-interval matrices that CI synthesizes, and the
-malformed inputs that CI feeds the command line.  Paths are written as
+n = 8 band and the four-interval matrices that CI synthesizes, two maps that
+fail P2 and P1 (the second with image endpoints over mixed denominators), and
+the malformed inputs that CI feeds the command line.  Paths are written as
 ``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
 those placeholders in the output before it is hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
@@ -55,6 +56,22 @@ INPUTS = {
     "slope2.json": {
         "markov_intervals": [["0", "1"]],
         "branches": [{"slope": "2", "intercept": "0"}],
+    },
+    # Fails P2: the image [1/4, 1] of interval 2 takes half of interval 1.
+    "p2_partial.json": {
+        "markov_intervals": [["0", "1/2"], ["1/2", "1"]],
+        "branches": [
+            {"slope": "2", "intercept": "0"},
+            {"slope": "3/2", "intercept": "-1/2"},
+        ],
+    },
+    # Fails P1 with image endpoints over denominators 6, 28 and 14.
+    "p1_mixed.json": {
+        "markov_intervals": [["0", "1/3"], ["1/2", "1"]],
+        "branches": [
+            {"slope": "5/2", "intercept": "0"},
+            {"slope": "3/2", "intercept": "1/7"},
+        ],
     },
     "strings.json": {
         "markov_intervals": ["01", "12"],
@@ -132,6 +149,9 @@ def argv_list() -> list[list[str]]:
         # Malformed inputs and check failures that CI runs as shell steps.
         ["point", "--x=-1/3", four],
         ["point", "--x", "2/3", "{tmp}/slope2.json"],
+        ["validate", "{tmp}/slope2.json"],
+        ["validate", "{tmp}/p2_partial.json"],
+        ["validate", "{tmp}/p1_mixed.json"],
         ["rep", "--x", "1/2", "--V", "+-3", four],
         ["validate", "{tmp}/strings.json"],
         ["synth", "--A", "{tmp}/a.json", "--B", "{tmp}/b_strings.json",

@@ -51,7 +51,7 @@ _EXPORTS = {
     "orbits": (
         "BoundaryOrbit", "Escaped", "Itinerary", "OrbitTree",
         "UndeterminedRegular", "build_orbit_tree", "classify_point",
-        "escape_incidence", "escape_point_with_incidence", "incidence_cells",
+        "escape_incidence", "incidence_cells",
         "itinerary", "point_class_to_jsonable", "tree_to_dot",
         "tree_to_jsonable",
     ),

@@ -313,7 +313,10 @@ def compare_points(
     equal, else none) after the checks a window build runs: a valid map and
     both escape roots.  A regular/escape mix is never equivalent.  Two
     regular points are compared through the symbolic states of their
-    current intervals (window-level comparison)."""
+    current intervals (window-level comparison).  A negative ``depth``
+    raises DepthExceedsTreeError for every pair."""
+    if depth < 0:
+        raise DepthExceedsTreeError("depth must be nonnegative")
     cls_x = classify_point(m, x, max_iter)
     cls_y = classify_point(m, y, max_iter)
     for label, pc in (("x", cls_x), ("y", cls_y)):
@@ -329,8 +332,6 @@ def compare_points(
         verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence, "")
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            if depth < 0:
-                raise DepthExceedsTreeError("depth must be nonnegative")
             m.require_valid()
             check_window_root(m, x, cls_x, depth)
             check_window_root(m, y, cls_y, depth)

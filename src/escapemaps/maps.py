@@ -16,13 +16,18 @@ A fifth, purely diagnostic property:
 
   P5  whenever a branch image meets an open gap it contains the whole gap
       ("full escape coverage"); partial coverage is legal but reported.
+
+Each map caches an ``IntegerGrid``: every interval and image endpoint as a
+numerator over their least common denominator.  A, B, P1, P2, P5 and point
+location compare those integers; Fractions are built for returned values
+and issue texts only.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,11 +51,11 @@ def _as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def merge_closed_intervals(items: Iterable[Interval]) -> tuple[Interval, ...]:
+def merge_closed_intervals(items: Iterable[tuple]) -> tuple[tuple, ...]:
     """Merge closed intervals (degenerate ones allowed) into disjoint maximal
     components; touching intervals are joined."""
     ordered = sorted(items)
-    merged: list[list[Fraction]] = []
+    merged: list[list] = []
     for lo, hi in ordered:
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
@@ -71,7 +76,7 @@ class AffineBranch:
 
     def __post_init__(self) -> None:
         for name in ("slope", "intercept", "left", "right"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
         if self.slope == 0:
             raise MapStructureError("branch slope must be nonzero")
         if not self.left < self.right:
@@ -106,6 +111,43 @@ MARKOV_INTERIOR = "markov-interior"
 ESCAPE_INTERIOR = "escape-interior"
 PARTITION_POINT = "partition-point"
 OUTSIDE = "outside"
+
+
+class IntegerGrid:
+    """A map's geometry over the least common denominator D of its interval
+    and closed-image endpoints, each endpoint held as its numerator over D:
+    ``intervals`` and ``images`` as (lo, hi) per branch, ``gaps`` as
+    (gap_index, lo, hi) per open gap, and the sorted partition ``points``."""
+
+    __slots__ = ("den", "intervals", "images", "gaps", "points", "_bounds", "_cells")
+
+    def __init__(self, branches: tuple[AffineBranch, ...]) -> None:
+        ends = [(b.left, b.right) for b in branches] + [b.image() for b in branches]
+        den = self.den = math.lcm(*(x.denominator for pair in ends for x in pair))
+        pairs = tuple(tuple(x.numerator * den // x.denominator for x in e) for e in ends)
+        self.intervals, self.images = pairs[: len(branches)], pairs[len(branches) :]
+        # Cells before, on and after each partition point in turn.
+        points, gaps = [self.intervals[0][0]], []
+        cells = [(OUTSIDE, None, None), (PARTITION_POINT, None, 1)]
+        for i, (lo, hi) in enumerate(self.intervals, start=1):
+            if points[-1] < lo:
+                gaps.append((i - 1, points[-1], lo))
+                cells += [(ESCAPE_INTERIOR, i - 1, None), (PARTITION_POINT, None, i)]
+                points.append(lo)
+            points.append(hi)
+            cells += [(MARKOV_INTERIOR, i, i), (PARTITION_POINT, None, i)]
+        self.gaps, self.points = tuple(gaps), tuple(points)
+        self._bounds = tuple(v for p in points for v in (2 * p, 2 * p + 1))
+        self._cells = tuple(cells + cells[:1])
+
+    def cell(self, p: int, q: int) -> tuple[str, int | None, int | None]:
+        """(kind, index, branch) of the point p/q, q > 0: its ``Location``
+        kind and index, and the branch its forward orbit applies (the
+        leftmost containing one; None in a gap or outside).  With
+        p*D = t*q + r, twice the point is 2t when r = 0 and inside
+        (2t, 2t + 2) otherwise: one bisection of the bounds 2p_s, 2p_s + 1."""
+        t, r = divmod(p * self.den, q)
+        return self._cells[bisect_right(self._bounds, 2 * t + (r > 0))]
 
 
 @dataclass(frozen=True)
@@ -234,24 +276,24 @@ class MarkovMap:
         return (self.branches[0].left, self.branches[-1].right)
 
     @cached_property
+    def grid(self) -> IntegerGrid:
+        return IntegerGrid(self.branches)
+
+    @cached_property
     def gaps(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
         """Nonempty open gaps as (gap_index, lo, hi); gap k sits between
         intervals k and k+1."""
-        out = []
-        for k in range(1, self.n):
-            lo = self.branches[k - 1].right
-            hi = self.branches[k].left
-            if lo < hi:
-                out.append((k, lo, hi))
-        return tuple(out)
+        b = self.branches
+        return tuple((k, b[k - 1].right, b[k].left) for k, _, _ in self.grid.gaps)
 
     @cached_property
     def transition_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Transition matrix A: unit at (i, j) iff the open image of I_i
         contains the interior of I_j."""
+        g = self.grid
         return tuple(
-            tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in self.intervals)
-            for lo, hi in self.images
+            tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in g.intervals)
+            for lo, hi in g.images
         )
 
     @cached_property
@@ -266,9 +308,10 @@ class MarkovMap:
     def escape_block(self) -> tuple[tuple[int, ...], ...]:
         """Escape block B, one column per entry of ``gaps``: unit at (i, k)
         iff the open image of I_i meets the open gap."""
+        g = self.grid
         return tuple(
-            tuple(int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in self.gaps)
-            for lo, hi in self.images
+            tuple(int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in g.gaps)
+            for lo, hi in g.images
         )
 
     @cached_property
@@ -276,11 +319,12 @@ class MarkovMap:
         """Per open gap index, the closed-image incidence of the points
         strictly inside the gap: the row of entries that are the same for
         all of them, and (i, lo, hi) for each image f(I_{i+1}) = [lo, hi]
-        with an endpoint strictly inside the gap, whose entry i varies."""
+        with an endpoint strictly inside the gap, whose entry i varies (lo and
+        hi as numerators over ``grid.den``)."""
         out = {}
-        for k, glo, ghi in self.gaps:
+        for k, glo, ghi in self.grid.gaps:
             row, partial = [], []
-            for i, (lo, hi) in enumerate(self.images):
+            for i, (lo, hi) in enumerate(self.grid.images):
                 if glo < lo < ghi or glo < hi < ghi:
                     partial.append((i, lo, hi))
                 row.append(int(lo <= glo and ghi <= hi))
@@ -288,13 +332,12 @@ class MarkovMap:
         return out
 
     @cached_property
-    def integer_forms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def integer_forms(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per branch, integers for exact arithmetic on (num, den) pairs with
-        den > 0, returned as (forward, inverse, domains): forward (a, b, d)
-        with f(p/q) = (a*p + b*q) / (d*q), inverse (u, v, w) with
-        f^{-1}(p/q) = (u*p + v*q) / (w*q), and domains (l, l', r, r') with
-        I = [l/l', r/r'].  The entries d, w, l' and r' are positive."""
-        forward, inverse, domains = [], [], []
+        den > 0, returned as (forward, inverse): forward (a, b, d) with
+        f(p/q) = (a*p + b*q) / (d*q) and inverse (u, v, w) with
+        f^{-1}(p/q) = (u*p + v*q) / (w*q), where d and w are positive."""
+        forward, inverse = [], []
         for b in self.branches:
             d = math.lcm(b.slope.denominator, b.intercept.denominator)
             a = b.slope.numerator * (d // b.slope.denominator)
@@ -302,29 +345,11 @@ class MarkovMap:
             sign = 1 if a > 0 else -1
             forward.append((a, c, d))
             inverse.append((sign * d, -sign * c, sign * a))
-            domains.append(b.left.as_integer_ratio() + b.right.as_integer_ratio())
-        return tuple(forward), tuple(inverse), tuple(domains)
+        return tuple(forward), tuple(inverse)
 
     @property
     def partition_points(self) -> tuple[Fraction, ...]:
-        return self._breakpoints[0]
-
-    @cached_property
-    def _breakpoints(
-        self,
-    ) -> tuple[tuple[Fraction, ...], tuple[tuple[str, int], ...]]:
-        """The breakpoint index: the sorted partition points p_0 < ... < p_m
-        and, for each open slot (p_s, p_s+1), its location kind and the index
-        of the Markov interval or gap that it is."""
-        points = [self.branches[0].left]
-        slots = []
-        for i, b in enumerate(self.branches, start=1):
-            if points[-1] < b.left:
-                slots.append((ESCAPE_INTERIOR, i - 1))
-                points.append(b.left)
-            slots.append((MARKOV_INTERIOR, i))
-            points.append(b.right)
-        return tuple(points), tuple(slots)
+        return tuple(Fraction(p, self.grid.den) for p in self.grid.points)
 
     def gap_bounds(self, gap_index: int) -> tuple[Fraction, Fraction]:
         for k, lo, hi in self.gaps:
@@ -332,24 +357,12 @@ class MarkovMap:
                 return lo, hi
         raise MapStructureError(f"no open gap with index {gap_index}")
 
-    def containing_intervals(self, x: Fraction) -> tuple[int, ...]:
-        """1-based indices of the closed intervals containing x (0, 1 or 2)."""
-        return tuple(
-            i for i, b in enumerate(self.branches, start=1) if b.left <= x <= b.right
-        )
-
     # -- point queries --------------------------------------------------
 
     def locate(self, x: Fraction) -> Location:
-        """Bisect the breakpoint index: about log2(2n) comparisons."""
+        """One integer bisection of the grid's partition points."""
         x = _as_fraction(x)
-        points, slots = self._breakpoints
-        s = bisect.bisect_left(points, x)
-        if s < len(points) and points[s] == x:
-            return Location(PARTITION_POINT, None, x)
-        if s == 0 or s == len(points):
-            return Location(OUTSIDE, None, x)
-        kind, index = slots[s - 1]
+        kind, index, _ = self.grid.cell(*x.as_integer_ratio())
         return Location(kind, index, x)
 
     def evaluate(self, x: Fraction) -> EvalResult:
@@ -357,21 +370,16 @@ class MarkovMap:
         OutsideAmbientError outside the ambient interval.  At a shared endpoint
         the left branch's value is returned; if the right branch disagrees the
         result is flagged ambiguous."""
-        x = Fraction(x)
-        lo, hi = self.ambient
-        if not lo <= x <= hi:
+        x = _as_fraction(x)
+        kind, index, i = self.grid.cell(*x.as_integer_ratio())
+        if kind == OUTSIDE:
+            lo, hi = self.ambient
             raise OutsideAmbientError(f"{x} is outside the ambient interval [{lo}, {hi}]")
-        containing = self.containing_intervals(x)
-        if not containing:
-            loc = self.locate(x)
-            raise NotInDomainError(x, loc.index)
-        first = containing[0]
-        value = self.branches[first - 1].value_at(x)
-        ambiguous = False
-        if len(containing) == 2:
-            other = self.branches[containing[1] - 1].value_at(x)
-            ambiguous = other != value
-        return EvalResult(value, first, ambiguous)
+        if kind == ESCAPE_INTERIOR:
+            raise NotInDomainError(x, index)
+        value = self.branches[i - 1].value_at(x)
+        shared = kind == PARTITION_POINT and i < self.n and self.branches[i].left == x
+        return EvalResult(value, i, shared and self.branches[i].value_at(x) != value)
 
     def branch_inverse(self, i: int, y: Fraction) -> Fraction | None:
         """Preimage of y under branch i (1-based), or None when y is outside
@@ -404,35 +412,35 @@ class MarkovMap:
 
     @cached_property
     def _validation(self) -> ValidationReport:
-        from .transitions import is_primitive
+        """P1, P2 and P5 compare numerators on the grid."""
+        from .transitions import _primitivity
+
+        g = self.grid
+
+        def show(pieces) -> str:
+            return ", ".join(
+                f"[{Fraction(a, g.den)}, {Fraction(b, g.den)}]" for a, b in pieces
+            )
 
         # P1: branch images cover the ambient interval exactly.
         p1_issues: list[str] = []
-        covered = merge_closed_intervals(self.images)
-        if covered != (self.ambient,):
-            pretty = ", ".join(f"[{lo}, {hi}]" for lo, hi in covered)
+        covered = merge_closed_intervals(g.images)
+        ambient = (g.intervals[0][0], g.intervals[-1][1])
+        if covered != (ambient,):
             p1_issues.append(
-                f"branch images cover {pretty}, expected the ambient interval "
-                f"[{self.ambient[0]}, {self.ambient[1]}]"
+                f"branch images cover {show(covered)}, expected the ambient "
+                f"interval {show([ambient])}"
             )
 
         # P2: each image meets the domain in a union of whole intervals.
         p2_issues: list[str] = []
-        for i, (lo, hi) in enumerate(self.images, start=1):
-            pieces = []
-            whole = []
-            for j, (jlo, jhi) in enumerate(self.intervals, start=1):
-                plo, phi = max(lo, jlo), min(hi, jhi)
-                if plo <= phi:
-                    pieces.append((plo, phi))
-                    if (plo, phi) == (jlo, jhi):
-                        whole.append(j)
+        for i, (lo, hi) in enumerate(g.images, start=1):
+            pieces = [(max(lo, jlo), min(hi, jhi)) for jlo, jhi in g.intervals]
+            pieces = [(plo, phi) for plo, phi in pieces if plo <= phi]
             got = merge_closed_intervals(pieces)
-            want = merge_closed_intervals(self.intervals[j - 1] for j in whole)
-            if got != want:
-                pretty = ", ".join(f"[{a}, {b}]" for a, b in got)
+            if got != merge_closed_intervals(set(pieces) & set(g.intervals)):
                 p2_issues.append(
-                    f"image of interval {i} meets the domain in {pretty}, "
+                    f"image of interval {i} meets the domain in {show(got)}, "
                     f"not a union of whole intervals"
                 )
 
@@ -445,7 +453,7 @@ class MarkovMap:
         expansion_bound = min(abs(b.slope) for b in self.branches)
 
         # P4: primitivity of the transition matrix.
-        prim = is_primitive(self.transition_matrix)
+        prim = _primitivity(self.transition_matrix)
         p4_issues = []
         if not prim.primitive:
             r, c = prim.zero_entry
@@ -457,10 +465,8 @@ class MarkovMap:
         # P5 diagnostic: coverage of each gap the open image meets.
         coverage = tuple(
             EscapeCoverage(i, k, lo <= glo and ghi <= hi)
-            for i, ((lo, hi), row) in enumerate(
-                zip(self.images, self.escape_block), start=1
-            )
-            for (k, glo, ghi), unit in zip(self.gaps, row)
+            for i, ((lo, hi), row) in enumerate(zip(g.images, self.escape_block), start=1)
+            for (k, glo, ghi), unit in zip(g.gaps, row)
             if unit
         )
 

@@ -305,8 +305,7 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     integer arithmetic on the points' (num, den) pairs."""
     m, tree = rep.tree.map, rep.tree
     points, labels = tree.points, tree.labels
-    forward, _, domains = m.integer_forms
-    markov = m.transition_matrix
+    forward, grid, markov = m.integer_forms[0], m.grid, m.transition_matrix
     pairs = [point.as_integer_ratio() for point in points]
     # Per interior node, the label whose interval it is strictly inside; the
     # other interior nodes get their memberships from the closed images.
@@ -315,16 +314,16 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     members: list[set[int]] = [set() for _ in markov]
     for idx in rep.interior:
         j = labels[idx]
+        p, q = pairs[idx]
+        pd = p * grid.den
         if j is not None:
-            lo, lo_den, hi, hi_den = domains[j - 1]
-            p, q = pairs[idx]
-            if lo * q < p * lo_den and p * hi_den < hi * q:
+            lo, hi = grid.intervals[j - 1]
+            if lo * q < pd < hi * q:
                 inside[idx] = j
                 by_label[j - 1].append(idx)
                 continue
-        y = points[idx]
-        for i, (lo, hi) in enumerate(m.images):
-            if lo <= y <= hi:
+        for i, (lo, hi) in enumerate(grid.images):
+            if lo * q <= pd <= hi * q:
                 members[i].add(idx)
     texts = []
     for i, (row, q) in enumerate(zip(markov, rep.image_projections), start=1):

@@ -3,7 +3,8 @@
 A point either escapes (its forward orbit enters an open gap after finitely
 many steps), hits a partition point exactly, or stays inside Markov interiors
 for the whole iteration budget (with an exact cycle sometimes detected, which
-settles non-escape for good).
+settles non-escape for good).  The orbit runs on reduced (num, den) pairs:
+one integer form and one gcd per step, placed by the map's ``IntegerGrid``.
 
 The backward window of a point x materializes a finite piece of the
 generalized orbit {z : f^k(z) = r} around a root r: the final escape point
@@ -30,14 +31,7 @@ from .errors import (
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
-from .maps import (
-    ESCAPE_INTERIOR,
-    MARKOV_INTERIOR,
-    OUTSIDE,
-    PARTITION_POINT,
-    Location,
-    MarkovMap,
-)
+from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap
 from .rationals import format_rational
 from .transitions import gap_symbol, markov_symbol
 
@@ -75,27 +69,31 @@ class UndeterminedRegular:
 
 
 PointClass = Escaped | BoundaryOrbit | UndeterminedRegular
+Pair = tuple[int, int]
 
 
 def _forward_orbit(
     m: MarkovMap, x: Fraction
-) -> Iterator[tuple[Fraction, Location, int | None]]:
-    """Yield (y, location of y, branch applied to y) along the forward orbit
-    of x, one step per item.  At a partition point the leftmost containing
-    interval's branch is applied; an escape point comes with branch None and
-    ends the orbit.  Raises OutsideAmbientError when a point is outside the
-    ambient interval."""
-    y = Fraction(x)
+) -> Iterator[tuple[Pair, tuple[str, int | None, int | None]]]:
+    """Yield (point, cell) along the forward orbit of x: each point as a
+    reduced (num, den) pair, stepped by the branch's integer form and one
+    gcd, and its ``IntegerGrid.cell`` (kind, index, branch applied).  An
+    escape point has branch None and ends the orbit.  Raises
+    OutsideAmbientError when a point is outside the ambient interval."""
+    forward, cell = m.integer_forms[0], m.grid.cell
+    p, q = Fraction(x).as_integer_ratio()
     for step in itertools.count():
-        loc = m.locate(y)
-        if loc.kind == OUTSIDE:
+        c = cell(p, q)
+        if c[0] == OUTSIDE:
+            y = Fraction(p, q)
             raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
-        if loc.kind == ESCAPE_INTERIOR:
-            yield y, loc, None
+        yield (p, q), c
+        if c[2] is None:
             return
-        i = loc.index if loc.kind == MARKOV_INTERIOR else m.containing_intervals(y)[0]
-        yield y, loc, i
-        y = m.branches[i - 1].value_at(y)
+        a, b, d = forward[c[2] - 1]
+        p, q = a * p + b * q, d * q
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
 
 
 def classify_point(
@@ -106,12 +104,12 @@ def classify_point(
     ambient interval and DepthExceedsTreeError for a negative budget."""
     if max_iter < 0:
         raise DepthExceedsTreeError("max_iter must be nonnegative")
-    seen: dict[Fraction, int] = {}
-    for step, (y, loc, _) in enumerate(_forward_orbit(m, x)):
-        if loc.kind == PARTITION_POINT:
-            return BoundaryOrbit(step, y)
-        if loc.kind == ESCAPE_INTERIOR:
-            return Escaped(step, y, loc.index, _image_incidence(m, y, loc.index))
+    seen: dict[Pair, int] = {}
+    for step, (y, (kind, index, _)) in enumerate(_forward_orbit(m, x)):
+        if kind == PARTITION_POINT:
+            return BoundaryOrbit(step, Fraction(*y))
+        if kind == ESCAPE_INTERIOR:
+            return Escaped(step, Fraction(*y), index, _image_incidence(m, y, index))
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
@@ -125,19 +123,20 @@ def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     loc = m.locate(Fraction(e))
     if loc.kind != ESCAPE_INTERIOR:
         raise NotAnEscapePointError(f"{loc.point} is not strictly inside an open gap")
-    return _image_incidence(m, loc.point, loc.index)
+    return _image_incidence(m, loc.point.as_integer_ratio(), loc.index)
 
 
-def _image_incidence(m: MarkovMap, e: Fraction, gap_index: int) -> tuple[int, ...]:
-    """The incidence row behind ``escape_incidence``, for a point already
+def _image_incidence(m: MarkovMap, e: Pair, gap_index: int) -> tuple[int, ...]:
+    """The incidence row behind ``escape_incidence``, for a point p/q already
     located strictly inside gap ``gap_index``: only the images with an
-    endpoint inside that gap are compared with the point."""
+    endpoint inside that gap are compared with the point, on the grid."""
     row, partial = m.gap_incidence[gap_index]
     if not partial:
         return row
-    row = list(row)
+    p, q = e
+    pd, row = p * m.grid.den, list(row)
     for i, lo, hi in partial:
-        row[i] = int(lo <= e <= hi)
+        row[i] = int(lo * q <= pd <= hi * q)
     return tuple(row)
 
 
@@ -148,29 +147,13 @@ def incidence_cells(
     inside it; return the open cells with the (constant) incidence vector of
     each cell interior."""
     glo, ghi = m.gap_bounds(gap_index)
-    cuts = {glo, ghi}
-    for _, lo, hi in m.gap_incidence[gap_index][1]:
-        cuts.update(end for end in (lo, hi) if glo < end < ghi)
-    ordered = sorted(cuts)
-    cells = []
-    for lo, hi in zip(ordered, ordered[1:]):
-        mid = (lo + hi) / 2
-        cells.append((lo, hi, _image_incidence(m, mid, gap_index)))
-    return tuple(cells)
-
-
-def escape_point_with_incidence(
-    m: MarkovMap, target: tuple[int, ...]
-) -> Fraction | None:
-    """A point strictly inside some gap whose incidence vector equals
-    ``target`` (cell midpoint; deterministic), or None if no gap cell has that
-    incidence."""
-    target = tuple(target)
-    for k, _, _ in m.gaps:
-        for lo, hi, incidence in incidence_cells(m, k):
-            if incidence == target:
-                return (lo + hi) / 2
-    return None
+    den, partial = m.grid.den, m.gap_incidence[gap_index][1]
+    ends = (Fraction(end, den) for _, lo, hi in partial for end in (lo, hi))
+    ordered = sorted({glo, ghi}.union(end for end in ends if glo < end < ghi))
+    return tuple(
+        (lo, hi, _image_incidence(m, ((lo + hi) / 2).as_integer_ratio(), gap_index))
+        for lo, hi in itertools.pairwise(ordered)
+    )
 
 
 # -- backward windows ---------------------------------------------------
@@ -257,14 +240,14 @@ def check_window_root(m: MarkovMap, x: Fraction, pc: PointClass, depth: int) -> 
         )
     if not (isinstance(pc, Escaped) and depth):
         return
-    for k, unit in enumerate(pc.incidence, start=1):
-        if unit:
-            z = m.branch_inverse(k, pc.final_point)
-            if m.locate(z).kind == PARTITION_POINT:
-                raise OrbitMeetsBoundaryError(
-                    f"preimage {z} of window node {pc.final_point} under "
-                    f"branch {k} is a partition point; the window is undefined"
-                )
+    p, q = pc.final_point.as_integer_ratio()
+    for k, (u, v, w) in enumerate(m.integer_forms[1], start=1):
+        z = (u * p + v * q, w * q)
+        if pc.incidence[k - 1] and m.grid.cell(*z)[0] == PARTITION_POINT:
+            raise OrbitMeetsBoundaryError(
+                f"preimage {Fraction(*z)} of window node {pc.final_point} under "
+                f"branch {k} is a partition point; the window is undefined"
+            )
 
 
 def window_node_count(m: MarkovMap, incidence: Sequence[int], depth: int) -> int:
@@ -322,19 +305,19 @@ def build_orbit_tree(
                 f"{base_class.checked_depth}"
             )
         orbit = itertools.islice(_forward_orbit(m, x), horizon, horizon + depth + 1)
-        root, _, root_label = next(orbit)
-        root_kids = preds[root_label - 1]
+        pair, (_, _, root_label) = next(orbit)
+        root, root_kids = Fraction(*pair), preds[root_label - 1]
         # The root is the only node a window can revisit: when f^p(root) =
         # root with p <= depth, expanding f(root) at level p - 1 finds it.
         # ``cycle`` holds the labels on the way back, f^(p-1)(root) first.
         word = [root_label]
-        for y, _, label in orbit:
-            if y == root:
+        for y, (_, _, label) in orbit:
+            if y == pair:
                 cycle = word[::-1]
                 break
             word.append(label)
 
-    flips = [b.slope < 0 for b in m.branches]
+    flips = [a < 0 for a, _, _ in m.integer_forms[0]]
     depths, parents, labels = [0], [None], [root_label]
     start = 0  # first node of the previous level
     path = 0  # the node on the cycle at the previous level
@@ -387,15 +370,19 @@ class Itinerary:
 def itinerary(
     m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
 ) -> Itinerary:
+    """The symbols of at most ``max_iter`` forward steps of x, then the escape
+    symbol if it escapes.  A negative budget raises DepthExceedsTreeError."""
+    if max_iter < 0:
+        raise DepthExceedsTreeError("max_iter must be nonnegative")
     symbols: list[str] = []
     boundary: list[int] = []
-    for step, (_, loc, i) in enumerate(_forward_orbit(m, x)):
-        if loc.kind == ESCAPE_INTERIOR:
-            symbols.append(gap_symbol(loc.index))
-            return Itinerary(tuple(symbols), tuple(boundary), loc.index)
+    for step, (_, (kind, index, i)) in enumerate(_forward_orbit(m, x)):
+        if kind == ESCAPE_INTERIOR:
+            symbols.append(gap_symbol(index))
+            return Itinerary(tuple(symbols), tuple(boundary), index)
         if step >= max_iter:
             break
-        if loc.kind == PARTITION_POINT:
+        if kind == PARTITION_POINT:
             boundary.append(step)
         symbols.append(markov_symbol(i))
     return Itinerary(tuple(symbols), tuple(boundary), None)

@@ -32,6 +32,7 @@ from .rationals import format_rational
 from .transitions import (
     InterleavedLayout,
     Matrix,
+    _primitivity,
     as_binary_matrix,
     interleaved_layout,
     is_primitive,
@@ -233,7 +234,7 @@ def _assess(
     """The feasibility report and the layout of its placement (None when no
     placement was found)."""
     structure: list[str] = []
-    prim = is_primitive(spec.markov)
+    prim = _primitivity(spec.markov)
     if not prim.primitive:
         r, c = prim.zero_entry
         structure.append(

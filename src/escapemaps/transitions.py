@@ -231,7 +231,12 @@ def _bool_multiply(left: list[int], right: list[int]) -> list[int]:
 def is_primitive(matrix: object) -> PrimitivityResult:
     """Decide primitivity by scanning boolean powers A^1, A^2, ... up to the
     Wielandt bound."""
-    rows = as_binary_matrix(matrix)
+    return _primitivity(as_binary_matrix(matrix))
+
+
+def _primitivity(rows: Matrix) -> PrimitivityResult:
+    """``is_primitive`` on a square 0/1 tuple matrix that is already checked,
+    such as a map's transition matrix or a synthesis spec's."""
     n = len(rows)
     masks = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     full = (1 << n) - 1

@@ -1,12 +1,16 @@
 """Brute-force oracles that the library no longer runs.
 
-The library locates points by bisecting a breakpoint index, and decides
-equivalence from the transition matrix and the incidence rows alone.  The
-tools here decide the same questions the long way, so the tests can check the
-short way against them:
+The library validates maps, locates points and iterates orbits on a map's
+integer grid, and decides equivalence from the transition matrix and the
+incidence rows alone.  The tools here decide the same questions the long
+way, so the tests can check the short way against them:
 
   * ``linear_locate``: a point's location by scanning the ambient interval,
     every partition point, every interval and every gap in turn;
+  * ``fraction_locate``, ``fraction_classify_point``, ``fraction_itinerary``
+    and ``fraction_validation``: the point location, forward orbit, coding
+    and P1-P5 checks in ``Fraction`` arithmetic, bisecting ``Fraction``
+    breakpoints and stepping with ``value_at``;
   * ``ahu_canonical``: label-free canonical forms of truncated windows
     (bottom-up, children sorted); equal forms at equal depth iff the
     truncated trees are isomorphic as unlabeled rooted trees;
@@ -34,16 +38,24 @@ from escapemaps import (
     MARKOV_INTERIOR,
     OUTSIDE,
     PARTITION_POINT,
+    BoundaryOrbit,
     DepthExceedsTreeError,
+    Escaped,
     InconsistentInputsError,
     Intertwiner,
+    Itinerary,
     MarkovMap,
     NoLabelRespectingIso,
     NotAnEscapePointError,
     OrbitTree,
+    OutsideAmbientError,
+    UndeterminedRegular,
+    ValidationReport,
+    incidence_cells,
+    is_primitive,
     realize,
 )
-from escapemaps.maps import Location
+from escapemaps.maps import EscapeCoverage, Location, merge_closed_intervals
 from escapemaps.operators import ImageDecompositionReport, Representation
 
 
@@ -61,6 +73,166 @@ def linear_locate(m: MarkovMap, x: Fraction) -> Location:
         if glo < x < ghi:
             return Location(ESCAPE_INTERIOR, k, x)
     raise AssertionError("unreachable: ambient point neither located nor boundary")
+
+
+def _fraction_breakpoints(m: MarkovMap):
+    """The sorted partition points as Fractions and, per open slot between
+    two of them, its location kind and the index of its interval or gap."""
+    points = [m.branches[0].left]
+    slots = []
+    for i, b in enumerate(m.branches, start=1):
+        if points[-1] < b.left:
+            slots.append((ESCAPE_INTERIOR, i - 1))
+            points.append(b.left)
+        slots.append((MARKOV_INTERIOR, i))
+        points.append(b.right)
+    return points, slots
+
+
+def fraction_locate(m: MarkovMap, x: Fraction) -> Location:
+    """Bisect the ``Fraction`` breakpoints."""
+    x = Fraction(x)
+    points, slots = _fraction_breakpoints(m)
+    s = bisect.bisect_left(points, x)
+    if s < len(points) and points[s] == x:
+        return Location(PARTITION_POINT, None, x)
+    if s == 0 or s == len(points):
+        return Location(OUTSIDE, None, x)
+    kind, index = slots[s - 1]
+    return Location(kind, index, x)
+
+
+def fraction_classify_point(m: MarkovMap, x: Fraction, max_iter: int):
+    """Classify by iterating ``value_at`` and locating every point with
+    ``fraction_locate``; the incidence compares the escape point with every
+    closed image."""
+    y, seen = Fraction(x), {}
+    for step in range(max_iter + 1):
+        loc = fraction_locate(m, y)
+        if loc.kind == OUTSIDE:
+            raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
+        if loc.kind == PARTITION_POINT:
+            return BoundaryOrbit(step, y)
+        if loc.kind == ESCAPE_INTERIOR:
+            incidence = tuple(int(lo <= y <= hi) for lo, hi in m.images)
+            return Escaped(step, y, loc.index, incidence)
+        if y in seen:
+            return UndeterminedRegular(step, step - seen[y])
+        seen[y] = step
+        if step == max_iter:
+            break
+        y = m.branches[loc.index - 1].value_at(y)
+    return UndeterminedRegular(max_iter, None)
+
+
+def fraction_itinerary(m: MarkovMap, x: Fraction, max_iter: int) -> Itinerary:
+    """The coding by ``value_at`` and ``fraction_locate``; at a partition
+    point the leftmost closed interval containing it gives the symbol."""
+    y, symbols, boundary = Fraction(x), [], []
+    for step in range(max_iter + 1):
+        loc = fraction_locate(m, y)
+        if loc.kind == OUTSIDE:
+            raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
+        if loc.kind == ESCAPE_INTERIOR:
+            symbols.append(f"{loc.index}^")
+            return Itinerary(tuple(symbols), tuple(boundary), loc.index)
+        if step == max_iter:
+            break
+        i = loc.index
+        if loc.kind == PARTITION_POINT:
+            boundary.append(step)
+            i = next(i for i, b in enumerate(m.branches, 1) if b.left <= y <= b.right)
+        symbols.append(str(i))
+        y = m.branches[i - 1].value_at(y)
+    return Itinerary(tuple(symbols), tuple(boundary), None)
+
+
+def fraction_validation(m: MarkovMap) -> ValidationReport:
+    """The P1-P4 checks and the P5 diagnostic on the ``Fraction`` endpoints,
+    with A and B read off them afresh and P4 through ``is_primitive``."""
+    ambient = (m.branches[0].left, m.branches[-1].right)
+    gaps = [
+        (k, m.branches[k - 1].right, m.branches[k].left)
+        for k in range(1, m.n)
+        if m.branches[k - 1].right < m.branches[k].left
+    ]
+    markov = [
+        [int(lo <= jlo and jhi <= hi) for jlo, jhi in m.intervals] for lo, hi in m.images
+    ]
+    escape = [
+        [int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in gaps] for lo, hi in m.images
+    ]
+
+    p1_issues = []
+    covered = merge_closed_intervals(m.images)
+    if covered != (ambient,):
+        pretty = ", ".join(f"[{lo}, {hi}]" for lo, hi in covered)
+        p1_issues.append(
+            f"branch images cover {pretty}, expected the ambient interval "
+            f"[{ambient[0]}, {ambient[1]}]"
+        )
+    p2_issues = []
+    for i, (lo, hi) in enumerate(m.images, start=1):
+        pieces, whole = [], []
+        for j, (jlo, jhi) in enumerate(m.intervals, start=1):
+            plo, phi = max(lo, jlo), min(hi, jhi)
+            if plo <= phi:
+                pieces.append((plo, phi))
+                if (plo, phi) == (jlo, jhi):
+                    whole.append(j)
+        got = merge_closed_intervals(pieces)
+        if got != merge_closed_intervals(m.intervals[j - 1] for j in whole):
+            pretty = ", ".join(f"[{a}, {b}]" for a, b in got)
+            p2_issues.append(
+                f"image of interval {i} meets the domain in {pretty}, "
+                f"not a union of whole intervals"
+            )
+    p3_issues = [
+        f"interval {i}: |slope| = {abs(b.slope)} is not > 1"
+        for i, b in enumerate(m.branches, start=1)
+        if not abs(b.slope) > 1
+    ]
+    prim = is_primitive(markov)
+    p4_issues = []
+    if not prim.primitive:
+        r, c = prim.zero_entry
+        p4_issues.append(
+            f"transition matrix is not primitive: entry ({r}, {c}) of the "
+            f"Wielandt-bound power is still zero"
+        )
+    coverage = tuple(
+        EscapeCoverage(i, k, lo <= glo and ghi <= hi)
+        for i, ((lo, hi), row) in enumerate(zip(m.images, escape), start=1)
+        for (k, glo, ghi), unit in zip(gaps, row)
+        if unit
+    )
+    return ValidationReport(
+        p1_ok=not p1_issues,
+        p2_ok=not p2_issues,
+        p3_ok=not p3_issues,
+        p4_ok=prim.primitive,
+        p1_issues=tuple(p1_issues),
+        p2_issues=tuple(p2_issues),
+        p3_issues=tuple(p3_issues),
+        p4_issues=tuple(p4_issues),
+        expansion_bound=min(abs(b.slope) for b in m.branches),
+        aperiodicity_exponent=prim.exponent,
+        escape_coverage=coverage,
+    )
+
+
+def escape_point_with_incidence(
+    m: MarkovMap, target: tuple[int, ...]
+) -> Fraction | None:
+    """A point strictly inside some gap whose incidence vector equals
+    ``target`` (cell midpoint; deterministic), or None if no gap cell has that
+    incidence."""
+    target = tuple(target)
+    for k, _, _ in m.gaps:
+        for lo, hi, incidence in incidence_cells(m, k):
+            if incidence == target:
+                return (lo + hi) / 2
+    return None
 
 
 @dataclass(frozen=True)

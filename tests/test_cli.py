@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import escapemaps
-from escapemaps import cli, commands, orbits
-from escapemaps import escape_point_with_incidence, format_rational
+from escapemaps import cli, commands, format_rational, orbits
 from escapemaps.cli import build_parser, main
 from escapemaps.corpus import corpus_path
+
+from oracles import escape_point_with_incidence
 
 F = Fraction
 

@@ -26,14 +26,18 @@ from escapemaps import (
     classify_corpus,
     classify_point,
     compare_points,
-    escape_point_with_incidence,
     incidence_cells,
     synthesize,
     verdict_to_jsonable,
 )
 
 from conftest import pull_back, synthesized_spec
-from oracles import _oracle_same_unrolling, ahu_canonical, build_intertwiner
+from oracles import (
+    _oracle_same_unrolling,
+    ahu_canonical,
+    build_intertwiner,
+    escape_point_with_incidence,
+)
 
 F = Fraction
 
@@ -282,6 +286,21 @@ def test_negative_budgets_are_refused(four_map):
         classify_corpus(four_map, [F(1, 2)], max_iter=-1)
     with pytest.raises(DepthExceedsTreeError, match="depth"):
         compare_points(four_map, F(1, 2), F(9, 20), depth=-1)
+
+
+def test_negative_depth_is_refused_for_every_pair(four_map, partial_map):
+    # Escape/regular, regular/regular, distinct and equivalent escape pairs:
+    # the depth is checked before either point is classified.
+    cells = [escape_point_with_incidence(partial_map, row) for row in ((1, 0, 0, 0), (1, 0, 0, 1))]
+    for m, x, y in (
+        (four_map, F(1, 2), F(5, 27)),
+        (four_map, F(5, 27), F(1, 2)),
+        (four_map, F(5, 27), F(5, 27)),
+        (partial_map, *cells),
+        (four_map, F(1, 2), F(9, 20)),
+    ):
+        with pytest.raises(DepthExceedsTreeError, match="depth must be nonnegative"):
+            compare_points(m, x, y, depth=-1)
 
 
 def test_compare_distinct_cells_on_partial_map(partial_map):

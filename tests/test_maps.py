@@ -296,8 +296,9 @@ def test_partition_set_is_forward_invariant_under_full_coverage(
         assert m.validate().p5_ok
         pts = set(m.partition_points)
         for p in m.partition_points:
-            for i in m.containing_intervals(p):
-                assert m.branches[i - 1].value_at(p) in pts
+            for b in m.branches:
+                if b.left <= p <= b.right:
+                    assert b.value_at(p) in pts
     assert reaching_map.branches[3].value_at(F(9, 10)) == F(3, 5)
     assert F(3, 5) not in set(reaching_map.partition_points)
 

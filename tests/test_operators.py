@@ -19,7 +19,6 @@ from escapemaps import (
     build_orbit_tree,
     check_relations,
     classify_point,
-    escape_point_with_incidence,
     faithfulness_certificate,
     four_interval_map,
     four_interval_reaching_map,
@@ -35,7 +34,12 @@ from escapemaps import (
 )
 
 from conftest import periodic_point, pull_back, synthesized_spec
-from oracles import adjoint, bisect_image_decomposition_check, compose
+from oracles import (
+    adjoint,
+    bisect_image_decomposition_check,
+    compose,
+    escape_point_with_incidence,
+)
 
 F = Fraction
 
@@ -612,7 +616,6 @@ def test_certificate_requires_admissibility_and_depth(four_map, half_rep):
 
 
 def test_certificates_on_the_synthesized_partial_map(partial_map):
-    from escapemaps import escape_point_with_incidence
 
     e = escape_point_with_incidence(partial_map, (1, 0, 0, 1))
     rep = realize(build_orbit_tree(partial_map, e, 4))

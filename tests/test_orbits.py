@@ -21,7 +21,6 @@ from escapemaps import (
     build_orbit_tree,
     classify_point,
     escape_incidence,
-    escape_point_with_incidence,
     incidence_cells,
     itinerary,
     point_class_to_jsonable,
@@ -30,10 +29,11 @@ from escapemaps import (
     tree_to_dot,
     tree_to_jsonable,
 )
+from escapemaps.maps import IntegerGrid
 from escapemaps.orbits import DEFAULT_MAX_ITER, window_node_count
 
 from conftest import periodic_point, pull_back, synthesized_spec
-from oracles import children_by_label
+from oracles import children_by_label, escape_point_with_incidence
 
 F = Fraction
 
@@ -71,15 +71,15 @@ def test_boundary_orbits(four_map):
 
 
 def test_classification_locates_each_orbit_point_once(four_map, monkeypatch):
-    # The escape point's location comes from the orbit step that found it;
-    # its incidence needs no second lookup.
+    # Each orbit point is placed by one grid lookup on its reduced integer
+    # pair; the escape point's incidence needs no second lookup.
     located = []
-    locate = MarkovMap.locate
+    cell = IntegerGrid.cell
     monkeypatch.setattr(
-        MarkovMap, "locate", lambda m, x: located.append(x) or locate(m, x)
+        IntegerGrid, "cell", lambda g, p, q: located.append((p, q)) or cell(g, p, q)
     )
     assert classify_point(four_map, F(1, 10)) == Escaped(1, F(11, 20), 2, (1, 0, 0, 0))
-    assert located == [F(1, 10), F(11, 20)]
+    assert located == [(1, 10), (11, 20)]
 
 
 def test_classify_outside_raises(four_map):
@@ -456,6 +456,15 @@ def test_boundary_itinerary_absorbs_left(four_map):
     assert itin.symbols == ("1", "3", "2")
     assert itin.boundary_steps == (0, 1, 2)
     assert itin.terminal_gap is None
+
+
+def test_itinerary_refuses_a_negative_budget(four_map):
+    # An escaping, a periodic and a boundary point alike: a negative budget
+    # is an error, not an empty coding.
+    for x in (F(5, 27), F(1, 10), F(1, 5)):
+        with pytest.raises(DepthExceedsTreeError, match="max_iter must be nonnegative"):
+            itinerary(four_map, x, max_iter=-1)
+    assert itinerary(four_map, F(1, 10), max_iter=0).symbols == ()
 
 
 # -- serialization -------------------------------------------------------
