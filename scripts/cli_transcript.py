@@ -13,8 +13,9 @@ in-process through ``escapemaps.commands.main``, in order, since later
 entries read the maps that the ``synth`` entries write.  The inputs are the
 three bundled maps, a map whose second branch reverses orientation, an
 n = 8 band and the four-interval matrices that CI synthesizes, two maps that
-fail P2 and P1 (the second with image endpoints over mixed denominators), and
-the malformed inputs that CI feeds the command line.  Paths are written as
+fail P2 and P1 (the second with image endpoints over mixed denominators), the
+malformed inputs that CI feeds the command line, and a point and a window
+node over Python's limit on digits in an int string.  Paths are written as
 ``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
 those placeholders in the output before it is hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
@@ -168,6 +169,11 @@ def argv_list() -> list[list[str]]:
         ["validate", "{tmp}/deep.json"],
         ["synth", "--A", "{tmp}/deep.json", "--B", "{tmp}/b.json", "-o", "{tmp}/deep_map.json"],
         ["synth", "--A", "{tmp}/a.json", "--B", "{tmp}/deep.json", "-o", "{tmp}/deep_map.json"],
+        # Python reads and prints ints of at most 4,300 digits: a longer
+        # literal is a usage error, and a window node that outgrows the
+        # limit ends the tree with exit 1.
+        ["point", "--x", "1" * 5000, four],
+        ["tree", "--x", f"{10**4299 + 2}/{2 * 10**4299}", "--depth", "6", four],
     ]
     return out
 

@@ -18,15 +18,17 @@ A fifth, purely diagnostic property:
       ("full escape coverage"); partial coverage is legal but reported.
 
 Each map caches an ``IntegerGrid``: every interval and image endpoint as a
-numerator over their least common denominator.  A, B, P1, P2, P5 and point
-location compare those integers; Fractions are built for returned values
-and issue texts only.
+numerator over their least common denominator.  A, B, P1, P2, P5, point
+location and closed-image incidence compare those integers, and the grid
+steps points, held as reduced (num, den) pairs, through the branches;
+Fractions are built for returned values and issue texts only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,11 +119,16 @@ class IntegerGrid:
     """A map's geometry over the least common denominator D of its interval
     and closed-image endpoints, each endpoint held as its numerator over D:
     ``intervals`` and ``images`` as (lo, hi) per branch, ``gaps`` as
-    (gap_index, lo, hi) per open gap, and the sorted partition ``points``."""
-
-    __slots__ = ("den", "intervals", "images", "gaps", "points", "_bounds", "_cells")
+    (gap_index, lo, hi) per open gap, and the sorted partition ``points``.
+    Points are reduced (num, den) pairs with den > 0; ``cell`` places one,
+    ``incidence`` finds the closed images containing it, and ``image`` and
+    ``preimage`` step it through a branch.  A lookup bisects the doubled
+    bounds 2e, 2e + 1 of sorted numerators e: with p*D = t*q + r, twice p/q
+    is 2t if r = 0 and inside (2t, 2t + 2) if not, so 2t + (r > 0) finds the
+    open pieces between the e and the e themselves alike."""
 
     def __init__(self, branches: tuple[AffineBranch, ...]) -> None:
+        self._branches = branches
         ends = [(b.left, b.right) for b in branches] + [b.image() for b in branches]
         den = self.den = math.lcm(*(x.denominator for pair in ends for x in pair))
         pairs = tuple(tuple(x.numerator * den // x.denominator for x in e) for e in ends)
@@ -141,13 +148,70 @@ class IntegerGrid:
         self._cells = tuple(cells + cells[:1])
 
     def cell(self, p: int, q: int) -> tuple[str, int | None, int | None]:
-        """(kind, index, branch) of the point p/q, q > 0: its ``Location``
-        kind and index, and the branch its forward orbit applies (the
-        leftmost containing one; None in a gap or outside).  With
-        p*D = t*q + r, twice the point is 2t when r = 0 and inside
-        (2t, 2t + 2) otherwise: one bisection of the bounds 2p_s, 2p_s + 1."""
+        """(kind, index, branch) of the point p/q: its ``Location`` kind and
+        index, and the branch its forward orbit applies (the leftmost
+        containing one; None in a gap or outside)."""
         t, r = divmod(p * self.den, q)
         return self._cells[bisect_right(self._bounds, 2 * t + (r > 0))]
+
+    @cached_property
+    def _image_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The doubled bounds of the sorted closed-image endpoints and, per
+        piece of the line they cut, the bit mask of the images containing
+        it.  Piece k > 0 holds the point whose double is bounds[k - 1], so
+        the bit of image [lo, hi] is on from bound 2lo to bound 2hi + 1."""
+        ends = sorted({e for image in self.images for e in image})
+        toggles = dict.fromkeys((v for e in ends for v in (2 * e, 2 * e + 1)), 0)
+        for i, (lo, hi) in enumerate(self.images):
+            toggles[2 * lo] ^= 1 << i
+            toggles[2 * hi + 1] ^= 1 << i
+        masks = itertools.accumulate(toggles.values(), operator.xor, initial=0)
+        return tuple(toggles), tuple(masks)
+
+    def incidence(self, p: int, q: int) -> int:
+        """Bit mask of the closed branch images containing p/q: bit i - 1
+        is set iff p/q lies in f(I_i).  One bisection of the image table."""
+        bounds, masks = self._image_table
+        t, r = divmod(p * self.den, q)
+        return masks[bisect_right(bounds, 2 * t + (r > 0))]
+
+    def cells_between(self, lo: Fraction, hi: Fraction) -> tuple[tuple, ...]:
+        """The open cells (x, y, mask) into which the image endpoints
+        strictly between lo < hi cut (lo, hi), with the incidence mask that
+        all points of the cell share: the pieces from the one just right of
+        lo to the one just left of hi, cut at the endpoints between them."""
+        bounds, masks = self._image_table
+        first = bisect_right(bounds, 2 * lo * self.den + 1)
+        last = bisect_right(bounds, 2 * hi * self.den - 1)
+        cuts = [lo, *(Fraction(bounds[k] // 2, self.den) for k in range(first, last, 2)), hi]
+        return tuple(zip(cuts, cuts[1:], masks[first : last + 1 : 2]))
+
+    @cached_property
+    def _forms(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per branch, (forward, inverse) integer forms: forward (a, b, d)
+        with f(p/q) = (a*p + b*q) / (d*q) and inverse (u, v, w) with
+        f^{-1}(p/q) = (u*p + v*q) / (w*q), where d and w are positive."""
+        forms = []
+        for br in self._branches:
+            d = math.lcm(br.slope.denominator, br.intercept.denominator)
+            a, b, sign = int(br.slope * d), int(br.intercept * d), 1 if br.slope > 0 else -1
+            forms.append(((a, b, d), (sign * d, -sign * b, sign * a)))
+        return tuple(forms)
+
+    def image(self, i: int, p: int, q: int) -> tuple[int, int]:
+        """f_i(p/q) under branch i (1-based), as a reduced pair."""
+        return _step(self._forms[i - 1][0], p, q)
+
+    def preimage(self, i: int, p: int, q: int) -> tuple[int, int]:
+        """The preimage of p/q under branch i (1-based), as a reduced pair."""
+        return _step(self._forms[i - 1][1], p, q)
+
+
+def _step(form: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
+    a, b, d = form
+    p, q = a * p + b * q, d * q
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 @dataclass(frozen=True)
@@ -313,39 +377,6 @@ class MarkovMap:
             tuple(int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in g.gaps)
             for lo, hi in g.images
         )
-
-    @cached_property
-    def gap_incidence(self) -> dict[int, tuple[tuple[int, ...], tuple]]:
-        """Per open gap index, the closed-image incidence of the points
-        strictly inside the gap: the row of entries that are the same for
-        all of them, and (i, lo, hi) for each image f(I_{i+1}) = [lo, hi]
-        with an endpoint strictly inside the gap, whose entry i varies (lo and
-        hi as numerators over ``grid.den``)."""
-        out = {}
-        for k, glo, ghi in self.grid.gaps:
-            row, partial = [], []
-            for i, (lo, hi) in enumerate(self.grid.images):
-                if glo < lo < ghi or glo < hi < ghi:
-                    partial.append((i, lo, hi))
-                row.append(int(lo <= glo and ghi <= hi))
-            out[k] = (tuple(row), tuple(partial))
-        return out
-
-    @cached_property
-    def integer_forms(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per branch, integers for exact arithmetic on (num, den) pairs with
-        den > 0, returned as (forward, inverse): forward (a, b, d) with
-        f(p/q) = (a*p + b*q) / (d*q) and inverse (u, v, w) with
-        f^{-1}(p/q) = (u*p + v*q) / (w*q), where d and w are positive."""
-        forward, inverse = [], []
-        for b in self.branches:
-            d = math.lcm(b.slope.denominator, b.intercept.denominator)
-            a = b.slope.numerator * (d // b.slope.denominator)
-            c = b.intercept.numerator * (d // b.intercept.denominator)
-            sign = 1 if a > 0 else -1
-            forward.append((a, c, d))
-            inverse.append((sign * d, -sign * c, sign * a))
-        return tuple(forward), tuple(inverse)
 
     @property
     def partition_points(self) -> tuple[Fraction, ...]:

@@ -288,67 +288,38 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     q_i = sum of p_j over unit transitions (i, j), plus the root projection
     when the escape root lies in the closed image of I_i.  ``realize`` builds
     q_i by that formula, so this compares it with exact closed-image
-    membership of the interior nodes, read from the window points.
-
-    Membership follows from a node's label wherever that is sound.  On a map
-    passing P2, the closed image of I_i meets the domain in whole intervals,
-    so a point strictly inside I_j lies in it iff I_j is inside it, that is,
-    iff A[i][j] = 1.  A node that is not strictly inside the interval of its
-    label (the escape root, or a corrupted point or label) is compared
-    exactly with every closed image.
+    membership of the interior nodes: one ``IntegerGrid.incidence`` lookup
+    of each node's pair.
 
     It also checks each window edge z -> y labelled i once, forwards:
     f_i(z) = y with y in the closed image of I_i, so that z is the preimage
     f_i^{-1}(y) under the branch.  An interior node that is no edge's child,
-    such as a regular root whose forward image is not in the window, gets the
-    round trip f_i^{-1}(f_i(z)) = z checked directly.  All of this is
-    integer arithmetic on the points' (num, den) pairs."""
-    m, tree = rep.tree.map, rep.tree
-    points, labels = tree.points, tree.labels
-    forward, grid, markov = m.integer_forms[0], m.grid, m.transition_matrix
-    pairs = [point.as_integer_ratio() for point in points]
-    # Per interior node, the label whose interval it is strictly inside; the
-    # other interior nodes get their memberships from the closed images.
-    inside: list[int | None] = [None] * len(points)
-    by_label: list[list[int]] = [[] for _ in markov]
-    members: list[set[int]] = [set() for _ in markov]
-    for idx in rep.interior:
-        j = labels[idx]
-        p, q = pairs[idx]
-        pd = p * grid.den
-        if j is not None:
-            lo, hi = grid.intervals[j - 1]
-            if lo * q < pd < hi * q:
-                inside[idx] = j
-                by_label[j - 1].append(idx)
-                continue
-        for i, (lo, hi) in enumerate(grid.images):
-            if lo * q <= pd <= hi * q:
-                members[i].add(idx)
+    such as a regular root whose forward image is not in the window, has
+    f_i^{-1}(f_i(z)) = z exactly when f_i(z) lies in that image, that is,
+    when z lies in the closed interval I_i; that is checked directly."""
+    tree, grid = rep.tree, rep.tree.map.grid
+    pairs, incidence = tree.pairs, grid.incidence
+    masks = {idx: incidence(*pairs[idx]) for idx in rep.interior}
+    by_mask: dict[int, list[int]] = {}
+    for idx, mask in masks.items():
+        by_mask.setdefault(mask, []).append(idx)
     texts = []
-    for i, (row, q) in enumerate(zip(markov, rep.image_projections), start=1):
-        exact = members[i - 1].union(*(by_label[j] for j, unit in enumerate(row) if unit))
+    for i, q in enumerate(rep.image_projections, start=1):
+        exact = {idx for mask, nodes in by_mask.items() if mask >> (i - 1) & 1 for idx in nodes}
         if diff := exact ^ (q & rep.interior):
             texts.append(
                 f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
             )
-    for idx, (parent, i) in enumerate(zip(tree.parents, labels)):
-        if i is None:
+    for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
+        if i is None or (parent is None and idx not in rep.interior):
             continue
+        y = grid.image(i, *pairs[idx])
         if parent is None:
-            if idx in rep.interior:
-                x = points[idx]
-                if m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
-                    texts.append(f"branch {i} round trip fails at {x}")
-            continue
-        a, b, d = forward[i - 1]
-        p, q = pairs[idx]
-        y_num, y_den = pairs[parent]
-        j = inside[parent]
-        if (a * p + b * q) * y_den != y_num * d * q or not (
-            markov[i - 1][j - 1] if j is not None else parent in members[i - 1]
-        ):
-            texts.append(f"branch {i} round trip fails at {points[idx]}")
+            mask = incidence(*y)
+        else:
+            mask = masks[parent] if y == pairs[parent] else 0
+        if not mask >> (i - 1) & 1:
+            texts.append(f"branch {i} round trip fails at {tree.points[idx]}")
     return ImageDecompositionReport(not texts, tuple(texts))
 
 

@@ -3,14 +3,17 @@
 A point either escapes (its forward orbit enters an open gap after finitely
 many steps), hits a partition point exactly, or stays inside Markov interiors
 for the whole iteration budget (with an exact cycle sometimes detected, which
-settles non-escape for good).  The orbit runs on reduced (num, den) pairs:
-one integer form and one gcd per step, placed by the map's ``IntegerGrid``.
+settles non-escape for good).  All point arithmetic is the map's
+``IntegerGrid``'s: the orbit runs on reduced (num, den) pairs, one
+``image`` step and one ``cell`` lookup each, and an escape point's closed
+images come from one ``incidence`` lookup.
 
 The backward window of a point x materializes a finite piece of the
 generalized orbit {z : f^k(z) = r} around a root r: the final escape point
 r = e(x) when x escapes, or r = f^T(x) for a chosen forward horizon T when it
 does not.  Each node's edge to its forward image is labeled by the branch
-containing the node, and the shape follows from those labels alone.  For
+containing the node, and the shape follows from those labels alone; the
+nodes are reduced pairs, each one ``preimage`` step from its parent.  For
 escape roots the window is a genuine tree; for periodic regular roots the
 expansion closes a cycle through the root, recorded by its parent pointer.
 """
@@ -19,10 +22,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -76,24 +78,22 @@ def _forward_orbit(
     m: MarkovMap, x: Fraction
 ) -> Iterator[tuple[Pair, tuple[str, int | None, int | None]]]:
     """Yield (point, cell) along the forward orbit of x: each point as a
-    reduced (num, den) pair, stepped by the branch's integer form and one
-    gcd, and its ``IntegerGrid.cell`` (kind, index, branch applied).  An
-    escape point has branch None and ends the orbit.  Raises
-    OutsideAmbientError when a point is outside the ambient interval."""
-    forward, cell = m.integer_forms[0], m.grid.cell
-    p, q = Fraction(x).as_integer_ratio()
+    reduced (num, den) pair and its ``IntegerGrid.cell`` (kind, index,
+    branch applied).  An escape point has branch None and ends the orbit.
+    Raises OutsideAmbientError when a point is outside the ambient
+    interval."""
+    cell, image = m.grid.cell, m.grid.image
+    y = Fraction(x).as_integer_ratio()
     for step in itertools.count():
-        c = cell(p, q)
+        c = cell(*y)
         if c[0] == OUTSIDE:
-            y = Fraction(p, q)
-            raise OutsideAmbientError(f"{y} left the ambient interval at step {step}")
-        yield (p, q), c
+            raise OutsideAmbientError(
+                f"{Fraction(*y)} left the ambient interval at step {step}"
+            )
+        yield y, c
         if c[2] is None:
             return
-        a, b, d = forward[c[2] - 1]
-        p, q = a * p + b * q, d * q
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+        y = image(c[2], *y)
 
 
 def classify_point(
@@ -109,7 +109,7 @@ def classify_point(
         if kind == PARTITION_POINT:
             return BoundaryOrbit(step, Fraction(*y))
         if kind == ESCAPE_INTERIOR:
-            return Escaped(step, Fraction(*y), index, _image_incidence(m, y, index))
+            return Escaped(step, Fraction(*y), index, _row(m.n, m.grid.incidence(*y)))
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
@@ -123,21 +123,13 @@ def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     loc = m.locate(Fraction(e))
     if loc.kind != ESCAPE_INTERIOR:
         raise NotAnEscapePointError(f"{loc.point} is not strictly inside an open gap")
-    return _image_incidence(m, loc.point.as_integer_ratio(), loc.index)
+    return _row(m.n, m.grid.incidence(*loc.point.as_integer_ratio()))
 
 
-def _image_incidence(m: MarkovMap, e: Pair, gap_index: int) -> tuple[int, ...]:
-    """The incidence row behind ``escape_incidence``, for a point p/q already
-    located strictly inside gap ``gap_index``: only the images with an
-    endpoint inside that gap are compared with the point, on the grid."""
-    row, partial = m.gap_incidence[gap_index]
-    if not partial:
-        return row
-    p, q = e
-    pd, row = p * m.grid.den, list(row)
-    for i, lo, hi in partial:
-        row[i] = int(lo * q <= pd <= hi * q)
-    return tuple(row)
+@lru_cache(maxsize=1024)
+def _row(n: int, mask: int) -> tuple[int, ...]:
+    """The 0/1 row over n branches of an incidence mask (one per cell)."""
+    return tuple(mask >> i & 1 for i in range(n))
 
 
 def incidence_cells(
@@ -146,14 +138,8 @@ def incidence_cells(
     """Subdivide gap ``gap_index`` at the branch-image endpoints falling
     inside it; return the open cells with the (constant) incidence vector of
     each cell interior."""
-    glo, ghi = m.gap_bounds(gap_index)
-    den, partial = m.grid.den, m.gap_incidence[gap_index][1]
-    ends = (Fraction(end, den) for _, lo, hi in partial for end in (lo, hi))
-    ordered = sorted({glo, ghi}.union(end for end in ends if glo < end < ghi))
-    return tuple(
-        (lo, hi, _image_incidence(m, ((lo + hi) / 2).as_integer_ratio(), gap_index))
-        for lo, hi in itertools.pairwise(ordered)
-    )
+    cells = m.grid.cells_between(*m.gap_bounds(gap_index))
+    return tuple((lo, hi, _row(m.n, mask)) for lo, hi, mask in cells)
 
 
 # -- backward windows ---------------------------------------------------
@@ -168,8 +154,10 @@ class OrbitTree:
     None when that image was not materialized (escape roots have no forward
     image at all); ``labels[i]`` the branch whose domain contains the node
     (None exactly for an escape root).  Nodes are stored level by level, in
-    value order within a level.  ``points`` are computed on first use; they
-    are pairwise distinct, so they form a sub-basis of the generalized orbit.
+    value order within a level.  ``pairs`` holds the node values as reduced
+    (num, den) pairs and ``points`` as Fractions, both computed on first
+    use; they are pairwise distinct, so they form a sub-basis of the
+    generalized orbit.
     """
 
     map: MarkovMap
@@ -190,21 +178,20 @@ class OrbitTree:
         return isinstance(self.base_class, Escaped)
 
     @cached_property
-    def points(self) -> tuple[Fraction, ...]:
-        """Node values: each node is the preimage of its parent under the
-        branch of its label, and parents come first.  Each value is computed
-        as a reduced integer pair from its parent's pair, with the map's
-        integer inverse coefficients and one gcd; the pairs become Fractions
-        once, at the end."""
-        inverse = self.map.integer_forms[1]
+    def pairs(self) -> tuple[Pair, ...]:
+        """Node values as reduced (num, den) pairs: each node is the
+        preimage of its parent under the branch of its label, and parents
+        come first."""
+        preimage = self.map.grid.preimage
         pairs = [self.root_point.as_integer_ratio()]
         for parent, label in zip(self.parents[1:], self.labels[1:]):
-            u, v, w = inverse[label - 1]
-            p, q = pairs[parent]
-            num, den = u * p + v * q, w * q
-            g = math.gcd(num, den)
-            pairs.append((num // g, den // g))
-        return tuple([Fraction(p, q) for p, q in pairs])
+            pairs.append(preimage(label, *pairs[parent]))
+        return tuple(pairs)
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        """Node values as Fractions, read from ``pairs``."""
+        return tuple([Fraction(p, q) for p, q in self.pairs])
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
@@ -240,10 +227,10 @@ def check_window_root(m: MarkovMap, x: Fraction, pc: PointClass, depth: int) -> 
         )
     if not (isinstance(pc, Escaped) and depth):
         return
-    p, q = pc.final_point.as_integer_ratio()
-    for k, (u, v, w) in enumerate(m.integer_forms[1], start=1):
-        z = (u * p + v * q, w * q)
-        if pc.incidence[k - 1] and m.grid.cell(*z)[0] == PARTITION_POINT:
+    e = pc.final_point.as_integer_ratio()
+    for k in itertools.compress(range(1, m.n + 1), pc.incidence):
+        z = m.grid.preimage(k, *e)
+        if m.grid.cell(*z)[0] == PARTITION_POINT:
             raise OrbitMeetsBoundaryError(
                 f"preimage {Fraction(*z)} of window node {pc.final_point} under "
                 f"branch {k} is a partition point; the window is undefined"
@@ -317,7 +304,7 @@ def build_orbit_tree(
                 break
             word.append(label)
 
-    flips = [a < 0 for a, _, _ in m.integer_forms[0]]
+    flips = [b.slope.numerator < 0 for b in m.branches]
     depths, parents, labels = [0], [None], [root_label]
     start = 0  # first node of the previous level
     path = 0  # the node on the cycle at the previous level

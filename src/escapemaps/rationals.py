@@ -9,9 +9,10 @@ denominator; this module owns that encoding.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import RationalParseError
+from .errors import EscapeMapsError, RationalParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -27,17 +28,25 @@ def parse_rational(text: str) -> Fraction:
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if "/" in stripped:
-        num, den = stripped.split("/")
-        if int(den) == 0:
-            raise RationalParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(stripped))
+    num, _, den = stripped.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # Python's limit on digits in an int literal
+        raise RationalParseError(f"rational literal has {_too_long()}") from exc
+    if den == 0:
+        raise RationalParseError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     """Format a Fraction as ``"p"`` or ``"p/q"`` (always reduced)."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)
+    except ValueError as exc:  # Python's limit on digits in an int string
+        raise EscapeMapsError(f"cannot print a rational that has {_too_long()}") from exc
+
+
+def _too_long() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"an integer of more than {limit} digits, Python's limit for int strings"

@@ -27,8 +27,8 @@ from .rationals import format_rational
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def as_binary_matrix(rows: object, *, square: bool = True) -> Matrix:
-    """Validate row-major 0/1 data and return it as nested tuples."""
+def as_binary_matrix(rows: object) -> Matrix:
+    """Validate square row-major 0/1 data and return it as nested tuples."""
     if not isinstance(rows, Sequence) or not rows:
         raise MapFormatError("matrix must be a nonempty array of rows")
     width = None
@@ -44,7 +44,7 @@ def as_binary_matrix(rows: object, *, square: bool = True) -> Matrix:
             if isinstance(entry, bool) or entry not in (0, 1):
                 raise MapFormatError(f"matrix entries must be 0 or 1, got {entry!r}")
         out.append(tuple(int(entry) for entry in row))
-    if square and len(out) != width:
+    if len(out) != width:
         raise MapFormatError(f"expected a square matrix, got {len(out)}x{width}")
     return tuple(out)
 

@@ -185,6 +185,18 @@ def test_point_bad_inputs(capsys):
     assert code == 1 and "ambient" in err
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+def test_rationals_over_the_digit_limit_are_errors_not_tracebacks(capsys):
+    # A literal Python cannot read is a usage error; a window node it cannot
+    # print ends the run with exit 1 and prints nothing on stdout.
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run_cli(capsys, "point", "--x", "1" * (limit + 700), FOUR)
+    assert code == 2 and f"more than {limit} digits" in err
+    x = f"{10 ** (limit - 1) + 2}/{2 * 10 ** (limit - 1)}"
+    code, out, err = run_cli(capsys, "tree", "--x", x, "--depth", "6", FOUR)
+    assert code == 1 and out == "" and f"more than {limit} digits" in err
+
+
 # -- tree ----------------------------------------------------------------
 
 

@@ -213,8 +213,7 @@ def test_image_decomposition_check_names_a_corrupted_window_point(four_map, node
     assert [lo <= points[idx] <= hi for lo, hi in four_map.images] == [
         lo <= tree.points[idx] <= hi for lo, hi in four_map.images
     ]
-    tree.__dict__["points"] = tuple(points)
-    report = image_decomposition_check(rep)
+    report = image_decomposition_check(_with_points(rep, points))
     assert not report.passed
     assert f"branch {tree.labels[idx]} round trip fails at {points[idx]}" in report.failures
 
@@ -282,9 +281,11 @@ def _drawn_window(data, maps):
 
 def _with_points(rep, points, labels=None):
     """A copy of the representation whose window has the given points (and
-    labels), as a corrupted cache would."""
+    labels), as a corrupted cache would: the check reads the pairs, the
+    failure texts the points."""
     tree = dataclasses.replace(rep.tree, labels=labels or rep.tree.labels)
     tree.__dict__["points"] = tuple(points)
+    tree.__dict__["pairs"] = tuple(x.as_integer_ratio() for x in points)
     return dataclasses.replace(rep, tree=tree)
 
 

@@ -115,33 +115,46 @@ def test_incidence_cells(four_map, reaching_map):
 def test_gap_incidence_matches_the_full_image_scan(
     four_map, reaching_map, reversing_map, data
 ):
-    # The incidence row of a gap point compares it only with the images that
-    # end inside the gap; the scan compares it with every closed image.
+    # The grid answers closed-image incidence with one bisection of a table
+    # cut at the image endpoints; the scan compares the point with every
+    # closed image.  escape_incidence and classify_point read the table at
+    # gap points; the window check reads it at Markov-interior points,
+    # partition points, image endpoints and, in a corrupted window, points
+    # outside the ambient interval.
     maps = [four_map, reaching_map, reversing_map]
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
     if (spec := synthesized_spec(data, mode)) is not None:
         maps.append(synthesize(spec).map)
+    fractions = st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=6)
+
+    def scan(m, x):
+        return tuple(int(lo <= x <= hi) for lo, hi in m.images)
+
     for m in maps:
+        (lo, hi), ends = m.ambient, sorted({end for image in m.images for end in image})
+        eps = (hi - lo) / 10**9
+        points = [
+            *m.partition_points,
+            *(end + sign * eps for end in ends for sign in (-1, 0, 1)),
+            *((a + b) / 2 for a, b in m.intervals),
+            lo - 1, lo - eps, hi + eps, hi + 1,
+            *(lo - 1 + (hi - lo + 2) * t for t in data.draw(fractions, label="anywhere")),
+        ]
+        for x in points:
+            mask = m.grid.incidence(*x.as_integer_ratio())
+            assert tuple(mask >> i & 1 for i in range(m.n)) == scan(m, x), x
         for k, glo, ghi in m.gaps:
-            cuts = [end for image in m.images for end in image if glo < end < ghi]
+            cuts = [end for end in ends if glo < end < ghi]
             points = [
                 *cuts,
                 *((lo + hi) / 2 for lo, hi, _ in incidence_cells(m, k)),
                 glo + (ghi - glo) / 10**9,
                 ghi - (ghi - glo) / 10**9,
-                *(
-                    glo + (ghi - glo) * t
-                    for t in data.draw(
-                        st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=6),
-                        label="gap fractions",
-                    )
-                    if 0 < t < 1
-                ),
+                *(glo + (ghi - glo) * t for t in data.draw(fractions, label="gap") if 0 < t < 1),
             ]
             for e in points:
-                scan = tuple(int(lo <= e <= hi) for lo, hi in m.images)
-                assert escape_incidence(m, e) == scan
-                assert classify_point(m, e).incidence == scan
+                assert escape_incidence(m, e) == scan(m, e)
+                assert classify_point(m, e).incidence == scan(m, e)
 
 
 def test_escape_point_with_incidence(four_map, reaching_map):

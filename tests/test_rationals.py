@@ -1,10 +1,14 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from escapemaps import RationalParseError, format_rational, parse_rational
+from escapemaps import EscapeMapsError, RationalParseError, format_rational, parse_rational
+
+LIMIT = sys.get_int_max_str_digits()
+needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no digit limit on int strings")
 
 
 @pytest.mark.parametrize(
@@ -47,3 +51,19 @@ def test_format_is_lowest_terms():
 @given(st.fractions())
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@needs_limit
+@pytest.mark.parametrize("text", ["1" * (LIMIT + 1), "1/" + "3" * (LIMIT + 1)])
+def test_parse_refuses_integers_over_the_digit_limit(text):
+    # Python refuses to convert such a string to an int with a bare ValueError.
+    with pytest.raises(RationalParseError, match=f"more than {LIMIT} digits"):
+        parse_rational(text)
+
+
+@needs_limit
+@pytest.mark.parametrize("value", [Fraction(10**LIMIT), Fraction(1, 10**LIMIT)])
+def test_format_refuses_integers_over_the_digit_limit(value):
+    with pytest.raises(EscapeMapsError, match=f"more than {LIMIT} digits") as exc:
+        format_rational(value)
+    assert not isinstance(exc.value, RationalParseError)

@@ -45,10 +45,6 @@ def test_as_binary_matrix_rejects_bad_shapes_and_entries():
         as_binary_matrix([[2, 0], [0, 1]])
     with pytest.raises(MapFormatError):
         as_binary_matrix([[True, False], [False, True]])
-    assert as_binary_matrix([[1, 0, 0], [0, 1, 0]], square=False) == (
-        (1, 0, 0),
-        (0, 1, 0),
-    )
 
 
 # -- transition and escape matrices -------------------------------------
