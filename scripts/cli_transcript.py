@@ -14,8 +14,9 @@ entries read the maps that the ``synth`` entries write.  The inputs are the
 three bundled maps, a map whose second branch reverses orientation, an
 n = 8 band and the four-interval matrices that CI synthesizes, two maps that
 fail P2 and P1 (the second with image endpoints over mixed denominators), the
-malformed inputs that CI feeds the command line, and a point and a window
-node over Python's limit on digits in an int string.  Paths are written as
+malformed inputs that CI feeds the command line (a file that is not UTF-8
+among them), and a point and a window node over Python's limit on digits
+in an int string.  Paths are written as
 ``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
 those placeholders in the output before it is hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
@@ -83,9 +84,10 @@ INPUTS = {
     },
     "b_strings.json": ["", "", "", ""],
 }
-TEXT_INPUTS = {
-    "garbled.json": "{not json",
-    "deep.json": "[" * 3000 + "]" * 3000,
+RAW_INPUTS = {
+    "garbled.json": b"{not json",
+    "deep.json": b"[" * 3000 + b"]" * 3000,
+    "not_utf8.json": b"\xff\xfe\x00bad",
 }
 
 # Per map: escape points e and e2 (None without a gap), a regular point r
@@ -174,6 +176,8 @@ def argv_list() -> list[list[str]]:
         # limit ends the tree with exit 1.
         ["point", "--x", "1" * 5000, four],
         ["tree", "--x", f"{10**4299 + 2}/{2 * 10**4299}", "--depth", "6", four],
+        # A file that is not UTF-8 text is malformed input.
+        ["validate", "{tmp}/not_utf8.json"],
     ]
     return out
 
@@ -181,8 +185,8 @@ def argv_list() -> list[list[str]]:
 def prepare(tmp: Path) -> None:
     for name, data in INPUTS.items():
         (tmp / name).write_text(json.dumps(data))
-    for name, text in TEXT_INPUTS.items():
-        (tmp / name).write_text(text)
+    for name, raw in RAW_INPUTS.items():
+        (tmp / name).write_bytes(raw)
 
 
 def run(argv: list[str], tmp: Path) -> dict:

@@ -31,12 +31,12 @@ from escapemaps import (
     expected_matrix_notes,
     faithfulness_certificate,
     format_rational,
+    jsonable,
     load_document,
     point_class_to_jsonable,
     realize,
     transition_data,
     tree_to_dot,
-    verdict_to_jsonable,
 )
 
 F = Fraction
@@ -89,8 +89,8 @@ def run_four_interval_deep_dive(config: PipelineConfig) -> None:
 
     banner("point classification (four_interval)")
     for x in config.sample_points:
-        jsonable = point_class_to_jsonable(classify_point(m, x))
-        print(f"x={format_rational(x)}: {json.dumps(jsonable, sort_keys=True)}")
+        data = point_class_to_jsonable(classify_point(m, x))
+        print(f"x={format_rational(x)}: {json.dumps(data, sort_keys=True)}")
 
     banner(f"backward window of 1/2 at depth {config.window_depth}")
     tree = build_orbit_tree(m, F(1, 2), depth=config.window_depth)
@@ -111,11 +111,11 @@ def run_four_interval_deep_dive(config: PipelineConfig) -> None:
     x, y = config.compare_pair
     result = compare_points(m, x, y)
     print(f"x={format_rational(x)} y={format_rational(y)}:",
-          json.dumps(verdict_to_jsonable(result.verdict), sort_keys=True))
+          json.dumps(result.verdict, default=jsonable, sort_keys=True))
     if result.intertwiner is not None:
-        jsonable = verdict_to_jsonable(result.intertwiner)
-        jsonable.pop("pairs", None)
-        print("intertwiner:", json.dumps(jsonable, sort_keys=True))
+        summary = jsonable(result.intertwiner)
+        summary.pop("pairs", None)
+        print("intertwiner:", json.dumps(summary, sort_keys=True))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,7 @@ _EXPORTS = {
     "equivalence": (
         "ComparisonResult", "Distinct", "Equivalent", "EscapeVsRegular",
         "Intertwiner", "NoLabelRespectingIso", "bisim_equivalent",
-        "classify_corpus", "compare_points", "verdict_to_jsonable",
+        "classify_corpus", "compare_points",
     ),
     "errors": (
         "DepthExceedsTreeError", "EscapeMapsError", "InconsistentInputsError",
@@ -56,7 +56,7 @@ _EXPORTS = {
         "tree_to_jsonable",
     ),
     "rationals": (
-        "format_rational", "parse_rational",
+        "format_rational", "jsonable", "parse_rational",
     ),
     "synthesis": (
         "PARTIAL", "STRICT", "FeasibilityReport", "SynthesisResult",

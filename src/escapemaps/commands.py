@@ -40,7 +40,7 @@ from .errors import (
     RationalParseError,
 )
 from .maps import MapDocument, map_document_from_jsonable, map_document_to_jsonable
-from .rationals import format_rational, parse_rational
+from .rationals import jsonable, parse_rational
 
 # The budgets of ``escapemaps.orbits``, repeated here so that building the
 # parser does not import that layer; tests pin the two copies together.
@@ -49,8 +49,10 @@ DEFAULT_TREE_DEPTH = 6
 DEFAULT_CERTIFY_DEPTH = 4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: object) -> None:
+    """Print a report: records, tuples and Fractions are encoded by
+    ``jsonable`` as the encoder meets them."""
+    print(json.dumps(payload, default=jsonable, indent=2, sort_keys=True))
 
 
 def _fail(message: str) -> None:
@@ -59,9 +61,11 @@ def _fail(message: str) -> None:
 
 def _load_json(path: str) -> object:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MapFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,7 +116,7 @@ def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     doc = _load_document(args.map)
     report = doc.map.validate()
-    _emit(report.to_jsonable())
+    _emit(report)
     return 0 if report.all_ok else 1
 
 
@@ -122,23 +126,23 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
     doc = _load_document(args.map)
     em = escape_matrix(doc.map)
     out: dict = {
-        "symbols": list(em.symbols),
-        "markov": [list(row) for row in em.data.markov],
-        "escape_block": [list(row) for row in em.data.escape],
-        "gap_positions": list(em.data.gap_positions),
-        "escape_matrix": [list(row) for row in em.entries],
+        "symbols": em.symbols,
+        "markov": em.data.markov,
+        "escape_block": em.data.escape,
+        "gap_positions": em.data.gap_positions,
+        "escape_matrix": em.entries,
     }
     if args.block:
         bf = block_form(em)
         out["block_form"] = {
-            "permutation": list(em.block_permutation),
-            "permutation_matrix": [list(row) for row in bf.permutation_matrix],
-            "markov": [list(row) for row in bf.markov],
-            "escape_block": [list(row) for row in bf.escape],
+            "permutation": em.block_permutation,
+            "permutation_matrix": bf.permutation_matrix,
+            "markov": bf.markov,
+            "escape_block": bf.escape,
         }
     if doc.expected_escape_matrix is not None:
         notes = expected_matrix_notes(doc.map, em, doc.expected_escape_matrix)
-        out["claim_notes"] = list(notes)
+        out["claim_notes"] = notes
         out["claim_matches"] = not notes
     _emit(out)
     return 0
@@ -166,7 +170,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     _emit(
         {
             "vertices": graph.vertex_count,
-            "edges": [list(edge) for edge in graph.edges],
+            "edges": graph.edges,
             "primitive": prim.primitive,
             "aperiodicity_exponent": prim.exponent,
             "wielandt_bound": wielandt_bound(graph.vertex_count),
@@ -182,10 +186,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
     doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     pc = classify_point(doc.map, x, args.max_iter)
-    out = {"point": format_rational(x)}
-    out.update(point_class_to_jsonable(pc))
+    out = {"point": x, **point_class_to_jsonable(pc)}
     if isinstance(pc, Escaped):
-        out["itinerary"] = list(itinerary(doc.map, x, args.max_iter).symbols)
+        out["itinerary"] = itinerary(doc.map, x, args.max_iter).symbols
     _emit(out)
     return 0
 
@@ -222,25 +225,22 @@ def _cmd_rep(args: argparse.Namespace) -> int:
     )
     rep = realize(tree)
     out: dict = {
-        "base_point": format_rational(tree.base_point),
-        "root": format_rational(tree.root_point),
+        "base_point": tree.base_point,
+        "root": tree.root_point,
         "depth": tree.max_depth,
         "basis_size": rep.dim,
-        "basis": [format_rational(p) for p in tree.points],
+        "basis": tree.points,
         "interior_size": len(rep.interior),
-        "edges": [list(edge) for edge in rep.edges()],
-        "incidence": list(rep.incidence) if rep.incidence is not None else None,
-        "vertex_set": list(vertices),
+        "edges": rep.edges(),
+        "incidence": rep.incidence,
+        "vertex_set": vertices,
     }
     exit_code = 0
     if args.check:
         relations = check_relations(rep, vertices)
         identities = image_decomposition_check(rep)
-        out["relations"] = relations.to_jsonable()
-        out["projection_identities"] = {
-            "passed": identities.passed,
-            "failures": list(identities.failures),
-        }
+        out["relations"] = relations
+        out["projection_identities"] = identities
         out["projection_sum_is_identity"] = projection_sum_is_identity(rep)
         if not (relations.all_passed and identities.passed):
             exit_code = 1
@@ -262,12 +262,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     except NotAdmissibleError as exc:
         _fail(str(exc))
         return 1
-    _emit(certificate.to_jsonable())
+    _emit(certificate)
     return 0 if certificate.all_verified else 1
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    from .equivalence import compare_points, verdict_to_jsonable
+    from .equivalence import compare_points
     from .orbits import point_class_to_jsonable
 
     doc = _load_document(args.map, valid=True)
@@ -279,10 +279,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     out = {
         "x": point_class_to_jsonable(result.class_x),
         "y": point_class_to_jsonable(result.class_y),
-        "verdict": verdict_to_jsonable(result.verdict),
+        "verdict": result.verdict,
     }
     if result.intertwiner is not None:
-        out["intertwiner"] = verdict_to_jsonable(result.intertwiner)
+        out["intertwiner"] = result.intertwiner
     _emit(out)
     return 0
 
@@ -296,7 +296,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         result = synthesize(spec)
     except InfeasibleSpecError as exc:
-        _emit(exc.report.to_jsonable())
+        _emit(exc.report)
         _fail("synthesis spec is infeasible")
         return 1
     doc = MapDocument(result.map)
@@ -310,9 +310,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         {
             "output": args.output,
             "mode": spec.mode,
-            "gap_positions": list(result.positions),
-            "allocation": result.allocation.to_jsonable(),
-            "validation": result.validation.to_jsonable(),
+            "gap_positions": result.positions,
+            "allocation": result.allocation,
+            "validation": result.validation,
         }
     )
     return 0

@@ -39,7 +39,6 @@ from .orbits import (
     classify_point,
     window_node_count,
 )
-from .rationals import format_rational
 from .transitions import Matrix, predecessors
 
 
@@ -56,6 +55,10 @@ class Equivalent:
     partition: tuple[tuple[str, ...], ...]
     note: str = ""
 
+    # Constant tags of the JSON form (``rationals.jsonable``).
+    verdict = "equivalent"
+    _json = ("verdict",)
+
 
 @dataclass(frozen=True)
 class Distinct:
@@ -67,6 +70,9 @@ class Distinct:
     signature_y: str
     note: str = ""
 
+    verdict = "distinct"
+    _json = ("verdict",)
+
 
 @dataclass(frozen=True)
 class EscapeVsRegular:
@@ -74,6 +80,10 @@ class EscapeVsRegular:
     windows of different kinds and are never equivalent."""
 
     note: str = ""
+
+    verdict = "distinct"
+    reason = "one point escapes and the other does not"
+    _json = ("verdict", "reason")
 
 
 EquivalenceVerdict = Equivalent | Distinct | EscapeVsRegular
@@ -163,6 +173,9 @@ class Intertwiner:
     pairs: tuple[tuple[int, int], ...]
     verified: bool
 
+    label_respecting = True
+    _json = ("label_respecting",)
+
 
 @dataclass(frozen=True)
 class NoLabelRespectingIso:
@@ -171,6 +184,9 @@ class NoLabelRespectingIso:
     labels."""
 
     unlabeled_iso_exists: bool
+
+    label_respecting = False
+    _json = ("label_respecting",)
 
 
 # -- corpus classification ----------------------------------------------
@@ -188,19 +204,6 @@ class Classification:
     classes: tuple[PointClassEntry, ...]
     rounds: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "classes": [
-                {
-                    "points": [format_rational(p) for p in entry.points],
-                    "incidences": [list(c) for c in entry.incidences],
-                    "stable_class": entry.stable_class,
-                }
-                for entry in self.classes
-            ],
-        }
-
 
 def classify_corpus(
     m: MarkovMap,
@@ -211,12 +214,13 @@ def classify_corpus(
     """Partition escaping points into equivalence classes by joint color
     refinement, with one root state per distinct incidence row.  ``depth``
     no longer changes the result, since the classes follow from the rows
-    alone; it stays because the ``window-chain`` benchmark passes it."""
+    alone; it stays because the ``window-chain`` benchmark passes it.  The
+    map must pass P1-P4, even for an empty corpus."""
+    # The checks of a depth-1 window, which compare_points runs too.
+    m.require_valid()
     pts = [Fraction(p) for p in points]
     classes_of: list[Escaped] = []
     for p in pts:
-        # The checks of a depth-1 window, which compare_points runs too.
-        m.require_valid()
         pc = classify_point(m, p, max_iter)
         check_window_root(m, p, pc, 1)
         if not isinstance(pc, Escaped):
@@ -249,44 +253,6 @@ def classify_corpus(
     return Classification(tuple(entries), rounds)
 
 
-def verdict_to_jsonable(
-    verdict: EquivalenceVerdict | Intertwiner | NoLabelRespectingIso,
-) -> dict:
-    if isinstance(verdict, Equivalent):
-        return {
-            "verdict": "equivalent",
-            "rounds": verdict.rounds,
-            "partition": [list(block) for block in verdict.partition],
-            "note": verdict.note,
-        }
-    if isinstance(verdict, Distinct):
-        return {
-            "verdict": "distinct",
-            "separating_round": verdict.separating_round,
-            "signature_x": verdict.signature_x,
-            "signature_y": verdict.signature_y,
-            "note": verdict.note,
-        }
-    if isinstance(verdict, EscapeVsRegular):
-        return {
-            "verdict": "distinct",
-            "reason": "one point escapes and the other does not",
-            "note": verdict.note,
-        }
-    if isinstance(verdict, Intertwiner):
-        return {
-            "label_respecting": True,
-            "pairs": [list(pair) for pair in verdict.pairs],
-            "verified": verdict.verified,
-        }
-    if isinstance(verdict, NoLabelRespectingIso):
-        return {
-            "label_respecting": False,
-            "unlabeled_iso_exists": verdict.unlabeled_iso_exists,
-        }
-    raise TypeError(f"cannot serialize {type(verdict).__name__}")
-
-
 # -- point comparison ---------------------------------------------------
 
 
@@ -307,16 +273,18 @@ def compare_points(
 ) -> ComparisonResult:
     """Classify two points and decide equivalence of their representations.
 
-    Escaping pairs get the exact verdict from A and their incidence rows.
-    An equivalent pair also gets the label-respecting isomorphism of its
-    windows at ``depth`` (the identity when ``depth`` is 0 or the rows are
-    equal, else none) after the checks a window build runs: a valid map and
-    both escape roots.  A regular/escape mix is never equivalent.  Two
+    The map must pass P1-P4 (EscapeMapsError otherwise), whatever the
+    points.  Escaping pairs get the exact verdict from A and their incidence
+    rows.  An equivalent pair also gets the label-respecting isomorphism of
+    its windows at ``depth`` (the identity when ``depth`` is 0 or the rows
+    are equal, else none) after the escape-root check a window build runs
+    on both roots.  A regular/escape mix is never equivalent.  Two
     regular points are compared through the symbolic states of their
     current intervals (window-level comparison).  A negative ``depth``
     raises DepthExceedsTreeError for every pair."""
     if depth < 0:
         raise DepthExceedsTreeError("depth must be nonnegative")
+    m.require_valid()
     cls_x = classify_point(m, x, max_iter)
     cls_y = classify_point(m, y, max_iter)
     for label, pc in (("x", cls_x), ("y", cls_y)):
@@ -332,7 +300,6 @@ def compare_points(
         verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence, "")
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            m.require_valid()
             check_window_root(m, x, cls_x, depth)
             check_window_root(m, y, cls_y, depth)
             # ``realize`` reads only the parent and label arrays, which are

@@ -53,7 +53,8 @@ class NotAdmissibleError(EscapeMapsError):
 
 
 class DepthExceedsTreeError(EscapeMapsError, ValueError):
-    """A truncation depth larger than the materialized window was requested."""
+    """A step budget is out of range: a negative depth, max_iter or horizon,
+    or a horizon past the forward depth that classification verified."""
 
 
 class WindowTooShallowError(EscapeMapsError, ValueError):

@@ -270,6 +270,9 @@ class ValidationReport:
     aperiodicity_exponent: int | None
     escape_coverage: tuple[EscapeCoverage, ...]
 
+    # Written after the fields in the JSON form (``rationals.jsonable``).
+    _json = ("all_ok", "p5_ok")
+
     @property
     def all_ok(self) -> bool:
         return self.p1_ok and self.p2_ok and self.p3_ok and self.p4_ok
@@ -277,26 +280,6 @@ class ValidationReport:
     @property
     def p5_ok(self) -> bool:
         return all(item.full for item in self.escape_coverage)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "p1_ok": self.p1_ok,
-            "p2_ok": self.p2_ok,
-            "p3_ok": self.p3_ok,
-            "p4_ok": self.p4_ok,
-            "p1_issues": list(self.p1_issues),
-            "p2_issues": list(self.p2_issues),
-            "p3_issues": list(self.p3_issues),
-            "p4_issues": list(self.p4_issues),
-            "all_ok": self.all_ok,
-            "expansion_bound": format_rational(self.expansion_bound),
-            "aperiodicity_exponent": self.aperiodicity_exponent,
-            "p5_ok": self.p5_ok,
-            "escape_coverage": [
-                {"branch": item.branch, "gap": item.gap, "full": item.full}
-                for item in self.escape_coverage
-            ],
-        }
 
 
 @dataclass(frozen=True)

@@ -173,29 +173,16 @@ class RelationCheck:
     passed: bool
     witnesses: tuple[str, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "edge": list(self.edge) if self.edge else None,
-            "vertex": self.vertex,
-            "passed": self.passed,
-            "witnesses": list(self.witnesses),
-        }
-
 
 @dataclass(frozen=True)
 class RelationReport:
     checks: tuple[RelationCheck, ...]
 
+    _json = ("all_passed",)
+
     @property
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [check.to_jsonable() for check in self.checks],
-        }
 
 
 def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationReport:
@@ -343,9 +330,6 @@ class NonvanishingCheck:
     vertex: int
     ok: bool
 
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "vertex": self.vertex, "ok": self.ok}
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -363,20 +347,12 @@ class Certificate:
     complement_misses: tuple[int, ...]
     nonvanishing: tuple[NonvanishingCheck, ...]
 
+    admissible = True  # certificates are only issued for admissible sets
+    _json = ("admissible", "all_verified")
+
     @property
     def all_verified(self) -> bool:
         return all(check.ok for check in self.nonvanishing)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "incidence": list(self.incidence),
-            "admissible": True,
-            "faithful": self.faithful,
-            "complement_misses": list(self.complement_misses),
-            "nonvanishing": [check.to_jsonable() for check in self.nonvanishing],
-            "all_verified": self.all_verified,
-        }
 
 
 def faithfulness_certificate(
@@ -435,9 +411,6 @@ class QuotientWitness:
 
     vertex: int
     gap_vanishes: bool
-
-    def to_jsonable(self) -> dict:
-        return {"vertex": self.vertex, "gap_vanishes": self.gap_vanishes}
 
 
 def quotient_nonfaithfulness_demo(

@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport
-from .rationals import format_rational
 from .transitions import (
     InterleavedLayout,
     Matrix,
@@ -131,25 +130,11 @@ class RowSegment:
 class FeasibilityReport:
     feasible: bool
     mode: str
-    positions: tuple[int, ...]
+    gap_positions: tuple[int, ...]
     structure_issues: tuple[str, ...]
     row_issues: tuple[str, ...]
     column_issues: tuple[str, ...]
     segments: tuple[RowSegment, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "mode": self.mode,
-            "gap_positions": list(self.positions),
-            "structure_issues": list(self.structure_issues),
-            "row_issues": list(self.row_issues),
-            "column_issues": list(self.column_issues),
-            "segments": [
-                {"row": seg.row, "symbols": list(seg.symbols)}
-                for seg in self.segments
-            ],
-        }
 
 
 def _layout_issues(
@@ -274,7 +259,7 @@ def _assess(
     report = FeasibilityReport(
         feasible=feasible,
         mode=spec.mode,
-        positions=tuple(positions),
+        gap_positions=tuple(positions),
         structure_issues=tuple(structure),
         row_issues=tuple(row_issues),
         column_issues=tuple(column_issues),
@@ -296,13 +281,6 @@ class WidthAllocation:
     markov_widths: tuple[Fraction, ...]
     escape_widths: tuple[Fraction, ...]
     perron_bracket: tuple[Fraction, Fraction]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "markov_widths": [format_rational(w) for w in self.markov_widths],
-            "escape_widths": [format_rational(w) for w in self.escape_widths],
-            "perron_bracket": [format_rational(b) for b in self.perron_bracket],
-        }
 
 
 def perron_widths(
@@ -396,7 +374,7 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     # A feasible matrix is primitive, so it has no zero row either.
     if spec.n < 2:
         raise WidthSnapError(_SINGLE_INTERVAL)
-    positions = report.positions
+    positions = report.gap_positions
     allocation = _expanding_widths(spec.markov, layout)
 
     cursor = Fraction(0)

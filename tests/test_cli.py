@@ -75,6 +75,15 @@ def test_validate_malformed_input_is_exit_two(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+def test_input_that_is_not_utf8_is_exit_two(capsys, tmp_path):
+    # Read with the locale's encoding, this used to end in a UnicodeDecodeError.
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, "validate", str(raw))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {raw} is not UTF-8 text:")
+
+
 @pytest.mark.parametrize("command", ["validate", "synth-A", "synth-B"])
 def test_deeply_nested_json_is_exit_two(capsys, tmp_path, command):
     # json.loads raises RecursionError, not JSONDecodeError, on deep nesting.

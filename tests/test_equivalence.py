@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -27,8 +29,8 @@ from escapemaps import (
     classify_point,
     compare_points,
     incidence_cells,
+    jsonable,
     synthesize,
-    verdict_to_jsonable,
 )
 
 from conftest import pull_back, synthesized_spec
@@ -206,7 +208,7 @@ def test_classify_corpus_single_class(four_map):
     entry = result.classes[0]
     assert entry.points == (F(1, 3), F(9, 20), F(1, 2))
     assert entry.incidences == ((1, 0, 0, 0),)
-    data = result.to_jsonable()
+    data = jsonable(result)
     assert data["classes"][0]["points"] == ["1/3", "9/20", "1/2"]
 
 
@@ -236,6 +238,19 @@ def test_classify_corpus_needs_a_valid_map():
     doubling = MarkovMap((AffineBranch(2, 0, 0, 1),))  # the image [0, 2] breaks P1
     with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
         classify_corpus(doubling, [F(1, 3)])
+
+
+def test_an_invalid_map_is_refused_for_every_pair_and_an_empty_corpus(four_map):
+    # Branch 2 with slope 1 breaks P1 and P3 (and with them P2 and P4).
+    branches = list(four_map.branches)
+    branches[1] = dataclasses.replace(branches[1], slope=F(1))
+    flat = MarkovMap(tuple(branches))
+    # Escape/regular, regular/regular and escape/escape pairs alike.
+    for x, y in ((F(1, 3), F(5, 27)), (F(5, 27), F(5, 27)), (F(1, 3), F(1, 3))):
+        with pytest.raises(EscapeMapsError, match="P3: interval 2"):
+            compare_points(flat, x, y)
+    with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
+        classify_corpus(flat, [])
 
 
 def test_classify_corpus_refuses_an_undefined_window_at_any_depth(reaching_map):
@@ -364,10 +379,10 @@ def test_intertwiners_and_canonical_forms_match_the_oracles(data):
 # -- verdict serialization ----------------------------------------------
 
 
-def test_verdict_to_jsonable_covers_every_shape(four_map):
-    eq = verdict_to_jsonable(bisim_equivalent(FOUR_A, (1, 0, 0, 0), (1, 0, 0, 0)))
+def test_verdicts_serialize_in_every_shape(four_map):
+    eq = jsonable(bisim_equivalent(FOUR_A, (1, 0, 0, 0), (1, 0, 0, 0)))
     assert eq["verdict"] == "equivalent" and eq["rounds"] == 2
-    di = verdict_to_jsonable(bisim_equivalent(FOUR_A, (1, 0, 0, 0), (1, 0, 0, 1)))
+    di = jsonable(bisim_equivalent(FOUR_A, (1, 0, 0, 0), (1, 0, 0, 1)))
     assert di == {
         "verdict": "distinct",
         "separating_round": 0,
@@ -375,7 +390,7 @@ def test_verdict_to_jsonable_covers_every_shape(four_map):
         "signature_y": "out-degree 2",
         "note": "",
     }
-    mixed = verdict_to_jsonable(EscapeVsRegular())
+    mixed = jsonable(EscapeVsRegular())
     assert mixed == {
         "verdict": "distinct",
         "reason": "one point escapes and the other does not",
@@ -383,9 +398,26 @@ def test_verdict_to_jsonable_covers_every_shape(four_map):
     }
     tx = build_orbit_tree(four_map, F(1, 2), 3)
     ty = build_orbit_tree(four_map, F(9, 20), 3)
-    inter = verdict_to_jsonable(build_intertwiner(tx, ty))
+    inter = jsonable(build_intertwiner(tx, ty))
     assert inter["label_respecting"] is True and inter["verified"] is True
-    noiso = verdict_to_jsonable(NoLabelRespectingIso(unlabeled_iso_exists=False))
-    assert noiso == {"label_respecting": False, "unlabeled_iso_exists": False}
-    with pytest.raises(TypeError):
-        verdict_to_jsonable("nope")
+    noiso = jsonable(NoLabelRespectingIso(unlabeled_iso_exists=False))
+    assert noiso == {"unlabeled_iso_exists": False, "label_respecting": False}
+
+
+def test_classification_json_is_pinned(four_map, partial_map):
+    # No subcommand prints a classification, so the CLI transcript does not
+    # cover its JSON form.
+    one = classify_corpus(four_map, [F(1, 2), F(9, 20), F(1, 3)])
+    assert json.dumps(one, default=jsonable, sort_keys=True) == (
+        '{"classes": [{"incidences": [[1, 0, 0, 0]], '
+        '"points": ["1/3", "9/20", "1/2"], "stable_class": 0}], "rounds": 2}'
+    )
+    x = escape_point_with_incidence(partial_map, (1, 0, 0, 0))
+    y = escape_point_with_incidence(partial_map, (1, 0, 0, 1))
+    assert jsonable(classify_corpus(partial_map, [y, x])) == {
+        "classes": [
+            {"points": [str(x)], "incidences": [[1, 0, 0, 0]], "stable_class": 0},
+            {"points": [str(y)], "incidences": [[1, 0, 0, 1]], "stable_class": 3},
+        ],
+        "rounds": 2,
+    }

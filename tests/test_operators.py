@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from escapemaps import (
     gap_projection,
     image_decomposition_check,
     incidence_cells,
+    jsonable,
     markov_matrix,
     projection_sum_is_identity,
     quotient_nonfaithfulness_demo,
@@ -164,7 +166,7 @@ def test_relation_report_is_truncation_stable(four_map):
     reports = []
     for depth in (2, 3, 4, 5):
         rep = realize(build_orbit_tree(four_map, F(1, 2), depth))
-        reports.append(check_relations(rep, [2, 3, 4]).to_jsonable())
+        reports.append(jsonable(check_relations(rep, [2, 3, 4])))
     assert all(r == reports[0] for r in reports[1:])
 
 
@@ -590,7 +592,7 @@ def test_certificate_on_the_fully_admissible_set(half_rep4):
     assert cert.incidence == (1, 0, 0, 0)
     assert cert.faithful and cert.complement_misses == ()
     assert cert.all_verified
-    data = cert.to_jsonable()
+    data = jsonable(cert)
     assert data["admissible"] is True and data["faithful"] is True
 
 
@@ -632,6 +634,8 @@ def test_quotient_nonfaithfulness_demo(half_rep4):
     witness = quotient_nonfaithfulness_demo(half_rep4, [2, 3], [2, 3, 4])
     assert witness.vertex == 4
     assert witness.gap_vanishes
+    # No subcommand prints a witness, so the CLI transcript does not cover it.
+    assert json.dumps(witness, default=jsonable) == '{"vertex": 4, "gap_vanishes": true}'
     with pytest.raises(MapStructureError):
         quotient_nonfaithfulness_demo(half_rep4, [2, 3], [2, 3])
     with pytest.raises(NotAdmissibleError):

@@ -1,11 +1,19 @@
+import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from escapemaps import EscapeMapsError, RationalParseError, format_rational, parse_rational
+from escapemaps import (
+    EscapeMapsError,
+    RationalParseError,
+    format_rational,
+    jsonable,
+    parse_rational,
+)
 
 LIMIT = sys.get_int_max_str_digits()
 needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no digit limit on int strings")
@@ -67,3 +75,50 @@ def test_format_refuses_integers_over_the_digit_limit(value):
     with pytest.raises(EscapeMapsError, match=f"more than {LIMIT} digits") as exc:
         format_rational(value)
     assert not isinstance(exc.value, RationalParseError)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: Fraction
+    edge: tuple[int, int] | None
+
+
+@dataclass(frozen=True)
+class _Node:
+    leaves: tuple[_Leaf, ...]
+    note: str
+
+    kind = "node"
+    _json = ("kind", "size")
+
+    @property
+    def size(self) -> int:
+        return len(self.leaves)
+
+
+def test_jsonable_writes_records_by_their_fields_then_their_extras():
+    node = _Node((_Leaf(Fraction(6, 4), (1, 2)), _Leaf(Fraction(-2), None)), "")
+    data = jsonable(node)
+    assert data == {
+        "leaves": [{"value": "3/2", "edge": [1, 2]}, {"value": "-2", "edge": None}],
+        "note": "",
+        "kind": "node",
+        "size": 2,
+    }
+    assert list(data) == ["leaves", "note", "kind", "size"]
+    # As the encoder's default hook it gives the same document.
+    text = json.dumps({"tree": node, "at": Fraction(1, 3)}, default=jsonable, sort_keys=True)
+    assert json.loads(text) == {"tree": data, "at": "1/3"}
+
+
+def test_jsonable_converts_containers_and_passes_plain_values():
+    assert jsonable((Fraction(1, 2), [Fraction(3), (4, None)])) == ["1/2", ["3", [4, None]]]
+    assert jsonable({"x": (Fraction(-1, 3),)}) == {"x": ["-1/3"]}
+    for value in (None, True, 0, "1/2"):
+        assert jsonable(value) is value
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object()])
+def test_jsonable_refuses_other_values(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        jsonable(value)

@@ -18,6 +18,7 @@ from escapemaps import (
     escape_matrix,
     feasibility_check,
     is_primitive,
+    jsonable,
     perron_widths,
     spec_from_jsonable,
     synthesize,
@@ -56,7 +57,7 @@ def test_spec_rejects_malformed_inputs():
 def test_partial_spec_is_feasible_with_auto_position(partial_spec):
     report = feasibility_check(partial_spec)
     assert report.feasible
-    assert report.positions == (2,)
+    assert report.gap_positions == (2,)
     assert report.row_issues == () and report.column_issues == ()
     segs = {seg.row: seg.symbols for seg in report.segments}
     assert segs[1] == ("2", "2^", "3")
@@ -127,13 +128,13 @@ def test_auto_positions(partial_spec):
     strict = feasibility_check(
         SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)))
     )
-    assert strict.feasible and strict.positions == (2,)
+    assert strict.feasible and strict.gap_positions == (2,)
     assert partial_spec.gap_positions is None
-    assert feasibility_check(partial_spec).positions == (2,)
+    assert feasibility_check(partial_spec).gap_positions == (2,)
     stuck = feasibility_check(
         SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (1,)))
     )
-    assert not stuck.feasible and stuck.positions == ()
+    assert not stuck.feasible and stuck.gap_positions == ()
     assert stuck.structure_issues == (
         "no placement of the escape columns makes every row contiguous and "
         "every gap covered",
@@ -164,7 +165,7 @@ def test_perron_widths_on_the_four_interval_matrix():
     perron_root = float(max(np.linalg.eigvals(np.array(FOUR_INTERVAL_MARKOV)).real))
     assert abs(perron_root - 1.465571231876837) < 1e-12
     assert low <= F(perron_root) <= high
-    data = alloc.to_jsonable()
+    data = jsonable(alloc)
     assert set(data) == {"markov_widths", "escape_widths", "perron_bracket"}
     assert data["perron_bracket"] == ["4/3", "2"]
     assert not any(
