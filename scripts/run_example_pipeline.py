@@ -27,7 +27,6 @@ from escapemaps import (
     classify_point,
     compare_points,
     dot_export,
-    escape_matrix,
     expected_matrix_notes,
     faithfulness_certificate,
     format_rational,
@@ -66,12 +65,11 @@ def run_map(name: str, config: PipelineConfig) -> None:
           f"aperiodicity_exponent={report.aperiodicity_exponent}")
 
     data = transition_data(m)
-    em = escape_matrix(m)
-    print(f"symbols: {' '.join(em.symbols)}")
+    print(f"symbols: {' '.join(data.symbols)}")
     print("markov rows:", data.markov)
     print("escape columns:", data.escape, "at gap positions", data.gap_positions)
     if doc.expected_escape_matrix is not None:
-        notes = expected_matrix_notes(m, em, doc.expected_escape_matrix)
+        notes = expected_matrix_notes(m, data, doc.expected_escape_matrix)
         if notes:
             for note in notes:
                 print("claim note:", note)

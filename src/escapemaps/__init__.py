@@ -64,10 +64,9 @@ _EXPORTS = {
         "perron_widths", "spec_from_jsonable", "synthesize",
     ),
     "transitions": (
-        "BlockForm", "EscapeMatrix", "InterleavedLayout", "TransitionData",
-        "as_binary_matrix", "block_form", "build_graph", "dot_export",
-        "escape_matrix", "expected_matrix_notes", "interleaved_layout",
-        "is_primitive", "markov_matrix", "transition_data", "wielandt_bound",
+        "TransitionData", "as_binary_matrix", "build_graph", "dot_export",
+        "expected_matrix_notes", "is_primitive", "markov_matrix",
+        "transition_data", "wielandt_bound",
     ),
 }
 

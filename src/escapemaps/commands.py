@@ -121,27 +121,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrices(args: argparse.Namespace) -> int:
-    from .transitions import block_form, escape_matrix, expected_matrix_notes
+    from .transitions import expected_matrix_notes, transition_data
 
     doc = _load_document(args.map)
-    em = escape_matrix(doc.map)
+    data = transition_data(doc.map)
     out: dict = {
-        "symbols": em.symbols,
-        "markov": em.data.markov,
-        "escape_block": em.data.escape,
-        "gap_positions": em.data.gap_positions,
-        "escape_matrix": em.entries,
+        "symbols": data.symbols,
+        "markov": data.markov,
+        "escape_block": data.escape,
+        "gap_positions": data.gap_positions,
+        "escape_matrix": data.entries,
     }
     if args.block:
-        bf = block_form(em)
         out["block_form"] = {
-            "permutation": em.block_permutation,
-            "permutation_matrix": bf.permutation_matrix,
-            "markov": bf.markov,
-            "escape_block": bf.escape,
+            "permutation": data.block_permutation,
+            "permutation_matrix": data.permutation_matrix,
+            "markov": data.markov,
+            "escape_block": data.escape,
         }
     if doc.expected_escape_matrix is not None:
-        notes = expected_matrix_notes(doc.map, em, doc.expected_escape_matrix)
+        notes = expected_matrix_notes(doc.map, data, doc.expected_escape_matrix)
         out["claim_notes"] = notes
         out["claim_matches"] = not notes
     _emit(out)
@@ -149,24 +148,18 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    from .transitions import (
-        build_graph,
-        dot_export,
-        escape_matrix,
-        is_primitive,
-        wielandt_bound,
-    )
+    from .transitions import build_graph, dot_export, is_primitive, wielandt_bound
 
     doc = _load_document(args.map)
-    em = escape_matrix(doc.map)
-    graph = build_graph(em.data.markov)
+    markov = doc.map.transition_matrix
+    graph = build_graph(markov)
     dot = dot_export(graph)
     try:
         Path(args.dot).write_text(dot)
     except OSError as exc:
         _fail(f"cannot write {args.dot}: {exc}")
         return 1
-    prim = is_primitive(em.data.markov)
+    prim = is_primitive(markov)
     _emit(
         {
             "vertices": graph.vertex_count,

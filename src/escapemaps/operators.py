@@ -34,17 +34,14 @@ from .errors import (
 from .maps import MapStructureError
 from .orbits import Escaped, OrbitTree, PointClass
 from .rationals import format_rational
-from .transitions import TransitionData, transition_data
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """All operators realized on one window, plus the transition data they
-    were built from.  ``incidence`` is the escape incidence vector of the
-    window root (None for regular windows)."""
+    """All operators realized on one window.  ``incidence`` is the escape
+    incidence vector of the window root (None for regular windows)."""
 
     tree: OrbitTree
-    data: TransitionData
     transfers: tuple[dict[int, int], ...]
     edge_isometries: Mapping[tuple[int, int], dict[int, int]]
     vertex_projections: tuple[frozenset[int], ...]
@@ -55,7 +52,7 @@ class Representation:
 
     @property
     def n(self) -> int:
-        return self.data.n
+        return self.tree.map.n
 
     @property
     def dim(self) -> int:
@@ -105,14 +102,14 @@ def realize(tree: OrbitTree) -> Representation:
     and label arrays.  An interior node y has every preimage materialized (a
     root whose cycle closes through itself included), so f_i^{-1}(y) is the
     child of y labelled i."""
-    data = transition_data(tree.map)
-    n = data.n
+    markov = tree.map.transition_matrix
+    n = len(markov)
     interior = frozenset(tree.interior_indices())
 
     transfers: list[dict[int, int]] = [{} for _ in range(n)]
     edge_isometries: dict[tuple[int, int], dict[int, int]] = {
         (i, j): {}
-        for i, row in enumerate(data.markov, start=1)
+        for i, row in enumerate(markov, start=1)
         for j, unit in enumerate(row, start=1)
         if unit
     }
@@ -136,7 +133,7 @@ def realize(tree: OrbitTree) -> Representation:
             [idx for j, unit in enumerate(row) if unit for idx in by_label[j]]
             + ([0] if incidence is not None and incidence[i] else [])
         )
-        for i, row in enumerate(data.markov)
+        for i, row in enumerate(markov)
     )
 
     # The vertex-sum relation speaks about a node's forward image, so it can
@@ -148,7 +145,6 @@ def realize(tree: OrbitTree) -> Representation:
 
     return Representation(
         tree=tree,
-        data=data,
         transfers=tuple(transfers),
         edge_isometries=edge_isometries,
         vertex_projections=tuple(frozenset(nodes) for nodes in by_label),

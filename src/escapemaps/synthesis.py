@@ -29,11 +29,10 @@ from typing import Mapping, Sequence
 from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport
 from .transitions import (
-    InterleavedLayout,
     Matrix,
+    TransitionData,
     _primitivity,
     as_binary_matrix,
-    interleaved_layout,
     is_primitive,
     transition_data,
 )
@@ -112,10 +111,10 @@ class SynthesisSpec:
 # -- feasibility ---------------------------------------------------------
 
 
-def _unit_runs(layout: InterleavedLayout) -> list[list[int]]:
+def _unit_runs(data: TransitionData) -> list[list[int]]:
     """Column positions of the unit entries of each Markov row: the runs that
     feasibility, the width test and branch construction all read."""
-    return [[c for c, v in enumerate(row) if v] for row in layout.rows]
+    return [[c for c, v in enumerate(row) if v] for row in data.rows]
 
 
 @dataclass(frozen=True)
@@ -138,14 +137,14 @@ class FeasibilityReport:
 
 
 def _layout_issues(
-    layout: InterleavedLayout, mode: str
+    data: TransitionData, mode: str
 ) -> tuple[list[str], list[str], list[RowSegment]]:
-    columns = layout.columns
-    symbols = layout.symbols
+    columns = data.columns
+    symbols = data.symbols
     row_issues: list[str] = []
     segments: list[RowSegment] = []
     spans: list[tuple[int, int]] = []  # (first, last) of each contiguous run
-    for i, units in enumerate(_unit_runs(layout), start=1):
+    for i, units in enumerate(_unit_runs(data), start=1):
         names = tuple(symbols[c] for c in units)
         if not units:
             row_issues.append(f"row {i} has no targets")
@@ -193,17 +192,17 @@ def _layout_issues(
 
 def _first_workable(
     markov: Matrix, escape: Matrix, mode: str
-) -> tuple[tuple[int, ...], InterleavedLayout] | None:
-    """First placement (in lexicographic order) of the escape columns into the
-    n-1 inter-interval slots that makes every row and column workable, with
-    its layout, or None when no placement does."""
+) -> TransitionData | None:
+    """The transition data of the first placement (in lexicographic order) of
+    the escape columns into the n-1 inter-interval slots that makes every row
+    and column workable, or None when no placement does."""
     n = len(markov)
     m = len(escape[0]) if escape and escape[0] else 0
     for combo in itertools.combinations(range(1, n), m):
-        layout = interleaved_layout(markov, escape, combo)
-        rows, cols, _ = _layout_issues(layout, mode)
+        data = TransitionData(markov, escape, combo)
+        rows, cols, _ = _layout_issues(data, mode)
         if not rows and not cols:
-            return combo, layout
+            return data
     return None
 
 
@@ -215,9 +214,9 @@ def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
 
 def _assess(
     spec: SynthesisSpec,
-) -> tuple[FeasibilityReport, InterleavedLayout | None]:
-    """The feasibility report and the layout of its placement (None when no
-    placement was found)."""
+) -> tuple[FeasibilityReport, TransitionData | None]:
+    """The feasibility report and the transition data of its placement (None
+    when no placement was found)."""
     structure: list[str] = []
     prim = _primitivity(spec.markov)
     if not prim.primitive:
@@ -238,34 +237,32 @@ def _assess(
             f"inter-interval slots"
         )
 
-    positions, layout = spec.gap_positions, None
-    if positions is None:
-        positions, layout = _first_workable(
-            spec.markov, spec.escape, spec.mode
-        ) or (None, None)
-    if positions is None and spec.m:
+    if spec.gap_positions is not None:
+        data = TransitionData(spec.markov, spec.escape, spec.gap_positions)
+    else:
+        data = _first_workable(spec.markov, spec.escape, spec.mode)
+    if data is None and spec.m:
         structure.append(
             "no placement of the escape columns makes every row "
             "contiguous and every gap covered"
         )
         positions, row_issues, column_issues, segments = (), [], [], []
     else:
-        positions = positions or ()
-        if layout is None:
-            layout = interleaved_layout(spec.markov, spec.escape, positions)
-        row_issues, column_issues, segments = _layout_issues(layout, spec.mode)
+        data = data or TransitionData(spec.markov, spec.escape, ())
+        positions = data.gap_positions
+        row_issues, column_issues, segments = _layout_issues(data, spec.mode)
 
     feasible = not (structure or row_issues or column_issues)
     report = FeasibilityReport(
         feasible=feasible,
         mode=spec.mode,
-        gap_positions=tuple(positions),
+        gap_positions=positions,
         structure_issues=tuple(structure),
         row_issues=tuple(row_issues),
         column_issues=tuple(column_issues),
         segments=tuple(segments),
     )
-    return report, layout
+    return report, data
 
 
 # -- width allocation ----------------------------------------------------
@@ -294,8 +291,12 @@ def perron_widths(
     branch slope).  A row's span is 4.(A.w)_i over its Markov targets plus a
     full gap width for each gap inside its run and half of one for a gap at
     either end.  The widths are then normalised to total 1.  Raises
-    WidthSnapError for a single interval, a zero row or a matrix that is not
-    primitive, none of which admits an expanding map."""
+    MapFormatError for inputs that ``SynthesisSpec`` refuses, such as
+    positions that do not place every escape column, and WidthSnapError for
+    a single interval, a zero row or a matrix that is not primitive, none of
+    which admits an expanding map."""
+    spec = SynthesisSpec(markov, escape, tuple(positions))
+    markov = spec.markov
     if len(markov) < 2:
         raise WidthSnapError(_SINGLE_INTERVAL)
     for i, row in enumerate(markov, start=1):
@@ -308,25 +309,25 @@ def perron_widths(
         raise WidthSnapError(
             "the transition matrix is not primitive, so no expanding map exists"
         )
-    return _expanding_widths(markov, interleaved_layout(markov, escape, positions))
+    return _expanding_widths(TransitionData(markov, spec.escape, spec.gap_positions))
 
 
 _SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
 
 
-def _expanding_widths(markov: Matrix, layout: InterleavedLayout) -> WidthAllocation:
+def _expanding_widths(data: TransitionData) -> WidthAllocation:
     """The width step of ``perron_widths`` for a primitive matrix on at least
-    two intervals, read off the layout of its placement."""
-    gaps = sum(k is not None for _, k in layout.columns)
+    two intervals, read off the transition data of its placement."""
+    markov, gaps = data.markov, data.m
     # Half gap widths in each row's span, so the test stays in integers:
     # 4.(A.w)_i + min(w).halves_i / 2 > 4.w_i.
     halves = [
         sum(
             1 if c in (units[0], units[-1]) else 2
             for c in units
-            if layout.columns[c][1] is not None
+            if data.columns[c][1] is not None
         )
-        for units in _unit_runs(layout)
+        for units in _unit_runs(data)
     ]
     w = [1] * len(markov)
     for _ in range(WIDTH_ITERATION_BOUND):
@@ -368,18 +369,18 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     realized and WidthSnapError when no workable widths are found.  The
     recomputed matrices of the result are asserted equal to the inputs before
     returning."""
-    report, layout = _assess(spec)
+    report, data = _assess(spec)
     if not report.feasible:
         raise InfeasibleSpecError(report)
     # A feasible matrix is primitive, so it has no zero row either.
     if spec.n < 2:
         raise WidthSnapError(_SINGLE_INTERVAL)
     positions = report.gap_positions
-    allocation = _expanding_widths(spec.markov, layout)
+    allocation = _expanding_widths(data)
 
     cursor = Fraction(0)
     bounds: list[tuple[Fraction, Fraction]] = []  # per interleaved column
-    for j, k in layout.columns:
+    for j, k in data.columns:
         width = (
             allocation.markov_widths[j - 1]
             if k is None
@@ -387,16 +388,16 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         )
         bounds.append((cursor, cursor + width))
         cursor += width
-    own = [bounds[c] for c, (_, k) in enumerate(layout.columns) if k is None]
+    own = [bounds[c] for c, (_, k) in enumerate(data.columns) if k is None]
 
     branches = []
-    for (left, right), units in zip(own, _unit_runs(layout)):
+    for (left, right), units in zip(own, _unit_runs(data)):
         # A run ends at the edge of a Markov target or the middle of a gap.
         first, last = units[0], units[-1]
         glo, ghi = bounds[first]
-        left_target = glo if layout.columns[first][1] is None else (glo + ghi) / 2
+        left_target = glo if data.columns[first][1] is None else (glo + ghi) / 2
         glo, ghi = bounds[last]
-        right_target = ghi if layout.columns[last][1] is None else (glo + ghi) / 2
+        right_target = ghi if data.columns[last][1] is None else (glo + ghi) / 2
         slope = (right_target - left_target) / (right - left)
         branches.append(
             AffineBranch(
@@ -421,10 +422,10 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         )
     if spec.mode == STRICT and not validation.p5_ok:
         raise AssertionError("strict synthesis produced partial gap coverage")
-    data = transition_data(built)
-    if data.markov != spec.markov or data.escape != spec.escape:
+    rebuilt = transition_data(built)
+    if rebuilt.markov != spec.markov or rebuilt.escape != spec.escape:
         raise AssertionError("synthesized map does not reproduce the input matrices")
-    if data.gap_positions != positions:
+    if rebuilt.gap_positions != positions:
         raise AssertionError("synthesized map placed gaps at the wrong positions")
     return SynthesisResult(
         map=built,

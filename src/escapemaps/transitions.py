@@ -7,9 +7,9 @@ For a map with intervals I_1..I_n and open gaps E_k:
   * the escape matrix extends A by one column per open gap, with a unit at
     (i, k) when the open image of I_i meets the open gap E_k; its symbols are
     interleaved as 1 < 1^ < 2 < 2^ < ... < n, and a permutation brings it to
-    the block form [[A, B], [0, 0]].  ``interleaved_layout`` is the one
-    definition of that order; the escape matrix, the claim notes and
-    synthesis all read it.
+    the block form [[A, B], [0, 0]].  ``TransitionData`` holds A, B and
+    the gap positions and derives that order, the escape matrix and its
+    block form from them; the claim notes and synthesis all read it.
 
 Primitivity of A is decided by checking boolean powers up to the Wielandt
 bound n^2 - 2n + 2.
@@ -18,7 +18,8 @@ bound n^2 - 2n + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .errors import MapFormatError
 from .maps import MarkovMap
@@ -71,11 +72,20 @@ def markov_matrix(m: MarkovMap) -> Matrix:
 
 @dataclass(frozen=True)
 class TransitionData:
-    """Transition matrix plus the escape columns.
+    """Transition matrix A, escape block B and the escape matrix they
+    determine.
 
     ``escape`` is n x m with one column per open gap, ordered by
     ``gap_positions`` (the 1-based gap indices, strictly increasing; gap k
-    lies between intervals k and k+1).
+    lies between intervals k and k+1).  The escape matrix reads its symbols
+    in the interleaved order 1 < 1^ < 2 < ... < n: ``columns[c]`` is
+    (j, None) for the Markov symbol j, or (p, k) for the gap symbol p^, which
+    is escape column k (0-based) and the gap between intervals p and p + 1.
+    ``rows[i - 1]`` is row i of [A | B] in that column order; the escape
+    matrix's rows for gap symbols are zero.  ``block_permutation`` maps block
+    position p (Markov symbols first, then escape symbols) to the interleaved
+    position of the same symbol, and ``permutation_matrix`` is the 0/1 matrix
+    P with P . E . P^T = [[A, B], [0, 0]].
     """
 
     markov: Matrix
@@ -90,10 +100,49 @@ class TransitionData:
     def m(self) -> int:
         return len(self.gap_positions)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, int | None], ...]:
+        slot = {p: k for k, p in enumerate(self.gap_positions)}
+        columns: list[tuple[int, int | None]] = []
+        for j in range(1, self.n + 1):
+            columns.append((j, None))
+            if j in slot:
+                columns.append((j, slot[j]))
+        return tuple(columns)
+
+    @cached_property
+    def rows(self) -> Matrix:
+        columns = self.columns
+        return tuple(
+            tuple(a_row[j - 1] if k is None else b_row[k] for j, k in columns)
+            for a_row, b_row in zip(self.markov, self.escape, strict=True)
+        )
+
+    @cached_property
     def symbols(self) -> tuple[str, ...]:
-        """Interleaved symbol order 1 < 1^ < 2 < ... < n."""
-        layout = interleaved_layout(self.markov, self.escape, self.gap_positions)
-        return layout.symbols
+        return tuple(
+            markov_symbol(j) if k is None else gap_symbol(j)
+            for j, k in self.columns
+        )
+
+    @cached_property
+    def entries(self) -> Matrix:
+        zero = (0,) * len(self.columns)
+        return tuple(self.rows[j - 1] if k is None else zero for j, k in self.columns)
+
+    @cached_property
+    def block_permutation(self) -> tuple[int, ...]:
+        # A stable sort: Markov symbols first, then escape symbols, each in order.
+        kinds = [k is not None for _, k in self.columns]
+        return tuple(sorted(range(len(kinds)), key=kinds.__getitem__))
+
+    @cached_property
+    def permutation_matrix(self) -> Matrix:
+        size = len(self.columns)
+        return tuple(
+            tuple(int(col == target) for col in range(size))
+            for target in self.block_permutation
+        )
 
 
 def transition_data(m: MarkovMap) -> TransitionData:
@@ -102,99 +151,6 @@ def transition_data(m: MarkovMap) -> TransitionData:
     return TransitionData(
         m.transition_matrix, m.escape_block, tuple(k for k, _, _ in m.gaps)
     )
-
-
-@dataclass(frozen=True)
-class InterleavedLayout:
-    """Columns of the escape matrix in the interleaved symbol order
-    1 < 1^ < 2 < ... < n, with its Markov rows.
-
-    ``columns[c]`` is (j, None) for the Markov symbol j, or (p, k) for the
-    gap symbol p^, which is escape column k (0-based) and the gap between
-    intervals p and p + 1.  ``rows[i - 1]`` is row i of [A | B] in that
-    column order; the escape matrix's rows for gap symbols are zero."""
-
-    columns: tuple[tuple[int, int | None], ...]
-    rows: Matrix
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(
-            markov_symbol(j) if k is None else gap_symbol(j)
-            for j, k in self.columns
-        )
-
-
-def interleaved_layout(
-    markov: Sequence[Sequence[int]],
-    escape: Sequence[Sequence[int]],
-    gap_positions: Sequence[int],
-) -> InterleavedLayout:
-    """Slot escape column k in after Markov symbol ``gap_positions[k]`` and
-    read each row of [A | B] in that order."""
-    slot = {p: k for k, p in enumerate(gap_positions)}
-    columns: list[tuple[int, int | None]] = []
-    for j in range(1, len(markov) + 1):
-        columns.append((j, None))
-        if j in slot:
-            columns.append((j, slot[j]))
-    rows = tuple(
-        tuple(a_row[j - 1] if k is None else b_row[k] for j, k in columns)
-        for a_row, b_row in zip(markov, escape, strict=True)
-    )
-    return InterleavedLayout(tuple(columns), rows)
-
-
-@dataclass(frozen=True)
-class EscapeMatrix:
-    """The escape matrix in interleaved symbol order, together with the
-    permutation taking it to block form.
-
-    ``block_permutation`` maps block position p (Markov symbols first, then
-    escape symbols) to the interleaved position of the same symbol.
-    """
-
-    data: TransitionData
-    layout: InterleavedLayout
-    entries: Matrix
-    block_permutation: tuple[int, ...]
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self.layout.symbols
-
-
-def escape_matrix(m: MarkovMap) -> EscapeMatrix:
-    data = transition_data(m)
-    layout = interleaved_layout(data.markov, data.escape, data.gap_positions)
-    zero = (0,) * len(layout.columns)
-    entries = tuple(
-        layout.rows[j - 1] if k is None else zero for j, k in layout.columns
-    )
-    markov_cols = [c for c, (_, k) in enumerate(layout.columns) if k is None]
-    gap_cols = [c for c, (_, k) in enumerate(layout.columns) if k is not None]
-    return EscapeMatrix(data, layout, entries, tuple(markov_cols + gap_cols))
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """P . E . P^T = [[A, B], [0, 0]] with P the 0/1 permutation matrix."""
-
-    markov: Matrix
-    escape: Matrix
-    permutation_matrix: Matrix
-
-
-def block_form(em: EscapeMatrix) -> BlockForm:
-    """The permutation matrix taking the interleaved escape matrix to block
-    form, with the blocks A and B."""
-    size = len(em.layout.columns)
-    sigma = em.block_permutation
-    permutation = tuple(
-        tuple(1 if col == sigma[row] else 0 for col in range(size))
-        for row in range(size)
-    )
-    return BlockForm(em.data.markov, em.data.escape, permutation)
 
 
 # -- primitivity --------------------------------------------------------
@@ -278,14 +234,10 @@ def build_graph(matrix: object) -> GraphSpec:
     return GraphSpec(n, edges)
 
 
-def dot_export(graph: GraphSpec, labels: Mapping[int, str] | None = None) -> str:
+def dot_export(graph: GraphSpec) -> str:
     """Deterministic DOT rendering: vertices ascending, then sorted edges."""
     lines = ["digraph transitions {"]
-    for v in range(1, graph.vertex_count + 1):
-        if labels and v in labels:
-            lines.append(f'  {v} [label="{labels[v]}"];')
-        else:
-            lines.append(f"  {v};")
+    lines.extend(f"  {v};" for v in range(1, graph.vertex_count + 1))
     for i, j in sorted(graph.edges):
         lines.append(f"  {i} -> {j};")
     lines.append("}")
@@ -296,22 +248,22 @@ def dot_export(graph: GraphSpec, labels: Mapping[int, str] | None = None) -> str
 
 
 def expected_matrix_notes(
-    m: MarkovMap, em: EscapeMatrix, expected
+    m: MarkovMap, data: TransitionData, expected
 ) -> tuple[str, ...]:
     """Human-readable notes for every entry where the computed escape matrix
     disagrees with a claimed one."""
-    if expected.symbols != em.symbols:
+    if expected.symbols != data.symbols:
         return (
             "claimed symbol order "
             + " ".join(expected.symbols)
             + " does not match computed order "
-            + " ".join(em.symbols),
+            + " ".join(data.symbols),
         )
     notes = []
-    columns, symbols = em.layout.columns, em.symbols
+    columns, symbols = data.columns, data.symbols
     for r, (i, row_gap) in enumerate(columns):
         for c, (j, col_gap) in enumerate(columns):
-            got = em.entries[r][c]
+            got = data.entries[r][c]
             want = expected.rows[r][c]
             if got == want:
                 continue

@@ -28,13 +28,11 @@ from escapemaps import (
     SynthesisSpec,
     UndeterminedRegular,
     bisim_equivalent,
-    block_form,
     build_orbit_tree,
     check_relations,
     classify_corpus,
     classify_point,
     compare_points,
-    escape_matrix,
     faithfulness_certificate,
     feasibility_check,
     four_interval_map,
@@ -105,7 +103,7 @@ def test_criterion_2_transition_matrices(capsys):
         m = four_interval_map()
         assert markov_matrix(m) == FOUR_INTERVAL_MARKOV
 
-        em = escape_matrix(m)
+        em = transition_data(m)
         assert em.symbols == ("1", "2", "2^", "3", "4")
         assert em.entries == (
             (0, 1, 1, 1, 0),
@@ -116,7 +114,7 @@ def test_criterion_2_transition_matrices(capsys):
         )
         assert em.block_permutation == (0, 1, 3, 4, 2)
 
-        bf = block_form(em)
+        bf = em  # the record carries its own block form
         assert bf.markov == FOUR_INTERVAL_MARKOV
         assert bf.escape == ((1,), (0,), (0,), (0,))
         size = len(em.symbols)

@@ -15,7 +15,6 @@ from escapemaps import (
     SynthesisSpec,
     TransitionData,
     WidthSnapError,
-    escape_matrix,
     feasibility_check,
     is_primitive,
     jsonable,
@@ -191,6 +190,22 @@ def test_perron_widths_rejects_imprimitive_matrices():
         perron_widths(((0, 1), (1, 0)), ((), ()), ())
 
 
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        ((7,), "must lie in 1..3"),
+        ((), "one position per escape column"),
+        ((1, 2), "one position per escape column"),
+    ],
+)
+def test_perron_widths_checks_positions_against_the_escape_block(positions, message):
+    # One escape column must be placed at exactly one slot of 1..n-1; a
+    # position outside that range or a count that differs from B's columns
+    # is refused like the same spec.
+    with pytest.raises(MapFormatError, match=message):
+        perron_widths(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), positions)
+
+
 def test_single_interval_spec_cannot_expand():
     with pytest.raises(WidthSnapError, match="no expanding map exists"):
         synthesize(SynthesisSpec(((1,),), ((),)))
@@ -245,7 +260,7 @@ def test_partial_synthesis_matches_the_claimed_matrix(partial_result):
     data = transition_data(partial_result.map)
     assert data.markov == FOUR_INTERVAL_MARKOV
     assert data.escape == ((1,), (0,), (0,), (1,))
-    assert escape_matrix(partial_result.map).entries == CLAIMED_ESCAPE_ROWS
+    assert data.entries == CLAIMED_ESCAPE_ROWS
     assert partial_result.validation.all_ok
     assert not partial_result.validation.p5_ok  # branch 4 reaches partway in
     coverage = [
@@ -479,11 +494,9 @@ def test_synthesis_differential_beyond_the_exhaustive_sizes(data):
         if not feasibility_check(spec).feasible:
             continue
         result = synthesize(spec)
-        assert transition_data(result.map) == TransitionData(
-            spec.markov, spec.escape, positions
-        )
-        em = escape_matrix(result.map)
-        for (_, k), row in zip(em.layout.columns, em.entries):
+        rebuilt = transition_data(result.map)
+        assert rebuilt == TransitionData(spec.markov, spec.escape, positions)
+        for (_, k), row in zip(rebuilt.columns, rebuilt.entries):
             if k is None:
                 units = [c for c, v in enumerate(row) if v]
                 assert units == list(range(units[0], units[-1] + 1))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from escapemaps import (
     MapFormatError,
     SynthesisSpec,
+    TransitionData,
     as_binary_matrix,
-    block_form,
     build_graph,
     dot_export,
-    escape_matrix,
     expected_matrix_notes,
     four_interval_map,
     four_interval_reaching_map,
@@ -65,21 +65,20 @@ def test_full_two_interval_matrix(full2_map):
     assert markov_matrix(full2_map) == ((1, 1), (1, 1))
     data = transition_data(full2_map)
     assert data.gap_positions == ()
-    assert data.symbols() == ("1", "2")
+    assert data.symbols == ("1", "2")
 
 
 def test_four_interval_escape_matrix(four_map):
-    em = escape_matrix(four_map)
-    assert em.symbols == ("1", "2", "2^", "3", "4")
-    assert em.entries == (
+    data = transition_data(four_map)
+    assert data.symbols == ("1", "2", "2^", "3", "4")
+    assert data.entries == (
         (0, 1, 1, 1, 0),
         (0, 0, 0, 0, 1),
         (0, 0, 0, 0, 0),
         (1, 1, 0, 0, 0),
         (0, 0, 0, 1, 0),
     )
-    assert em.block_permutation == (0, 1, 3, 4, 2)
-    data = em.data
+    assert data.block_permutation == (0, 1, 3, 4, 2)
     assert data.markov == FOUR_A
     assert data.escape == ((1,), (0,), (0,), (0,))
     assert data.gap_positions == (2,)
@@ -110,39 +109,63 @@ BLOCK_FORM_CASES = {
 }
 
 
+def _assert_block_form(data):
+    """P . E . P^T = [[A, B], [0, 0]], each symbol once, and ``rows`` is
+    [A | B] read in ``columns`` order, checked from A, B and the positions
+    alone."""
+    n, m = len(data.markov), len(data.gap_positions)
+    markov = np.array(data.markov, dtype=int).reshape(n, n)
+    escape = np.array(data.escape, dtype=int).reshape(n, m)
+    p = np.array(data.permutation_matrix)
+    assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
+    blocks = np.zeros((n + m, n + m), dtype=int)
+    blocks[:n, :n] = markov
+    blocks[:n, n:] = escape
+    assert (p @ np.array(data.entries) @ p.T == blocks).all()
+
+    # Interval j comes before its gap j^, which comes before interval j + 1.
+    columns = sorted(
+        [(j, None) for j in range(1, n + 1)]
+        + [(q, k) for k, q in enumerate(data.gap_positions)],
+        key=lambda col: (col[0], col[1] is not None),
+    )
+    assert data.columns == tuple(columns)
+    symbols = [str(j) if k is None else f"{j}^" for j, k in columns]
+    assert data.symbols == tuple(symbols)
+    assert len(set(data.symbols)) == n + m
+    assert data.rows == tuple(
+        tuple(markov[i, j - 1] if k is None else escape[i, k] for j, k in columns)
+        for i in range(n)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_FORM_CASES))
 def test_block_form_factorization(name):
     load, markov, escape = BLOCK_FORM_CASES[name]
-    em = escape_matrix(load())
-    bf = block_form(em)
-    assert bf.markov == markov
-    assert bf.escape == escape
-    size = len(em.symbols)
-    p = bf.permutation_matrix
-    # P is a permutation matrix and P Ahat P^T has the block shape
-    # [[A, B], [0, 0]] with the computed blocks.
-    assert all(sum(row) == 1 for row in p)
-    assert all(sum(p[r][c] for r in range(size)) == 1 for c in range(size))
-    permuted = [
-        [
-            sum(
-                p[r][a] * em.entries[a][b] * p[c][b]
-                for a in range(size)
-                for b in range(size)
-            )
-            for c in range(size)
-        ]
-        for r in range(size)
-    ]
-    n = len(bf.markov)
-    for i in range(size):
-        for j in range(size):
-            if i < n and j < n:
-                assert permuted[i][j] == bf.markov[i][j]
-            elif i < n:
-                assert permuted[i][j] == bf.escape[i][j - n]
-            else:
-                assert permuted[i][j] == 0
+    data = transition_data(load())
+    assert data.markov == markov
+    assert data.escape == escape
+    _assert_block_form(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_form_factorization_on_random_placements(data):
+    """Random primitive A (n = 2..7) with zero to two gap columns in any
+    slots, 1 and n - 1 included: no bundled map has two gaps or a gap in
+    slot 1."""
+    n = data.draw(st.integers(2, 7), label="n")
+    m = data.draw(st.integers(0, min(2, n - 1)), label="gaps")
+    positions = tuple(
+        sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=m, max_size=m)))
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    while True:
+        markov = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        if is_primitive(markov).primitive:
+            break
+    escape = tuple(tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n))
+    _assert_block_form(TransitionData(markov, escape, positions))
 
 
 # -- primitivity ---------------------------------------------------------
@@ -225,8 +248,6 @@ def test_graph_and_dot_export(full2_map, four_map):
     )
     g4 = build_graph(markov_matrix(four_map))
     assert g4.edges == ((1, 2), (1, 3), (2, 4), (3, 1), (3, 2), (4, 3))
-    labelled = dot_export(g4, {1: "I1"})
-    assert '1 [label="I1"];' in labelled
 
 
 def test_graph_strong_connectivity_matches_networkx(four_map):
@@ -242,8 +263,8 @@ def test_graph_strong_connectivity_matches_networkx(four_map):
 
 
 def test_expected_matrix_notes_pinpoint_the_difference(four_doc):
-    em = escape_matrix(four_doc.map)
-    notes = expected_matrix_notes(four_doc.map, em, four_doc.expected_escape_matrix)
+    data = transition_data(four_doc.map)
+    notes = expected_matrix_notes(four_doc.map, data, four_doc.expected_escape_matrix)
     assert len(notes) == 1
     assert notes[0] == (
         "computed escape matrix differs from the claimed one at (4, 2^): "
@@ -253,18 +274,18 @@ def test_expected_matrix_notes_pinpoint_the_difference(four_doc):
 
 
 def test_expected_matrix_notes_empty_when_claim_matches(reaching_map, four_doc):
-    em = escape_matrix(reaching_map)
-    notes = expected_matrix_notes(reaching_map, em, four_doc.expected_escape_matrix)
+    data = transition_data(reaching_map)
+    notes = expected_matrix_notes(reaching_map, data, four_doc.expected_escape_matrix)
     assert notes == ()
 
 
 def test_expected_matrix_notes_flag_symbol_order_mismatch(four_doc):
     from escapemaps import ExpectedEscapeMatrix
 
-    em = escape_matrix(four_doc.map)
+    data = transition_data(four_doc.map)
     wrong = ExpectedEscapeMatrix(
         symbols=("1", "1^", "2", "3", "4"),
         rows=four_doc.expected_escape_matrix.rows,
     )
-    notes = expected_matrix_notes(four_doc.map, em, wrong)
+    notes = expected_matrix_notes(four_doc.map, data, wrong)
     assert len(notes) == 1 and "symbol order" in notes[0]
