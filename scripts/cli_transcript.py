@@ -12,11 +12,13 @@ The transcript is ``tests/cli_transcript.json``, one entry per line, and
 in-process through ``escapemaps.commands.main``, in order, since later
 entries read the maps that the ``synth`` entries write.  The inputs are the
 three bundled maps, a map whose second branch reverses orientation, an
-n = 8 band and the four-interval matrices that CI synthesizes, two maps that
-fail P2 and P1 (the second with image endpoints over mixed denominators), the
-malformed inputs that CI feeds the command line (a file that is not UTF-8
-among them), and a point and a window node over Python's limit on digits
-in an int string.  Paths are written as
+n = 8 band and the four-interval matrices that CI synthesizes, escape blocks
+given without gap positions (straddle columns of the n = 8 band, and nine
+all-ones columns on an n = 20 band), two maps that fail P2 and P1 (the
+second with image endpoints over mixed denominators), the malformed inputs
+that CI feeds the command line (a file that is not UTF-8 and a matrix with
+float entries among them), and a point and a window node over Python's
+limit on digits in an int string.  Paths are written as
 ``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
 those placeholders in the output before it is hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
@@ -42,6 +44,7 @@ from escapemaps.corpus import corpus_path
 TRANSCRIPT = Path(__file__).resolve().parent.parent / "tests" / "cli_transcript.json"
 
 BAND8_A = [[int(abs(i - j) <= 1) for j in range(8)] for i in range(8)]
+BAND20_A = [[int(abs(i - j) <= 1) for j in range(20)] for i in range(20)]
 INPUTS = {
     "reversing.json": {
         "markov_intervals": [["0", "1/3"], ["2/3", "1"]],
@@ -53,6 +56,12 @@ INPUTS = {
     # The band |i - j| <= 1 at n = 8 with its gap after interval 4.
     "band8_a.json": BAND8_A,
     "band8_b.json": [[row[3] & row[4]] for row in BAND8_A],
+    # Its straddle columns for the gaps after intervals 2, 4 and 6, given
+    # without positions, so the planner has to find them.
+    "band8_straddles.json": [[row[p - 1] & row[p] for p in (2, 4, 6)] for row in BAND8_A],
+    # The band at n = 20 with nine all-ones columns: no placement works.
+    "band20_a.json": BAND20_A,
+    "band20_b.json": [[1] * 9 for _ in BAND20_A],
     "a.json": [[0, 1, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0]],
     "b.json": [[1], [0], [0], [0]],
     "slope2.json": {
@@ -83,6 +92,9 @@ INPUTS = {
         ],
     },
     "b_strings.json": ["", "", "", ""],
+    # 1.0 equals 1, but a matrix entry must be the integer 0 or 1.
+    "float_a.json": [[1.0, 1], [1, 1.0]],
+    "float_b.json": {"rows": [[1.0], [1]], "gap_positions": [1]},
 }
 RAW_INPUTS = {
     "garbled.json": b"{not json",
@@ -178,6 +190,18 @@ def argv_list() -> list[list[str]]:
         ["tree", "--x", f"{10**4299 + 2}/{2 * 10**4299}", "--depth", "6", four],
         # A file that is not UTF-8 text is malformed input.
         ["validate", "{tmp}/not_utf8.json"],
+        # Gap positions left to the planner: one spec with no workable
+        # placement among C(19, 9), and one whose placement is found.
+        ["synth", "--A", "{tmp}/band20_a.json", "--B", "{tmp}/band20_b.json",
+         "-o", "{tmp}/band20.json"],
+        ["synth", "--A", "{tmp}/band8_a.json", "--B", "{tmp}/band8_straddles.json",
+         "-o", "{tmp}/band8_found.json"],
+        # Two regular points: the verdict compares the unrollings of the
+        # intervals they lie in (distinct here, equivalent on the full shift).
+        ["equiv", "--x", "5/27", "--y", "229/270", four],
+        ["equiv", "--x", "1/3", "--y", "1/5", "{maps}/full_two_interval.json"],
+        ["synth", "--A", "{tmp}/float_a.json", "--B", "{tmp}/float_b.json",
+         "-o", "{tmp}/float_map.json"],
     ]
     return out
 

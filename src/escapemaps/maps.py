@@ -468,13 +468,6 @@ class MarkovMap:
 
         # P4: primitivity of the transition matrix.
         prim = _primitivity(self.transition_matrix)
-        p4_issues = []
-        if not prim.primitive:
-            r, c = prim.zero_entry
-            p4_issues.append(
-                f"transition matrix is not primitive: entry ({r}, {c}) of the "
-                f"Wielandt-bound power is still zero"
-            )
 
         # P5 diagnostic: coverage of each gap the open image meets.
         coverage = tuple(
@@ -492,7 +485,7 @@ class MarkovMap:
             p1_issues=tuple(p1_issues),
             p2_issues=tuple(p2_issues),
             p3_issues=tuple(p3_issues),
-            p4_issues=tuple(p4_issues),
+            p4_issues=prim.issues,
             expansion_bound=expansion_bound,
             aperiodicity_exponent=prim.exponent,
             escape_coverage=coverage,
@@ -523,6 +516,11 @@ class MapDocument:
 _MAP_KEYS = {"markov_intervals", "branches", "expected_escape_matrix"}
 
 
+def is_bit(entry: object) -> bool:
+    """Whether a matrix entry is the integer 0 or 1 (not a bool, not 1.0)."""
+    return type(entry) is int and entry in (0, 1)
+
+
 def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:
     if not isinstance(data, Mapping) or set(data) != {"symbol_order", "rows"}:
         raise MapFormatError(
@@ -539,16 +537,14 @@ def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:
         or not all(
             isinstance(row, list)
             and len(row) == len(symbols)
-            and all(entry in (0, 1) and not isinstance(entry, bool) for entry in row)
+            and all(map(is_bit, row))
             for row in rows
         )
     ):
         raise MapFormatError(
             "rows must be a square 0/1 array matching symbol_order in size"
         )
-    return ExpectedEscapeMatrix(
-        tuple(symbols), tuple(tuple(int(entry) for entry in row) for row in rows)
-    )
+    return ExpectedEscapeMatrix(tuple(symbols), tuple(tuple(row) for row in rows))
 
 
 def map_document_from_jsonable(data: object) -> MapDocument:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
-from .maps import AffineBranch, MarkovMap, ValidationReport
+from .maps import AffineBranch, MarkovMap, ValidationReport, is_bit
 from .transitions import (
     Matrix,
     TransitionData,
@@ -50,9 +50,11 @@ WIDTH_ITERATION_BOUND = 10**4
 class SynthesisSpec:
     """Target transition matrix, escape block, and coverage mode.
 
-    ``escape`` is n x m (m may be 0).  ``gap_positions`` assigns escape
-    column k to the gap between intervals p_k and p_k + 1; None asks the
-    planner to pick the first workable placement."""
+    ``escape`` is n x m (m may be 0), with entries the integers 0 and 1.
+    ``gap_positions`` assigns escape column k to the gap between intervals
+    p_k and p_k + 1; None asks the planner for the first workable placement
+    in lexicographic order, in which each column takes the first slot after
+    the previous column's at which it is workable alone."""
 
     markov: Matrix
     escape: Matrix
@@ -71,15 +73,10 @@ class SynthesisSpec:
         widths = {len(row) for row in escape}
         if len(widths) > 1:
             raise MapFormatError("escape block rows must be equally long")
-        for row in escape:
-            for entry in row:
-                if isinstance(entry, bool) or entry not in (0, 1):
-                    raise MapFormatError(
-                        f"escape block entries must be 0 or 1, got {entry!r}"
-                    )
-        object.__setattr__(
-            self, "escape", tuple(tuple(int(e) for e in row) for row in escape)
-        )
+        for entry in itertools.chain.from_iterable(escape):
+            if not is_bit(entry):
+                raise MapFormatError(f"escape block entries must be 0 or 1, got {entry!r}")
+        object.__setattr__(self, "escape", tuple(tuple(row) for row in escape))
         if self.gap_positions is not None:
             positions = tuple(int(p) for p in self.gap_positions)
             if len(positions) != self.m:
@@ -192,18 +189,24 @@ def _layout_issues(
 
 def _first_workable(
     markov: Matrix, escape: Matrix, mode: str
-) -> TransitionData | None:
-    """The transition data of the first placement (in lexicographic order) of
-    the escape columns into the n-1 inter-interval slots that makes every row
-    and column workable, or None when no placement does."""
-    n = len(markov)
-    m = len(escape[0]) if escape and escape[0] else 0
-    for combo in itertools.combinations(range(1, n), m):
-        data = TransitionData(markov, escape, combo)
-        rows, cols, _ = _layout_issues(data, mode)
-        if not rows and not cols:
-            return data
-    return None
+) -> tuple[int, ...] | None:
+    """The first placement (in lexicographic order) of the escape columns
+    into the n-1 inter-interval slots that makes every row and column
+    workable, or None when no placement does.  Each rule of
+    ``_layout_issues`` reads one gap symbol and the Markov symbols beside it,
+    so a placement is workable exactly when each column is workable alone at
+    its slot: each column takes the first such slot after the previous one."""
+    positions: list[int] = []
+    for column in zip(*escape):
+        single = tuple((entry,) for entry in column)
+        for p in range(positions[-1] + 1 if positions else 1, len(markov)):
+            rows, cols, _ = _layout_issues(TransitionData(markov, single, (p,)), mode)
+            if not rows and not cols:
+                positions.append(p)
+                break
+        else:
+            return None
+    return tuple(positions)
 
 
 def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
@@ -217,14 +220,7 @@ def _assess(
 ) -> tuple[FeasibilityReport, TransitionData | None]:
     """The feasibility report and the transition data of its placement (None
     when no placement was found)."""
-    structure: list[str] = []
-    prim = _primitivity(spec.markov)
-    if not prim.primitive:
-        r, c = prim.zero_entry
-        structure.append(
-            f"transition matrix is not primitive: entry ({r}, {c}) of the "
-            f"Wielandt-bound power is still zero"
-        )
+    structure = list(_primitivity(spec.markov).issues)
     for col in range(spec.m):
         if all(spec.escape[i][col] == 0 for i in range(spec.n)):
             structure.append(
@@ -237,19 +233,17 @@ def _assess(
             f"inter-interval slots"
         )
 
-    if spec.gap_positions is not None:
-        data = TransitionData(spec.markov, spec.escape, spec.gap_positions)
-    else:
-        data = _first_workable(spec.markov, spec.escape, spec.mode)
-    if data is None and spec.m:
+    positions = spec.gap_positions
+    if positions is None:
+        positions = _first_workable(spec.markov, spec.escape, spec.mode)
+    if positions is None:
         structure.append(
             "no placement of the escape columns makes every row "
             "contiguous and every gap covered"
         )
-        positions, row_issues, column_issues, segments = (), [], [], []
+        positions, data, row_issues, column_issues, segments = (), None, [], [], []
     else:
-        data = data or TransitionData(spec.markov, spec.escape, ())
-        positions = data.gap_positions
+        data = TransitionData(spec.markov, spec.escape, positions)
         row_issues, column_issues, segments = _layout_issues(data, spec.mode)
 
     feasible = not (structure or row_issues or column_issues)

@@ -22,14 +22,14 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import MapFormatError
-from .maps import MarkovMap
+from .maps import MarkovMap, is_bit
 from .rationals import format_rational
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_binary_matrix(rows: object) -> Matrix:
-    """Validate square row-major 0/1 data and return it as nested tuples."""
+    """Validate square row-major data of the integers 0 and 1 as nested tuples."""
     if not isinstance(rows, Sequence) or not rows:
         raise MapFormatError("matrix must be a nonempty array of rows")
     width = None
@@ -42,9 +42,9 @@ def as_binary_matrix(rows: object) -> Matrix:
         if len(row) != width or width == 0:
             raise MapFormatError("matrix rows must be nonempty and equally long")
         for entry in row:
-            if isinstance(entry, bool) or entry not in (0, 1):
+            if not is_bit(entry):
                 raise MapFormatError(f"matrix entries must be 0 or 1, got {entry!r}")
-        out.append(tuple(int(entry) for entry in row))
+        out.append(tuple(row))
     if len(out) != width:
         raise MapFormatError(f"expected a square matrix, got {len(out)}x{width}")
     return tuple(out)
@@ -169,6 +169,14 @@ class PrimitivityResult:
     primitive: bool
     exponent: int | None
     zero_entry: tuple[int, int] | None
+
+    @property
+    def issues(self) -> tuple[str, ...]:
+        """The P4 failure text, or nothing when primitive."""
+        return () if self.primitive else (
+            f"transition matrix is not primitive: entry {self.zero_entry} of the "
+            f"Wielandt-bound power is still zero",
+        )
 
 
 def _bool_multiply(left: list[int], right: list[int]) -> list[int]:

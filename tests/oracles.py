@@ -24,12 +24,16 @@ way, so the tests can check the short way against them:
     relation verdicts that the library reads off keys and values;
   * ``bisect_image_decomposition_check``: the window check in ``Fraction``
     arithmetic, with closed-image membership found by bisecting the sorted
-    interior points and each edge checked through the exact inverse.
+    interior points and each edge checked through the exact inverse;
+  * ``exhaustive_feasibility``: the synthesis feasibility report with the
+    escape columns placed by trying every one of the C(n-1, m) placements
+    in lexicographic order, where the library places each column by itself.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +61,8 @@ from escapemaps import (
 )
 from escapemaps.maps import EscapeCoverage, Location, merge_closed_intervals
 from escapemaps.operators import ImageDecompositionReport, Representation
+from escapemaps.synthesis import FeasibilityReport, SynthesisSpec, _layout_issues
+from escapemaps.transitions import Matrix, TransitionData
 
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
@@ -396,3 +402,55 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     failures.sort()
     texts = mismatches + [text for _, text in failures]
     return ImageDecompositionReport(not texts, tuple(texts))
+
+
+def exhaustive_placement(markov: Matrix, escape: Matrix, mode: str) -> tuple[int, ...] | None:
+    """The first placement (in lexicographic order) of the escape columns
+    into the n-1 inter-interval slots that makes every row and column
+    workable, found by checking whole placements one after another; None
+    when no placement does."""
+    m = len(escape[0]) if escape and escape[0] else 0
+    for combo in itertools.combinations(range(1, len(markov)), m):
+        rows, cols, _ = _layout_issues(TransitionData(markov, escape, combo), mode)
+        if not rows and not cols:
+            return combo
+    return None
+
+
+def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
+    """``feasibility_check`` with the positions that are not given found by
+    ``exhaustive_placement``."""
+    structure = list(is_primitive(spec.markov).issues)
+    for col in range(spec.m):
+        if not any(row[col] for row in spec.escape):
+            structure.append(
+                f"escape column {col + 1} is all zero; no branch would ever "
+                f"reach that gap"
+            )
+    if spec.m > spec.n - 1:
+        structure.append(
+            f"{spec.m} escape columns cannot be placed into {spec.n - 1} "
+            f"inter-interval slots"
+        )
+    positions = spec.gap_positions
+    if positions is None:
+        # With no escape column there is nothing to place.
+        positions = exhaustive_placement(spec.markov, spec.escape, spec.mode) if spec.m else ()
+    if positions is None:
+        structure.append(
+            "no placement of the escape columns makes every row "
+            "contiguous and every gap covered"
+        )
+        positions, rows, cols, segments = (), [], [], []
+    else:
+        data = TransitionData(spec.markov, spec.escape, positions)
+        rows, cols, segments = _layout_issues(data, spec.mode)
+    return FeasibilityReport(
+        feasible=not (structure or rows or cols),
+        mode=spec.mode,
+        gap_positions=positions,
+        structure_issues=tuple(structure),
+        row_issues=tuple(rows),
+        column_issues=tuple(cols),
+        segments=tuple(segments),
+    )

@@ -453,6 +453,24 @@ def test_synth_string_escape_rows_are_exit_two(capsys, tmp_path, rows):
     assert not (tmp_path / "map.json").exists()
 
 
+@pytest.mark.parametrize(
+    "a_rows, b_rows",
+    [
+        ([[1.0, 1], [1, 1.0]], {"rows": [[1], [1]], "gap_positions": [1]}),
+        ([[1, 1], [1, 1]], {"rows": [[1.0], [1]], "gap_positions": [1]}),
+    ],
+)
+def test_synth_float_entries_are_exit_two(capsys, tmp_path, a_rows, b_rows):
+    a = _write(tmp_path / "a.json", a_rows)
+    b = _write(tmp_path / "b.json", b_rows)
+    code, out, err = run_cli(
+        capsys, "synth", "--A", a, "--B", b, "-o", str(tmp_path / "map.json")
+    )
+    assert code == 2 and out == ""
+    assert "entries must be 0 or 1, got 1.0" in err
+    assert not (tmp_path / "map.json").exists()
+
+
 # -- parser-level errors -------------------------------------------------
 
 

@@ -426,6 +426,10 @@ def test_expected_matrix_schema_is_strict():
     }
     with pytest.raises(MapFormatError):
         map_document_from_jsonable(doc)
+    # 1.0 == 1, but an entry is the integer 0 or 1.
+    doc["expected_escape_matrix"] = {"symbol_order": ["1", "2"], "rows": [[1, 0], [0, 1.0]]}
+    with pytest.raises(MapFormatError, match="square 0/1 array"):
+        map_document_from_jsonable(doc)
     doc["expected_escape_matrix"] = {
         "symbol_order": ["1", "2"],
         "rows": [[1, 0], [0, 1]],

@@ -23,7 +23,9 @@ from escapemaps import (
     synthesize,
     transition_data,
 )
+from escapemaps import synthesis
 from escapemaps.corpus import CLAIMED_ESCAPE_ROWS, FOUR_INTERVAL_MARKOV
+from oracles import exhaustive_feasibility
 
 F = Fraction
 
@@ -40,6 +42,8 @@ def test_spec_rejects_malformed_inputs():
         SynthesisSpec(((1, 1), (1, 1)), ((2,), (0,)))
     with pytest.raises(MapFormatError):
         SynthesisSpec(((1, 1), (1, 1)), ((True,), (False,)))
+    with pytest.raises(MapFormatError, match="got 1.0"):
+        SynthesisSpec(((1, 1), (1, 1)), ((1.0,), (1,)))
     with pytest.raises(MapFormatError):
         SynthesisSpec(((1, 1), (1, 1)), ((1,), (1,)), gap_positions=(1, 1))
     with pytest.raises(MapFormatError):
@@ -138,6 +142,11 @@ def test_auto_positions(partial_spec):
         "no placement of the escape columns makes every row contiguous and "
         "every gap covered",
     )
+    # Each column takes the first slot after the previous one that suits it.
+    band = _band(8)
+    escape = tuple(zip(*(_straddle_column(band, p) for p in (2, 4, 6))))
+    found = feasibility_check(SynthesisSpec(band, escape))
+    assert found.feasible and found.gap_positions == (2, 4, 6)
 
 
 # -- width allocation ----------------------------------------------------
@@ -348,6 +357,86 @@ def test_strict_single_column_feasibility_is_the_straddle_rule(n):
                 )
 
 
+# -- gap placement by rule -----------------------------------------------
+
+
+def _band(n):
+    return tuple(tuple(int(abs(i - j) <= 1) for j in range(n)) for i in range(n))
+
+
+def test_planner_checks_each_column_at_most_once_per_slot(monkeypatch):
+    """On the n = 20 band with nine all-ones escape columns no placement
+    among the C(19, 9) = 92,378 works; the planner finds that with at most
+    m.(n-1) single-column layout checks, and makes no check of the spec's
+    own placement."""
+    checked = []
+    layout_issues = synthesis._layout_issues
+
+    def counting(data, mode):
+        checked.append(data.gap_positions)
+        return layout_issues(data, mode)
+
+    monkeypatch.setattr(synthesis, "_layout_issues", counting)
+    report = feasibility_check(SynthesisSpec(_band(20), ((1,) * 9,) * 20))
+    assert not report.feasible and report.gap_positions == ()
+    assert report.structure_issues == (
+        "no placement of the escape columns makes every row contiguous and "
+        "every gap covered",
+    )
+    assert 0 < len(checked) <= 9 * 19 + 1
+    assert all(len(positions) == 1 for positions in checked)
+
+
+def _mostly_contiguous(rng, n):
+    """An n x n 0/1 matrix whose rows are runs of one to four intervals,
+    with about one row in twenty drawn at random instead."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.05:
+            rows.append(tuple(rng.randint(0, 1) for _ in range(n)))
+            continue
+        lo = rng.randrange(n)
+        hi = min(lo + rng.randrange(4), n - 1)
+        rows.append(tuple(int(lo <= j <= hi) for j in range(n)))
+    return tuple(rows)
+
+
+def _drawn_column(rng, markov, p):
+    """The straddle column of slot p, with, by a draw, rows that reach the
+    gap from one side added (two in five), or one entry flipped (one in
+    five)."""
+    column = list(_straddle_column(markov, p))
+    [kind] = rng.choices(("straddle", "reach", "flip"), weights=(2, 2, 1))
+    if kind == "reach":
+        for i, row in enumerate(markov):
+            if row[p - 1] != row[p] and rng.random() < 0.5:
+                column[i] = 1
+    elif kind == "flip":
+        column[rng.randrange(len(column))] ^= 1
+    return column
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_planner_matches_the_exhaustive_placement_oracle(data):
+    """With the positions left to the planner, every field of the report
+    equals the one that trying every placement in lexicographic order
+    gives."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n, m, mode = rng.randint(2, 8), rng.randint(0, 3), rng.choice((STRICT, PARTIAL))
+    markov = _mostly_contiguous(rng, n)
+    # Slots that some row crosses, where the straddle column is not zero.
+    crossed = [p for p in range(1, n) if any(_straddle_column(markov, p))]
+    if m <= len(crossed):
+        slots = sorted(rng.sample(crossed, m))
+    else:
+        slots = [rng.randint(1, n - 1) for _ in range(m)]
+    columns = [_drawn_column(rng, markov, p) for p in slots]
+    escape = tuple(zip(*columns)) if m else ((),) * n
+    spec = SynthesisSpec(markov, escape, mode=mode)
+    assert feasibility_check(spec) == exhaustive_feasibility(spec)
+
+
 # -- JSON assembly -------------------------------------------------------
 
 
@@ -378,6 +467,11 @@ def test_spec_from_jsonable_rejects_conflicts_and_garbage():
         spec_from_jsonable(
             [[1, 1], [1, 1]], {"rows": [[1], [1]], "gap_positions": [1.0]}
         )
+    # Entries are the integers 0 and 1, in A and B alike.
+    with pytest.raises(MapFormatError, match="transition-matrix file: .* got 1.0"):
+        spec_from_jsonable([[1.0, 1], [1, 1.0]], {"rows": [[1], [1]], "gap_positions": [1]})
+    with pytest.raises(MapFormatError, match="escape block entries .* got 1.0"):
+        spec_from_jsonable([[1, 1], [1, 1]], {"rows": [[1.0], [1]], "gap_positions": [1]})
     # Strings are sequences, but not escape rows: "" is no zero-column row.
     with pytest.raises(MapFormatError, match="rows must be arrays"):
         spec_from_jsonable(FOUR_INTERVAL_MARKOV, {"rows": ["", "", "", ""]})

@@ -45,6 +45,8 @@ def test_as_binary_matrix_rejects_bad_shapes_and_entries():
         as_binary_matrix([[2, 0], [0, 1]])
     with pytest.raises(MapFormatError):
         as_binary_matrix([[True, False], [False, True]])
+    with pytest.raises(MapFormatError, match="got 1.0"):
+        as_binary_matrix([[1.0, 1], [1, 1.0]])  # 1.0 == 1, but not an integer
 
 
 # -- transition and escape matrices -------------------------------------
