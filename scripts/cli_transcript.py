@@ -17,8 +17,10 @@ given without gap positions (straddle columns of the n = 8 band, and nine
 all-ones columns on an n = 20 band), two maps that fail P2 and P1 (the
 second with image endpoints over mixed denominators), the malformed inputs
 that CI feeds the command line (a file that is not UTF-8 and a matrix with
-float entries among them), and a point and a window node over Python's
-limit on digits in an int string.  Paths are written as
+float entries among them), a point and a window node over Python's limit
+on digits in an int string, an n = 8 map whose transition matrix is
+complete bipartite, and two infeasible specs (a row that no gap placement
+makes contiguous, and a single interval).  Paths are written as
 ``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
 those placeholders in the output before it is hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
@@ -36,6 +38,7 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from escapemaps import commands
@@ -45,6 +48,24 @@ TRANSCRIPT = Path(__file__).resolve().parent.parent / "tests" / "cli_transcript.
 
 BAND8_A = [[int(abs(i - j) <= 1) for j in range(8)] for i in range(8)]
 BAND20_A = [[int(abs(i - j) <= 1) for j in range(20)] for i in range(20)]
+
+
+def bipartite_map(n: int) -> dict:
+    """An n-interval map (n even) whose transition matrix is complete
+    bipartite, so of period 2: branch i (0-based) has slope n/2 and maps
+    [i/n, (i+1)/n] onto [1/2, 1] for i < n/2 and onto [0, 1/2] otherwise."""
+    half = Fraction(1, 2)
+    return {
+        "markov_intervals": [[str(Fraction(i, n)), str(Fraction(i + 1, n))]
+                             for i in range(n)],
+        "branches": [
+            {"slope": str(n // 2),
+             "intercept": str((half if i < n // 2 else 0) - Fraction(i, 2))}
+            for i in range(n)
+        ],
+    }
+
+
 INPUTS = {
     "reversing.json": {
         "markov_intervals": [["0", "1/3"], ["2/3", "1"]],
@@ -95,6 +116,13 @@ INPUTS = {
     # 1.0 equals 1, but a matrix entry must be the integer 0 or 1.
     "float_a.json": [[1.0, 1], [1, 1.0]],
     "float_b.json": {"rows": [[1.0], [1]], "gap_positions": [1]},
+    "bipartite8.json": bipartite_map(8),
+    # Row 1 targets intervals 1 and 3 only, which no placement can join.
+    "unplaceable_a.json": [[1, 0, 1], [1, 1, 1], [1, 1, 1]],
+    "unplaceable_b.json": [[0], [1], [1]],
+    # One interval cannot expand.
+    "one_a.json": [[1]],
+    "one_b.json": [[]],
 }
 RAW_INPUTS = {
     "garbled.json": b"{not json",
@@ -202,6 +230,19 @@ def argv_list() -> list[list[str]]:
         ["equiv", "--x", "1/3", "--y", "1/5", "{maps}/full_two_interval.json"],
         ["synth", "--A", "{tmp}/float_a.json", "--B", "{tmp}/float_b.json",
          "-o", "{tmp}/float_map.json"],
+        # Escapes after two steps and after one, through the itinerary loop.
+        ["point", "--x", "269/350", four],
+        ["point", "--x", "3/35", four],
+        # An imprimitive A of period 2: the P4 text and the graph report.
+        ["validate", "{tmp}/bipartite8.json"],
+        ["matrices", "{tmp}/bipartite8.json"],
+        ["graph", "--dot", "{tmp}/graph.dot", "{tmp}/bipartite8.json"],
+        # Infeasible specs: a row no placement can make contiguous, and a
+        # single interval.
+        ["synth", "--A", "{tmp}/unplaceable_a.json", "--B", "{tmp}/unplaceable_b.json",
+         "-o", "{tmp}/unplaceable.json"],
+        ["synth", "--A", "{tmp}/one_a.json", "--B", "{tmp}/one_b.json",
+         "-o", "{tmp}/one.json"],
     ]
     return out
 

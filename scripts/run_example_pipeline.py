@@ -21,7 +21,6 @@ from pathlib import Path
 
 from escapemaps import (
     CORPUS_NAMES,
-    build_graph,
     build_orbit_tree,
     check_relations,
     classify_point,
@@ -77,7 +76,7 @@ def run_map(name: str, config: PipelineConfig) -> None:
             print("claim note: computed escape matrix matches the claimed one")
 
     dot_path = config.outdir / f"{name}_graph.dot"
-    dot_path.write_text(dot_export(build_graph(data.markov)))
+    dot_path.write_text(dot_export(data.markov))
     print("transition graph written to", dot_path)
 
 

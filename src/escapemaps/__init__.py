@@ -64,7 +64,7 @@ _EXPORTS = {
         "perron_widths", "spec_from_jsonable", "synthesize",
     ),
     "transitions": (
-        "TransitionData", "as_binary_matrix", "build_graph", "dot_export",
+        "TransitionData", "as_binary_matrix", "dot_export",
         "expected_matrix_notes", "is_primitive", "markov_matrix",
         "transition_data", "wielandt_bound",
     ),

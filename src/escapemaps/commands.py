@@ -36,7 +36,6 @@ from .errors import (
     InfeasibleSpecError,
     MapFormatError,
     MapStructureError,
-    NotAdmissibleError,
     RationalParseError,
 )
 from .maps import MapDocument, map_document_from_jsonable, map_document_to_jsonable
@@ -96,18 +95,13 @@ def _budget(text: str) -> int:
 
 
 def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    from .operators import _validated_vertices
+
+    pieces = [piece.strip() for piece in text.split(",")] if text.strip() else []
+    for piece in pieces:
         if not re.fullmatch(r"[+-]?\d+", piece):
             raise MapFormatError(f"vertex list entry {piece!r} is not an integer")
-        out.append(int(piece))
-    bad = [v for v in out if not 1 <= v <= n]
-    if bad:
-        raise MapFormatError(f"vertices out of range 1..{n}: {bad}")
-    return tuple(sorted(set(out)))
+    return _validated_vertices(map(int, pieces), n)
 
 
 # -- handlers ------------------------------------------------------------
@@ -148,25 +142,24 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    from .transitions import build_graph, dot_export, is_primitive, wielandt_bound
+    from .transitions import _primitivity, dot_export, wielandt_bound
 
     doc = _load_document(args.map)
     markov = doc.map.transition_matrix
-    graph = build_graph(markov)
-    dot = dot_export(graph)
     try:
-        Path(args.dot).write_text(dot)
+        Path(args.dot).write_text(dot_export(markov))
     except OSError as exc:
         _fail(f"cannot write {args.dot}: {exc}")
         return 1
-    prim = is_primitive(markov)
+    prim = _primitivity(markov)
     _emit(
         {
-            "vertices": graph.vertex_count,
-            "edges": graph.edges,
+            "vertices": doc.map.n,
+            "edges": [(i + 1, j + 1) for i, row in enumerate(markov)
+                      for j, unit in enumerate(row) if unit],
             "primitive": prim.primitive,
             "aperiodicity_exponent": prim.exponent,
-            "wielandt_bound": wielandt_bound(graph.vertex_count),
+            "wielandt_bound": wielandt_bound(doc.map.n),
             "dot_file": args.dot,
         }
     )
@@ -249,12 +242,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
     tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter)
-    rep = realize(tree)
-    try:
-        certificate = faithfulness_certificate(rep, vertices)
-    except NotAdmissibleError as exc:
-        _fail(str(exc))
-        return 1
+    certificate = faithfulness_certificate(realize(tree), vertices)
     _emit(certificate)
     return 0 if certificate.all_verified else 1
 

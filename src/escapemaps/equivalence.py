@@ -89,9 +89,15 @@ class EscapeVsRegular:
 EquivalenceVerdict = Equivalent | Distinct | EscapeVsRegular
 
 
-def _refine(children: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Color refinement; returns the color history, one list per round,
-    ending with the stable coloring (round 0 colors by out-degree)."""
+def _refine(
+    preds: Sequence[Sequence[int]], rows: Iterable[Sequence[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Color refinement of the pointed graph: state j < n has A's predecessor
+    column j as children, and root n + k the units of incidence row k.
+    Returns the children and the color history, one list per round, ending
+    with the stable coloring (round 0 colors by out-degree)."""
+    n = len(preds)
+    children = [*preds, *([i for i in range(n) if row[i]] for row in rows)]
     size = len(children)
     colors = _canonical_ids([len(kids) for kids in children])
     history = [colors]
@@ -102,7 +108,7 @@ def _refine(children: Sequence[Sequence[int]]) -> list[list[int]]:
         ]
         new_colors = _canonical_ids(signatures)
         if len(set(new_colors)) == len(set(colors)):
-            return history
+            return children, history
         colors = new_colors
         history.append(colors)
 
@@ -116,24 +122,19 @@ def bisim_equivalent(
     markov: Matrix,
     incidence_x: Sequence[int],
     incidence_y: Sequence[int],
-    note: str = "",
 ) -> Equivalent | Distinct:
     """Exact equivalence of two pointed symbolic graphs over the same
     transition matrix, decided by color refinement."""
-    return _pointed_verdict(predecessors(markov), incidence_x, incidence_y, note)
+    return _pointed_verdict(predecessors(markov), incidence_x, incidence_y)
 
 
-def _pointed_verdict(preds, incidence_x, incidence_y, note) -> Equivalent | Distinct:
+def _pointed_verdict(preds, incidence_x, incidence_y, note="") -> Equivalent | Distinct:
     """``bisim_equivalent`` from the predecessor columns of A."""
     n = len(preds)
     if len(incidence_x) != n or len(incidence_y) != n:
         raise InconsistentInputsError("incidence vectors must have length n")
-    children = list(preds)
     root_x, root_y = n, n + 1
-    children.append([i for i in range(n) if incidence_x[i]])
-    children.append([i for i in range(n) if incidence_y[i]])
-
-    history = _refine(children)
+    children, history = _refine(preds, (incidence_x, incidence_y))
     for round_no, colors in enumerate(history):
         if colors[root_x] != colors[root_y]:
             return Distinct(
@@ -230,12 +231,9 @@ def classify_corpus(
             )
         classes_of.append(pc)
 
-    n = m.n
     rows = list(dict.fromkeys(pc.incidence for pc in classes_of))
-    children = list(m.transition_predecessors)
-    children.extend([i for i in range(n) if row[i]] for row in rows)
-    history = _refine(children)
-    color_of = {row: history[-1][n + k] for k, row in enumerate(rows)}
+    _, history = _refine(m.transition_predecessors, rows)
+    color_of = {row: history[-1][m.n + k] for k, row in enumerate(rows)}
     rounds = len(history) - 1
 
     groups: dict[int, list[int]] = {}
@@ -297,7 +295,7 @@ def compare_points(
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())
     if isinstance(cls_x, Escaped):
-        verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence, "")
+        verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
             check_window_root(m, x, cls_x, depth)

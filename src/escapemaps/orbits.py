@@ -210,9 +210,6 @@ class OrbitTree:
         max_depth - 1."""
         return tuple(range(bisect.bisect_left(self.depths, self.max_depth)))
 
-    def index_of(self, point: Fraction) -> int:
-        return self.points.index(Fraction(point))
-
 
 def check_window_root(m: MarkovMap, x: Fraction, pc: PointClass, depth: int) -> None:
     """Raise OrbitMeetsBoundaryError when the window of x at this depth is

@@ -45,6 +45,8 @@ PARTIAL = "partial"
 # (n - 1)^2 + 1, which stays below this for n <= 100.
 WIDTH_ITERATION_BOUND = 10**4
 
+_SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
+
 
 @dataclass(frozen=True)
 class SynthesisSpec:
@@ -221,6 +223,8 @@ def _assess(
     """The feasibility report and the transition data of its placement (None
     when no placement was found)."""
     structure = list(_primitivity(spec.markov).issues)
+    if spec.n < 2:
+        structure.append(_SINGLE_INTERVAL)
     for col in range(spec.m):
         if all(spec.escape[i][col] == 0 for i in range(spec.n)):
             structure.append(
@@ -242,6 +246,14 @@ def _assess(
             "contiguous and every gap covered"
         )
         positions, data, row_issues, column_issues, segments = (), None, [], [], []
+        # A row whose Markov targets have a hole stays split under any placement.
+        for i, row in enumerate(spec.markov, start=1):
+            units = [j for j, v in enumerate(row, start=1) if v]
+            if units and units[-1] - units[0] >= len(units):
+                row_issues.append(
+                    f"targets of row {i} are not contiguous in symbol order: "
+                    + " ".join(map(str, units))
+                )
     else:
         data = TransitionData(spec.markov, spec.escape, positions)
         row_issues, column_issues, segments = _layout_issues(data, spec.mode)
@@ -306,9 +318,6 @@ def perron_widths(
     return _expanding_widths(TransitionData(markov, spec.escape, spec.gap_positions))
 
 
-_SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
-
-
 def _expanding_widths(data: TransitionData) -> WidthAllocation:
     """The width step of ``perron_widths`` for a primitive matrix on at least
     two intervals, read off the transition data of its placement."""
@@ -360,15 +369,13 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Build a map realizing the spec exactly.
 
     Raises InfeasibleSpecError (carrying the report) when the spec cannot be
-    realized and WidthSnapError when no workable widths are found.  The
-    recomputed matrices of the result are asserted equal to the inputs before
-    returning."""
+    realized, a single interval included, and WidthSnapError when no
+    workable widths are found.  The recomputed matrices of the result are
+    asserted equal to the inputs before returning."""
     report, data = _assess(spec)
     if not report.feasible:
         raise InfeasibleSpecError(report)
     # A feasible matrix is primitive, so it has no zero row either.
-    if spec.n < 2:
-        raise WidthSnapError(_SINGLE_INTERVAL)
     positions = report.gap_positions
     allocation = _expanding_widths(data)
 

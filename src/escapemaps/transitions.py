@@ -12,7 +12,8 @@ For a map with intervals I_1..I_n and open gaps E_k:
     block form from them; the claim notes and synthesis all read it.
 
 Primitivity of A is decided by checking boolean powers up to the Wielandt
-bound n^2 - 2n + 2.
+bound n^2 - 2n + 2; once the powers cycle without a positive one, A is not
+primitive.
 """
 
 from __future__ import annotations
@@ -194,7 +195,9 @@ def _bool_multiply(left: list[int], right: list[int]) -> list[int]:
 
 def is_primitive(matrix: object) -> PrimitivityResult:
     """Decide primitivity by scanning boolean powers A^1, A^2, ... up to the
-    Wielandt bound."""
+    Wielandt bound.  The scan keeps A^q' at each power of two q' and stops
+    when a later A^q equals it (Brent's cycle test): from q' on the powers
+    repeat with period q - q', and none of them is positive."""
     return _primitivity(as_binary_matrix(matrix))
 
 
@@ -205,10 +208,17 @@ def _primitivity(rows: Matrix) -> PrimitivityResult:
     masks = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     full = (1 << n) - 1
     bound = wielandt_bound(n)
-    power = list(masks)
+    power = kept = masks
+    kept_q = 1
     for q in range(1, bound + 1):
         if q > 1:
             power = _bool_multiply(power, masks)
+            if power == kept:  # a cycle with no positive power: step on to A^bound
+                for _ in range((bound - q) % (q - kept_q)):
+                    power = _bool_multiply(power, masks)
+                break
+            if q & (q - 1) == 0:
+                kept, kept_q = power, q
         if all(row == full for row in power):
             return PrimitivityResult(True, q, None)
     for i, row in enumerate(power):
@@ -221,33 +231,14 @@ def _primitivity(rows: Matrix) -> PrimitivityResult:
 # -- transition graph ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Directed graph with 1-based vertices and lexicographically sorted
-    edges."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def out_neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(j for i, j in self.edges if i == v)
-
-
-def build_graph(matrix: object) -> GraphSpec:
+def dot_export(matrix: object) -> str:
+    """Deterministic DOT rendering of a square 0/1 matrix's graph: vertices
+    ascending, then an edge i -> j per unit at (i, j), in row-major order."""
     rows = as_binary_matrix(matrix)
-    n = len(rows)
-    edges = tuple(
-        (i + 1, j + 1) for i in range(n) for j in range(n) if rows[i][j]
-    )
-    return GraphSpec(n, edges)
-
-
-def dot_export(graph: GraphSpec) -> str:
-    """Deterministic DOT rendering: vertices ascending, then sorted edges."""
     lines = ["digraph transitions {"]
-    lines.extend(f"  {v};" for v in range(1, graph.vertex_count + 1))
-    for i, j in sorted(graph.edges):
-        lines.append(f"  {i} -> {j};")
+    lines.extend(f"  {v};" for v in range(1, len(rows) + 1))
+    for i, row in enumerate(rows, start=1):
+        lines.extend(f"  {i} -> {j};" for j, unit in enumerate(row, start=1) if unit)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

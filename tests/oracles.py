@@ -27,7 +27,9 @@ way, so the tests can check the short way against them:
     interior points and each edge checked through the exact inverse;
   * ``exhaustive_feasibility``: the synthesis feasibility report with the
     escape columns placed by trying every one of the C(n-1, m) placements
-    in lexicographic order, where the library places each column by itself.
+    in lexicographic order, where the library places each column by itself;
+  * ``scan_primitivity``: primitivity from every boolean power up to the
+    Wielandt bound, where the library stops once the powers cycle.
 """
 
 from __future__ import annotations
@@ -62,7 +64,14 @@ from escapemaps import (
 from escapemaps.maps import EscapeCoverage, Location, merge_closed_intervals
 from escapemaps.operators import ImageDecompositionReport, Representation
 from escapemaps.synthesis import FeasibilityReport, SynthesisSpec, _layout_issues
-from escapemaps.transitions import Matrix, TransitionData
+from escapemaps.transitions import (
+    Matrix,
+    PrimitivityResult,
+    TransitionData,
+    _bool_multiply,
+    as_binary_matrix,
+    wielandt_bound,
+)
 
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
@@ -421,6 +430,8 @@ def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
     """``feasibility_check`` with the positions that are not given found by
     ``exhaustive_placement``."""
     structure = list(is_primitive(spec.markov).issues)
+    if spec.n == 1:
+        structure.append("a single interval cannot expand, so no expanding map exists")
     for col in range(spec.m):
         if not any(row[col] for row in spec.escape):
             structure.append(
@@ -441,7 +452,15 @@ def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
             "no placement of the escape columns makes every row "
             "contiguous and every gap covered"
         )
-        positions, rows, cols, segments = (), [], [], []
+        positions, cols, segments = (), [], []
+        # Gap symbols only add columns, so a zero of A between two units of
+        # its row stays between them under every placement.
+        rows = [
+            f"targets of row {i} are not contiguous in symbol order: "
+            + " ".join(str(j) for j, v in enumerate(row, start=1) if v)
+            for i, row in enumerate(spec.markov, start=1)
+            if any(row[j] and not row[j + 1] and any(row[j + 2 :]) for j in range(spec.n - 2))
+        ]
     else:
         data = TransitionData(spec.markov, spec.escape, positions)
         rows, cols, segments = _layout_issues(data, spec.mode)
@@ -454,3 +473,21 @@ def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
         column_issues=tuple(cols),
         segments=tuple(segments),
     )
+
+
+def scan_primitivity(matrix: object) -> PrimitivityResult:
+    """``is_primitive`` by multiplying out every power A^1, A^2, ... up to
+    the Wielandt bound; when none is positive, the zero entry is the first
+    one of the Wielandt-bound power in row-major order."""
+    rows = as_binary_matrix(matrix)
+    n = len(rows)
+    masks = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+    full = (1 << n) - 1
+    power = list(masks)
+    for q in range(1, wielandt_bound(n) + 1):
+        if q > 1:
+            power = _bool_multiply(power, masks)
+        if all(row == full for row in power):
+            return PrimitivityResult(True, q, None)
+    i, j = next((i, j) for i, row in enumerate(power) for j in range(n) if not row >> j & 1)
+    return PrimitivityResult(False, None, (i + 1, j + 1))

@@ -305,6 +305,10 @@ def test_rep_vertex_parsing_errors(capsys):
         capsys, "rep", "--x", "1/2", "--V", "9", "--check", FOUR
     )
     assert code == 2 and "out of range" in err
+    # Without --check too; the entries are listed as the operator layer
+    # checks them, sorted and de-duplicated.
+    code, _, err = run_cli(capsys, "rep", "--x", "1/2", "--V", "9,7,9", FOUR)
+    assert code == 2 and err == "error: vertices out of range 1..4: [7, 9]\n"
 
 
 # -- certify -------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_escape_window_shape(four_map):
     assert tree.interior_indices() == (0, 1, 2)
     assert tree.children(2) == (3, 4)
     assert children_by_label(tree, 2) == {1: 3, 4: 4}
-    assert tree.index_of(F(269, 350)) == 2
+    assert tree.points.index(F(269, 350)) == 2
 
 
 def test_regular_window_with_horizon_closes_its_cycle(four_map):

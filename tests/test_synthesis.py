@@ -216,8 +216,15 @@ def test_perron_widths_checks_positions_against_the_escape_block(positions, mess
 
 
 def test_single_interval_spec_cannot_expand():
-    with pytest.raises(WidthSnapError, match="no expanding map exists"):
-        synthesize(SynthesisSpec(((1,),), ((),)))
+    spec = SynthesisSpec(((1,),), ((),))
+    report = feasibility_check(spec)
+    assert not report.feasible
+    assert report.structure_issues == (
+        "a single interval cannot expand, so no expanding map exists",
+    )
+    with pytest.raises(InfeasibleSpecError) as err:
+        synthesize(spec)
+    assert err.value.report == report
     with pytest.raises(WidthSnapError, match="single interval"):
         perron_widths(((1,),), ((),), ())
 
@@ -362,6 +369,23 @@ def test_strict_single_column_feasibility_is_the_straddle_rule(n):
 
 def _band(n):
     return tuple(tuple(int(abs(i - j) <= 1) for j in range(n)) for i in range(n))
+
+
+def test_unplaceable_spec_names_the_rows_no_placement_can_fix():
+    """Row 1 targets intervals 1 and 3 but not 2, and symbol 2 stays between
+    them wherever the gap symbols go, so no placement joins them; the report
+    says which row it is."""
+    spec = SynthesisSpec(((1, 0, 1), (1, 1, 1), (1, 1, 1)), ((0,), (1,), (1,)))
+    report = feasibility_check(spec)
+    assert not report.feasible and report.gap_positions == ()
+    assert report.structure_issues == (
+        "no placement of the escape columns makes every row contiguous and "
+        "every gap covered",
+    )
+    assert report.row_issues == (
+        "targets of row 1 are not contiguous in symbol order: 1 3",
+    )
+    assert report == exhaustive_feasibility(spec)
 
 
 def test_planner_checks_each_column_at_most_once_per_slot(monkeypatch):

@@ -11,7 +11,6 @@ from escapemaps import (
     SynthesisSpec,
     TransitionData,
     as_binary_matrix,
-    build_graph,
     dot_export,
     expected_matrix_notes,
     four_interval_map,
@@ -24,7 +23,9 @@ from escapemaps import (
     wielandt_bound,
 )
 
+from escapemaps import transitions
 from escapemaps.transitions import predecessors
+from oracles import scan_primitivity
 
 F = Fraction
 
@@ -230,15 +231,64 @@ def test_primitivity_matches_matrix_power_oracle(rows):
         assert power[i - 1][j - 1] == 0.0
 
 
+@st.composite
+def _structured_matrices(draw):
+    """Square 0/1 matrices of four kinds: unconstrained, block-cyclic of
+    period 2 to 4 (imprimitive whenever irreducible), reducible (block upper
+    triangular), and permutations whose cycle lengths may be coprime."""
+    kind = draw(st.sampled_from(("free", "block-cyclic", "reducible", "permutation")))
+    if kind == "permutation":
+        lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        successor, start = [], 0
+        for length in lengths:
+            successor += [start + (k + 1) % length for k in range(length)]
+            start += length
+        return tuple(tuple(int(j == s) for j in range(start)) for s in successor)
+    if kind == "block-cyclic":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+        block = [b for b, size in enumerate(sizes) for _ in range(size)]
+        mask = [[bj == (bi + 1) % len(sizes) for bj in block] for bi in block]
+    else:
+        n = draw(st.integers(1, 7))
+        # Rows from ``split`` on have no unit left of it; 0 leaves A free.
+        split = draw(st.integers(1, max(1, n - 1))) if kind == "reducible" else 0
+        mask = [[not i >= split > j for j in range(n)] for i in range(n)]
+    return tuple(tuple(int(ok and draw(st.booleans())) for ok in row) for row in mask)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_structured_matrices())
+def test_primitivity_matches_the_full_scan(matrix):
+    assert is_primitive(matrix) == scan_primitivity(matrix)
+
+
+def test_imprimitive_scan_stops_once_the_powers_cycle(monkeypatch):
+    """The complete bipartite A at n = 40 has period 2, so its powers repeat
+    from A^2 on: a handful of products decide it, where a scan to the
+    Wielandt bound takes 1,521."""
+    n = 40
+    bipartite = tuple(
+        tuple(int((i < n // 2) != (j < n // 2)) for j in range(n)) for i in range(n)
+    )
+    want = scan_primitivity(bipartite)
+    calls = []
+    multiply = transitions._bool_multiply
+
+    def counting(left, right):
+        calls.append((left, right))
+        return multiply(left, right)
+
+    monkeypatch.setattr(transitions, "_bool_multiply", counting)
+    assert is_primitive(bipartite) == want
+    assert want.zero_entry == (1, 21)
+    assert len(calls) <= 10
+
+
 # -- graphs and DOT ------------------------------------------------------
 
 
 def test_graph_and_dot_export(full2_map, four_map):
-    g = build_graph(markov_matrix(full2_map))
-    assert g.vertex_count == 2
-    assert g.edges == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert g.out_neighbours(1) == (1, 2)
-    assert dot_export(g) == (
+    assert dot_export(markov_matrix(full2_map)) == (
         "digraph transitions {\n"
         "  1;\n"
         "  2;\n"
@@ -248,14 +298,20 @@ def test_graph_and_dot_export(full2_map, four_map):
         "  2 -> 2;\n"
         "}\n"
     )
-    g4 = build_graph(markov_matrix(four_map))
-    assert g4.edges == ((1, 2), (1, 3), (2, 4), (3, 1), (3, 2), (4, 3))
+    assert dot_export(markov_matrix(four_map)).endswith(
+        "  1 -> 2;\n  1 -> 3;\n  2 -> 4;\n  3 -> 1;\n  3 -> 2;\n  4 -> 3;\n}\n"
+    )
+    # dot_export is public, so it checks its input as a 0/1 square matrix.
+    with pytest.raises(MapFormatError):
+        dot_export(((1, 2), (0, 1)))
 
 
 def test_graph_strong_connectivity_matches_networkx(four_map):
     networkx = pytest.importorskip("networkx")
-    g = build_graph(markov_matrix(four_map))
-    dg = networkx.DiGraph(g.edges)
+    markov = markov_matrix(four_map)
+    dg = networkx.DiGraph(
+        (i, j) for i, row in enumerate(markov) for j, unit in enumerate(row) if unit
+    )
     assert networkx.is_strongly_connected(dg)
     # Primitivity = strong connectivity + aperiodicity (cycle gcd 1).
     assert networkx.is_aperiodic(dg)
