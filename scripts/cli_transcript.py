@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Record, or check, the CLI transcript: the exit code and the sha256 of
-stdout and stderr for a fixed list of command lines.
+stdout and stderr for a fixed list of command lines, and of the file that
+``graph --dot FILE`` and ``synth -o FILE`` write.
 
 Usage, from the root of an escapemaps checkout:
 
@@ -20,13 +21,15 @@ that CI feeds the command line (a file that is not UTF-8 and a matrix with
 float entries among them), a point and a window node over Python's limit
 on digits in an int string, an n = 8 map whose transition matrix is
 complete bipartite, and two infeasible specs (a row that no gap placement
-makes contiguous, and a single interval).  Paths are written as
-``{maps}/...`` and ``{tmp}/...``, and both directories are written back as
-those placeholders in the output before it is hashed, so the digests do not
+makes contiguous, and a single interval), and an escape file whose mode is
+the empty string.  Paths are written as ``{maps}/...`` and ``{tmp}/...``, and
+both directories are written back as those placeholders in the output and
+in the written file before they are hashed, so the digests do not
 depend on where the checkout or the temporary directory sits.  Help texts
 and argparse usage errors are left out, since their layout changes between
 Python versions.  An exception that escapes ``main`` is recorded by its
-class name in place of the exit code.
+class name in place of the exit code, and a file that the command did not
+write by null.
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ INPUTS = {
     # One interval cannot expand.
     "one_a.json": [[1]],
     "one_b.json": [[]],
+    # A mode must be "strict" or "partial"; the empty string is neither.
+    "empty_mode_b.json": {"rows": [[1], [0], [0], [0]], "mode": ""},
 }
 RAW_INPUTS = {
     "garbled.json": b"{not json",
@@ -243,6 +248,8 @@ def argv_list() -> list[list[str]]:
          "-o", "{tmp}/unplaceable.json"],
         ["synth", "--A", "{tmp}/one_a.json", "--B", "{tmp}/one_b.json",
          "-o", "{tmp}/one.json"],
+        ["synth", "--A", "{tmp}/a.json", "--B", "{tmp}/empty_mode_b.json",
+         "-o", "{tmp}/empty_mode.json"],
     ]
     return out
 
@@ -254,10 +261,22 @@ def prepare(tmp: Path) -> None:
         (tmp / name).write_bytes(raw)
 
 
+def written_file(argv: list[str]) -> str | None:
+    """The file a command line writes: the argument after ``graph --dot``
+    or ``synth -o``, or None for the other commands."""
+    flag = {"graph": "--dot", "synth": "-o"}.get(argv[0])
+    return argv[argv.index(flag) + 1] if flag in argv else None
+
+
 def run(argv: list[str], tmp: Path) -> dict:
-    """Run one command line in-process and digest what it printed."""
+    """Run one command line in-process and digest what it printed and the
+    file it wrote (removed first, so a stale copy is not digested)."""
     maps = str(corpus_path("four_interval").parent)
     real = [arg.replace("{tmp}", str(tmp)).replace("{maps}", maps) for arg in argv]
+    target = written_file(argv)
+    if target is not None:
+        target = Path(target.replace("{tmp}", str(tmp)))
+        target.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -271,12 +290,15 @@ def run(argv: list[str], tmp: Path) -> dict:
         text = text.replace(str(tmp), "{tmp}").replace(maps, "{maps}")
         return hashlib.sha256(text.encode()).hexdigest()
 
-    return {
+    entry = {
         "argv": argv,
         "exit": code,
         "stdout_sha256": digest(out.getvalue()),
         "stderr_sha256": digest(err.getvalue()),
     }
+    if target is not None:
+        entry["file_sha256"] = digest(target.read_text()) if target.exists() else None
+    return entry
 
 
 def record() -> list[dict]:

@@ -28,7 +28,7 @@ from .errors import (
     NotAnEscapePointError,
     OrbitMeetsBoundaryError,
 )
-from .maps import MarkovMap
+from .maps import MarkovMap, bit_rows
 from .orbits import (
     DEFAULT_MAX_ITER,
     DEFAULT_TREE_DEPTH,
@@ -39,7 +39,8 @@ from .orbits import (
     classify_point,
     window_node_count,
 )
-from .transitions import Matrix, predecessors
+from .rationals import exact
+from .transitions import Matrix, as_binary_matrix, predecessors
 
 
 # -- bisimulation -------------------------------------------------------
@@ -124,8 +125,10 @@ def bisim_equivalent(
     incidence_y: Sequence[int],
 ) -> Equivalent | Distinct:
     """Exact equivalence of two pointed symbolic graphs over the same
-    transition matrix, decided by color refinement."""
-    return _pointed_verdict(predecessors(markov), incidence_x, incidence_y)
+    transition matrix, decided by color refinement.  A is read by
+    ``as_binary_matrix`` and each incidence row by ``bit_rows``."""
+    rows = bit_rows([incidence_x], "incidence") + bit_rows([incidence_y], "incidence")
+    return _pointed_verdict(predecessors(as_binary_matrix(markov)), *rows)
 
 
 def _pointed_verdict(preds, incidence_x, incidence_y, note="") -> Equivalent | Distinct:
@@ -219,7 +222,7 @@ def classify_corpus(
     map must pass P1-P4, even for an empty corpus."""
     # The checks of a depth-1 window, which compare_points runs too.
     m.require_valid()
-    pts = [Fraction(p) for p in points]
+    pts = [exact(p) for p in points]
     classes_of: list[Escaped] = []
     for p in pts:
         pc = classify_point(m, p, max_iter)
@@ -283,8 +286,7 @@ def compare_points(
     if depth < 0:
         raise DepthExceedsTreeError("depth must be nonnegative")
     m.require_valid()
-    cls_x = classify_point(m, x, max_iter)
-    cls_y = classify_point(m, y, max_iter)
+    cls_x, cls_y = [classify_point(m, p, max_iter) for p in (exact(x), exact(y))]
     for label, pc in (("x", cls_x), ("y", cls_y)):
         if isinstance(pc, BoundaryOrbit):
             raise OrbitMeetsBoundaryError(
@@ -310,8 +312,8 @@ def compare_points(
                 intertwiner = NoLabelRespectingIso(unlabeled_iso_exists=True)
         return ComparisonResult(cls_x, cls_y, verdict, intertwiner)
     # Both regular: compare the unrollings of their current symbolic states.
-    jx = m.locate(Fraction(x)).index
-    jy = m.locate(Fraction(y)).index
+    jx = m.locate(x).index
+    jy = m.locate(y).index
     markov = m.transition_matrix
     verdict = _pointed_verdict(
         preds,

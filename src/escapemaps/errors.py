@@ -10,7 +10,8 @@ class EscapeMapsError(Exception):
 
 
 class RationalParseError(EscapeMapsError, ValueError):
-    """A rational literal could not be parsed (malformed or zero denominator)."""
+    """A rational literal is malformed or has a zero denominator, or a
+    point or coefficient is not a Fraction or an int."""
 
 
 class MapFormatError(EscapeMapsError, ValueError):

@@ -42,15 +42,9 @@ from .errors import (
     NotInDomainError,
     OutsideAmbientError,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 Interval = tuple[Fraction, Fraction]
-
-
-def _as_fraction(x) -> Fraction:
-    # Fraction(x) copies a Fraction through an abstract-base-class check,
-    # which costs a third of an exact inverse on the hot point queries.
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def merge_closed_intervals(items: Iterable[tuple]) -> tuple[tuple, ...]:
@@ -69,7 +63,7 @@ def merge_closed_intervals(items: Iterable[tuple]) -> tuple[tuple, ...]:
 @dataclass(frozen=True)
 class AffineBranch:
     """One affine branch: x |-> slope*x + intercept on the closed domain
-    [left, right]."""
+    [left, right], each coefficient a Fraction or an int (``exact``)."""
 
     slope: Fraction
     intercept: Fraction
@@ -78,7 +72,7 @@ class AffineBranch:
 
     def __post_init__(self) -> None:
         for name in ("slope", "intercept", "left", "right"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+            object.__setattr__(self, name, exact(getattr(self, name)))
         if self.slope == 0:
             raise MapStructureError("branch slope must be nonzero")
         if not self.left < self.right:
@@ -375,7 +369,7 @@ class MarkovMap:
 
     def locate(self, x: Fraction) -> Location:
         """One integer bisection of the grid's partition points."""
-        x = _as_fraction(x)
+        x = exact(x)
         kind, index, _ = self.grid.cell(*x.as_integer_ratio())
         return Location(kind, index, x)
 
@@ -384,7 +378,7 @@ class MarkovMap:
         OutsideAmbientError outside the ambient interval.  At a shared endpoint
         the left branch's value is returned; if the right branch disagrees the
         result is flagged ambiguous."""
-        x = _as_fraction(x)
+        x = exact(x)
         kind, index, i = self.grid.cell(*x.as_integer_ratio())
         if kind == OUTSIDE:
             lo, hi = self.ambient
@@ -398,17 +392,13 @@ class MarkovMap:
     def branch_inverse(self, i: int, y: Fraction) -> Fraction | None:
         """Preimage of y under branch i (1-based), or None when y is outside
         the closed image of interval i."""
-        self._check_branch_index(i)
-        return self.branches[i - 1].inverse_at(_as_fraction(y))
+        check_index(i, self.n, "branch index")
+        return self.branches[i - 1].inverse_at(exact(y))
 
     def interval_image(self, i: int) -> Interval:
         """Closed image f(I_i) as an interval (endpoints sorted)."""
-        self._check_branch_index(i)
+        check_index(i, self.n, "branch index")
         return self.images[i - 1]
-
-    def _check_branch_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise MapStructureError(f"branch index {i} out of range 1..{self.n}")
 
     # -- validation -----------------------------------------------------
 
@@ -521,6 +511,38 @@ def is_bit(entry: object) -> bool:
     return type(entry) is int and entry in (0, 1)
 
 
+def bit_rows(rows: object, label: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of a 0/1 array as nested tuples: a list or tuple of list or
+    tuple rows, all of one width (0 allowed), whose entries pass ``is_bit``.
+    Raises MapFormatError, naming the array by ``label``, otherwise."""
+    if not isinstance(rows, (list, tuple)):
+        raise MapFormatError(f"{label} must be an array of rows")
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise MapFormatError(f"{label} rows must be arrays")
+        if out and len(row) != len(out[0]):
+            raise MapFormatError(f"{label} rows must be equally long")
+        if not all(map(is_bit, row)):
+            bad = next(entry for entry in row if not is_bit(entry))
+            raise MapFormatError(f"{label} entries must be 0 or 1, got {bad!r}")
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def is_index(value: object) -> bool:
+    """Whether a branch index, vertex or gap position is an int (not a bool or 1.0)."""
+    return type(value) is int
+
+
+def check_index(i: object, n: int, label: str) -> None:
+    """Raise MapStructureError unless i is an index (``is_index``) in 1..n."""
+    if not is_index(i):
+        raise MapStructureError(f"{label} {i!r} is not an integer")
+    if not 1 <= i <= n:
+        raise MapStructureError(f"{label} {i} out of range 1..{n}")
+
+
 def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:
     if not isinstance(data, Mapping) or set(data) != {"symbol_order", "rows"}:
         raise MapFormatError(
@@ -528,23 +550,12 @@ def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:
             "'symbol_order' and 'rows'"
         )
     symbols = data["symbol_order"]
-    rows = data["rows"]
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise MapFormatError("symbol_order must be an array of strings")
-    if (
-        not isinstance(rows, list)
-        or len(rows) != len(symbols)
-        or not all(
-            isinstance(row, list)
-            and len(row) == len(symbols)
-            and all(map(is_bit, row))
-            for row in rows
-        )
-    ):
-        raise MapFormatError(
-            "rows must be a square 0/1 array matching symbol_order in size"
-        )
-    return ExpectedEscapeMatrix(tuple(symbols), tuple(tuple(row) for row in rows))
+    rows = bit_rows(data["rows"], "expected_escape_matrix")
+    if len(rows) != len(symbols) or any(len(row) != len(symbols) for row in rows):
+        raise MapFormatError("rows must be a square 0/1 array matching symbol_order in size")
+    return ExpectedEscapeMatrix(tuple(symbols), rows)
 
 
 def map_document_from_jsonable(data: object) -> MapDocument:

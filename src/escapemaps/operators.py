@@ -31,7 +31,7 @@ from .errors import (
     NotAnEscapePointError,
     WindowTooShallowError,
 )
-from .maps import MapStructureError
+from .maps import MapStructureError, check_index, is_index
 from .orbits import Escaped, OrbitTree, PointClass
 from .rationals import format_rational
 
@@ -58,12 +58,8 @@ class Representation:
     def dim(self) -> int:
         return self.tree.node_count
 
-    def _check_vertex(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise MapStructureError(f"vertex {i} out of range 1..{self.n}")
-
     def transfer(self, i: int) -> dict[int, int]:
-        self._check_vertex(i)
+        check_index(i, self.n, "vertex")
         return self.transfers[i - 1]
 
     def edge_isometry(self, i: int, j: int) -> dict[int, int]:
@@ -72,11 +68,11 @@ class Representation:
         return self.edge_isometries[(i, j)]
 
     def vertex_projection(self, i: int) -> frozenset[int]:
-        self._check_vertex(i)
+        check_index(i, self.n, "vertex")
         return self.vertex_projections[i - 1]
 
     def image_projection(self, i: int) -> frozenset[int]:
-        self._check_vertex(i)
+        check_index(i, self.n, "vertex")
         return self.image_projections[i - 1]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -234,7 +230,11 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
 
 
 def _validated_vertices(vertices: Iterable[int], n: int) -> tuple[int, ...]:
-    vset = sorted(set(int(v) for v in vertices))
+    """The vertex set sorted and de-duplicated: ints (``is_index``) in 1..n."""
+    vlist = list(vertices)
+    if not all(map(is_index, vlist)):
+        raise MapStructureError(f"vertices must be integers, got {vlist}")
+    vset = sorted(set(vlist))
     bad = [v for v in vset if not 1 <= v <= n]
     if bad:
         raise MapStructureError(f"vertices out of range 1..{n}: {bad}")

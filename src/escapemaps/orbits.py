@@ -34,7 +34,7 @@ from .errors import (
     OutsideAmbientError,
 )
 from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap
-from .rationals import format_rational
+from .rationals import exact, format_rational
 from .transitions import gap_symbol, markov_symbol
 
 DEFAULT_MAX_ITER = 4096
@@ -83,7 +83,7 @@ def _forward_orbit(
     Raises OutsideAmbientError when a point is outside the ambient
     interval."""
     cell, image = m.grid.cell, m.grid.image
-    y = Fraction(x).as_integer_ratio()
+    y = exact(x).as_integer_ratio()
     for step in itertools.count():
         c = cell(*y)
         if c[0] == OUTSIDE:
@@ -120,7 +120,7 @@ def classify_point(
 def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
     """0/1 vector over branches: unit at i iff the escape point e lies in the
     closed image of I_i.  Requires e strictly inside an open gap."""
-    loc = m.locate(Fraction(e))
+    loc = m.locate(e)
     if loc.kind != ESCAPE_INTERIOR:
         raise NotAnEscapePointError(f"{loc.point} is not strictly inside an open gap")
     return _row(m.n, m.grid.incidence(*loc.point.as_integer_ratio()))
@@ -326,7 +326,7 @@ def build_orbit_tree(
 
     return OrbitTree(
         map=m,
-        base_point=Fraction(x),
+        base_point=exact(x),
         base_class=base_class,
         root_point=root,
         max_depth=depth,

@@ -1,10 +1,12 @@
 """Exact rational parsing and formatting, and the JSON form of reports.
 
 Rationals are stdlib ``fractions.Fraction`` values throughout the package:
-arbitrary precision, automatically reduced, hashable, and exact.  The JSON
-surface encodes them as strings, either ``"p"`` or ``"p/q"`` with a nonzero
-denominator; this module owns that encoding, and ``jsonable`` applies it to
-whole report records.
+arbitrary precision, automatically reduced, hashable, and exact.  Points and
+coefficients enter the library as a Fraction or an int, read by ``exact``,
+which rounds no float and parses no string: text goes through
+``parse_rational``.  The JSON surface encodes rationals as strings, ``"p"``
+or ``"p/q"`` with a nonzero denominator; this module owns that encoding,
+and ``jsonable`` applies it to whole report records.
 """
 
 from __future__ import annotations
@@ -39,9 +41,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    """Format a Fraction as ``"p"`` or ``"p/q"`` (always reduced)."""
-    value = Fraction(value)
+def exact(x: Fraction | int) -> Fraction:
+    """A point or coefficient as a Fraction: a Fraction as it is and an int
+    converted.  Raises RationalParseError for anything else, a bool, float,
+    Decimal or string included, so no value is rounded or parsed here."""
+    # The type test spares hot point queries Fraction's copy and its ABC check.
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise RationalParseError(f"expected a Fraction or an int, got {x!r}")
+
+
+def format_rational(value: Fraction | int) -> str:
+    """Format a Fraction or an int as ``"p"`` or ``"p/q"`` (always reduced)."""
+    value = exact(value)
     try:
         return str(value)
     except ValueError as exc:  # Python's limit on digits in an int string

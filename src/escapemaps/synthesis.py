@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
-from .maps import AffineBranch, MarkovMap, ValidationReport, is_bit
+from .maps import AffineBranch, MarkovMap, ValidationReport, bit_rows, is_index
 from .transitions import (
     Matrix,
     TransitionData,
@@ -35,15 +35,11 @@ from .transitions import (
     as_binary_matrix,
     is_primitive,
     transition_data,
+    wielandt_bound,
 )
 
 STRICT = "strict"
 PARTIAL = "partial"
-
-# Safety net only: for a primitive A the iterates grow strictly in every
-# entry once A^k > 0, so the loop ends within the Wielandt bound
-# (n - 1)^2 + 1, which stays below this for n <= 100.
-WIDTH_ITERATION_BOUND = 10**4
 
 _SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
 
@@ -52,11 +48,13 @@ _SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
 class SynthesisSpec:
     """Target transition matrix, escape block, and coverage mode.
 
-    ``escape`` is n x m (m may be 0), with entries the integers 0 and 1.
-    ``gap_positions`` assigns escape column k to the gap between intervals
-    p_k and p_k + 1; None asks the planner for the first workable placement
-    in lexicographic order, in which each column takes the first slot after
-    the previous column's at which it is workable alone."""
+    ``markov`` (n x n) and ``escape`` (n x m, m may be 0) are lists or
+    tuples of the integers 0 and 1, read by ``bit_rows``.  ``gap_positions``,
+    a list or tuple of ints (``is_index``), assigns escape column k to the
+    gap between intervals p_k and p_k + 1; None asks the planner for the
+    first workable placement in lexicographic order, in which each column
+    takes the first slot after the previous column's at which it is
+    workable alone.  Any other input raises MapFormatError."""
 
     markov: Matrix
     escape: Matrix
@@ -67,24 +65,17 @@ class SynthesisSpec:
         markov = as_binary_matrix(self.markov)
         object.__setattr__(self, "markov", markov)
         n = len(markov)
-        escape = self.escape
-        if not isinstance(escape, (list, tuple)) or len(escape) != n:
+        escape = bit_rows(self.escape, "escape block")
+        if len(escape) != n:
             raise MapFormatError("escape block needs one row per interval")
-        if not all(isinstance(row, (list, tuple)) for row in escape):
-            raise MapFormatError("escape block rows must be arrays")
-        widths = {len(row) for row in escape}
-        if len(widths) > 1:
-            raise MapFormatError("escape block rows must be equally long")
-        for entry in itertools.chain.from_iterable(escape):
-            if not is_bit(entry):
-                raise MapFormatError(f"escape block entries must be 0 or 1, got {entry!r}")
-        object.__setattr__(self, "escape", tuple(tuple(row) for row in escape))
+        object.__setattr__(self, "escape", escape)
         if self.gap_positions is not None:
-            positions = tuple(int(p) for p in self.gap_positions)
+            positions = self.gap_positions
+            if not isinstance(positions, (list, tuple)) or not all(map(is_index, positions)):
+                raise MapFormatError("gap_positions must be an array of integers")
+            positions = tuple(positions)
             if len(positions) != self.m:
-                raise MapFormatError(
-                    "gap_positions must list one position per escape column"
-                )
+                raise MapFormatError("gap_positions must list one position per escape column")
             if any(not 1 <= p <= n - 1 for p in positions):
                 raise MapFormatError(
                     f"gap positions must lie in 1..{n - 1} "
@@ -94,9 +85,7 @@ class SynthesisSpec:
                 raise MapFormatError("gap positions must be strictly increasing")
             object.__setattr__(self, "gap_positions", positions)
         if self.mode not in (STRICT, PARTIAL):
-            raise MapFormatError(
-                f"mode must be '{STRICT}' or '{PARTIAL}', got {self.mode!r}"
-            )
+            raise MapFormatError(f"mode must be '{STRICT}' or '{PARTIAL}', got {self.mode!r}")
 
     @property
     def n(self) -> int:
@@ -104,7 +93,7 @@ class SynthesisSpec:
 
     @property
     def m(self) -> int:
-        return len(self.escape[0]) if self.escape and self.escape[0] else 0
+        return len(self.escape[0])
 
 
 # -- feasibility ---------------------------------------------------------
@@ -297,11 +286,13 @@ def perron_widths(
     branch slope).  A row's span is 4.(A.w)_i over its Markov targets plus a
     full gap width for each gap inside its run and half of one for a gap at
     either end.  The widths are then normalised to total 1.  Raises
-    MapFormatError for inputs that ``SynthesisSpec`` refuses, such as
-    positions that do not place every escape column, and WidthSnapError for
-    a single interval, a zero row or a matrix that is not primitive, none of
-    which admits an expanding map."""
-    spec = SynthesisSpec(markov, escape, tuple(positions))
+    MapFormatError for positions of None and for inputs that
+    ``SynthesisSpec`` refuses, such as positions that do not place every
+    escape column, and WidthSnapError for a single interval, a zero row or a
+    matrix that is not primitive, none of which admits an expanding map."""
+    if positions is None:
+        raise MapFormatError("perron_widths needs the gap positions")
+    spec = SynthesisSpec(markov, escape, positions)
     markov = spec.markov
     if len(markov) < 2:
         raise WidthSnapError(_SINGLE_INTERVAL)
@@ -333,7 +324,10 @@ def _expanding_widths(data: TransitionData) -> WidthAllocation:
         for units in _unit_runs(data)
     ]
     w = [1] * len(markov)
-    for _ in range(WIDTH_ITERATION_BOUND):
+    # Iterate t is A^t.1.  Once A^t > 0, by the Wielandt bound at the latest,
+    # (A.w)_i = (A^t.(A.1))_i > w_i, since A.1 >= 1 has an entry 2 (a
+    # primitive A on two or more intervals is no permutation): the test passes.
+    for _ in range(wielandt_bound(len(markov)) + 1):
         aw = [sum(x for a, x in zip(row, w) if a) for row in markov]
         g = min(w)
         if all(8 * y + g * h > 8 * x for x, y, h in zip(w, aw, halves)):
@@ -346,9 +340,10 @@ def _expanding_widths(data: TransitionData) -> WidthAllocation:
                 (min(ratios), max(ratios)),
             )
         w = aw
+    # Unreachable (see above); a guard, so a broken premise fails loudly.
     raise WidthSnapError(
-        f"no integer iterate passed the exact expansion check within "
-        f"{WIDTH_ITERATION_BOUND} steps"
+        "no integer iterate passed the exact expansion check within the "
+        "Wielandt bound"
     )
 
 
@@ -461,26 +456,15 @@ def spec_from_jsonable(
     """Assemble a SynthesisSpec from parsed JSON matrix files.
 
     Each file is either a bare row-major array or an object with a ``rows``
-    key; the escape file may also carry ``mode`` and ``gap_positions``.  A
-    mode passed here (e.g. from a command-line flag) must agree with one in
-    the file."""
+    key; the escape file may also carry ``mode`` and ``gap_positions``, which
+    go to ``SynthesisSpec`` as given, to be checked there.  A mode passed
+    here (e.g. from a command-line flag) must agree with one in the file;
+    with neither, the mode is strict."""
     a_rows, _ = _matrix_block(a_data, _A_KEYS, "transition-matrix")
     b_rows, extras = _matrix_block(b_data, _B_KEYS, "escape-block")
-    file_mode = extras.get("mode")
-    if file_mode is not None and not isinstance(file_mode, str):
-        raise MapFormatError("mode must be a string")
-    if mode is not None and file_mode is not None and mode != file_mode:
-        raise MapFormatError(
-            f"mode {mode!r} conflicts with mode {file_mode!r} in the escape file"
-        )
-    chosen_mode = mode or file_mode or STRICT
-    positions = extras.get("gap_positions")
-    if positions is not None:
-        if not isinstance(positions, Sequence) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in positions
-        ):
-            raise MapFormatError("gap_positions must be an array of integers")
-        positions = tuple(positions)
+    chosen = extras.get("mode", STRICT if mode is None else mode)
+    if mode not in (None, chosen):
+        raise MapFormatError(f"mode {mode!r} conflicts with mode {chosen!r} in the escape file")
     try:
         markov = as_binary_matrix(a_rows)
     except MapFormatError as exc:
@@ -488,6 +472,6 @@ def spec_from_jsonable(
     return SynthesisSpec(
         markov=markov,
         escape=b_rows,
-        gap_positions=positions,
-        mode=chosen_mode,
+        gap_positions=extras.get("gap_positions"),
+        mode=chosen,
     )

@@ -23,32 +23,19 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import MapFormatError
-from .maps import MarkovMap, is_bit
+from .maps import MarkovMap, bit_rows
 from .rationals import format_rational
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_binary_matrix(rows: object) -> Matrix:
-    """Validate square row-major data of the integers 0 and 1 as nested tuples."""
-    if not isinstance(rows, Sequence) or not rows:
-        raise MapFormatError("matrix must be a nonempty array of rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, Sequence):
-            raise MapFormatError("matrix rows must be arrays")
-        if width is None:
-            width = len(row)
-        if len(row) != width or width == 0:
-            raise MapFormatError("matrix rows must be nonempty and equally long")
-        for entry in row:
-            if not is_bit(entry):
-                raise MapFormatError(f"matrix entries must be 0 or 1, got {entry!r}")
-        out.append(tuple(row))
-    if len(out) != width:
-        raise MapFormatError(f"expected a square matrix, got {len(out)}x{width}")
-    return tuple(out)
+    """A nonempty square 0/1 array (``bit_rows``) as nested tuples."""
+    out = bit_rows(rows, "matrix")
+    if not out or len(out) != len(out[0]):
+        shape = f"{len(out)}x{len(out[0]) if out else 0}"
+        raise MapFormatError(f"expected a nonempty square matrix, got {shape}")
+    return out
 
 
 def markov_symbol(i: int) -> str:

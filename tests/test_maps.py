@@ -428,7 +428,7 @@ def test_expected_matrix_schema_is_strict():
         map_document_from_jsonable(doc)
     # 1.0 == 1, but an entry is the integer 0 or 1.
     doc["expected_escape_matrix"] = {"symbol_order": ["1", "2"], "rows": [[1, 0], [0, 1.0]]}
-    with pytest.raises(MapFormatError, match="square 0/1 array"):
+    with pytest.raises(MapFormatError, match="entries must be 0 or 1, got 1.0"):
         map_document_from_jsonable(doc)
     doc["expected_escape_matrix"] = {
         "symbol_order": ["1", "2"],

@@ -22,6 +22,7 @@ from escapemaps import (
     spec_from_jsonable,
     synthesize,
     transition_data,
+    wielandt_bound,
 )
 from escapemaps import synthesis
 from escapemaps.corpus import CLAIMED_ESCAPE_ROWS, FOUR_INTERVAL_MARKOV
@@ -259,6 +260,19 @@ def test_strict_synthesis_of_a_localized_32_band():
         for value in (branch.slope, branch.intercept, branch.left, branch.right):
             assert value.numerator.bit_length() < 64
             assert value.denominator.bit_length() < 64
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_width_iteration_reaches_the_wielandt_bound(n):
+    # i -> i + 1 and n -> 1, 2: the exponent is the Wielandt bound (n - 1)^2 + 1,
+    # and the width iteration needs one iterate fewer than that.
+    markov = tuple(
+        tuple(int(j == i + 1 or (i == n - 1 and j < 2)) for j in range(n)) for i in range(n)
+    )
+    result = synthesize(SynthesisSpec(markov, ((),) * n))
+    assert result.validation.all_ok
+    assert result.validation.aperiodicity_exponent == wielandt_bound(n)
+    assert transition_data(result.map).markov == markov
 
 
 # -- synthesis round trips ----------------------------------------------
