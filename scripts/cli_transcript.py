@@ -206,9 +206,13 @@ def argv_list() -> list[list[str]]:
          "-o", "{tmp}/strings_map.json"],
         ["tree", "--x", "3/5", "--depth", "1", reaching],
         ["equiv", "--x", "3/5", "--y", "3/5", "--depth", "1", reaching],
-        # A distinct pair needs no root check; depth 0 expands no root.
+        # Both roots are checked at the given depth whatever the verdict, so a
+        # distinct pair and an escape/regular mix are refused too; depth 0
+        # expands no root.
         ["equiv", "--x", "3/5", "--y", "1/2", "--depth", "1", reaching],
+        ["equiv", "--x", "5/27", "--y", "3/5", "--depth", "1", reaching],
         ["equiv", "--x", "3/5", "--y", "3/5", "--depth", "0", reaching],
+        ["equiv", "--x", "3/5", "--y", "13/20", "--depth", "0", reaching],
         ["equiv", "--x", "1/2", "--y", "9/20", "--depth", "0", four],
         ["validate", "{tmp}/garbled.json"],
         ["validate", "{tmp}/missing.json"],

@@ -22,17 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DepthExceedsTreeError,
-    InconsistentInputsError,
-    NotAnEscapePointError,
-    OrbitMeetsBoundaryError,
-)
-from .maps import MarkovMap, bit_rows
+from .errors import InconsistentInputsError, NotAnEscapePointError
+from .maps import MarkovMap, bit_rows, check_steps
 from .orbits import (
     DEFAULT_MAX_ITER,
     DEFAULT_TREE_DEPTH,
-    BoundaryOrbit,
     Escaped,
     PointClass,
     check_window_root,
@@ -219,7 +213,10 @@ def classify_corpus(
     refinement, with one root state per distinct incidence row.  ``depth``
     no longer changes the result, since the classes follow from the rows
     alone; it stays because the ``window-chain`` benchmark passes it.  The
-    map must pass P1-P4, even for an empty corpus."""
+    map must pass P1-P4, and both budgets ``check_steps``, even for an empty
+    corpus."""
+    check_steps(max_iter, "max_iter")
+    check_steps(depth, "depth")
     # The checks of a depth-1 window, which compare_points runs too.
     m.require_valid()
     pts = [exact(p) for p in points]
@@ -275,24 +272,21 @@ def compare_points(
     """Classify two points and decide equivalence of their representations.
 
     The map must pass P1-P4 (EscapeMapsError otherwise), whatever the
-    points.  Escaping pairs get the exact verdict from A and their incidence
-    rows.  An equivalent pair also gets the label-respecting isomorphism of
-    its windows at ``depth`` (the identity when ``depth`` is 0 or the rows
-    are equal, else none) after the escape-root check a window build runs
-    on both roots.  A regular/escape mix is never equivalent.  Two
-    regular points are compared through the symbolic states of their
-    current intervals (window-level comparison).  A negative ``depth``
+    points.  Both points then get the root check of their windows at
+    ``depth`` (``check_window_root``), for every verdict, so a pair with an
+    undefined window raises OrbitMeetsBoundaryError.  Escaping pairs get
+    the exact verdict from A and their incidence rows.  An equivalent pair
+    also gets the label-respecting isomorphism of its windows at ``depth``
+    (the identity when ``depth`` is 0 or the rows are equal, else none).  A
+    regular/escape mix is never equivalent.  Two regular points are
+    compared through the symbolic states of their current intervals
+    (window-level comparison).  A ``depth`` that ``check_steps`` refuses
     raises DepthExceedsTreeError for every pair."""
-    if depth < 0:
-        raise DepthExceedsTreeError("depth must be nonnegative")
+    check_steps(depth, "depth")
     m.require_valid()
     cls_x, cls_y = [classify_point(m, p, max_iter) for p in (exact(x), exact(y))]
-    for label, pc in (("x", cls_x), ("y", cls_y)):
-        if isinstance(pc, BoundaryOrbit):
-            raise OrbitMeetsBoundaryError(
-                f"point {label} hits a partition point at step {pc.hit_step}; "
-                f"no representation is defined"
-            )
+    check_window_root(m, x, cls_x, depth)
+    check_window_root(m, y, cls_y, depth)
     preds = m.transition_predecessors
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())
@@ -300,8 +294,6 @@ def compare_points(
         verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            check_window_root(m, x, cls_x, depth)
-            check_window_root(m, y, cls_y, depth)
             # ``realize`` reads only the parent and label arrays, which are
             # equal for equal rows, so the identity exchanges the operators.
             if depth == 0 or cls_x.incidence == cls_y.incidence:

@@ -54,8 +54,9 @@ class NotAdmissibleError(EscapeMapsError):
 
 
 class DepthExceedsTreeError(EscapeMapsError, ValueError):
-    """A step budget is out of range: a negative depth, max_iter or horizon,
-    or a horizon past the forward depth that classification verified."""
+    """A step budget is not an int (a float, a bool or a string), or is out
+    of range: a negative depth, max_iter or horizon, or a horizon past
+    max_iter or the forward depth that classification verified."""
 
 
 class WindowTooShallowError(EscapeMapsError, ValueError):

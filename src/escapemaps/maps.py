@@ -36,6 +36,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
+    DepthExceedsTreeError,
     EscapeMapsError,
     MapFormatError,
     MapStructureError,
@@ -360,6 +361,8 @@ class MarkovMap:
         return tuple(Fraction(p, self.grid.den) for p in self.grid.points)
 
     def gap_bounds(self, gap_index: int) -> tuple[Fraction, Fraction]:
+        if not is_index(gap_index):
+            raise MapStructureError(f"gap index {gap_index!r} is not an integer")
         for k, lo, hi in self.gaps:
             if k == gap_index:
                 return lo, hi
@@ -541,6 +544,15 @@ def check_index(i: object, n: int, label: str) -> None:
         raise MapStructureError(f"{label} {i!r} is not an integer")
     if not 1 <= i <= n:
         raise MapStructureError(f"{label} {i} out of range 1..{n}")
+
+
+def check_steps(value: object, label: str) -> None:
+    """Raise DepthExceedsTreeError unless a step budget (a depth, max_iter or
+    horizon) is an index (``is_index``) and nonnegative."""
+    if not is_index(value):
+        raise DepthExceedsTreeError(f"{label} {value!r} is not an integer")
+    if value < 0:
+        raise DepthExceedsTreeError(f"{label} must be nonnegative")
 
 
 def _parse_expected_matrix(data: object) -> ExpectedEscapeMatrix:

@@ -42,7 +42,6 @@ class Representation:
     incidence vector of the window root (None for regular windows)."""
 
     tree: OrbitTree
-    transfers: tuple[dict[int, int], ...]
     edge_isometries: Mapping[tuple[int, int], dict[int, int]]
     vertex_projections: tuple[frozenset[int], ...]
     image_projections: tuple[frozenset[int], ...]
@@ -59,10 +58,15 @@ class Representation:
         return self.tree.node_count
 
     def transfer(self, i: int) -> dict[int, int]:
+        """The child labelled i of each interior node, keyed by the node."""
         check_index(i, self.n, "vertex")
-        return self.transfers[i - 1]
+        links = zip(self.tree.parents, self.tree.labels)
+        return {parent: idx for idx, (parent, label) in enumerate(links)
+                if label == i and parent in self.interior}
 
     def edge_isometry(self, i: int, j: int) -> dict[int, int]:
+        if not (is_index(i) and is_index(j)):
+            raise MapStructureError(f"edge ({i!r}, {j!r}) is not a pair of integers")
         if (i, j) not in self.edge_isometries:
             raise MapStructureError(f"no transition from {i} to {j}")
         return self.edge_isometries[(i, j)]
@@ -94,15 +98,15 @@ class Representation:
 
 
 def realize(tree: OrbitTree) -> Representation:
-    """Build every operator on the window's basis in one pass over its parent
-    and label arrays.  An interior node y has every preimage materialized (a
-    root whose cycle closes through itself included), so f_i^{-1}(y) is the
-    child of y labelled i."""
+    """Build the edge isometries and projections on the window's basis in one
+    pass over its parent and label arrays (``Representation.transfer`` reads
+    those arrays on request).  An interior node y has every preimage
+    materialized (a root whose cycle closes through itself included), so
+    f_i^{-1}(y) is the child of y labelled i."""
     markov = tree.map.transition_matrix
     n = len(markov)
     interior = frozenset(tree.interior_indices())
 
-    transfers: list[dict[int, int]] = [{} for _ in range(n)]
     edge_isometries: dict[tuple[int, int], dict[int, int]] = {
         (i, j): {}
         for i, row in enumerate(markov, start=1)
@@ -115,7 +119,6 @@ def realize(tree: OrbitTree) -> Representation:
             continue
         by_label[i - 1].append(idx)
         if parent in interior:
-            transfers[i - 1][parent] = idx
             edge = edge_isometries.get((i, tree.labels[parent]))
             if edge is not None:
                 edge[parent] = idx
@@ -141,7 +144,6 @@ def realize(tree: OrbitTree) -> Representation:
 
     return Representation(
         tree=tree,
-        transfers=tuple(transfers),
         edge_isometries=edge_isometries,
         vertex_projections=tuple(frozenset(nodes) for nodes in by_label),
         image_projections=image_projections,
@@ -181,51 +183,29 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     """Verify the defining relations on the window.
 
     Per transition edge e = (i, j): the isometry relation s*s = p_j and the
-    range bound ss* <= p_i, both on the interior.  Per requested vertex v: the
-    vertex-sum relation p_v = sum of ss* over edges leaving v, on the domain
-    where forward images are materialized.  For an isometry s, s*s and ss*
-    are the projections onto its keys and its values.
+    range bound p_i ss* = ss*, both on the interior.  Per requested vertex v:
+    the vertex-sum relation p_v = sum of ss* over edges leaving v, on the
+    domain where forward images are materialized.  For an isometry s, s*s
+    and ss* are the projections onto its keys and its values.
     """
     vlist = _validated_vertices(vertices, rep.n)
-    supports = rep.vertex_projections
+    supports, domain = rep.vertex_projections, rep.check_domain
     interior_supports = [support & rep.interior for support in supports]
     checks = []
-    for i, j in rep.edges():
-        s = rep.edge_isometry(i, j)
-        lhs, rhs = s.keys(), interior_supports[j - 1]
+
+    def check(kind, edge, vertex, lhs, rhs) -> None:
+        """A relation holds when its two sides are equal; otherwise its
+        witnesses are the points of their symmetric difference."""
         passed = lhs == rhs
-        checks.append(
-            RelationCheck(
-                "edge-isometry",
-                (i, j),
-                None,
-                passed,
-                () if passed else rep.point_strings(lhs ^ rhs),
-            )
-        )
-        outside = set(s.values()) - supports[i - 1]
-        checks.append(
-            RelationCheck(
-                "edge-range",
-                (i, j),
-                None,
-                not outside,
-                rep.point_strings(outside) if outside else (),
-            )
-        )
+        witnesses = () if passed else rep.point_strings(lhs ^ rhs)
+        checks.append(RelationCheck(kind, edge, vertex, passed, witnesses))
+
+    for (i, j), s in sorted(rep.edge_isometries.items()):
+        check("edge-isometry", (i, j), None, s.keys(), interior_supports[j - 1])
+        values = set(s.values())
+        check("edge-range", (i, j), None, values, values & supports[i - 1])
     for v in vlist:
-        lhs_set = supports[v - 1] & rep.check_domain
-        rhs_set = rep.edge_ranges[v - 1] & rep.check_domain
-        passed = lhs_set == rhs_set
-        checks.append(
-            RelationCheck(
-                "vertex-sum",
-                None,
-                v,
-                passed,
-                () if passed else rep.point_strings(lhs_set ^ rhs_set),
-            )
-        )
+        check("vertex-sum", None, v, supports[v - 1] & domain, rep.edge_ranges[v - 1] & domain)
     return RelationReport(tuple(checks))
 
 
@@ -364,8 +344,8 @@ def faithfulness_certificate(
             "faithfulness certificates are defined on escape windows"
         )
     vlist = _validated_vertices(vertices, rep.n)
-    if not admissible(rep.tree.base_class, vlist):
-        hits = [v for v in vlist if rep.incidence[v - 1] == 1]
+    hits = [v for v in vlist if rep.incidence[v - 1] == 1]
+    if hits:
         raise NotAdmissibleError(
             f"vertex set {list(vlist)} is not admissible: incidence is 1 at {hits}"
         )

@@ -33,7 +33,7 @@ from .errors import (
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
-from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap
+from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap, check_steps
 from .rationals import exact, format_rational
 from .transitions import gap_symbol, markov_symbol
 
@@ -101,9 +101,9 @@ def classify_point(
 ) -> PointClass:
     """Iterate the map exactly until escape, a partition-point hit, a cycle,
     or the budget runs out.  Raises OutsideAmbientError for points outside the
-    ambient interval and DepthExceedsTreeError for a negative budget."""
-    if max_iter < 0:
-        raise DepthExceedsTreeError("max_iter must be nonnegative")
+    ambient interval and DepthExceedsTreeError for a budget that
+    ``check_steps`` refuses."""
+    check_steps(max_iter, "max_iter")
     seen: dict[Pair, int] = {}
     for step, (y, (kind, index, _)) in enumerate(_forward_orbit(m, x)):
         if kind == PARTITION_POINT:
@@ -267,9 +267,9 @@ def build_orbit_tree(
     Within a level, nodes sort by label, then by parent, reversed where the
     branch reverses orientation.  Raises OrbitMeetsBoundaryError when the
     orbit touches a partition point: forward, or as a preimage of the root."""
-    if depth < 0:
-        raise DepthExceedsTreeError("depth must be nonnegative")
-    if horizon < 0 or horizon > max_iter:
+    for value, label in ((depth, "depth"), (max_iter, "max_iter"), (horizon, "horizon")):
+        check_steps(value, label)
+    if horizon > max_iter:
         raise DepthExceedsTreeError("horizon must satisfy 0 <= horizon <= max_iter")
     m.require_valid()
     base_class = classify_point(m, x, max_iter)
@@ -355,9 +355,9 @@ def itinerary(
     m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
 ) -> Itinerary:
     """The symbols of at most ``max_iter`` forward steps of x, then the escape
-    symbol if it escapes.  A negative budget raises DepthExceedsTreeError."""
-    if max_iter < 0:
-        raise DepthExceedsTreeError("max_iter must be nonnegative")
+    symbol if it escapes.  A budget that ``check_steps`` refuses raises
+    DepthExceedsTreeError."""
+    check_steps(max_iter, "max_iter")
     symbols: list[str] = []
     boundary: list[int] = []
     for step, (_, (kind, index, i)) in enumerate(_forward_orbit(m, x)):

@@ -263,6 +263,20 @@ def test_classify_corpus_refuses_an_undefined_window_at_any_depth(reaching_map):
 # -- point comparison ----------------------------------------------------
 
 
+def test_compare_refuses_an_undefined_window_for_every_verdict(reaching_map, full2_map):
+    # The escape root 3/5 has the partition point 9/10 as a preimage, so its
+    # window is undefined from depth 1 on: a distinct pair and an
+    # escape/regular mix are refused as an equivalent pair is.  Depth 0
+    # expands no root, so the verdict stands there.
+    for x, y in ((F(3, 5), F(1, 2)), (F(1, 2), F(3, 5)), (F(5, 27), F(3, 5))):
+        with pytest.raises(OrbitMeetsBoundaryError, match="preimage 9/10 of window node 3/5"):
+            compare_points(reaching_map, x, y, depth=1)
+    assert isinstance(compare_points(reaching_map, F(3, 5), F(1, 2), depth=0).verdict, Distinct)
+    # A boundary orbit gets the text a window build gives.
+    with pytest.raises(OrbitMeetsBoundaryError, match="forward orbit of 1/2 hits partition point 1/2 at step 0"):
+        compare_points(full2_map, F(1, 3), F(1, 2))
+
+
 def test_compare_equivalent_escaping_points(four_map):
     result = compare_points(four_map, F(1, 2), F(9, 20))
     assert isinstance(result.verdict, Equivalent)

@@ -475,7 +475,7 @@ def test_realize_matches_the_formula_construction(name):
     if not tree.is_escape_window:
         assert tree.parents[0] is not None  # the root closes its cycle
     rep = _assert_realize_matches_the_formula(tree)
-    assert any(rep.transfers)
+    assert any(rep.transfer(i) for i in range(1, rep.n + 1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -508,7 +508,8 @@ def test_transfers_apply_each_parent_to_its_child():
     tree = _band8_escape_window()
     rep = realize(tree)
     interior_edges = 0
-    for i, t in enumerate(rep.transfers, start=1):
+    for i in range(1, rep.n + 1):
+        t = rep.transfer(i)
         for parent, child in t.items():
             assert (tree.parents[child], tree.labels[child]) == (parent, i)
         assert len(set(t.values())) == len(t)  # injective

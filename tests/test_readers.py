@@ -1,13 +1,15 @@
 """One reader per kind of input.
 
 Points and coefficients are read by ``rationals.exact`` (a Fraction or an
-int), 0/1 arrays by ``maps.bit_rows`` and indices by ``maps.is_index`` (an
-int).  Each entry point refuses what its reader refuses with the reader's
-error, before any analysis runs, instead of rounding a float, parsing a
-string, truncating an index or reading a bool as 1.  The paired test pins
-the results for ints and Fractions.
+int), 0/1 arrays by ``maps.bit_rows``, indices by ``maps.is_index`` (an int)
+and step budgets by ``maps.check_steps`` (a nonnegative int).  Each entry
+point refuses what its reader refuses with the reader's error, before any
+analysis runs, instead of rounding a float, parsing a string, truncating an
+index or reading a bool as 1.  The paired test pins the results for ints and
+Fractions.
 """
 
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -16,6 +18,7 @@ import pytest
 from escapemaps import (
     FOUR_INTERVAL_MARKOV,
     AffineBranch,
+    DepthExceedsTreeError,
     Equivalent,
     Escaped,
     MapFormatError,
@@ -31,6 +34,8 @@ from escapemaps import (
     compare_points,
     faithfulness_certificate,
     format_rational,
+    incidence_cells,
+    itinerary,
     perron_widths,
     realize,
     spec_from_jsonable,
@@ -106,6 +111,9 @@ INDEX_CALLS = {
     "interval_image": (MapStructureError, lambda rep, i: rep.tree.map.interval_image(i)),
     "vertex_projection": (MapStructureError, lambda rep, i: rep.vertex_projection(i)),
     "transfer": (MapStructureError, lambda rep, i: rep.transfer(i)),
+    "gap_bounds": (MapStructureError, lambda rep, k: rep.tree.map.gap_bounds(k)),
+    "incidence_cells": (MapStructureError, lambda rep, k: incidence_cells(rep.tree.map, k)),
+    "edge_isometry": (MapStructureError, lambda rep, edge: rep.edge_isometry(*edge)),
 }
 INDEX_CASES = [
     (name, positions)
@@ -119,6 +127,9 @@ INDEX_CASES = [
     ("interval_image", True),
     ("vertex_projection", True),
     ("transfer", 1.0),
+    ("gap_bounds", 2.0),
+    ("incidence_cells", 2.0),
+    ("edge_isometry", (1.0, 2.0)),
 ]
 
 
@@ -127,6 +138,33 @@ def test_indices_are_ints(rep, name, value):
     error, call = INDEX_CALLS[name]
     with pytest.raises(error, match="integer"):
         call(rep, value)
+
+
+# -- step budgets: maps.check_steps -----------------------------------------
+
+BUDGET_CALLS = {
+    ("classify_point", "max_iter"): lambda m, v: classify_point(m, F(5, 27), max_iter=v),
+    ("itinerary", "max_iter"): lambda m, v: itinerary(m, F(5, 27), max_iter=v),
+    ("build_orbit_tree", "depth"): lambda m, v: build_orbit_tree(m, F(1, 2), v),
+    ("build_orbit_tree", "max_iter"): lambda m, v: build_orbit_tree(m, F(1, 2), 2, max_iter=v),
+    ("build_orbit_tree", "horizon"): lambda m, v: build_orbit_tree(m, F(5, 27), 2, horizon=v),
+    ("compare_points", "max_iter"): lambda m, v: compare_points(m, F(1, 2), F(9, 20), max_iter=v),
+    ("compare_points", "depth"): lambda m, v: compare_points(m, F(1, 2), F(9, 20), depth=v),
+    ("classify_corpus", "max_iter"): lambda m, v: classify_corpus(m, [F(1, 2)], max_iter=v),
+    ("classify_corpus", "depth"): lambda m, v: classify_corpus(m, [F(1, 2)], depth=v),
+    ("empty-corpus", "max_iter"): lambda m, v: classify_corpus(m, [], max_iter=v),
+    ("empty-corpus", "depth"): lambda m, v: classify_corpus(m, [], depth=v),
+}
+
+
+@pytest.mark.parametrize("key", BUDGET_CALLS, ids=["-".join(key) for key in BUDGET_CALLS])
+def test_step_budgets_are_nonnegative_ints(four_map, key):
+    label = key[1]
+    for value in (2.5, True, "3"):
+        with pytest.raises(DepthExceedsTreeError, match=re.escape(f"{label} {value!r} is not an integer")):
+            BUDGET_CALLS[key](four_map, value)
+    with pytest.raises(DepthExceedsTreeError, match=f"{label} must be nonnegative"):
+        BUDGET_CALLS[key](four_map, -1)
 
 
 def test_perron_widths_needs_positions():
