@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -38,13 +37,10 @@ from .errors import (
     MapStructureError,
     RationalParseError,
 )
-from .maps import MapDocument, map_document_from_jsonable, map_document_to_jsonable
-from .rationals import jsonable, parse_rational
+from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MapDocument,
+                   map_document_from_jsonable, map_document_to_jsonable)
+from .rationals import jsonable, parse_integer, parse_rational
 
-# The budgets of ``escapemaps.orbits``, repeated here so that building the
-# parser does not import that layer; tests pin the two copies together.
-DEFAULT_MAX_ITER = 4096
-DEFAULT_TREE_DEPTH = 6
 DEFAULT_CERTIFY_DEPTH = 4
 
 
@@ -86,8 +82,8 @@ def _budget(text: str) -> int:
     """argparse type for --depth, --max-iter and --horizon: a count of steps,
     so negative values are usage errors (exit 2)."""
     try:
-        value = int(text)
-    except ValueError:
+        value = parse_integer(text, "budget")
+    except RationalParseError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -98,10 +94,7 @@ def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
     from .operators import _validated_vertices
 
     pieces = [piece.strip() for piece in text.split(",")] if text.strip() else []
-    for piece in pieces:
-        if not re.fullmatch(r"[+-]?\d+", piece):
-            raise MapFormatError(f"vertex list entry {piece!r} is not an integer")
-    return _validated_vertices(map(int, pieces), n)
+    return _validated_vertices([parse_integer(p, "vertex list entry") for p in pieces], n)
 
 
 # -- handlers ------------------------------------------------------------

@@ -23,10 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputsError, NotAnEscapePointError
-from .maps import MarkovMap, bit_rows, check_steps
+from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, bit_rows, check_steps
 from .orbits import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TREE_DEPTH,
     Escaped,
     PointClass,
     check_window_root,

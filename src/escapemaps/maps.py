@@ -546,6 +546,11 @@ def check_index(i: object, n: int, label: str) -> None:
         raise MapStructureError(f"{label} {i} out of range 1..{n}")
 
 
+# The default step budgets, here so that the CLI parser need not import orbits.
+DEFAULT_MAX_ITER = 4096
+DEFAULT_TREE_DEPTH = 6
+
+
 def check_steps(value: object, label: str) -> None:
     """Raise DepthExceedsTreeError unless a step budget (a depth, max_iter or
     horizon) is an index (``is_index``) and nonnegative."""
@@ -597,15 +602,10 @@ def map_document_from_jsonable(data: object) -> MapDocument:
             raise MapFormatError(
                 f"branch #{pos} must be an object with keys 'slope' and 'intercept'"
             )
+        slope, intercept = parse_rational(branch["slope"]), parse_rational(branch["intercept"])
+        left, right = map(parse_rational, interval)
         try:
-            built.append(
-                AffineBranch(
-                    slope=parse_rational(branch["slope"]),
-                    intercept=parse_rational(branch["intercept"]),
-                    left=parse_rational(interval[0]),
-                    right=parse_rational(interval[1]),
-                )
-            )
+            built.append(AffineBranch(slope=slope, intercept=intercept, left=left, right=right))
         except MapStructureError as exc:
             raise MapFormatError(f"branch #{pos}: {exc}") from exc
     expected = None

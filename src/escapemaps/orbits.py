@@ -33,12 +33,10 @@ from .errors import (
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
-from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap, check_steps
+from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, ESCAPE_INTERIOR, OUTSIDE,
+                   PARTITION_POINT, MarkovMap, check_steps)
 from .rationals import exact, format_rational
 from .transitions import gap_symbol, markov_symbol
-
-DEFAULT_MAX_ITER = 4096
-DEFAULT_TREE_DEPTH = 6
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,21 @@ from fractions import Fraction
 
 from .errors import EscapeMapsError, RationalParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# Every number read from text is an integer literal of ASCII digits: re's \d
+# and int() take any Unicode decimal digit, and int() takes "1_0" too.
+_INTEGER = "[+-]?[0-9]+"
+_RATIONAL_RE = re.compile(f"{_INTEGER}(?:/[0-9]+)?")
+
+
+def parse_integer(text: str, label: str) -> int:
+    """An integer literal, an optional sign and ASCII digits (whitespace padding
+    aside), as an int; else a RationalParseError naming the text by ``label``."""
+    if not re.fullmatch(_INTEGER, text.strip()):
+        raise RationalParseError(f"{label} {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError as exc:  # Python's limit on digits in an int string
+        raise RationalParseError(f"{label} has {_too_long()}") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,13 +43,10 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise RationalParseError(f"expected a rational string, got {text!r}")
     stripped = text.strip()
-    if not _RATIONAL_RE.match(stripped):
+    if not _RATIONAL_RE.fullmatch(stripped):
         raise RationalParseError(f"not a rational literal: {text!r}")
     num, _, den = stripped.partition("/")
-    try:
-        num, den = int(num), int(den or 1)
-    except ValueError as exc:  # Python's limit on digits in an int literal
-        raise RationalParseError(f"rational literal has {_too_long()}") from exc
+    num, den = (parse_integer(part, "rational literal") for part in (num, den or "1"))
     if den == 0:
         raise RationalParseError(f"zero denominator: {text!r}")
     return Fraction(num, den)

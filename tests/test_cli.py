@@ -196,10 +196,13 @@ def test_point_bad_inputs(capsys):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
 def test_rationals_over_the_digit_limit_are_errors_not_tracebacks(capsys):
-    # A literal Python cannot read is a usage error; a window node it cannot
-    # print ends the run with exit 1 and prints nothing on stdout.
+    # A literal Python cannot read, as a point or a vertex, is a usage error;
+    # a window node it cannot print ends the run with exit 1 and prints
+    # nothing on stdout.
     limit = sys.get_int_max_str_digits()
     code, _, err = run_cli(capsys, "point", "--x", "1" * (limit + 700), FOUR)
+    assert code == 2 and f"more than {limit} digits" in err
+    code, _, err = run_cli(capsys, "rep", "--x", "1/2", "--V", "1" * (limit + 700), FOUR)
     assert code == 2 and f"more than {limit} digits" in err
     x = f"{10 ** (limit - 1) + 2}/{2 * 10 ** (limit - 1)}"
     code, out, err = run_cli(capsys, "tree", "--x", x, "--depth", "6", FOUR)
@@ -507,6 +510,9 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         ["equiv", "--x", "1/2", "--y", "1/3", "--depth", "-1"],
         ["equiv", "--x", "1/2", "--y", "1/3", "--max-iter", "-1"],
         ["tree", "--x", "1/2", "--depth", "three"],
+        # A budget is an integer literal of ASCII digits, as int() is not.
+        ["tree", "--x", "1/2", "--depth", "1_0"],
+        ["tree", "--x", "1/2", "--depth", "\u0663"],
     ],
 )
 def test_negative_or_malformed_budgets_are_usage_errors(capsys, argv):
@@ -581,13 +587,18 @@ def test_closed_stdout_exits_one_without_a_traceback():
 # -- the committed transcript --------------------------------------------
 
 
-def test_cli_transcript_replays(tmp_path):
-    """Every command line of ``scripts/cli_transcript.py`` still exits and
-    prints as committed in ``tests/cli_transcript.json``."""
+def _transcript_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "cli_transcript.py"
     spec = importlib.util.spec_from_file_location("cli_transcript", path)
     transcript = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(transcript)
+    return transcript
+
+
+def test_cli_transcript_replays(tmp_path):
+    """Every command line of ``scripts/cli_transcript.py`` still exits and
+    prints as committed in ``tests/cli_transcript.json``."""
+    transcript = _transcript_script()
     committed = json.loads(transcript.TRANSCRIPT.read_text())
     assert [entry["argv"] for entry in committed] == transcript.argv_list()
     transcript.prepare(tmp_path)
@@ -595,6 +606,29 @@ def test_cli_transcript_replays(tmp_path):
         entry["argv"] for entry in committed if transcript.run(entry["argv"], tmp_path) != entry
     ]
     assert differ == []
+
+
+def test_transcript_check_prints_what_differs(tmp_path, capsys):
+    """A changed digest is named as a difference past the stored lines, and a
+    changed stored line as a unified diff, each under the entry's argv."""
+    transcript = _transcript_script()
+    entries = json.loads(transcript.TRANSCRIPT.read_text())
+    hashed, lined = entries[0], entries[1]
+    hashed["stdout_sha256"] = "0" * 64
+    first = lined["stdout"][0]
+    lined["stdout"][0] = "tampered"
+    path = tmp_path / "cli_transcript.json"
+    path.write_text(transcript.dumps(entries))
+    assert transcript.check(path) == 1
+    sections = capsys.readouterr().out.split("differs: ")[1:]
+    by_argv = {section.split("\n", 1)[0]: section for section in sections}
+    assert list(by_argv) == [json.dumps(hashed["argv"]), json.dumps(lined["argv"])]
+    assert by_argv[json.dumps(hashed["argv"])].endswith(
+        f"  stdout differs past the first {transcript.TEXT_LINES} lines stored\n"
+    )
+    diff = by_argv[json.dumps(lined["argv"])]
+    assert "\n--- committed stdout\n+++ recorded stdout\n@@ -1," in diff
+    assert f"\n-tampered\n+{first}\n" in diff
 
 
 # -- runtime dependencies ------------------------------------------------

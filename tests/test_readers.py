@@ -2,7 +2,9 @@
 
 Points and coefficients are read by ``rationals.exact`` (a Fraction or an
 int), 0/1 arrays by ``maps.bit_rows``, indices by ``maps.is_index`` (an int)
-and step budgets by ``maps.check_steps`` (a nonnegative int).  Each entry
+step budgets by ``maps.check_steps`` (a nonnegative int), and numbers in
+text by ``rationals.parse_integer`` (ASCII digits, for rationals, budgets and
+vertex lists alike).  Each entry
 point refuses what its reader refuses with the reader's error, before any
 analysis runs, instead of rounding a float, parsing a string, truncating an
 index or reading a bool as 1.  The paired test pins the results for ints and
@@ -34,13 +36,18 @@ from escapemaps import (
     compare_points,
     faithfulness_certificate,
     format_rational,
+    four_interval_document,
     incidence_cells,
     itinerary,
+    map_document_from_jsonable,
+    map_document_to_jsonable,
+    parse_rational,
     perron_widths,
     realize,
     spec_from_jsonable,
 )
 from escapemaps.maps import Location
+from escapemaps.rationals import parse_integer
 
 A = FOUR_INTERVAL_MARKOV
 B = ((1,), (0,), (0,), (0,))
@@ -175,6 +182,36 @@ def test_perron_widths_needs_positions():
 def test_a_mode_in_the_escape_file_goes_to_the_spec_as_given():
     with pytest.raises(MapFormatError, match="mode must be 'strict' or 'partial', got ''"):
         spec_from_jsonable([list(row) for row in A], {"rows": [list(row) for row in B], "mode": ""})
+
+
+# -- numbers in text: rationals.parse_integer -------------------------------
+
+# Other Unicode decimal digits (Arabic-Indic, fullwidth) that re's \d and
+# int() accept, a superscript, and int()'s digit separator.
+NOT_ASCII = ["\u0663", "\uff11\uff10", "1\uff10", "\u00b2", "1_0"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII, ids=ascii)
+def test_integers_are_written_in_ascii_digits(text):
+    with pytest.raises(RationalParseError, match=re.escape(f"entry {text!r} is not an integer")):
+        parse_integer(text, "entry")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*NOT_ASCII, "\u0669/\u0662\u0660", "\uff11/\uff13", "1/\u0663", "1/1_0"],
+    ids=ascii,
+)
+def test_rationals_are_written_in_ascii_digits(text):
+    with pytest.raises(RationalParseError, match="not a rational literal"):
+        parse_rational(text)
+
+
+def test_map_coefficients_are_written_in_ascii_digits():
+    data = map_document_to_jsonable(four_interval_document())
+    data["branches"][0]["slope"] = "\uff12"
+    with pytest.raises(RationalParseError, match="not a rational literal"):
+        map_document_from_jsonable(data)
 
 
 # -- the same calls with ints and Fractions ---------------------------------

@@ -127,6 +127,20 @@ def test_row_level_issues():
     assert any("would not be fully covered" in msg for msg in report.column_issues)
 
 
+def test_a_gap_reached_from_one_side_only_is_not_covered():
+    """Row 2's segment starts at the gap 1^ and no segment ends there.  Row 1
+    targets only the gap; it is refused, and its one-symbol span must not
+    count as a segment ending at the gap."""
+    spec = SynthesisSpec(
+        ((0, 0, 0), (0, 1, 1), (1, 1, 1)), ((1,), (1,), (0,)), gap_positions=(1,), mode=PARTIAL
+    )
+    assert feasibility_check(spec).column_issues == (
+        "the gap at position 1 (1^) would not be fully covered by the branch images: it "
+        "needs a branch whose segment contains it strictly inside, or partial branches "
+        "reaching it from both sides",
+    )
+
+
 def test_auto_positions(partial_spec):
     # gap_positions=None asks feasibility_check for the first workable slot.
     strict = feasibility_check(
@@ -309,6 +323,16 @@ def test_strict_synthesis_fully_covers_every_gap():
     assert data.escape == ((1,), (0,), (0,), (0,))
     assert data.gap_positions == (2,)
     assert result.validation.p5_ok
+
+
+def test_synthesize_refuses_a_map_with_another_escape_block(monkeypatch):
+    """The post-condition compares A and B each: a rebuilt map whose A is
+    right but whose escape block has one entry flipped is refused."""
+    spec = SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT)
+    flipped = TransitionData(spec.markov, ((1,), (1,), (0,), (0,)), (2,))
+    monkeypatch.setattr(synthesis, "transition_data", lambda m: flipped)
+    with pytest.raises(AssertionError, match="does not reproduce the input matrices"):
+        synthesize(spec)
 
 
 def test_two_gap_synthesis():
