@@ -260,6 +260,9 @@ def argv_list() -> list[list[str]]:
         # Every number the command line reads is written in ASCII digits.
         ["point", "--x", "\u0669/\u0662\u0660", FOUR],
         ["rep", "--x", "1/2", "--V", "\u0663", FOUR],
+        # Padding is ASCII whitespace only.
+        ["point", "--x", "\u30009/20", FOUR],
+        ["rep", "--x", "1/2", "--V", "\u30002", FOUR],
         # A gap that only the segment starting at it reaches.
         ["synth", "--A", "{tmp}/one_side_a.json", "--B", "{tmp}/one_side_b.json",
          "--mode", "partial", "-o", "{tmp}/one_side.json"],
@@ -297,6 +300,10 @@ WHY = {
         "a non-ASCII digit is malformed input (exit 2), not 9/20",
     ("rep", "--x", "1/2", "--V", "\u0663", FOUR):
         "a non-ASCII digit is malformed input (exit 2), not vertex 3",
+    ("point", "--x", "\u30009/20", FOUR):
+        "an ideographic space is malformed input (exit 2), not padding",
+    ("rep", "--x", "1/2", "--V", "\u30002", FOUR):
+        "an ideographic space is malformed input (exit 2), not padding",
     ("rep", "--x", "1/2", "--V", "+-3", FOUR): "a sign-mangled vertex is malformed input (exit 2)",
     ("point", "--x", "2/3", "{tmp}/slope2.json"):
         "an analysis command refuses a map that fails P1 (exit 1)",

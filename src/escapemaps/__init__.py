@@ -32,9 +32,9 @@ _EXPORTS = {
     "errors": (
         "DepthExceedsTreeError", "EscapeMapsError", "InconsistentInputsError",
         "InfeasibleSpecError", "MapFormatError", "MapStructureError",
-        "NotAdmissibleError", "NotAnEscapePointError", "NotInDomainError",
-        "OrbitMeetsBoundaryError", "OutsideAmbientError", "RationalParseError",
-        "WidthSnapError", "WindowTooShallowError",
+        "NotAdmissibleError", "NotAnEscapePointError", "OrbitMeetsBoundaryError",
+        "OutsideAmbientError", "RationalParseError", "WidthSnapError",
+        "WindowTooShallowError",
     ),
     "maps": (
         "ESCAPE_INTERIOR", "MARKOV_INTERIOR", "OUTSIDE", "PARTITION_POINT",
@@ -45,15 +45,13 @@ _EXPORTS = {
     "operators": (
         "Certificate", "RelationReport", "Representation", "admissible",
         "check_relations", "faithfulness_certificate", "gap_projection",
-        "image_decomposition_check", "projection_sum_is_identity",
-        "quotient_nonfaithfulness_demo", "realize",
+        "image_decomposition_check", "projection_sum_is_identity", "realize",
     ),
     "orbits": (
         "BoundaryOrbit", "Escaped", "Itinerary", "OrbitTree",
         "UndeterminedRegular", "build_orbit_tree", "classify_point",
-        "escape_incidence", "incidence_cells",
-        "itinerary", "point_class_to_jsonable", "tree_to_dot",
-        "tree_to_jsonable",
+        "incidence_cells", "itinerary", "point_class_to_jsonable",
+        "tree_to_dot", "tree_to_jsonable",
     ),
     "rationals": (
         "format_rational", "jsonable", "parse_rational",

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MapDocument,
                    map_document_from_jsonable, map_document_to_jsonable)
-from .rationals import jsonable, parse_integer, parse_rational
+from .rationals import ASCII_SPACE, jsonable, parse_integer, parse_rational
 
 DEFAULT_CERTIFY_DEPTH = 4
 
@@ -93,7 +93,9 @@ def _budget(text: str) -> int:
 def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
     from .operators import _validated_vertices
 
-    pieces = [piece.strip() for piece in text.split(",")] if text.strip() else []
+    pieces = [piece.strip(ASCII_SPACE) for piece in text.split(",")]
+    if pieces == [""]:
+        return ()
     return _validated_vertices([parse_integer(p, "vertex list entry") for p in pieces], n)
 
 

@@ -33,19 +33,6 @@ FOUR_INTERVAL_MARKOV: Matrix = (
     (0, 0, 1, 0),
 )
 
-# The escape matrix claimed by the four_interval file, in interleaved symbol
-# order 1 < 2 < 2^ < 3 < 4.  Exact recomputation flips its (4, 2^) entry to 0
-# on four_interval and reproduces it verbatim on four_interval_reaching.
-CLAIMED_ESCAPE_SYMBOLS = ("1", "2", "2^", "3", "4")
-CLAIMED_ESCAPE_ROWS: Matrix = (
-    (0, 1, 1, 1, 0),
-    (0, 0, 0, 0, 1),
-    (0, 0, 0, 0, 0),
-    (1, 1, 0, 0, 0),
-    (0, 0, 1, 1, 0),
-)
-
-
 def load_document(name: str) -> MapDocument:
     """Load a bundled map by corpus name."""
     return map_document_from_jsonable(json.loads(corpus_path(name).read_text()))

@@ -26,15 +26,6 @@ class OutsideAmbientError(EscapeMapsError, ValueError):
     """A point lies outside the ambient interval of the map."""
 
 
-class NotInDomainError(EscapeMapsError):
-    """The map is undefined at the point (it lies in an open escape gap)."""
-
-    def __init__(self, point, gap_index):
-        self.point = point
-        self.gap_index = gap_index
-        super().__init__(f"map undefined at {point}: inside escape gap {gap_index}")
-
-
 class NotAnEscapePointError(EscapeMapsError, ValueError):
     """An operation required a point inside an open escape gap (or an
     escape-rooted window) and was given something else."""

@@ -40,8 +40,6 @@ from .errors import (
     EscapeMapsError,
     MapFormatError,
     MapStructureError,
-    NotInDomainError,
-    OutsideAmbientError,
 )
 from .rationals import exact, format_rational, parse_rational
 
@@ -222,17 +220,6 @@ class Location:
 
 
 @dataclass(frozen=True)
-class EvalResult:
-    """Value of the map at a point.  ``branch`` is the branch used; at a shared
-    endpoint of two intervals whose branches disagree, the left branch wins and
-    ``ambiguous`` is set."""
-
-    value: Fraction
-    branch: int
-    ambiguous: bool
-
-
-@dataclass(frozen=True)
 class EscapeCoverage:
     """P5 record: branch ``branch`` meets gap ``gap``; ``full`` says whether it
     contains the whole gap."""
@@ -375,22 +362,6 @@ class MarkovMap:
         x = exact(x)
         kind, index, _ = self.grid.cell(*x.as_integer_ratio())
         return Location(kind, index, x)
-
-    def evaluate(self, x: Fraction) -> EvalResult:
-        """Apply the map at x.  Raises NotInDomainError inside an open gap and
-        OutsideAmbientError outside the ambient interval.  At a shared endpoint
-        the left branch's value is returned; if the right branch disagrees the
-        result is flagged ambiguous."""
-        x = exact(x)
-        kind, index, i = self.grid.cell(*x.as_integer_ratio())
-        if kind == OUTSIDE:
-            lo, hi = self.ambient
-            raise OutsideAmbientError(f"{x} is outside the ambient interval [{lo}, {hi}]")
-        if kind == ESCAPE_INTERIOR:
-            raise NotInDomainError(x, index)
-        value = self.branches[i - 1].value_at(x)
-        shared = kind == PARTITION_POINT and i < self.n and self.branches[i].left == x
-        return EvalResult(value, i, shared and self.branches[i].value_at(x) != value)
 
     def branch_inverse(self, i: int, y: Fraction) -> Fraction | None:
         """Preimage of y under branch i (1-based), or None when y is outside

@@ -296,8 +296,13 @@ def admissible(pc: PointClass, vertices: Iterable[int]) -> bool:
         raise NotAnEscapePointError(
             "admissibility is defined for escaping points only"
         )
-    vlist = _validated_vertices(vertices, len(pc.incidence))
-    return all(pc.incidence[v - 1] == 0 for v in vlist)
+    return not _hits(pc.incidence, _validated_vertices(vertices, len(pc.incidence)))
+
+
+def _hits(incidence: tuple[int, ...], vertices: tuple[int, ...]) -> list[int]:
+    """The vertices at which the incidence is 1: a set is admissible when
+    there are none."""
+    return [v for v in vertices if incidence[v - 1] == 1]
 
 
 @dataclass(frozen=True)
@@ -344,7 +349,7 @@ def faithfulness_certificate(
             "faithfulness certificates are defined on escape windows"
         )
     vlist = _validated_vertices(vertices, rep.n)
-    hits = [v for v in vlist if rep.incidence[v - 1] == 1]
+    hits = _hits(rep.incidence, vlist)
     if hits:
         raise NotAdmissibleError(
             f"vertex set {list(vlist)} is not admissible: incidence is 1 at {hits}"
@@ -377,32 +382,3 @@ def faithfulness_certificate(
         complement_misses=complement_misses,
         nonvanishing=tuple(nonvanishing),
     )
-
-
-@dataclass(frozen=True)
-class QuotientWitness:
-    """Evidence that a representation admissible for the larger vertex set
-    kills the gap defect of a vertex outside the smaller one, so it cannot be
-    faithful for the smaller set's algebra."""
-
-    vertex: int
-    gap_vanishes: bool
-
-
-def quotient_nonfaithfulness_demo(
-    rep: Representation, inner: Iterable[int], outer: Iterable[int]
-) -> QuotientWitness:
-    """For nested vertex sets inner < outer and a window admissible for
-    ``outer``: pick a vertex of outer - inner and exhibit its vanishing gap
-    defect.  Only tests call it; it stays in the library because the
-    acceptance gate (criterion 4) asserts its witness."""
-    inner_set = set(_validated_vertices(inner, rep.n))
-    outer_set = set(_validated_vertices(outer, rep.n))
-    if not inner_set < outer_set:
-        raise MapStructureError("inner vertex set must be a proper subset of outer")
-    if rep.incidence is None:
-        raise NotAnEscapePointError("demonstration needs an escape window")
-    if not admissible(rep.tree.base_class, outer_set):
-        raise NotAdmissibleError("outer vertex set is not admissible")
-    vertex = min(outer_set - inner_set)
-    return QuotientWitness(vertex, not gap_projection(rep, vertex))

@@ -29,7 +29,6 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DepthExceedsTreeError,
-    NotAnEscapePointError,
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
@@ -113,15 +112,6 @@ def classify_point(
         seen[y] = step
         if step >= max_iter:
             return UndeterminedRegular(max_iter, None)
-
-
-def escape_incidence(m: MarkovMap, e: Fraction) -> tuple[int, ...]:
-    """0/1 vector over branches: unit at i iff the escape point e lies in the
-    closed image of I_i.  Requires e strictly inside an open gap."""
-    loc = m.locate(e)
-    if loc.kind != ESCAPE_INTERIOR:
-        raise NotAnEscapePointError(f"{loc.point} is not strictly inside an open gap")
-    return _row(m.n, m.grid.incidence(*loc.point.as_integer_ratio()))
 
 
 @lru_cache(maxsize=1024)

@@ -21,15 +21,20 @@ from .errors import EscapeMapsError, RationalParseError
 # and int() take any Unicode decimal digit, and int() takes "1_0" too.
 _INTEGER = "[+-]?[0-9]+"
 _RATIONAL_RE = re.compile(f"{_INTEGER}(?:/[0-9]+)?")
+# The padding allowed around a literal: ASCII whitespace.  str.strip() with no
+# argument also strips U+3000, U+00A0 and the separators U+001C..U+001F.
+ASCII_SPACE = " \t\n\r\v\f"
 
 
 def parse_integer(text: str, label: str) -> int:
-    """An integer literal, an optional sign and ASCII digits (whitespace padding
-    aside), as an int; else a RationalParseError naming the text by ``label``."""
-    if not re.fullmatch(_INTEGER, text.strip()):
+    """An integer literal, an optional sign and ASCII digits (ASCII whitespace
+    padding aside), as an int; else a RationalParseError naming the text by
+    ``label``."""
+    stripped = text.strip(ASCII_SPACE)
+    if not re.fullmatch(_INTEGER, stripped):
         raise RationalParseError(f"{label} {text!r} is not an integer")
     try:
-        return int(text)
+        return int(stripped)
     except ValueError as exc:  # Python's limit on digits in an int string
         raise RationalParseError(f"{label} has {_too_long()}") from exc
 
@@ -37,12 +42,12 @@ def parse_integer(text: str, label: str) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a Fraction.
 
-    Rejects anything else (whitespace padding aside), including zero
+    Rejects anything else (ASCII whitespace padding aside), including zero
     denominators such as ``"1/0"``.
     """
     if not isinstance(text, str):
         raise RationalParseError(f"expected a rational string, got {text!r}")
-    stripped = text.strip()
+    stripped = text.strip(ASCII_SPACE)
     if not _RATIONAL_RE.fullmatch(stripped):
         raise RationalParseError(f"not a rational literal: {text!r}")
     num, _, den = stripped.partition("/")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InfeasibleSpecError, MapFormatError, WidthSnapError
+from .errors import EscapeMapsError, InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport, bit_rows, is_index
 from .transitions import (
     Matrix,
@@ -405,17 +405,11 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         )
 
     built = MarkovMap(tuple(branches))
+    try:
+        built.require_valid()
+    except EscapeMapsError as exc:
+        raise AssertionError(f"synthesized {exc}") from exc
     validation = built.validate()
-    if not validation.all_ok:
-        raise AssertionError(
-            "synthesized map failed validation: "
-            + "; ".join(
-                validation.p1_issues
-                + validation.p2_issues
-                + validation.p3_issues
-                + validation.p4_issues
-            )
-        )
     if spec.mode == STRICT and not validation.p5_ok:
         raise AssertionError("strict synthesis produced partial gap coverage")
     rebuilt = transition_data(built)

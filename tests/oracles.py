@@ -25,6 +25,8 @@ way, so the tests can check the short way against them:
   * ``bisect_image_decomposition_check``: the window check in ``Fraction``
     arithmetic, with closed-image membership found by bisecting the sorted
     interior points and each edge checked through the exact inverse;
+  * ``layout_issues``: the synthesis layout rules, restated from their
+    statement rather than imported;
   * ``exhaustive_feasibility``: the synthesis feasibility report with the
     escape columns placed by trying every one of the C(n-1, m) placements
     in lexicographic order, where the library places each column by itself;
@@ -63,11 +65,10 @@ from escapemaps import (
 )
 from escapemaps.maps import EscapeCoverage, Location, merge_closed_intervals
 from escapemaps.operators import ImageDecompositionReport, Representation
-from escapemaps.synthesis import FeasibilityReport, SynthesisSpec, _layout_issues
+from escapemaps.synthesis import STRICT, FeasibilityReport, RowSegment, SynthesisSpec
 from escapemaps.transitions import (
     Matrix,
     PrimitivityResult,
-    TransitionData,
     _bool_multiply,
     as_binary_matrix,
     wielandt_bound,
@@ -413,6 +414,53 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     return ImageDecompositionReport(not texts, tuple(texts))
 
 
+def layout_issues(markov: Matrix, escape: Matrix, positions: tuple[int, ...], mode: str):
+    """(row issues, column issues, segments) of a placement, in the words of
+    ``feasibility_check``.  Gap symbol p^ (escape column k, placed at
+    positions[k] = p) follows symbol p.  Then:
+
+      * a row's targets must be contiguous in that interleaved order;
+      * no row may target only escape symbols;
+      * in strict mode, a segment must end at Markov symbols at both ends;
+      * a gap is covered by a segment that contains it strictly, or by a
+        segment ending at it from the left together with one starting at it
+        to the right."""
+    order = []  # (symbol, gap position or None, its column of entries)
+    for j in range(1, len(markov) + 1):
+        order.append((str(j), None, [row[j - 1] for row in markov]))
+        order += [(f"{j}^", j, [row[k] for row in escape])
+                  for k, p in enumerate(positions) if p == j]
+    rows, segments, spans = [], [], []
+    for i in range(1, len(markov) + 1):
+        hit = [c for c, (_, _, column) in enumerate(order) if column[i - 1]]
+        names = tuple(order[c][0] for c in hit)
+        if not hit:
+            rows.append(f"row {i} has no targets")
+        elif hit != list(range(hit[0], hit[-1] + 1)):
+            rows.append(f"targets of row {i} are not contiguous in symbol order: " + " ".join(names))
+        elif all(order[c][1] is not None for c in hit):
+            rows.append(f"row {i} targets only an escape symbol; its image would collapse to a point")
+        else:
+            segments.append(RowSegment(i, names))
+            spans.append((hit[0], hit[-1]))
+            if mode == STRICT:
+                rows += [
+                    f"row {i} segment ends at escape symbol {order[c][0]}; strict mode "
+                    f"requires Markov symbols at both ends"
+                    for c in (hit[0], hit[-1]) if order[c][1] is not None
+                ]
+    cols = [
+        f"the gap at position {p} ({name}) would not be fully covered by the "
+        f"branch images: it needs a branch whose segment contains it strictly "
+        f"inside, or partial branches reaching it from both sides"
+        for c, (name, p, _) in enumerate(order)
+        if p is not None
+        and not any(lo < c < hi for lo, hi in spans)
+        and not (any(lo < c == hi for lo, hi in spans) and any(lo == c < hi for lo, hi in spans))
+    ]
+    return rows, cols, segments
+
+
 def exhaustive_placement(markov: Matrix, escape: Matrix, mode: str) -> tuple[int, ...] | None:
     """The first placement (in lexicographic order) of the escape columns
     into the n-1 inter-interval slots that makes every row and column
@@ -420,7 +468,7 @@ def exhaustive_placement(markov: Matrix, escape: Matrix, mode: str) -> tuple[int
     when no placement does."""
     m = len(escape[0]) if escape and escape[0] else 0
     for combo in itertools.combinations(range(1, len(markov)), m):
-        rows, cols, _ = _layout_issues(TransitionData(markov, escape, combo), mode)
+        rows, cols, _ = layout_issues(markov, escape, combo, mode)
         if not rows and not cols:
             return combo
     return None
@@ -462,8 +510,7 @@ def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
             if any(row[j] and not row[j + 1] and any(row[j + 2 :]) for j in range(spec.n - 2))
         ]
     else:
-        data = TransitionData(spec.markov, spec.escape, positions)
-        rows, cols, segments = _layout_issues(data, spec.mode)
+        rows, cols, segments = layout_issues(spec.markov, spec.escape, positions, spec.mode)
     return FeasibilityReport(
         feasible=not (structure or rows or cols),
         mode=spec.mode,

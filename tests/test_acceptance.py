@@ -43,7 +43,6 @@ from escapemaps import (
     image_decomposition_check,
     markov_matrix,
     projection_sum_is_identity,
-    quotient_nonfaithfulness_demo,
     realize,
     synthesize,
     transition_data,
@@ -214,9 +213,6 @@ def test_criterion_4_operators_and_certificates(capsys):
         assert partial_cert.complement_misses == (4,)
         failed = {(c.kind, c.vertex) for c in partial_cert.nonvanishing if not c.ok}
         assert failed == {("gap-projection", 4)}
-
-        witness = quotient_nonfaithfulness_demo(rep, (2, 3), (2, 3, 4))
-        assert witness.vertex == 4 and witness.gap_vanishes
 
         regular_rep = realize(build_orbit_tree(m, F(5, 27), depth=4, horizon=4))
         assert check_relations(regular_rep, (1, 2, 3, 4)).all_passed

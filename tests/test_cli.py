@@ -513,6 +513,8 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         # A budget is an integer literal of ASCII digits, as int() is not.
         ["tree", "--x", "1/2", "--depth", "1_0"],
         ["tree", "--x", "1/2", "--depth", "\u0663"],
+        # Its padding is ASCII whitespace, which U+3000 is not.
+        ["tree", "--x", "1/2", "--depth", "\u30002"],
     ],
 )
 def test_negative_or_malformed_budgets_are_usage_errors(capsys, argv):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,6 @@ from escapemaps import (
     jsonable,
     markov_matrix,
     projection_sum_is_identity,
-    quotient_nonfaithfulness_demo,
     realize,
     synthesize,
 )
@@ -631,15 +629,3 @@ def test_certificates_on_the_synthesized_partial_map(partial_map):
     assert not only2.faithful and only2.complement_misses == (3,)
     only3 = faithfulness_certificate(rep, [3])
     assert not only3.faithful and only3.complement_misses == (2,)
-
-
-def test_quotient_nonfaithfulness_demo(half_rep4):
-    witness = quotient_nonfaithfulness_demo(half_rep4, [2, 3], [2, 3, 4])
-    assert witness.vertex == 4
-    assert witness.gap_vanishes
-    # No subcommand prints a witness, so the CLI transcript does not cover it.
-    assert json.dumps(witness, default=jsonable) == '{"vertex": 4, "gap_vanishes": true}'
-    with pytest.raises(MapStructureError):
-        quotient_nonfaithfulness_demo(half_rep4, [2, 3], [2, 3])
-    with pytest.raises(NotAdmissibleError):
-        quotient_nonfaithfulness_demo(half_rep4, [2], [1, 2])

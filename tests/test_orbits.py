@@ -14,13 +14,11 @@ from escapemaps import (
     Escaped,
     MapStructureError,
     MarkovMap,
-    NotAnEscapePointError,
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
     UndeterminedRegular,
     build_orbit_tree,
     classify_point,
-    escape_incidence,
     incidence_cells,
     itinerary,
     point_class_to_jsonable,
@@ -91,13 +89,9 @@ def test_classify_outside_raises(four_map):
 
 
 def test_escape_incidence(four_map, reaching_map):
-    assert escape_incidence(four_map, F(1, 2)) == (1, 0, 0, 0)
-    assert escape_incidence(reaching_map, F(13, 20)) == (1, 0, 0, 1)
-    assert escape_incidence(reaching_map, F(1, 2)) == (1, 0, 0, 0)
-    with pytest.raises(NotAnEscapePointError):
-        escape_incidence(four_map, F(1, 10))
-    with pytest.raises(NotAnEscapePointError):
-        escape_incidence(four_map, F(1, 4))
+    assert classify_point(four_map, F(1, 2)).incidence == (1, 0, 0, 0)
+    assert classify_point(reaching_map, F(13, 20)).incidence == (1, 0, 0, 1)
+    assert classify_point(reaching_map, F(1, 2)).incidence == (1, 0, 0, 0)
 
 
 def test_incidence_cells(four_map, reaching_map):
@@ -117,10 +111,10 @@ def test_gap_incidence_matches_the_full_image_scan(
 ):
     # The grid answers closed-image incidence with one bisection of a table
     # cut at the image endpoints; the scan compares the point with every
-    # closed image.  escape_incidence and classify_point read the table at
-    # gap points; the window check reads it at Markov-interior points,
-    # partition points, image endpoints and, in a corrupted window, points
-    # outside the ambient interval.
+    # closed image.  classify_point reads the table at gap points; the window
+    # check reads it at Markov-interior points, partition points, image
+    # endpoints and, in a corrupted window, points outside the ambient
+    # interval.
     maps = [four_map, reaching_map, reversing_map]
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
     if (spec := synthesized_spec(data, mode)) is not None:
@@ -153,7 +147,6 @@ def test_gap_incidence_matches_the_full_image_scan(
                 *(glo + (ghi - glo) * t for t in data.draw(fractions, label="gap") if 0 < t < 1),
             ]
             for e in points:
-                assert escape_incidence(m, e) == scan(m, e)
                 assert classify_point(m, e).incidence == scan(m, e)
 
 
@@ -294,7 +287,7 @@ def _geometric_window(m, x, depth, max_iter=DEFAULT_MAX_ITER, horizon=0):
     else:
         root = x
         for _ in range(horizon):
-            root = m.evaluate(root).value
+            root = m.branches[m.locate(root).index - 1].value_at(root)
         root_label = m.locate(root).index
     boundary = set(m.partition_points)
     points, depths, parents, labels = [root], [0], [None], [root_label]
@@ -538,7 +531,8 @@ def test_classification_matches_naive_iteration(four_map, q):
         pc = classify_point(four_map, q, max_iter=budget)
     except OutsideAmbientError:
         pytest.fail("points of [0, 1] never leave the ambient interval")
-    # Replay the orbit with evaluate() and confirm the reported outcome.
+    # Replay the orbit with value_at on the located branch and confirm the
+    # reported outcome; the incidence is read off the closed images.
     y = q
     for step in range(budget + 1):
         loc = four_map.locate(y)
@@ -548,9 +542,9 @@ def test_classification_matches_naive_iteration(four_map, q):
         if loc.kind == "escape-interior":
             assert isinstance(pc, Escaped)
             assert (pc.escape_time, pc.final_point, pc.gap_index) == (step, y, loc.index)
-            assert pc.incidence == escape_incidence(four_map, y)
+            assert pc.incidence == tuple(int(lo <= y <= hi) for lo, hi in four_map.images)
             return
         if step == budget:
             break
-        y = four_map.evaluate(y).value
+        y = four_map.branches[loc.index - 1].value_at(y)
     assert isinstance(pc, UndeterminedRegular)

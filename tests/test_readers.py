@@ -3,8 +3,8 @@
 Points and coefficients are read by ``rationals.exact`` (a Fraction or an
 int), 0/1 arrays by ``maps.bit_rows``, indices by ``maps.is_index`` (an int)
 step budgets by ``maps.check_steps`` (a nonnegative int), and numbers in
-text by ``rationals.parse_integer`` (ASCII digits, for rationals, budgets and
-vertex lists alike).  Each entry
+text by ``rationals.parse_integer`` (ASCII digits padded by ASCII whitespace,
+for rationals, budgets and vertex lists alike).  Each entry
 point refuses what its reader refuses with the reader's error, before any
 analysis runs, instead of rounding a float, parsing a string, truncating an
 index or reading a bool as 1.  The paired test pins the results for ints and
@@ -46,6 +46,7 @@ from escapemaps import (
     realize,
     spec_from_jsonable,
 )
+from escapemaps.commands import _parse_vertices
 from escapemaps.maps import Location
 from escapemaps.rationals import parse_integer
 
@@ -205,6 +206,32 @@ def test_integers_are_written_in_ascii_digits(text):
 def test_rationals_are_written_in_ascii_digits(text):
     with pytest.raises(RationalParseError, match="not a rational literal"):
         parse_rational(text)
+
+
+# Characters that str.strip() drops but that are not ASCII whitespace: the
+# ideographic, no-break and em spaces, and the file and unit separators.
+NOT_ASCII_SPACE = ["\u3000", "\u00a0", "\u2003", "\x1c", "\x1f"]
+
+
+@pytest.mark.parametrize("space", NOT_ASCII_SPACE, ids=ascii)
+def test_padding_is_ascii_whitespace_only(space):
+    for text in (space + "4", "4" + space):
+        with pytest.raises(RationalParseError, match=re.escape(f"entry {text!r} is not an integer")):
+            parse_integer(text, "entry")
+    for text in (space + "9/20", "9/20" + space):
+        with pytest.raises(RationalParseError, match="not a rational literal"):
+            parse_rational(text)
+    for text in (space + "2", "2," + space + "3", space):
+        with pytest.raises(RationalParseError, match="vertex list entry .* is not an integer"):
+            _parse_vertices(text, 4)
+
+
+def test_ascii_whitespace_is_padding():
+    pad = " \t\n\r\v\f"
+    assert parse_integer(pad + "-4" + pad, "entry") == -4
+    assert parse_rational(pad + "9/20" + pad) == F(9, 20)
+    assert _parse_vertices(pad + "2" + pad + "," + pad + "3" + pad, 4) == (2, 3)
+    assert _parse_vertices(pad, 4) == ()
 
 
 def test_map_coefficients_are_written_in_ascii_digits():

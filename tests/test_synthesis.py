@@ -25,7 +25,7 @@ from escapemaps import (
     wielandt_bound,
 )
 from escapemaps import synthesis
-from escapemaps.corpus import CLAIMED_ESCAPE_ROWS, FOUR_INTERVAL_MARKOV
+from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
 from oracles import exhaustive_feasibility
 
 F = Fraction
@@ -304,7 +304,8 @@ def test_partial_synthesis_matches_the_claimed_matrix(partial_result):
     data = transition_data(partial_result.map)
     assert data.markov == FOUR_INTERVAL_MARKOV
     assert data.escape == ((1,), (0,), (0,), (1,))
-    assert data.entries == CLAIMED_ESCAPE_ROWS
+    claimed = load_document("four_interval").expected_escape_matrix
+    assert (data.symbols, data.entries) == (claimed.symbols, claimed.rows)
     assert partial_result.validation.all_ok
     assert not partial_result.validation.p5_ok  # branch 4 reaches partway in
     coverage = [
@@ -332,6 +333,37 @@ def test_synthesize_refuses_a_map_with_another_escape_block(monkeypatch):
     flipped = TransitionData(spec.markov, ((1,), (1,), (0,), (0,)), (2,))
     monkeypatch.setattr(synthesis, "transition_data", lambda m: flipped)
     with pytest.raises(AssertionError, match="does not reproduce the input matrices"):
+        synthesize(spec)
+
+
+def test_synthesize_refuses_a_map_that_fails_validation(monkeypatch):
+    """Equal widths send interval 2 onto interval 4 with slope 1, so the
+    built map fails P3 and the validation post-condition refuses it."""
+    spec = SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT)
+    equal = synthesis.WidthAllocation((F(1, 5),) * 4, (F(1, 5),), (F(1), F(2)))
+    monkeypatch.setattr(synthesis, "_expanding_widths", lambda data: equal)
+    with pytest.raises(AssertionError, match=r"validation:[\s\S]*interval 2: \|slope\| = 1 is not > 1"):
+        synthesize(spec)
+
+
+def test_strict_synthesize_refuses_partial_gap_coverage(monkeypatch):
+    """With the layout rules read in partial mode, a strict spec whose row 4
+    reaches only part of the gap is planned, and the P5 post-condition
+    refuses the map built from it."""
+    spec = SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (1,)), mode=STRICT)
+    layout = synthesis._layout_issues
+    monkeypatch.setattr(synthesis, "_layout_issues", lambda data, mode: layout(data, PARTIAL))
+    with pytest.raises(AssertionError, match="strict synthesis produced partial gap coverage"):
+        synthesize(spec)
+
+
+def test_synthesize_refuses_a_map_with_its_gaps_elsewhere(monkeypatch):
+    """The post-condition compares the gap positions too: a rebuilt map whose
+    A and B are right but whose gap sits one slot to the right is refused."""
+    spec = SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (0,)), mode=STRICT)
+    shifted = TransitionData(spec.markov, spec.escape, (3,))
+    monkeypatch.setattr(synthesis, "transition_data", lambda m: shifted)
+    with pytest.raises(AssertionError, match="synthesized map placed gaps at the wrong positions"):
         synthesize(spec)
 
 
@@ -496,6 +528,24 @@ def test_planner_matches_the_exhaustive_placement_oracle(data):
     columns = [_drawn_column(rng, markov, p) for p in slots]
     escape = tuple(zip(*columns)) if m else ((),) * n
     spec = SynthesisSpec(markov, escape, mode=mode)
+    assert feasibility_check(spec) == exhaustive_feasibility(spec)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_layout_rules_at_given_positions_match_the_oracle(data):
+    """With the positions given, every field of the report equals the
+    oracle's, which restates the layout rules instead of importing them.
+    Any small 0/1 matrices are drawn, zero rows included, so a row may
+    target a gap symbol alone."""
+    n = data.draw(st.integers(2, 4), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    bits = st.integers(0, 1)
+    markov = data.draw(st.tuples(*[st.tuples(*[bits] * n)] * n), label="A")
+    escape = data.draw(st.tuples(*[st.tuples(*[bits] * m)] * n), label="B")
+    positions = data.draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True))
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    spec = SynthesisSpec(markov, escape, tuple(sorted(positions)), mode)
     assert feasibility_check(spec) == exhaustive_feasibility(spec)
 
 
