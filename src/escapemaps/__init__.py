@@ -21,8 +21,7 @@ _EXPORTS = {
     "corpus": (
         "CORPUS_NAMES", "FOUR_INTERVAL_MARKOV", "corpus_path",
         "four_interval_document", "four_interval_map",
-        "four_interval_reaching_document", "four_interval_reaching_map",
-        "full_two_interval_document", "full_two_interval_map", "load_document",
+        "four_interval_reaching_map", "full_two_interval_map", "load_document",
     ),
     "equivalence": (
         "ComparisonResult", "Distinct", "Equivalent", "EscapeVsRegular",

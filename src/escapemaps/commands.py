@@ -137,7 +137,7 @@ def _cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    from .transitions import _primitivity, dot_export, wielandt_bound
+    from .transitions import dot_export, wielandt_bound
 
     doc = _load_document(args.map)
     markov = doc.map.transition_matrix
@@ -146,14 +146,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     except OSError as exc:
         _fail(f"cannot write {args.dot}: {exc}")
         return 1
-    prim = _primitivity(markov)
+    report = doc.map.validate()
     _emit(
         {
             "vertices": doc.map.n,
             "edges": [(i + 1, j + 1) for i, row in enumerate(markov)
                       for j, unit in enumerate(row) if unit],
-            "primitive": prim.primitive,
-            "aperiodicity_exponent": prim.exponent,
+            "primitive": report.p4_ok,
+            "aperiodicity_exponent": report.aperiodicity_exponent,
             "wielandt_bound": wielandt_bound(doc.map.n),
             "dot_file": args.dot,
         }
@@ -297,6 +297,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------
 
 
+# The options of the map subcommands that analyse points, each declared once;
+# a subcommand lists the ones it takes.
+_POINT_OPTIONS = {
+    "--x": dict(required=True, help="rational point p/q"),
+    "--y": dict(required=True, help="rational point p/q"),
+    "--V": dict(dest="vertices", default="", help="comma-separated vertex set, e.g. 2,3"),
+    "--depth": dict(type=_budget, default=DEFAULT_TREE_DEPTH),
+    "--max-iter": dict(type=_budget, default=DEFAULT_MAX_ITER),
+    "--horizon": dict(type=_budget, default=0,
+                      help="forward steps before rooting a non-escaping window"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="escapemaps",
@@ -304,63 +317,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_map_command(name: str, help_text: str):
+    def add_map_command(name: str, help_text: str, handler, *options: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("map", help="map JSON file")
+        for option in options:
+            p.add_argument(option, **_POINT_OPTIONS[option])
+        p.set_defaults(handler=handler)
         return p
 
-    p = add_map_command("validate", "check the validity properties")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = add_map_command("matrices", "transition and escape matrices")
+    add_map_command("validate", "check the validity properties", _cmd_validate)
+    p = add_map_command("matrices", "transition and escape matrices", _cmd_matrices)
     p.add_argument("--block", action="store_true", help="include the block form")
-    p.set_defaults(handler=_cmd_matrices)
-
-    p = add_map_command("graph", "export the transition graph")
+    p = add_map_command("graph", "export the transition graph", _cmd_graph)
     p.add_argument("--dot", required=True, metavar="FILE", help="DOT output file")
-    p.set_defaults(handler=_cmd_graph)
-
-    p = add_map_command("point", "classify the forward orbit of a point")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_point)
-
-    p = add_map_command("tree", "backward orbit window of a point")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=_budget, default=0,
-                   help="forward steps before rooting a non-escaping window")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--dot", action="store_true", help="DOT output")
-    p.set_defaults(handler=_cmd_tree)
-
-    p = add_map_command("rep", "realize the operators on a window")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--V", dest="vertices", default="",
-                   help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.add_argument("--horizon", type=_budget, default=0,
-                   help="forward steps before rooting a non-escaping window")
+    add_map_command("point", "classify the forward orbit of a point", _cmd_point,
+                    "--x", "--max-iter")
+    p = add_map_command("tree", "backward orbit window of a point", _cmd_tree,
+                        "--x", "--depth", "--max-iter", "--horizon")
+    p.add_argument("--dot", action="store_true", help="DOT output (JSON by default)")
+    p = add_map_command("rep", "realize the operators on a window", _cmd_rep,
+                        "--x", "--V", "--depth", "--max-iter", "--horizon")
     p.add_argument("--check", action="store_true", help="run the relation checks")
-    p.set_defaults(handler=_cmd_rep)
-
-    p = add_map_command("certify", "faithfulness certificate for a vertex set")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--V", dest="vertices", default="",
-                   help="comma-separated vertex set, e.g. 2,3")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_CERTIFY_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = add_map_command("equiv", "equivalence verdict for two points")
-    p.add_argument("--x", required=True, help="rational point p/q")
-    p.add_argument("--y", required=True, help="rational point p/q")
-    p.add_argument("--depth", type=_budget, default=DEFAULT_TREE_DEPTH)
-    p.add_argument("--max-iter", type=_budget, default=DEFAULT_MAX_ITER)
-    p.set_defaults(handler=_cmd_equiv)
+    p = add_map_command("certify", "faithfulness certificate for a vertex set", _cmd_certify,
+                        "--x", "--V", "--depth", "--max-iter")
+    p.set_defaults(depth=DEFAULT_CERTIFY_DEPTH)
+    add_map_command("equiv", "equivalence verdict for two points", _cmd_equiv,
+                    "--x", "--y", "--depth", "--max-iter")
 
     p = sub.add_parser("synth", help="construct a map realizing given matrices")
     p.add_argument("--A", dest="transition", required=True,

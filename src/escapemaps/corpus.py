@@ -46,20 +46,12 @@ def four_interval_map() -> MarkovMap:
     return four_interval_document().map
 
 
-def four_interval_reaching_document() -> MapDocument:
-    return load_document("four_interval_reaching")
-
-
 def four_interval_reaching_map() -> MarkovMap:
-    return four_interval_reaching_document().map
-
-
-def full_two_interval_document() -> MapDocument:
-    return load_document("full_two_interval")
+    return load_document("four_interval_reaching").map
 
 
 def full_two_interval_map() -> MarkovMap:
-    return full_two_interval_document().map
+    return load_document("full_two_interval").map
 
 
 def corpus_path(name: str) -> Path:

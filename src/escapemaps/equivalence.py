@@ -24,13 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import InconsistentInputsError, NotAnEscapePointError
 from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, bit_rows, check_steps
-from .orbits import (
-    Escaped,
-    PointClass,
-    check_window_root,
-    classify_point,
-    window_node_count,
-)
+from .orbits import Escaped, PointClass, window_classes, window_node_count
 from .rationals import exact
 from .transitions import Matrix, as_binary_matrix, predecessors
 
@@ -210,24 +204,19 @@ def classify_corpus(
     """Partition escaping points into equivalence classes by joint color
     refinement, with one root state per distinct incidence row.  ``depth``
     no longer changes the result, since the classes follow from the rows
-    alone; it stays because the ``window-chain`` benchmark passes it.  The
-    map must pass P1-P4, and both budgets ``check_steps``, even for an empty
-    corpus."""
-    check_steps(max_iter, "max_iter")
+    alone; it stays because the ``window-chain`` benchmark passes it.  Every
+    point gets the checks of a depth-1 window (``orbits.window_classes``),
+    the same as ``compare_points``, and both budgets ``check_steps``, even
+    for an empty corpus."""
     check_steps(depth, "depth")
-    # The checks of a depth-1 window, which compare_points runs too.
-    m.require_valid()
-    pts = [exact(p) for p in points]
-    classes_of: list[Escaped] = []
-    for p in pts:
-        pc = classify_point(m, p, max_iter)
-        check_window_root(m, p, pc, 1)
+    pts = list(points)
+    classes_of = window_classes(m, pts, 1, max_iter)
+    for p, pc in zip(pts, classes_of):
         if not isinstance(pc, Escaped):
             raise NotAnEscapePointError(
                 f"{p} does not escape within the budget; corpus classification "
                 f"covers escaping points"
             )
-        classes_of.append(pc)
 
     rows = list(dict.fromkeys(pc.incidence for pc in classes_of))
     _, history = _refine(m.transition_predecessors, rows)
@@ -240,7 +229,7 @@ def classify_corpus(
 
     entries = []
     for color, members in groups.items():
-        member_points = tuple(sorted(pts[pos] for pos in members))
+        member_points = tuple(sorted(exact(pts[pos]) for pos in members))
         incidences = tuple(
             sorted(set(classes_of[pos].incidence for pos in members))
         )
@@ -269,22 +258,17 @@ def compare_points(
 ) -> ComparisonResult:
     """Classify two points and decide equivalence of their representations.
 
-    The map must pass P1-P4 (EscapeMapsError otherwise), whatever the
-    points.  Both points then get the root check of their windows at
-    ``depth`` (``check_window_root``), for every verdict, so a pair with an
+    Both points first get the checks of their windows at ``depth``
+    (``orbits.window_classes``), whatever the verdict: budgets, a map
+    passing P1-P4, and windows that are defined, so a pair with an
     undefined window raises OrbitMeetsBoundaryError.  Escaping pairs get
     the exact verdict from A and their incidence rows.  An equivalent pair
     also gets the label-respecting isomorphism of its windows at ``depth``
     (the identity when ``depth`` is 0 or the rows are equal, else none).  A
     regular/escape mix is never equivalent.  Two regular points are
     compared through the symbolic states of their current intervals
-    (window-level comparison).  A ``depth`` that ``check_steps`` refuses
-    raises DepthExceedsTreeError for every pair."""
-    check_steps(depth, "depth")
-    m.require_valid()
-    cls_x, cls_y = [classify_point(m, p, max_iter) for p in (exact(x), exact(y))]
-    check_window_root(m, x, cls_x, depth)
-    check_window_root(m, y, cls_y, depth)
+    (window-level comparison)."""
+    cls_x, cls_y = window_classes(m, (x, y), depth, max_iter)
     preds = m.transition_predecessors
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())

@@ -47,7 +47,7 @@ class NotAdmissibleError(EscapeMapsError):
 class DepthExceedsTreeError(EscapeMapsError, ValueError):
     """A step budget is not an int (a float, a bool or a string), or is out
     of range: a negative depth, max_iter or horizon, or a horizon past
-    max_iter or the forward depth that classification verified."""
+    max_iter."""
 
 
 class WindowTooShallowError(EscapeMapsError, ValueError):

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthExceedsTreeError,
@@ -199,27 +199,42 @@ class OrbitTree:
         return tuple(range(bisect.bisect_left(self.depths, self.max_depth)))
 
 
-def check_window_root(m: MarkovMap, x: Fraction, pc: PointClass, depth: int) -> None:
-    """Raise OrbitMeetsBoundaryError when the window of x at this depth is
-    undefined: the forward orbit of x hits a partition point, or depth >= 1
-    and a preimage of its escape root is one.  P2 keeps every other
-    preimage off the partition points, but a partially covering image can
-    end exactly at the escape root."""
-    if isinstance(pc, BoundaryOrbit):
-        raise OrbitMeetsBoundaryError(
-            f"forward orbit of {x} hits partition point "
-            f"{pc.hit_point} at step {pc.hit_step}"
-        )
-    if not (isinstance(pc, Escaped) and depth):
-        return
-    e = pc.final_point.as_integer_ratio()
-    for k in itertools.compress(range(1, m.n + 1), pc.incidence):
-        z = m.grid.preimage(k, *e)
-        if m.grid.cell(*z)[0] == PARTITION_POINT:
+def window_classes(
+    m: MarkovMap,
+    points: Iterable[Fraction],
+    depth: int,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[PointClass, ...]:
+    """The forward class of each point, after the checks that every window
+    request runs, in this order: both budgets ``check_steps`` (depth first),
+    the map passes P1-P4 (EscapeMapsError otherwise), every point is
+    classified, and then every window is defined.  A window is undefined,
+    and OrbitMeetsBoundaryError is raised, when the forward orbit hits a
+    partition point, or when depth >= 1 and a preimage of the escape root
+    is one.  P2 keeps every other preimage off the partition points, but a
+    partially covering image can end exactly at the escape root."""
+    check_steps(depth, "depth")
+    check_steps(max_iter, "max_iter")
+    m.require_valid()
+    points = tuple(points)
+    classes = tuple(classify_point(m, x, max_iter) for x in points)
+    for x, pc in zip(points, classes):
+        if isinstance(pc, BoundaryOrbit):
             raise OrbitMeetsBoundaryError(
-                f"preimage {Fraction(*z)} of window node {pc.final_point} under "
-                f"branch {k} is a partition point; the window is undefined"
+                f"forward orbit of {x} hits partition point "
+                f"{pc.hit_point} at step {pc.hit_step}"
             )
+        if not (isinstance(pc, Escaped) and depth):
+            continue
+        e = pc.final_point.as_integer_ratio()
+        for k in itertools.compress(range(1, m.n + 1), pc.incidence):
+            z = m.grid.preimage(k, *e)
+            if m.grid.cell(*z)[0] == PARTITION_POINT:
+                raise OrbitMeetsBoundaryError(
+                    f"preimage {Fraction(*z)} of window node {pc.final_point} under "
+                    f"branch {k} is a partition point; the window is undefined"
+                )
+    return classes
 
 
 def window_node_count(m: MarkovMap, incidence: Sequence[int], depth: int) -> int:
@@ -259,23 +274,14 @@ def build_orbit_tree(
         check_steps(value, label)
     if horizon > max_iter:
         raise DepthExceedsTreeError("horizon must satisfy 0 <= horizon <= max_iter")
-    m.require_valid()
-    base_class = classify_point(m, x, max_iter)
-    check_window_root(m, x, base_class, depth)
+    (base_class,) = window_classes(m, (x,), depth, max_iter)
     preds = m.transition_predecessors
     cycle: list[int] = []
     if isinstance(base_class, Escaped):
         root, root_label = base_class.final_point, None
         root_kids = tuple(k for k, unit in enumerate(base_class.incidence) if unit)
     else:
-        # With a detected cycle the orbit stays in verified Markov interiors
-        # forever, so any horizon is safe; otherwise stay within the budget
-        # that was actually checked.
-        if base_class.period is None and horizon > base_class.checked_depth:
-            raise DepthExceedsTreeError(
-                f"horizon {horizon} exceeds the verified forward depth "
-                f"{base_class.checked_depth}"
-            )
+        # horizon <= max_iter, so f^horizon(x) lies on the classified orbit.
         orbit = itertools.islice(_forward_orbit(m, x), horizon, horizon + depth + 1)
         pair, (_, _, root_label) = next(orbit)
         root, root_kids = Fraction(*pair), preds[root_label - 1]

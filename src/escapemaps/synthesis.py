@@ -353,10 +353,8 @@ def _expanding_widths(data: TransitionData) -> WidthAllocation:
 @dataclass(frozen=True)
 class SynthesisResult:
     map: MarkovMap
-    spec: SynthesisSpec
     positions: tuple[int, ...]
     allocation: WidthAllocation
-    feasibility: FeasibilityReport
     validation: ValidationReport
 
 
@@ -419,10 +417,8 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         raise AssertionError("synthesized map placed gaps at the wrong positions")
     return SynthesisResult(
         map=built,
-        spec=spec,
         positions=positions,
         allocation=allocation,
-        feasibility=report,
         validation=validation,
     )
 

@@ -245,13 +245,6 @@ def test_tree_boundary_point_is_exit_one(capsys):
     assert code == 1 and err.startswith("error:")
 
 
-def test_tree_json_and_dot_flags_conflict(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["tree", "--x", "1/2", "--json", "--dot", FOUR])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
 # -- rep -----------------------------------------------------------------
 
 
@@ -436,6 +429,14 @@ def test_synth_infeasible_emits_the_report(capsys, tmp_path):
     assert data["feasible"] is False
     assert "infeasible" in err
     assert not (tmp_path / "map.json").exists()
+
+
+def test_synth_unwritable_output_is_exit_one(capsys, tmp_path):
+    a = _write(tmp_path / "a.json", [[1, 1], [1, 1]])
+    b = _write(tmp_path / "b.json", [[1], [1]])
+    target = tmp_path / "no" / "such" / "dir" / "map.json"
+    code, _, err = run_cli(capsys, "synth", "--A", a, "--B", b, "-o", str(target))
+    assert code == 1 and err.startswith(f"error: cannot write {target}")
 
 
 def test_synth_mode_conflict_is_exit_two(capsys, tmp_path):

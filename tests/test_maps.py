@@ -25,7 +25,7 @@ from escapemaps import (
     merge_closed_intervals,
     synthesize,
 )
-from escapemaps.corpus import load_document
+from escapemaps.corpus import corpus_path, load_document
 
 from oracles import linear_locate
 
@@ -232,6 +232,11 @@ def test_corpus_maps_validate(four_map, reaching_map, full2_map):
     assert full2_map.validate().aperiodicity_exponent == 1
 
 
+def test_corpus_path_refuses_unknown_names():
+    with pytest.raises(KeyError, match="unknown corpus map 'nope'"):
+        corpus_path("nope")
+
+
 def test_validation_report_is_computed_once(four_map):
     assert four_map.validate() is four_map.validate()
     four_map.require_valid()
@@ -341,6 +346,11 @@ def test_overlapping_domains_are_rejected():
         MarkovMap((_branch(2, 0, 0, F(3, 5)), _branch(2, -1, F(1, 2), 1)))
 
 
+def test_a_map_needs_a_branch():
+    with pytest.raises(MapStructureError, match="at least one branch"):
+        MarkovMap(())
+
+
 # -- document schema -----------------------------------------------------
 
 
@@ -401,6 +411,20 @@ def test_document_schema_rejects_malformed_inputs():
     doc = _minimal_doc()
     doc["markov_intervals"][1] = "12"
     with pytest.raises(MapFormatError):
+        map_document_from_jsonable(doc)
+    doc = _minimal_doc()
+    del doc["branches"]
+    with pytest.raises(MapFormatError, match="needs 'markov_intervals' and 'branches'"):
+        map_document_from_jsonable(doc)
+    doc = _minimal_doc()
+    doc["markov_intervals"] = dict(enumerate(doc["markov_intervals"]))
+    doc["branches"] = dict(enumerate(doc["branches"]))
+    with pytest.raises(MapFormatError, match="must be arrays"):
+        map_document_from_jsonable(doc)
+    # Each branch is well formed; only the map built from them is refused.
+    doc = _minimal_doc()
+    doc["markov_intervals"][0] = ["0", "3/5"]
+    with pytest.raises(MapFormatError, match="overlaps"):
         map_document_from_jsonable(doc)
 
 

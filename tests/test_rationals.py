@@ -49,6 +49,12 @@ def test_parse_rejects_malformed_text(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("value", [3, Fraction(1, 2), None])
+def test_parse_refuses_non_strings(value):
+    with pytest.raises(RationalParseError, match="expected a rational string"):
+        parse_rational(value)
+
+
 def test_format_is_lowest_terms():
     assert format_rational(Fraction(10, 4)) == "5/2"
     assert format_rational(Fraction(-3, 9)) == "-1/3"

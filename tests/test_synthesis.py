@@ -51,6 +51,8 @@ def test_spec_rejects_malformed_inputs():
         SynthesisSpec(((1, 1), (1, 1)), ((1,), (1,)), gap_positions=(2,))
     with pytest.raises(MapFormatError):
         SynthesisSpec(((1, 1), (1, 1)), ((1,), (1,)), mode="loose")
+    with pytest.raises(MapFormatError, match="strictly increasing"):
+        SynthesisSpec(((1, 1, 1),) * 3, ((1, 1),) * 3, gap_positions=(2, 1))
     spec = SynthesisSpec(((1, 1), (1, 1)), ((1,), (1,)), gap_positions=(1,))
     assert (spec.n, spec.m) == (2, 1)
 
@@ -573,6 +575,10 @@ def test_spec_from_jsonable_rejects_conflicts_and_garbage():
         spec_from_jsonable([[1, 1], [1, 1]], {"rows": [[1], [1]], "note": 1})
     with pytest.raises(MapFormatError):
         spec_from_jsonable("nope", [[1], [1]])
+    with pytest.raises(MapFormatError, match="transition-matrix file object needs a 'rows'"):
+        spec_from_jsonable({}, [[1], [1]])
+    with pytest.raises(MapFormatError, match="escape-block file object needs a 'rows'"):
+        spec_from_jsonable([[1, 1], [1, 1]], {"mode": "partial"})
     with pytest.raises(MapFormatError):
         spec_from_jsonable([[1, 2], [1, 1]], [[1], [1]])
     with pytest.raises(MapFormatError):

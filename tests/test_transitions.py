@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
+    ExpectedEscapeMatrix,
     MapFormatError,
     SynthesisSpec,
     TransitionData,
@@ -331,6 +332,23 @@ def test_expected_matrix_notes_pinpoint_the_difference(four_doc):
     )
 
 
+def test_expected_matrix_notes_explain_escape_rows_and_markov_columns(four_doc):
+    claim = four_doc.expected_escape_matrix
+    rows = [list(row) for row in claim.rows]
+    for r, c in (("1", "3"), ("2^", "1")):
+        rows[claim.symbols.index(r)][claim.symbols.index(c)] ^= 1
+    flipped = ExpectedEscapeMatrix(claim.symbols, tuple(map(tuple, rows)))
+    notes = expected_matrix_notes(four_doc.map, transition_data(four_doc.map), flipped)
+    assert notes[:2] == (
+        "computed escape matrix differs from the claimed one at (1, 3): "
+        "computed 1, claimed 0; branch 1 open image of [1/5, 9/10] contains "
+        "the interior of [7/10, 9/10]",
+        "computed escape matrix differs from the claimed one at (2^, 1): "
+        "computed 0, claimed 1 (escape symbols have no outgoing transitions)",
+    )
+    assert len(notes) == 3  # and the file's own (4, 2^) note
+
+
 def test_expected_matrix_notes_empty_when_claim_matches(reaching_map, four_doc):
     data = transition_data(reaching_map)
     notes = expected_matrix_notes(reaching_map, data, four_doc.expected_escape_matrix)
@@ -338,8 +356,6 @@ def test_expected_matrix_notes_empty_when_claim_matches(reaching_map, four_doc):
 
 
 def test_expected_matrix_notes_flag_symbol_order_mismatch(four_doc):
-    from escapemaps import ExpectedEscapeMatrix
-
     data = transition_data(four_doc.map)
     wrong = ExpectedEscapeMatrix(
         symbols=("1", "1^", "2", "3", "4"),
