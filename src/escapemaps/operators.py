@@ -1,9 +1,11 @@
 """Partial-isometry representations on backward orbit windows.
 
 On the finite basis given by a window's points, every operator here is a 0/1
-partial permutation matrix, held as plain index data: a partial isometry is a
-dict from source to target basis index, and a projection is the frozenset of
-basis indices it fixes.  All algebra is exact set combinatorics:
+partial permutation matrix, held as int bit masks with one bit per basis
+index: a projection is the mask of the basis indices it fixes, and a partial
+isometry is the pair of masks of its sources and its targets.  Each target
+is a window node and its source is that node's parent, so the two masks
+determine the isometry.  All algebra is exact bit arithmetic:
 
   * transfer(i)        |y> -> |f_i^{-1}(y)>   for y in the closed image of I_i
   * edge_isometry(i,j) |y> -> |f_i^{-1}(y)>   for y in I_j (defined per unit
@@ -14,15 +16,19 @@ basis indices it fixes.  All algebra is exact set combinatorics:
 The preimage f_i^{-1}(y) is read off the window as the child of y labelled i;
 a child has one parent and a parent at most one child per label, so every
 isometry is injective.  For an isometry s, s*s and ss* are the projections
-onto ``s.keys()`` and ``s.values()``.  Relations are checked on the window
+onto its sources and its targets.  Relations are checked on the window
 interior (nodes whose preimages are fully materialized); the vertex-sum
 relation additionally needs the node's forward image inside the window, which
-excludes a non-periodic regular root.
+excludes a non-periodic regular root.  The readers named above, with
+``edge_isometries``, ``edge_ranges``, ``interior``, ``check_domain`` and
+``gap_projection``, give dicts and frozensets of basis indices, built from
+the masks when called.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -36,18 +42,41 @@ from .orbits import Escaped, OrbitTree, PointClass
 from .rationals import format_rational
 
 
+def _mask(indices: list[int], size: int) -> int:
+    """The bit mask of the given basis indices, all below ``size``, built in
+    time linear in ``size``: one ASCII digit per basis index, read once as a
+    base-2 literal.  (Setting the bits one at a time copies the growing int
+    at each step.)"""
+    digits = bytearray(b"0") * size
+    for idx in indices:
+        digits[idx] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
+# The digits "0" and "1" as the bytes 0 and 1, which ``compress`` reads.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indices(mask: int) -> list[int]:
+    """The basis indices whose bits are set in ``mask``, in increasing order."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(itertools.compress(range(len(bits)), bits))
+
+
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """All operators realized on one window.  ``incidence`` is the escape
-    incidence vector of the window root (None for regular windows)."""
+    """All operators realized on one window, as bit masks over its basis.
+    ``edge_masks`` maps each transition edge (i, j) to the source and target
+    masks of its isometry.  ``incidence`` is the escape incidence vector of
+    the window root (None for regular windows)."""
 
     tree: OrbitTree
-    edge_isometries: Mapping[tuple[int, int], dict[int, int]]
-    vertex_projections: tuple[frozenset[int], ...]
-    image_projections: tuple[frozenset[int], ...]
+    edge_masks: Mapping[tuple[int, int], tuple[int, int]]
+    vertex_masks: tuple[int, ...]
+    image_masks: tuple[int, ...]
     incidence: tuple[int, ...] | None
-    interior: frozenset[int]
-    check_domain: frozenset[int]
+    interior_mask: int
+    domain_mask: int
 
     @property
     def n(self) -> int:
@@ -57,40 +86,63 @@ class Representation:
     def dim(self) -> int:
         return self.tree.node_count
 
+    @property
+    def interior(self) -> frozenset[int]:
+        return frozenset(_indices(self.interior_mask))
+
+    @property
+    def check_domain(self) -> frozenset[int]:
+        """The interior nodes whose forward image lies in the window."""
+        return frozenset(_indices(self.domain_mask))
+
     def transfer(self, i: int) -> dict[int, int]:
         """The child labelled i of each interior node, keyed by the node."""
         check_index(i, self.n, "vertex")
+        interior = self.interior
         links = zip(self.tree.parents, self.tree.labels)
         return {parent: idx for idx, (parent, label) in enumerate(links)
-                if label == i and parent in self.interior}
+                if label == i and parent in interior}
+
+    @property
+    def edge_isometries(self) -> dict[tuple[int, int], dict[int, int]]:
+        return {edge: self._isometry(targets) for edge, (_, targets) in self.edge_masks.items()}
 
     def edge_isometry(self, i: int, j: int) -> dict[int, int]:
         if not (is_index(i) and is_index(j)):
             raise MapStructureError(f"edge ({i!r}, {j!r}) is not a pair of integers")
-        if (i, j) not in self.edge_isometries:
+        if (i, j) not in self.edge_masks:
             raise MapStructureError(f"no transition from {i} to {j}")
-        return self.edge_isometries[(i, j)]
+        return self._isometry(self.edge_masks[(i, j)][1])
+
+    def _isometry(self, targets: int) -> dict[int, int]:
+        """Each target node keyed by its parent, the source it comes from."""
+        parents = self.tree.parents
+        return {parents[idx]: idx for idx in _indices(targets)}
 
     def vertex_projection(self, i: int) -> frozenset[int]:
         check_index(i, self.n, "vertex")
-        return self.vertex_projections[i - 1]
+        return frozenset(_indices(self.vertex_masks[i - 1]))
 
     def image_projection(self, i: int) -> frozenset[int]:
         check_index(i, self.n, "vertex")
-        return self.image_projections[i - 1]
+        return frozenset(_indices(self.image_masks[i - 1]))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edge_isometries))
+        return tuple(sorted(self.edge_masks))
 
     @functools.cached_property
-    def edge_ranges(self) -> tuple[frozenset[int], ...]:
+    def range_masks(self) -> tuple[int, ...]:
         """Per vertex i (at index i - 1), the support of the sum of ss* over
         the edges s leaving i."""
-        ranges: list[set[int]] = [set() for _ in range(self.n)]
-        for (i, _), s in self.edge_isometries.items():
-            assert ranges[i - 1].isdisjoint(s.values()), "edge ranges must be orthogonal"
-            ranges[i - 1].update(s.values())
-        return tuple(frozenset(r) for r in ranges)
+        ranges = [0] * self.n
+        for (i, _), (_, targets) in self.edge_masks.items():
+            assert not ranges[i - 1] & targets, "edge ranges must be orthogonal"
+            ranges[i - 1] |= targets
+        return tuple(ranges)
+
+    @property
+    def edge_ranges(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_indices(mask)) for mask in self.range_masks)
 
     def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
         pts = sorted(self.tree.points[idx] for idx in indices)
@@ -102,54 +154,59 @@ def realize(tree: OrbitTree) -> Representation:
     pass over its parent and label arrays (``Representation.transfer`` reads
     those arrays on request).  An interior node y has every preimage
     materialized (a root whose cycle closes through itself included), so
-    f_i^{-1}(y) is the child of y labelled i."""
-    markov = tree.map.transition_matrix
-    n = len(markov)
-    interior = frozenset(tree.interior_indices())
+    f_i^{-1}(y) is the child of y labelled i.  The pass lists the indices of
+    each label and each edge, and each list becomes a mask once."""
+    # Row i of A has a unit at j iff i is among the predecessors of j.
+    predecessors = tree.map.transition_predecessors
+    n, dim = len(predecessors), tree.node_count
+    # Nodes are stored level by level, so the interior is a prefix of them.
+    inner = len(tree.interior_indices())
+    parents, labels = tree.parents, tree.labels
 
-    edge_isometries: dict[tuple[int, int], dict[int, int]] = {
-        (i, j): {}
-        for i, row in enumerate(markov, start=1)
-        for j, unit in enumerate(row, start=1)
-        if unit
+    edge_targets: dict[tuple[int, int], list[int]] = {
+        (i + 1, j + 1): [] for j, rows in enumerate(predecessors) for i in rows
     }
     by_label: list[list[int]] = [[] for _ in range(n)]
-    for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
+    for idx, (parent, i) in enumerate(zip(parents, labels)):
         if i is None:
             continue
         by_label[i - 1].append(idx)
-        if parent in interior:
-            edge = edge_isometries.get((i, tree.labels[parent]))
+        if parent is not None and parent < inner:
+            edge = edge_targets.get((i, labels[parent]))
             if edge is not None:
-                edge[parent] = idx
+                edge.append(idx)
+    edge_masks = {
+        edge: (_mask([parents[idx] for idx in targets], dim), _mask(targets, dim))
+        if targets else (0, 0)
+        for edge, targets in edge_targets.items()
+    }
+    vertex_masks = tuple(_mask(nodes, dim) for nodes in by_label)
 
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # A node of I_j lies in f(I_i) iff A[i][j] = 1; the escape root lies there
     # iff its incidence is 1 at i.  image_decomposition_check confirms this
     # against the closed images.
-    image_projections = tuple(
-        frozenset(
-            [idx for j, unit in enumerate(row) if unit for idx in by_label[j]]
-            + ([0] if incidence is not None and incidence[i] else [])
-        )
-        for i, row in enumerate(markov)
-    )
+    image_masks = [int(incidence is not None and incidence[i] == 1) for i in range(n)]
+    for support, rows in zip(vertex_masks, predecessors):
+        for i in rows:
+            image_masks[i] |= support
 
     # The vertex-sum relation speaks about a node's forward image, so it can
     # only be checked where that image is materialized: everywhere on the
     # interior except a regular root whose image never entered the window.
-    check_domain = interior
-    if incidence is None and tree.parents[0] is None:
-        check_domain = interior - {0}
+    interior_mask = (1 << inner) - 1
+    domain_mask = interior_mask
+    if incidence is None and parents[0] is None:
+        domain_mask &= ~1
 
     return Representation(
         tree=tree,
-        edge_isometries=edge_isometries,
-        vertex_projections=tuple(frozenset(nodes) for nodes in by_label),
-        image_projections=image_projections,
+        edge_masks=edge_masks,
+        vertex_masks=vertex_masks,
+        image_masks=tuple(image_masks),
         incidence=incidence,
-        interior=interior,
-        check_domain=check_domain,
+        interior_mask=interior_mask,
+        domain_mask=domain_mask,
     )
 
 
@@ -168,15 +225,40 @@ class RelationCheck:
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class RelationReport:
-    checks: tuple[RelationCheck, ...]
+    """The verdicts of ``check_relations``.  Only the failing relations are
+    kept, each with the mask of the basis indices where it fails; ``checks``
+    lists every relation instance, passing ones included, when first read."""
 
-    _json = ("all_passed",)
+    _json = ("checks", "all_passed")
+
+    def __init__(
+        self,
+        rep: Representation,
+        edges: list[tuple[int, int]],
+        vertices: tuple[int, ...],
+        failures: dict[tuple, int],
+    ) -> None:
+        self._rep, self._edges, self._vertices = rep, edges, vertices
+        self._failures = failures
 
     @property
     def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return not self._failures
+
+    @functools.cached_property
+    def checks(self) -> tuple[RelationCheck, ...]:
+        """Per edge in order the edge-isometry and edge-range relations, then
+        the vertex-sum relation per vertex."""
+        relations = [(kind, edge, None) for edge in self._edges
+                     for kind in ("edge-isometry", "edge-range")]
+        relations += [("vertex-sum", None, v) for v in self._vertices]
+        checks = []
+        for key in relations:
+            diff = self._failures.get(key, 0)
+            witnesses = self._rep.point_strings(_indices(diff)) if diff else ()
+            checks.append(RelationCheck(*key, not diff, witnesses))
+        return tuple(checks)
 
 
 def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationReport:
@@ -186,27 +268,24 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     range bound p_i ss* = ss*, both on the interior.  Per requested vertex v:
     the vertex-sum relation p_v = sum of ss* over edges leaving v, on the
     domain where forward images are materialized.  For an isometry s, s*s
-    and ss* are the projections onto its keys and its values.
+    and ss* are the projections onto its sources and its targets.  A
+    relation holds when its two sides are equal; otherwise its witnesses are
+    the points of their symmetric difference.
     """
     vlist = _validated_vertices(vertices, rep.n)
-    supports, domain = rep.vertex_projections, rep.check_domain
-    interior_supports = [support & rep.interior for support in supports]
-    checks = []
-
-    def check(kind, edge, vertex, lhs, rhs) -> None:
-        """A relation holds when its two sides are equal; otherwise its
-        witnesses are the points of their symmetric difference."""
-        passed = lhs == rhs
-        witnesses = () if passed else rep.point_strings(lhs ^ rhs)
-        checks.append(RelationCheck(kind, edge, vertex, passed, witnesses))
-
-    for (i, j), s in sorted(rep.edge_isometries.items()):
-        check("edge-isometry", (i, j), None, s.keys(), interior_supports[j - 1])
-        values = set(s.values())
-        check("edge-range", (i, j), None, values, values & supports[i - 1])
+    supports, interior, domain = rep.vertex_masks, rep.interior_mask, rep.domain_mask
+    edges = sorted(rep.edge_masks)
+    failures = {}
+    for edge in edges:
+        sources, targets = rep.edge_masks[edge]
+        if diff := sources ^ (supports[edge[1] - 1] & interior):
+            failures["edge-isometry", edge, None] = diff
+        if diff := targets & ~supports[edge[0] - 1]:
+            failures["edge-range", edge, None] = diff
     for v in vlist:
-        check("vertex-sum", None, v, supports[v - 1] & domain, rep.edge_ranges[v - 1] & domain)
-    return RelationReport(tuple(checks))
+        if diff := (supports[v - 1] ^ rep.range_masks[v - 1]) & domain:
+            failures["vertex-sum", None, v] = diff
+    return RelationReport(rep, edges, vlist, failures)
 
 
 def _validated_vertices(vertices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -226,18 +305,22 @@ def gap_projection(rep: Representation, i: int) -> frozenset[int]:
     the checkable domain.  For an escape window this is nonzero exactly when
     the root lies in the closed image of I_i, where it fixes the single point
     f_i^{-1}(root)."""
-    return (rep.vertex_projection(i) & rep.check_domain) - rep.edge_ranges[i - 1]
+    check_index(i, rep.n, "vertex")
+    return frozenset(_indices(_gap_mask(rep, i)))
+
+
+def _gap_mask(rep: Representation, i: int) -> int:
+    return rep.vertex_masks[i - 1] & rep.domain_mask & ~rep.range_masks[i - 1]
 
 
 def projection_sum_is_identity(rep: Representation) -> bool:
     """Whether the vertex projections resolve the identity on the interior
     (true for regular windows; an escape root lies in no interval)."""
-    union: set[int] = set()
-    for i in range(1, rep.n + 1):
-        support = rep.vertex_projection(i)
-        assert not (union & support), "vertex projections must be orthogonal"
+    union = 0
+    for support in rep.vertex_masks:
+        assert not union & support, "vertex projections must be orthogonal"
         union |= support
-    return rep.interior <= union
+    return not rep.interior_mask & ~union
 
 
 @dataclass(frozen=True)
@@ -262,19 +345,25 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     when z lies in the closed interval I_i; that is checked directly."""
     tree, grid = rep.tree, rep.tree.map.grid
     pairs, incidence = tree.pairs, grid.incidence
-    masks = {idx: incidence(*pairs[idx]) for idx in rep.interior}
+    masks = {idx: incidence(*pairs[idx]) for idx in _indices(rep.interior_mask)}
     by_mask: dict[int, list[int]] = {}
     for idx, mask in masks.items():
         by_mask.setdefault(mask, []).append(idx)
+    # The interior nodes of each closed-image incidence, as one basis mask.
+    groups = [(mask, _mask(nodes, rep.dim)) for mask, nodes in by_mask.items()]
     texts = []
-    for i, q in enumerate(rep.image_projections, start=1):
-        exact = {idx for mask, nodes in by_mask.items() if mask >> (i - 1) & 1 for idx in nodes}
-        if diff := exact ^ (q & rep.interior):
+    for i, q in enumerate(rep.image_masks, start=1):
+        exact = 0
+        for mask, nodes in groups:
+            if mask >> (i - 1) & 1:
+                exact |= nodes
+        if diff := exact ^ (q & rep.interior_mask):
             texts.append(
-                f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
+                f"image projection {i} mismatch at: "
+                + ", ".join(rep.point_strings(_indices(diff)))
             )
     for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
-        if i is None or (parent is None and idx not in rep.interior):
+        if i is None or (parent is None and idx not in masks):
             continue
         y = grid.image(i, *pairs[idx])
         if parent is None:
@@ -282,7 +371,8 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
         else:
             mask = masks[parent] if y == pairs[parent] else 0
         if not mask >> (i - 1) & 1:
-            texts.append(f"branch {i} round trip fails at {tree.points[idx]}")
+            (point,) = rep.point_strings((idx,))
+            texts.append(f"branch {i} round trip fails at {point}")
     return ImageDecompositionReport(not texts, tuple(texts))
 
 
@@ -364,16 +454,14 @@ def faithfulness_certificate(
     nonvanishing = []
     for i in range(1, rep.n + 1):
         nonvanishing.append(
-            NonvanishingCheck(
-                "vertex-projection", i, bool(rep.vertex_projection(i))
-            )
+            NonvanishingCheck("vertex-projection", i, bool(rep.vertex_masks[i - 1]))
         )
     for k in complement:
         nonvanishing.append(
-            NonvanishingCheck("gap-projection", k, bool(gap_projection(rep, k)))
+            NonvanishingCheck("gap-projection", k, bool(_gap_mask(rep, k)))
         )
         nonvanishing.append(
-            NonvanishingCheck("edge-range-sum", k, bool(rep.edge_ranges[k - 1]))
+            NonvanishingCheck("edge-range-sum", k, bool(rep.range_masks[k - 1]))
         )
     return Certificate(
         vertices=vlist,

@@ -81,8 +81,9 @@ def format_rational(value: Fraction | int) -> str:
 def jsonable(value):
     """The JSON form of a report value: a Fraction becomes its
     ``format_rational`` string, a tuple or list an array, a dict an object,
-    and a dataclass record an object of its fields followed by the
-    attributes (derived flags, constant tags) its class names in ``_json``.
+    and a record an object of its dataclass fields (if it is a dataclass)
+    followed by the attributes (derived flags, constant tags, fields built
+    on demand) its class names in ``_json``.
     None, str, bool and int pass through; anything else is a TypeError.
     As the ``default`` hook of ``json.dumps`` it sees only the values the
     encoder cannot write itself."""
@@ -91,8 +92,8 @@ def jsonable(value):
     if isinstance(value, (tuple, list)):
         return [jsonable(item) for item in value]
     fields = getattr(value, "__dataclass_fields__", None)
-    if fields is not None:
-        names = (*fields, *getattr(value, "_json", ()))
+    if fields is not None or hasattr(value, "_json"):
+        names = (*(fields or ()), *getattr(value, "_json", ()))
         return {name: jsonable(getattr(value, name)) for name in names}
     if isinstance(value, dict):
         return {key: jsonable(item) for key, item in value.items()}

@@ -25,6 +25,12 @@ way, so the tests can check the short way against them:
   * ``bisect_image_decomposition_check``: the window check in ``Fraction``
     arithmetic, with closed-image membership found by bisecting the sorted
     interior points and each edge checked through the exact inverse;
+  * ``set_realize`` and its ``SetRepresentation``, ``set_check_relations``,
+    ``set_gap_projection``, ``set_projection_sum_is_identity``,
+    ``set_image_decomposition_check`` and ``set_faithfulness_certificate``:
+    the operators held as index dicts and frozensets of basis indices, with
+    every relation decided by set algebra, where the library compares bit
+    masks;
   * ``layout_issues``: the synthesis layout rules, restated from their
     statement rather than imported;
   * ``exhaustive_feasibility``: the synthesis feasibility report with the
@@ -37,9 +43,11 @@ way, so the tests can check the short way against them:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from escapemaps import (
     ESCAPE_INTERIOR,
@@ -54,17 +62,35 @@ from escapemaps import (
     Itinerary,
     MarkovMap,
     NoLabelRespectingIso,
+    NotAdmissibleError,
     NotAnEscapePointError,
     OrbitTree,
     OutsideAmbientError,
     UndeterminedRegular,
     ValidationReport,
+    WindowTooShallowError,
     incidence_cells,
     is_primitive,
     realize,
 )
-from escapemaps.maps import EscapeCoverage, Location, merge_closed_intervals
-from escapemaps.operators import ImageDecompositionReport, Representation
+from escapemaps.maps import (
+    EscapeCoverage,
+    Location,
+    MapStructureError,
+    check_index,
+    is_index,
+    merge_closed_intervals,
+)
+from escapemaps.operators import (
+    Certificate,
+    ImageDecompositionReport,
+    NonvanishingCheck,
+    RelationCheck,
+    Representation,
+    _hits,
+    _validated_vertices,
+)
+from escapemaps.rationals import format_rational
 from escapemaps.synthesis import STRICT, FeasibilityReport, RowSegment, SynthesisSpec
 from escapemaps.transitions import (
     Matrix,
@@ -384,9 +410,8 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     mismatches = []
     failures: list[tuple[tuple[int, int, int], str]] = []
     covered: set[int] = set()
-    for i, ((lo, hi), b, q) in enumerate(
-        zip(m.images, m.branches, rep.image_projections), start=1
-    ):
+    for i, ((lo, hi), b) in enumerate(zip(m.images, m.branches), start=1):
+        q = rep.image_projection(i)
         members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
         if diff := set(members) ^ (q & rep.interior):
             mismatches.append(
@@ -538,3 +563,216 @@ def scan_primitivity(matrix: object) -> PrimitivityResult:
             return PrimitivityResult(True, q, None)
     i, j = next((i, j) for i, row in enumerate(power) for j in range(n) if not row >> j & 1)
     return PrimitivityResult(False, None, (i + 1, j + 1))
+
+
+# -- the operators as index dicts and frozensets ---------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SetRepresentation:
+    """All operators realized on one window, each as plain index data: a
+    partial isometry is a dict from source to target basis index, and a
+    projection is the frozenset of basis indices it fixes."""
+
+    tree: OrbitTree
+    edge_isometries: Mapping[tuple[int, int], dict[int, int]]
+    vertex_projections: tuple[frozenset[int], ...]
+    image_projections: tuple[frozenset[int], ...]
+    incidence: tuple[int, ...] | None
+    interior: frozenset[int]
+    check_domain: frozenset[int]
+
+    @property
+    def n(self) -> int:
+        return self.tree.map.n
+
+    @property
+    def dim(self) -> int:
+        return self.tree.node_count
+
+    def transfer(self, i: int) -> dict[int, int]:
+        check_index(i, self.n, "vertex")
+        links = zip(self.tree.parents, self.tree.labels)
+        return {parent: idx for idx, (parent, label) in enumerate(links)
+                if label == i and parent in self.interior}
+
+    def edge_isometry(self, i: int, j: int) -> dict[int, int]:
+        if not (is_index(i) and is_index(j)):
+            raise MapStructureError(f"edge ({i!r}, {j!r}) is not a pair of integers")
+        if (i, j) not in self.edge_isometries:
+            raise MapStructureError(f"no transition from {i} to {j}")
+        return self.edge_isometries[(i, j)]
+
+    def vertex_projection(self, i: int) -> frozenset[int]:
+        check_index(i, self.n, "vertex")
+        return self.vertex_projections[i - 1]
+
+    def image_projection(self, i: int) -> frozenset[int]:
+        check_index(i, self.n, "vertex")
+        return self.image_projections[i - 1]
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edge_isometries))
+
+    @functools.cached_property
+    def edge_ranges(self) -> tuple[frozenset[int], ...]:
+        ranges: list[set[int]] = [set() for _ in range(self.n)]
+        for (i, _), s in self.edge_isometries.items():
+            assert ranges[i - 1].isdisjoint(s.values()), "edge ranges must be orthogonal"
+            ranges[i - 1].update(s.values())
+        return tuple(frozenset(r) for r in ranges)
+
+    def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
+        pts = sorted(self.tree.points[idx] for idx in indices)
+        return tuple(format_rational(p) for p in pts)
+
+
+def set_realize(tree: OrbitTree) -> SetRepresentation:
+    """``realize`` with every operator as index data, in one pass over the
+    parent and label arrays."""
+    markov = tree.map.transition_matrix
+    n = len(markov)
+    interior = frozenset(tree.interior_indices())
+
+    edge_isometries: dict[tuple[int, int], dict[int, int]] = {
+        (i, j): {}
+        for i, row in enumerate(markov, start=1)
+        for j, unit in enumerate(row, start=1)
+        if unit
+    }
+    by_label: list[list[int]] = [[] for _ in range(n)]
+    for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
+        if i is None:
+            continue
+        by_label[i - 1].append(idx)
+        if parent in interior:
+            edge = edge_isometries.get((i, tree.labels[parent]))
+            if edge is not None:
+                edge[parent] = idx
+
+    incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
+    image_projections = tuple(
+        frozenset(
+            [idx for j, unit in enumerate(row) if unit for idx in by_label[j]]
+            + ([0] if incidence is not None and incidence[i] else [])
+        )
+        for i, row in enumerate(markov)
+    )
+    check_domain = interior
+    if incidence is None and tree.parents[0] is None:
+        check_domain = interior - {0}
+
+    return SetRepresentation(
+        tree=tree,
+        edge_isometries=edge_isometries,
+        vertex_projections=tuple(frozenset(nodes) for nodes in by_label),
+        image_projections=image_projections,
+        incidence=incidence,
+        interior=interior,
+        check_domain=check_domain,
+    )
+
+
+def set_check_relations(rep: SetRepresentation, vertices: Iterable[int]) -> tuple[RelationCheck, ...]:
+    """Every relation instance of ``check_relations``, passing ones
+    included, decided by set equality: the edge isometry s*s = p_j and the
+    range bound p_i ss* = ss* on the interior, and the vertex sum on the
+    checkable domain."""
+    vlist = _validated_vertices(vertices, rep.n)
+    supports, domain = rep.vertex_projections, rep.check_domain
+    interior_supports = [support & rep.interior for support in supports]
+    checks = []
+
+    def check(kind, edge, vertex, lhs, rhs) -> None:
+        passed = lhs == rhs
+        witnesses = () if passed else rep.point_strings(lhs ^ rhs)
+        checks.append(RelationCheck(kind, edge, vertex, passed, witnesses))
+
+    for (i, j), s in sorted(rep.edge_isometries.items()):
+        check("edge-isometry", (i, j), None, s.keys(), interior_supports[j - 1])
+        values = set(s.values())
+        check("edge-range", (i, j), None, values, values & supports[i - 1])
+    for v in vlist:
+        check("vertex-sum", None, v, supports[v - 1] & domain, rep.edge_ranges[v - 1] & domain)
+    return tuple(checks)
+
+
+def set_gap_projection(rep: SetRepresentation, i: int) -> frozenset[int]:
+    return (rep.vertex_projection(i) & rep.check_domain) - rep.edge_ranges[i - 1]
+
+
+def set_projection_sum_is_identity(rep: SetRepresentation) -> bool:
+    union: set[int] = set()
+    for i in range(1, rep.n + 1):
+        support = rep.vertex_projection(i)
+        assert not (union & support), "vertex projections must be orthogonal"
+        union |= support
+    return rep.interior <= union
+
+
+def set_image_decomposition_check(rep: SetRepresentation) -> ImageDecompositionReport:
+    """``image_decomposition_check`` with the closed-image members of each
+    q_i collected as sets of basis indices."""
+    tree, grid = rep.tree, rep.tree.map.grid
+    pairs, incidence = tree.pairs, grid.incidence
+    masks = {idx: incidence(*pairs[idx]) for idx in rep.interior}
+    by_mask: dict[int, list[int]] = {}
+    for idx, mask in masks.items():
+        by_mask.setdefault(mask, []).append(idx)
+    texts = []
+    for i, q in enumerate(rep.image_projections, start=1):
+        exact = {idx for mask, nodes in by_mask.items() if mask >> (i - 1) & 1 for idx in nodes}
+        if diff := exact ^ (q & rep.interior):
+            texts.append(
+                f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
+            )
+    for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
+        if i is None or (parent is None and idx not in rep.interior):
+            continue
+        y = grid.image(i, *pairs[idx])
+        if parent is None:
+            mask = incidence(*y)
+        else:
+            mask = masks[parent] if y == pairs[parent] else 0
+        if not mask >> (i - 1) & 1:
+            texts.append(f"branch {i} round trip fails at {rep.point_strings([idx])[0]}")
+    return ImageDecompositionReport(not texts, tuple(texts))
+
+
+def set_faithfulness_certificate(rep: SetRepresentation, vertices: Iterable[int]) -> Certificate:
+    """``faithfulness_certificate`` with each nonvanishing fact read as a
+    nonempty set of basis indices."""
+    if rep.incidence is None:
+        raise NotAnEscapePointError(
+            "faithfulness certificates are defined on escape windows"
+        )
+    vlist = _validated_vertices(vertices, rep.n)
+    hits = _hits(rep.incidence, vlist)
+    if hits:
+        raise NotAdmissibleError(
+            f"vertex set {list(vlist)} is not admissible: incidence is 1 at {hits}"
+        )
+    if rep.tree.max_depth < 2:
+        raise WindowTooShallowError(
+            "faithfulness certificates need a window of depth at least 2"
+        )
+    complement = [k for k in range(1, rep.n + 1) if k not in vlist]
+    complement_misses = tuple(k for k in complement if rep.incidence[k - 1] == 0)
+    nonvanishing = [
+        NonvanishingCheck("vertex-projection", i, bool(rep.vertex_projection(i)))
+        for i in range(1, rep.n + 1)
+    ]
+    for k in complement:
+        nonvanishing.append(
+            NonvanishingCheck("gap-projection", k, bool(set_gap_projection(rep, k)))
+        )
+        nonvanishing.append(
+            NonvanishingCheck("edge-range-sum", k, bool(rep.edge_ranges[k - 1]))
+        )
+    return Certificate(
+        vertices=vlist,
+        incidence=rep.incidence,
+        faithful=not complement_misses,
+        complement_misses=complement_misses,
+        nonvanishing=tuple(nonvanishing),
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from escapemaps import (
     PARTIAL,
     STRICT,
+    EscapeMapsError,
     MapStructureError,
     NotAdmissibleError,
     NotAnEscapePointError,
@@ -38,6 +39,12 @@ from oracles import (
     bisect_image_decomposition_check,
     compose,
     escape_point_with_incidence,
+    set_check_relations,
+    set_faithfulness_certificate,
+    set_gap_projection,
+    set_image_decomposition_check,
+    set_projection_sum_is_identity,
+    set_realize,
 )
 
 F = Fraction
@@ -184,9 +191,9 @@ def test_image_decomposition_check_catches_a_wrong_projection(four_map):
     # realize reads image projections off the labels; the check must notice
     # when one of them disagrees with the closed images.
     rep = realize(build_orbit_tree(four_map, F(1, 2), 4))
-    wrong = list(rep.image_projections)
-    wrong[2] = rep.vertex_projection(3)
-    broken = dataclasses.replace(rep, image_projections=tuple(wrong))
+    wrong = list(rep.image_masks)
+    wrong[2] = rep.vertex_masks[2]
+    broken = dataclasses.replace(rep, image_masks=tuple(wrong))
     report = image_decomposition_check(broken)
     assert not report.passed
     assert len(report.failures) == 1
@@ -278,6 +285,11 @@ def _drawn_window(data, maps):
         return None
 
 
+def _bits(indices):
+    """The bit mask of a set of basis indices, one bit at a time."""
+    return sum(1 << idx for idx in set(indices))
+
+
 def _with_points(rep, points, labels=None):
     """A copy of the representation whose window has the given points (and
     labels), as a corrupted cache would: the check reads the pairs, the
@@ -348,8 +360,8 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
     elif kind == "projection":
         i = data.draw(st.integers(0, m.n - 1), label="image")
         nodes = data.draw(st.sets(st.integers(0, rep.dim - 1)), label="replacement")
-        wrong = rep.image_projections[:i] + (frozenset(nodes),) + rep.image_projections[i + 1 :]
-        broken = dataclasses.replace(rep, image_projections=wrong)
+        wrong = rep.image_masks[:i] + (_bits(nodes),) + rep.image_masks[i + 1 :]
+        broken = dataclasses.replace(rep, image_masks=wrong)
 
     old = bisect_image_decomposition_check(broken)
     new = image_decomposition_check(broken)
@@ -372,10 +384,21 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
         assert new.passed == old.passed
     # Every moved point and every relabel is caught.
     expect_pass = kind == "none" or (
-        kind == "projection" and broken.image_projections[i] & rep.interior
-        == rep.image_projections[i] & rep.interior
+        kind == "projection" and broken.image_masks[i] & rep.interior_mask
+        == rep.image_masks[i] & rep.interior_mask
     )
     assert new.passed == expect_pass
+
+
+def test_round_trip_failure_text_keeps_to_the_digit_limit(four_map):
+    # The failure text formats the point through format_rational, so a point
+    # past Python's limit for int strings gives the library's typed error.
+    tree = build_orbit_tree(four_map, F(1, 2), 4)
+    rep = realize(tree)
+    points = list(tree.points)
+    points[-1] += F(1, 10**5000)
+    with pytest.raises(EscapeMapsError, match="Python's limit for int strings"):
+        image_decomposition_check(_with_points(rep, points))
 
 
 def test_regular_window_relations(four_map):
@@ -454,7 +477,7 @@ ORACLE_WINDOWS = {
 def _assert_realize_matches_the_formula(tree):
     rep = realize(tree)
     transfers, edges, images = formula_operators(tree)
-    assert rep.image_projections == tuple(images)
+    assert tuple(rep.image_projection(i) for i in range(1, rep.n + 1)) == tuple(images)
     for i, expected in enumerate(transfers, start=1):
         assert rep.transfer(i) == expected
     assert rep.edges() == tuple(sorted(edges))
@@ -522,15 +545,16 @@ def _diagonal(indices):
     return {idx: idx for idx in indices}
 
 
-def _product_verdicts(rep):
+def _product_verdicts(rep, isometries):
     """The relation verdicts of ``check_relations(rep, 1..n)`` decided from
-    dict products: s*s = p_j on the interior, p_i ss* = ss*, and p_v equal to
-    the sum of ss* over edges leaving v on the checkable domain."""
+    dict products of the given edge isometries: s*s = p_j on the interior,
+    p_i ss* = ss*, and p_v equal to the sum of ss* over edges leaving v on
+    the checkable domain."""
     interior, domain = _diagonal(rep.interior), _diagonal(rep.check_domain)
     verdicts = []
     sums = {v: {} for v in range(1, rep.n + 1)}
     for i, j in rep.edges():
-        s = rep.edge_isometry(i, j)
+        s = isometries[(i, j)]
         p_i = _diagonal(rep.vertex_projection(i))
         p_j = _diagonal(rep.vertex_projection(j))
         ss_star = compose(s, adjoint(s))
@@ -547,30 +571,173 @@ def _product_verdicts(rep):
 
 
 def _corrupted(rep):
-    """A copy with one edge isometry missing an entry and another sending a
-    node outside the range of its vertex projection."""
+    """A copy whose masks have one edge isometry missing an entry and
+    another sending a node outside the range of its vertex projection, with
+    those edge isometries as dicts (the dict reader keys each target by its
+    parent, so it cannot show the moved entry)."""
     edges = {edge: dict(s) for edge, s in rep.edge_isometries.items()}
+    masks = dict(rep.edge_masks)
     nonempty = [edge for edge in rep.edges() if edges[edge]]
     first, last = edges[nonempty[0]], edges[nonempty[-1]]
-    del first[min(first)]
+    source = min(first)
+    sources, targets = masks[nonempty[0]]
+    masks[nonempty[0]] = (sources & ~(1 << source), targets & ~(1 << first.pop(source)))
     i = nonempty[-1][0]
-    last[min(last)] = next(
+    source = min(last)
+    moved = next(
         idx for idx in range(rep.dim)
         if idx not in rep.vertex_projection(i) and idx not in last.values()
     )
-    return dataclasses.replace(rep, edge_isometries=edges)
+    sources, targets = masks[nonempty[-1]]
+    masks[nonempty[-1]] = (sources, targets & ~(1 << last[source]) | 1 << moved)
+    last[source] = moved
+    return dataclasses.replace(rep, edge_masks=masks), edges
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
 def test_relation_verdicts_match_literal_products(name):
     rep = realize(ORACLE_WINDOWS[name]())
-    for candidate in (rep, _corrupted(rep)):
+    for candidate, isometries in ((rep, rep.edge_isometries), _corrupted(rep)):
         report = check_relations(candidate, range(1, candidate.n + 1))
         got = [(c.kind, c.edge, c.vertex, c.passed) for c in report.checks]
-        assert got == _product_verdicts(candidate)
+        assert got == _product_verdicts(candidate, isometries)
     # The corrupted copy fails both kinds of edge verdict.
     failed = {c.kind for c in report.checks if not c.passed}
     assert failed >= {"edge-isometry", "edge-range"}
+
+
+# -- the bit masks against the set operators -----------------------------
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type and text of the library error it
+    raises."""
+    try:
+        return f(*args)
+    except EscapeMapsError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_masks_match_the_sets(rep, old, vertices):
+    """Every verdict of the mask representation ``rep`` agrees with the set
+    representation ``old`` of the same window: the relation checks with
+    their witnesses and JSON form, the image decomposition texts, the
+    projection sum, the edge ranges, the gap projections and the
+    certificate for ``vertices``."""
+    report = check_relations(rep, vertices)
+    expected = set_check_relations(old, vertices)
+    assert report.all_passed == all(check.passed for check in expected)
+    assert report.checks == expected
+    assert jsonable(report) == {"checks": jsonable(expected), "all_passed": report.all_passed}
+    assert image_decomposition_check(rep) == set_image_decomposition_check(old)
+    assert projection_sum_is_identity(rep) == set_projection_sum_is_identity(old)
+    assert rep.edge_ranges == old.edge_ranges
+    for i in range(1, rep.n + 1):
+        assert gap_projection(rep, i) == set_gap_projection(old, i)
+    assert _outcome(faithfulness_certificate, rep, vertices) == _outcome(
+        set_faithfulness_certificate, old, vertices
+    )
+
+
+def _assert_readers_match_the_sets(rep, old):
+    """The masks hold the sets, and every reader gives the set operators."""
+    assert rep.vertex_masks == tuple(map(_bits, old.vertex_projections))
+    assert rep.image_masks == tuple(map(_bits, old.image_projections))
+    assert rep.edge_masks == {
+        edge: (_bits(s), _bits(s.values())) for edge, s in old.edge_isometries.items()
+    }
+    assert (rep.interior, rep.check_domain) == (old.interior, old.check_domain)
+    assert rep.edges() == old.edges()
+    assert rep.edge_isometries == old.edge_isometries
+    for edge in rep.edges():
+        assert rep.edge_isometry(*edge) == old.edge_isometry(*edge)
+    for i in range(1, rep.n + 1):
+        assert rep.vertex_projection(i) == old.vertex_projection(i)
+        assert rep.image_projection(i) == old.image_projection(i)
+        assert rep.transfer(i) == old.transfer(i)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_masks_match_the_set_operators(
+    four_map, reaching_map, full2_map, reversing_map, data
+):
+    maps = {
+        "four": four_map,
+        "reaching": reaching_map,
+        "full2": full2_map,
+        "reversing": reversing_map,
+    }
+    tree = _drawn_window(data, maps)
+    if tree is None:
+        return
+    rep, old = realize(tree), set_realize(tree)
+    _assert_readers_match_the_sets(rep, old)
+    kind = data.draw(
+        st.sampled_from(["none", "drop-entry", "move-target", "flip-image-bit", "relabel-leaf"]),
+        label="corruption",
+    )
+    nonempty = [edge for edge in rep.edges() if old.edge_isometries[edge]]
+    leaves = [idx for idx in range(rep.dim) if idx not in rep.interior and tree.labels[idx]]
+    if kind in ("drop-entry", "move-target") and nonempty:
+        edge = data.draw(st.sampled_from(nonempty), label="edge")
+        s = dict(old.edge_isometries[edge])
+        source = data.draw(st.sampled_from(sorted(s)), label="source")
+        sources, targets = rep.edge_masks[edge]
+        if kind == "drop-entry":
+            sources &= ~(1 << source)
+            targets &= ~(1 << s.pop(source))
+        else:
+            outside = [
+                idx for idx in range(rep.dim)
+                if idx not in old.vertex_projection(edge[0]) and idx not in s.values()
+            ]
+            moved = data.draw(st.sampled_from(outside), label="moved to")
+            targets = targets & ~(1 << s[source]) | 1 << moved
+            s[source] = moved
+        rep = dataclasses.replace(rep, edge_masks={**rep.edge_masks, edge: (sources, targets)})
+        old = dataclasses.replace(old, edge_isometries={**old.edge_isometries, edge: s})
+    elif kind == "flip-image-bit":
+        i = data.draw(st.integers(0, rep.n - 1), label="image")
+        bit = data.draw(st.integers(0, rep.dim - 1), label="bit")
+        images = list(rep.image_masks)
+        images[i] ^= 1 << bit
+        rep = dataclasses.replace(rep, image_masks=tuple(images))
+        sets = list(old.image_projections)
+        sets[i] ^= {bit}
+        old = dataclasses.replace(old, image_projections=tuple(sets))
+    elif kind == "relabel-leaf" and leaves:
+        # A parent has at most one child per label, which makes each edge
+        # an isometry; the dicts cannot hold two children of one label.
+        leaf = data.draw(st.sampled_from(leaves), label="leaf")
+        siblings = {tree.labels[idx] for idx in tree.children(tree.parents[leaf])}
+        free = [i for i in range(1, rep.n + 1) if i not in siblings]
+        label = data.draw(st.sampled_from(free or [tree.labels[leaf]]), label="label")
+        labels = tree.labels[:leaf] + (label,) + tree.labels[leaf + 1 :]
+        relabelled = _with_points(rep, tree.points, labels).tree
+        rep, old = realize(relabelled), set_realize(relabelled)
+        _assert_readers_match_the_sets(rep, old)
+    vertices = data.draw(st.sets(st.integers(1, rep.n)), label="vertices")
+    event(f"{kind}, {'escape' if tree.is_escape_window else 'regular'} window")
+    _assert_masks_match_the_sets(rep, old, vertices)
+
+
+def test_masks_span_many_words_on_a_deep_window(four_map):
+    # 7,527 nodes: each vertex mask spans over 90 64-bit words, and every
+    # label has a run of nodes that crosses a byte boundary.
+    tree = build_orbit_tree(four_map, F(1, 2), 22)
+    assert tree.node_count == 7527
+    labels = tree.labels
+    for i in range(1, 5):
+        assert any(labels[idx - 1] == labels[idx] == i for idx in range(8, tree.node_count, 8))
+    rep, old = realize(tree), set_realize(tree)
+    assert min(mask.bit_length() for mask in rep.vertex_masks) > 90 * 64
+    _assert_readers_match_the_sets(rep, old)
+    assert rep.edge_ranges == old.edge_ranges
+    for i in range(1, 5):
+        assert gap_projection(rep, i) == set_gap_projection(old, i)
+    for vertices in ((2, 3), (2, 3, 4), (1, 2, 3, 4)):
+        _assert_masks_match_the_sets(rep, old, vertices)
 
 
 # -- admissibility and certificates --------------------------------------
