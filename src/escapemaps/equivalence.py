@@ -14,10 +14,21 @@ unrollings of depth r + 1.  Equivalent roots thus have isomorphic windows at
 every depth.  A label-respecting isomorphism matches children by label, and
 level 1 of a window has one child per unit of the incidence row, so at
 depth >= 1 it exists exactly when the rows, and so the windows, are equal.
+
+For the same reason the roots never change the Markov states' colors, so
+the map's own graph is refined once per map (``MarkovMap.transition_refinement``)
+and each request places only its roots into that history, round by round.
+A color is a rank among the round's distinct signatures, so adding the
+roots shifts each Markov color by the number of root-only signatures below
+it.  That shift is strictly increasing and so keeps every comparison of
+signatures: a root's signature is compared with the map's in the map's own
+colors, and the shifted colors are computed only where a result prints
+them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,8 +36,14 @@ from typing import Iterable, Sequence
 from .errors import InconsistentInputsError, NotAnEscapePointError
 from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, bit_rows, check_steps
 from .orbits import Escaped, PointClass, window_classes, window_node_count
-from .rationals import exact
-from .transitions import Matrix, as_binary_matrix, predecessors
+from .rationals import exact, format_rational
+from .transitions import (
+    ColorRefinement,
+    Matrix,
+    as_binary_matrix,
+    color_refinement,
+    predecessors,
+)
 
 
 # -- bisimulation -------------------------------------------------------
@@ -76,33 +93,88 @@ class EscapeVsRegular:
 EquivalenceVerdict = Equivalent | Distinct | EscapeVsRegular
 
 
-def _refine(
-    preds: Sequence[Sequence[int]], rows: Iterable[Sequence[int]]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Color refinement of the pointed graph: state j < n has A's predecessor
-    column j as children, and root n + k the units of incidence row k.
-    Returns the children and the color history, one list per round, ending
-    with the stable coloring (round 0 colors by out-degree)."""
-    n = len(preds)
-    children = [*preds, *([i for i in range(n) if row[i]] for row in rows)]
-    size = len(children)
-    colors = _canonical_ids([len(kids) for kids in children])
-    history = [colors]
-    while True:
-        signatures = [
-            (colors[s], tuple(sorted(colors[c] for c in children[s])))
-            for s in range(size)
+class _PointedRefinement:
+    """The color history of the pointed graph: the map's refinement with the
+    roots placed into it, root k having the units of incidence row k as
+    children.  ``keys[r][k]`` places root k's round-r color among the map's
+    round-r colors: (2c, 0) when it equals map color c, else (2i - 1, t) for
+    the t-th root-only color between map colors i - 1 and i.  ``gaps[r]``
+    lists the i of the distinct root-only colors of round r, sorted, so the
+    shift of map color c is the number of them at most c."""
+
+    def __init__(self, refinement: ColorRefinement, rows: Sequence[Sequence[int]]):
+        self.refinement = refinement
+        n = len(refinement.children)
+        self.children = [tuple(i for i in range(n) if row[i]) for row in rows]
+        self.keys: list[list[tuple[int, int]]] = []
+        self.gaps: list[list[int]] = []
+        signatures: list = [len(kids) for kids in self.children]
+        count = -1
+        while True:
+            r = len(self.keys)
+            table = refinement.signatures_at(r)
+            # Per root, the number of map signatures below its signature, and
+            # the signature itself when it equals none of them (else None).
+            places = []
+            for sig in signatures:
+                if r == 0:
+                    query = sig
+                else:
+                    (p, _), kids = sig
+                    if p % 2:  # a root-only color: no map signature can be equal
+                        places.append((bisect_left(table, ((p + 1) // 2,)), sig))
+                        continue
+                    query = (p // 2, kids)
+                idx = bisect_left(table, query)
+                matched = idx < len(table) and table[idx] == query
+                places.append((idx, None if matched else sig))
+            order = sorted({place for place in places if place[1] is not None})
+            if len(table) + len(order) == count:
+                return
+            count = len(table) + len(order)
+            gaps = [i for i, _ in order]
+            rank = {place: pos for pos, place in enumerate(order)}
+            keys = [
+                (2 * i, 0) if sig is None
+                else (2 * i - 1, rank[i, sig] - bisect_left(gaps, i))
+                for i, sig in places
+            ]
+            self.keys.append(keys)
+            self.gaps.append(gaps)
+            colors = refinement.colors_at(r)
+            signatures = [
+                (key, tuple(sorted([colors[c] for c in kids])))
+                for key, kids in zip(keys, self.children)
+            ]
+
+    @property
+    def rounds(self) -> int:
+        """The round at which the pointed refinement stabilized."""
+        return len(self.keys) - 1
+
+    def map_color(self, r: int, c: int) -> int:
+        return c + bisect_right(self.gaps[r], c)
+
+    def root_color(self, r: int, k: int) -> int:
+        p, t = self.keys[r][k]
+        if p % 2 == 0:
+            return self.map_color(r, p // 2)
+        i = (p + 1) // 2
+        return i + bisect_left(self.gaps[r], i) + t
+
+    def colors(self, r: int) -> list[int]:
+        """Round r's colors of the map states, then of the roots."""
+        return [self.map_color(r, c) for c in self.refinement.colors_at(r)] + [
+            self.root_color(r, k) for k in range(len(self.children))
         ]
-        new_colors = _canonical_ids(signatures)
-        if len(set(new_colors)) == len(set(colors)):
-            return children, history
-        colors = new_colors
-        history.append(colors)
 
-
-def _canonical_ids(signatures: Sequence) -> list[int]:
-    order = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-    return [order[sig] for sig in signatures]
+    def signature_text(self, r: int, k: int) -> str:
+        kids = self.children[k]
+        if r == 0:
+            return f"out-degree {len(kids)}"
+        own = self.refinement.colors_at(r - 1)
+        multiset = sorted(self.map_color(r - 1, own[c]) for c in kids)
+        return f"child classes {multiset} (round {r - 1} colors)"
 
 
 def bisim_equivalent(
@@ -112,43 +184,37 @@ def bisim_equivalent(
 ) -> Equivalent | Distinct:
     """Exact equivalence of two pointed symbolic graphs over the same
     transition matrix, decided by color refinement.  A is read by
-    ``as_binary_matrix`` and each incidence row by ``bit_rows``."""
+    ``as_binary_matrix`` and each incidence row by ``bit_rows``; the
+    refinement of A is built for this call."""
     rows = bit_rows([incidence_x], "incidence") + bit_rows([incidence_y], "incidence")
-    return _pointed_verdict(predecessors(as_binary_matrix(markov)), *rows)
+    refinement = color_refinement(predecessors(as_binary_matrix(markov)))
+    return _pointed_verdict(refinement, *rows)
 
 
-def _pointed_verdict(preds, incidence_x, incidence_y, note="") -> Equivalent | Distinct:
-    """``bisim_equivalent`` from the predecessor columns of A."""
-    n = len(preds)
+def _pointed_verdict(
+    refinement: ColorRefinement, incidence_x, incidence_y, note=""
+) -> Equivalent | Distinct:
+    """``bisim_equivalent`` from the refinement of A."""
+    n = len(refinement.children)
     if len(incidence_x) != n or len(incidence_y) != n:
         raise InconsistentInputsError("incidence vectors must have length n")
-    root_x, root_y = n, n + 1
-    children, history = _refine(preds, (incidence_x, incidence_y))
-    for round_no, colors in enumerate(history):
-        if colors[root_x] != colors[root_y]:
+    pointed = _PointedRefinement(refinement, (incidence_x, incidence_y))
+    for round_no, (key_x, key_y) in enumerate(pointed.keys):
+        if key_x != key_y:
             return Distinct(
                 separating_round=round_no,
-                signature_x=_signature_text(children, history, round_no, root_x),
-                signature_y=_signature_text(children, history, round_no, root_y),
+                signature_x=pointed.signature_text(round_no, 0),
+                signature_y=pointed.signature_text(round_no, 1),
                 note=note,
             )
     names = [str(i + 1) for i in range(n)] + ["root_x", "root_y"]
-    stable = history[-1]
     classes: dict[int, list[str]] = {}
-    for state, color in enumerate(stable):
+    for state, color in enumerate(pointed.colors(pointed.rounds)):
         classes.setdefault(color, []).append(names[state])
     partition = tuple(
         tuple(classes[color]) for color in sorted(classes)
     )
-    return Equivalent(rounds=len(history) - 1, partition=partition, note=note)
-
-
-def _signature_text(children, history, round_no: int, state: int) -> str:
-    if round_no == 0:
-        return f"out-degree {len(children[state])}"
-    prev = history[round_no - 1]
-    multiset = sorted(prev[c] for c in children[state])
-    return f"child classes {multiset} (round {round_no - 1} colors)"
+    return Equivalent(rounds=pointed.rounds, partition=partition, note=note)
 
 
 # -- intertwiners -------------------------------------------------------
@@ -214,14 +280,14 @@ def classify_corpus(
     for p, pc in zip(pts, classes_of):
         if not isinstance(pc, Escaped):
             raise NotAnEscapePointError(
-                f"{p} does not escape within the budget; corpus classification "
-                f"covers escaping points"
+                f"{format_rational(p)} does not escape within the budget; corpus "
+                f"classification covers escaping points"
             )
 
     rows = list(dict.fromkeys(pc.incidence for pc in classes_of))
-    _, history = _refine(m.transition_predecessors, rows)
-    color_of = {row: history[-1][m.n + k] for k, row in enumerate(rows)}
-    rounds = len(history) - 1
+    pointed = _PointedRefinement(m.transition_refinement, rows)
+    rounds = pointed.rounds
+    color_of = {row: pointed.root_color(rounds, k) for k, row in enumerate(rows)}
 
     groups: dict[int, list[int]] = {}
     for pos, pc in enumerate(classes_of):
@@ -269,11 +335,10 @@ def compare_points(
     compared through the symbolic states of their current intervals
     (window-level comparison)."""
     cls_x, cls_y = window_classes(m, (x, y), depth, max_iter)
-    preds = m.transition_predecessors
     if isinstance(cls_x, Escaped) != isinstance(cls_y, Escaped):
         return ComparisonResult(cls_x, cls_y, EscapeVsRegular())
     if isinstance(cls_x, Escaped):
-        verdict = _pointed_verdict(preds, cls_x.incidence, cls_y.incidence)
+        verdict = _pointed_verdict(m.transition_refinement, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
             # ``realize`` reads only the parent and label arrays, which are
@@ -290,7 +355,7 @@ def compare_points(
     jy = m.locate(y).index
     markov = m.transition_matrix
     verdict = _pointed_verdict(
-        preds,
+        m.transition_refinement,
         tuple(markov[i][jx - 1] for i in range(m.n)),
         tuple(markov[i][jy - 1] for i in range(m.n)),
         note="window-level comparison of non-escaping points",

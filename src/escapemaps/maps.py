@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     DepthExceedsTreeError,
@@ -42,6 +42,9 @@ from .errors import (
     MapStructureError,
 )
 from .rationals import exact, format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .transitions import ColorRefinement
 
 Interval = tuple[Fraction, Fraction]
 
@@ -76,7 +79,8 @@ class AffineBranch:
             raise MapStructureError("branch slope must be nonzero")
         if not self.left < self.right:
             raise MapStructureError(
-                f"branch domain [{self.left}, {self.right}] is degenerate"
+                f"branch domain [{format_rational(self.left)}, "
+                f"{format_rational(self.right)}] is degenerate"
             )
 
     def value_at(self, x: Fraction) -> Fraction:
@@ -280,8 +284,8 @@ class MarkovMap:
         for left, right in itertools.pairwise(branches):
             if not left.right <= right.left:
                 raise MapStructureError(
-                    f"interval [{left.left}, {left.right}] overlaps "
-                    f"[{right.left}, {right.right}]"
+                    f"interval [{format_rational(left.left)}, {format_rational(left.right)}] "
+                    f"overlaps [{format_rational(right.left)}, {format_rational(right.right)}]"
                 )
 
     # -- basic geometry -------------------------------------------------
@@ -332,6 +336,14 @@ class MarkovMap:
         from .transitions import predecessors
 
         return predecessors(self.transition_matrix)
+
+    @cached_property
+    def transition_refinement(self) -> ColorRefinement:
+        """``transitions.color_refinement`` of ``transition_predecessors``:
+        every equivalence request on the map places its roots into it."""
+        from .transitions import color_refinement
+
+        return color_refinement(self.transition_predecessors)
 
     @cached_property
     def escape_block(self) -> tuple[tuple[int, ...], ...]:
@@ -397,7 +409,8 @@ class MarkovMap:
 
         def show(pieces) -> str:
             return ", ".join(
-                f"[{Fraction(a, g.den)}, {Fraction(b, g.den)}]" for a, b in pieces
+                f"[{format_rational(Fraction(a, g.den))}, {format_rational(Fraction(b, g.den))}]"
+                for a, b in pieces
             )
 
         # P1: branch images cover the ambient interval exactly.

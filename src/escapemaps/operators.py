@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
+    InconsistentInputsError,
     NotAdmissibleError,
     NotAnEscapePointError,
     WindowTooShallowError,
@@ -155,7 +156,9 @@ def realize(tree: OrbitTree) -> Representation:
     those arrays on request).  An interior node y has every preimage
     materialized (a root whose cycle closes through itself included), so
     f_i^{-1}(y) is the child of y labelled i.  The pass lists the indices of
-    each label and each edge, and each list becomes a mask once."""
+    each label and each edge, and each list becomes a mask once.  A window
+    in which a parent has two children of one label, so that an edge is no
+    isometry, raises InconsistentInputsError."""
     # Row i of A has a unit at j iff i is among the predecessors of j.
     predecessors = tree.map.transition_predecessors
     n, dim = len(predecessors), tree.node_count
@@ -167,6 +170,7 @@ def realize(tree: OrbitTree) -> Representation:
         (i + 1, j + 1): [] for j, rows in enumerate(predecessors) for i in rows
     }
     by_label: list[list[int]] = [[] for _ in range(n)]
+    root_labels: list[int] = []
     for idx, (parent, i) in enumerate(zip(parents, labels)):
         if i is None:
             continue
@@ -175,11 +179,21 @@ def realize(tree: OrbitTree) -> Representation:
             edge = edge_targets.get((i, labels[parent]))
             if edge is not None:
                 edge.append(idx)
-    edge_masks = {
-        edge: (_mask([parents[idx] for idx in targets], dim), _mask(targets, dim))
-        if targets else (0, 0)
-        for edge, targets in edge_targets.items()
-    }
+            elif labels[parent] is None:
+                root_labels.append(i)
+    if len(set(root_labels)) != len(root_labels):
+        raise InconsistentInputsError(
+            f"the escape root has two children labelled alike: {sorted(root_labels)}"
+        )
+    edge_masks = {}
+    for edge, targets in edge_targets.items():
+        sources = _mask([parents[idx] for idx in targets], dim) if targets else 0
+        if sources.bit_count() != len(targets):
+            raise InconsistentInputsError(
+                f"edge {edge} has {len(targets)} targets but {sources.bit_count()} "
+                f"sources: a parent has two children labelled {edge[0]}"
+            )
+        edge_masks[edge] = (sources, _mask(targets, dim) if targets else 0)
     vertex_masks = tuple(_mask(nodes, dim) for nodes in by_label)
 
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None

@@ -85,7 +85,7 @@ def _forward_orbit(
         c = cell(*y)
         if c[0] == OUTSIDE:
             raise OutsideAmbientError(
-                f"{Fraction(*y)} left the ambient interval at step {step}"
+                f"{format_rational(Fraction(*y))} left the ambient interval at step {step}"
             )
         yield y, c
         if c[2] is None:
@@ -221,8 +221,8 @@ def window_classes(
     for x, pc in zip(points, classes):
         if isinstance(pc, BoundaryOrbit):
             raise OrbitMeetsBoundaryError(
-                f"forward orbit of {x} hits partition point "
-                f"{pc.hit_point} at step {pc.hit_step}"
+                f"forward orbit of {format_rational(x)} hits partition point "
+                f"{format_rational(pc.hit_point)} at step {pc.hit_step}"
             )
         if not (isinstance(pc, Escaped) and depth):
             continue
@@ -231,7 +231,8 @@ def window_classes(
             z = m.grid.preimage(k, *e)
             if m.grid.cell(*z)[0] == PARTITION_POINT:
                 raise OrbitMeetsBoundaryError(
-                    f"preimage {Fraction(*z)} of window node {pc.final_point} under "
+                    f"preimage {format_rational(Fraction(*z))} of window node "
+                    f"{format_rational(pc.final_point)} under "
                     f"branch {k} is a partition point; the window is undefined"
                 )
     return classes

@@ -14,6 +14,9 @@ For a map with intervals I_1..I_n and open gaps E_k:
 Primitivity of A is decided by checking boolean powers up to the Wielandt
 bound n^2 - 2n + 2; once the powers cycle without a positive one, A is not
 primitive.
+
+``color_refinement`` colors the predecessor graph of A, round by round; a
+map caches it, and every equivalence request places its roots into it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,48 @@ def predecessors(markov: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     """Per column j, the rows i with a unit at (i, j), all 0-based: the
     branches under which a point of I_j has a preimage."""
     return tuple(tuple(i for i, unit in enumerate(col) if unit) for col in zip(*markov))
+
+
+@dataclass(frozen=True)
+class ColorRefinement:
+    """Color refinement of the graph in which state j has the predecessor
+    column j as children.  ``colors[r][j]`` is state j's color at round r,
+    its rank among ``signatures[r]``, the sorted distinct signatures of that
+    round: out-degrees at round 0, and from round 1 on the pairs (color at
+    round r - 1, sorted colors of the children at round r - 1).  ``colors``
+    ends with the stable coloring.  ``signatures`` has one more entry, the
+    signatures of the stable coloring: their ranks repeat its colors, so
+    that entry and the stable colors serve every later round."""
+
+    children: tuple[tuple[int, ...], ...]
+    colors: tuple[tuple[int, ...], ...]
+    signatures: tuple[tuple, ...]
+
+    def colors_at(self, r: int) -> tuple[int, ...]:
+        return self.colors[min(r, len(self.colors) - 1)]
+
+    def signatures_at(self, r: int) -> tuple:
+        return self.signatures[min(r, len(self.signatures) - 1)]
+
+
+def color_refinement(preds: Sequence[Sequence[int]]) -> ColorRefinement:
+    """Refine from out-degrees until a round splits no color."""
+    signatures: list = [len(kids) for kids in preds]
+    tables: list[tuple] = []
+    history: list[tuple[int, ...]] = []
+    while True:
+        table = tuple(sorted(set(signatures)))
+        stable = bool(tables) and len(table) == len(tables[-1])
+        tables.append(table)
+        if stable:
+            return ColorRefinement(tuple(map(tuple, preds)), tuple(history), tuple(tables))
+        rank = {sig: r for r, sig in enumerate(table)}
+        colors = tuple([rank[sig] for sig in signatures])
+        history.append(colors)
+        signatures = [
+            (colors[s], tuple(sorted([colors[c] for c in kids])))
+            for s, kids in enumerate(preds)
+        ]
 
 
 def markov_matrix(m: MarkovMap) -> Matrix:

@@ -19,6 +19,10 @@ way, so the tests can check the short way against them:
     the realized operators;
   * ``_oracle_same_unrolling``: equality of the depth-d unrollings of two
     roots of the symbolic pointed graph;
+  * ``refine``, ``refined_verdict`` and ``refined_root_colors``: color
+    refinement of the whole pointed graph, map states and roots alike, in
+    every call, where the library refines each map once and places only the
+    roots into that refinement;
   * ``compose`` and ``adjoint``: literal products and adjoints of partial
     permutations held as source -> target dicts, the reference for the
     relation verdicts that the library reads off keys and values;
@@ -56,6 +60,8 @@ from escapemaps import (
     PARTITION_POINT,
     BoundaryOrbit,
     DepthExceedsTreeError,
+    Distinct,
+    Equivalent,
     Escaped,
     InconsistentInputsError,
     Intertwiner,
@@ -377,6 +383,70 @@ def _oracle_same_unrolling(markov, cx, cy, depth) -> bool:
         return memo[key]
 
     return shape(n, depth) == shape(n + 1, depth)
+
+
+def refine(
+    preds: Iterable[Iterable[int]], rows: Iterable[Iterable[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Color refinement of the pointed graph: state j < n has A's predecessor
+    column j as children, and root n + k the units of incidence row k.
+    Returns the children and the color history, one list per round, ending
+    with the stable coloring (round 0 colors by out-degree)."""
+    preds = [list(kids) for kids in preds]
+    n = len(preds)
+    children = [*preds, *([i for i in range(n) if row[i]] for row in rows)]
+    size = len(children)
+    colors = _canonical_ids([len(kids) for kids in children])
+    history = [colors]
+    while True:
+        signatures = [
+            (colors[s], tuple(sorted(colors[c] for c in children[s])))
+            for s in range(size)
+        ]
+        new_colors = _canonical_ids(signatures)
+        if len(set(new_colors)) == len(set(colors)):
+            return children, history
+        colors = new_colors
+        history.append(colors)
+
+
+def _canonical_ids(signatures) -> list[int]:
+    order = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+    return [order[sig] for sig in signatures]
+
+
+def refined_verdict(preds, incidence_x, incidence_y, note="") -> Equivalent | Distinct:
+    """The verdict on two roots from ``refine``: the first round whose
+    colors differ, with each root's signature there, or the stable partition
+    by state name."""
+    n = len(preds)
+    root_x, root_y = n, n + 1
+    children, history = refine(preds, (incidence_x, incidence_y))
+
+    def text(round_no, state):
+        if round_no == 0:
+            return f"out-degree {len(children[state])}"
+        multiset = sorted(history[round_no - 1][c] for c in children[state])
+        return f"child classes {multiset} (round {round_no - 1} colors)"
+
+    for round_no, colors in enumerate(history):
+        if colors[root_x] != colors[root_y]:
+            return Distinct(round_no, text(round_no, root_x), text(round_no, root_y), note)
+    names = [str(i + 1) for i in range(n)] + ["root_x", "root_y"]
+    classes: dict[int, list[str]] = {}
+    for state, color in enumerate(history[-1]):
+        classes.setdefault(color, []).append(names[state])
+    partition = tuple(tuple(classes[color]) for color in sorted(classes))
+    return Equivalent(rounds=len(history) - 1, partition=partition, note=note)
+
+
+def refined_root_colors(preds, rows) -> tuple[list[int], int]:
+    """The stable color of each row's root and the rounds, from ``refine``
+    with one root per row."""
+    rows = list(rows)
+    _, history = refine(preds, rows)
+    n = len(preds)
+    return [history[-1][n + k] for k in range(len(rows))], len(history) - 1
 
 
 def compose(outer: dict[int, int], inner: dict[int, int]) -> dict[int, int]:

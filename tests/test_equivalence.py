@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,13 +33,18 @@ from escapemaps import (
     jsonable,
     synthesize,
 )
+from escapemaps.equivalence import _PointedRefinement, _pointed_verdict
+from escapemaps.transitions import color_refinement, predecessors
 
-from conftest import pull_back, synthesized_spec
+from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import (
     _oracle_same_unrolling,
     ahu_canonical,
     build_intertwiner,
     escape_point_with_incidence,
+    refine,
+    refined_root_colors,
+    refined_verdict,
 )
 
 F = Fraction
@@ -107,7 +113,7 @@ def test_bisim_rejects_wrong_length():
         bisim_equivalent(FOUR_A, (1, 0, 0), (1, 0, 0, 0))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     st.integers(1, 8).flatmap(
         lambda n: st.tuples(
@@ -130,6 +136,120 @@ def test_bisim_matches_depth_six_unrolling_oracle(case):
     assert isinstance(verdict, Equivalent) == _oracle_same_unrolling(
         markov, cx, cy, len(markov) + 2
     )
+
+
+# -- the refinement against the whole-graph oracle in oracles.py ----------
+
+
+@st.composite
+def pointed_cases(draw):
+    """A square 0/1 matrix, n = 1..12, that is asymmetric, imprimitive (units
+    only from one residue class mod 2 or 3 to the next), has an empty row and
+    an empty column, or is banded; with one to five incidence rows, repeats
+    included."""
+    n = draw(st.integers(1, 12), label="n")
+    kind = draw(st.sampled_from(["asymmetric", "imprimitive", "empty", "banded"]), label="kind")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = rng.random()
+    if kind == "imprimitive":
+        period = rng.choice((2, 3))
+        unit = lambda i, j: (i + 1 - j) % period == 0 and rng.random() < density
+    elif kind == "banded":
+        lo, hi = sorted(rng.randint(-3, 3) for _ in range(2))
+        unit = lambda i, j: lo <= j - i <= hi and rng.random() < 0.9
+    else:
+        unit = lambda i, j: rng.random() < density
+    markov = [[int(unit(i, j)) for j in range(n)] for i in range(n)]
+    if kind == "empty":
+        markov[rng.randrange(n)] = [0] * n
+        column = rng.randrange(n)
+        for row in markov:
+            row[column] = 0
+    rows = []
+    for _ in range(draw(st.integers(1, 5), label="rows")):
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        else:
+            rows.append(tuple(int(rng.random() < density) for _ in range(n)))
+    return tuple(map(tuple, markov)), rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pointed_cases())
+def test_refinement_matches_the_whole_graph_oracle(case):
+    markov, rows = case
+    preds = predecessors(markov)
+    refinement = color_refinement(preds)
+    # The map's own history: colors, and the signatures they rank.
+    _, own = refine(preds, [])
+    assert [list(colors) for colors in refinement.colors] == own
+    assert refinement.signatures[0] == tuple(sorted({len(kids) for kids in preds}))
+    for r, colors in enumerate(own, start=1):
+        signatures = {
+            (colors[s], tuple(sorted(colors[c] for c in kids))) for s, kids in enumerate(preds)
+        }
+        assert refinement.signatures[r] == tuple(sorted(signatures))
+    assert len(refinement.signatures) == len(own) + 1
+    # The roots placed into it give the whole graph's history, round by round.
+    pointed = _PointedRefinement(refinement, rows)
+    _, whole = refine(preds, rows)
+    assert [pointed.colors(r) for r in range(pointed.rounds + 1)] == whole
+    # What classify_corpus reads: each root's stable color and the rounds.
+    stable = [pointed.root_color(pointed.rounds, k) for k in range(len(rows))]
+    assert (stable, pointed.rounds) == refined_root_colors(preds, rows)
+    # Every verdict, field by field.
+    for x in rows:
+        for y in rows:
+            assert _pointed_verdict(refinement, x, y) == refined_verdict(preds, x, y)
+    x, y = rows[0], rows[-1]
+    assert bisim_equivalent(markov, x, y) == refined_verdict(preds, x, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_compare_points_and_classify_corpus_match_the_oracle_on_synthesized_maps(data):
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    spec = synthesized_spec(data, mode)
+    if spec is None:
+        return
+    m = synthesize(spec).map
+    preds = m.transition_predecessors
+    ((gap, _, _),) = m.gaps
+    points = []
+    for lo, hi, _ in incidence_cells(m, gap):
+        e = (lo + hi) / 2
+        points += [e, pull_back(m, e, data, data.draw(st.integers(1, 2), label="steps"))]
+    for a, x in enumerate(points):
+        for y in points[a:]:
+            result = compare_points(m, x, y, depth=0)
+            rows = result.class_x.incidence, result.class_y.incidence
+            assert result.verdict == refined_verdict(preds, *rows)
+    corpus = classify_corpus(m, points)
+    rows = list(dict.fromkeys(classify_point(m, x).incidence for x in points))
+    colors, rounds = refined_root_colors(preds, rows)
+    assert corpus.rounds == rounds
+    color_of = dict(zip(rows, colors))
+    assert len(corpus.classes) == len(set(colors))
+    for entry in corpus.classes:
+        assert {color_of[row] for row in entry.incidences} == {entry.stable_class}
+    # Two regular points are compared through the columns of their intervals.
+    periodic = [x for x in (periodic_point(m, data) for _ in range(4)) if x is not None]
+    if len(periodic) < 2:
+        return
+    x, y = periodic[:2]
+    try:
+        result = compare_points(m, x, y, depth=0)
+    except OrbitMeetsBoundaryError:
+        return
+    columns = [tuple(row[m.locate(p).index - 1] for row in m.transition_matrix) for p in (x, y)]
+    assert result.verdict == refined_verdict(preds, *columns, note=result.verdict.note)
+
+
+def test_a_huge_point_fails_with_the_library_error(four_map):
+    # The message names the point; Python refuses to print an int of more
+    # than 4,300 digits, which must not surface as a bare ValueError.
+    with pytest.raises(EscapeMapsError, match="cannot print a rational"):
+        classify_corpus(four_map, [F(5, 27) + F(1, 10**4400)], max_iter=5)
 
 
 # -- intertwiners (the matcher oracle in oracles.py) ---------------------

@@ -91,6 +91,18 @@ def test_branch_rejects_zero_slope_and_degenerate_domain():
         AffineBranch(F(2), F(0), F(1), F(0))
 
 
+def test_texts_naming_a_huge_rational_raise_the_library_error():
+    # Python refuses to print an int of more than 4,300 digits; the texts
+    # go through format_rational, so no bare ValueError escapes.
+    tiny = F(1, 10**4400)
+    with pytest.raises(EscapeMapsError, match="cannot print a rational"):
+        AffineBranch(2, 0, tiny, tiny)
+    with pytest.raises(EscapeMapsError, match="cannot print a rational"):
+        MarkovMap((AffineBranch(2, 0, 0, F(1, 2)), AffineBranch(2, 0, F(1, 2) - tiny, 1)))
+    with pytest.raises(EscapeMapsError, match="cannot print a rational"):
+        MarkovMap((AffineBranch(2, tiny, 0, 1),)).validate()
+
+
 def test_branch_image_sorts_endpoints_for_negative_slope():
     b = AffineBranch(F(-2), F(1), F(0), F(1, 2))
     assert b.image() == (F(0), F(1))

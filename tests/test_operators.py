@@ -9,6 +9,7 @@ from escapemaps import (
     PARTIAL,
     STRICT,
     EscapeMapsError,
+    InconsistentInputsError,
     MapStructureError,
     NotAdmissibleError,
     NotAnEscapePointError,
@@ -72,7 +73,7 @@ def partial_injections(draw, dim):
     return dict(zip(sources, targets))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 6).flatmap(
     lambda d: st.tuples(
         partial_injections(d), partial_injections(d), partial_injections(d)
@@ -104,6 +105,22 @@ def half_rep4(four_map):
     # Depth 4 is the first depth whose window carries nodes of every
     # interval, which the certificate's nonvanishing checks need.
     return realize(build_orbit_tree(four_map, F(1, 2), 4))
+
+
+def test_realize_refuses_a_parent_with_two_children_of_one_label(four_map, partial_map):
+    # Node 2 (269/350) has the leaves 3 (branch 1) and 4 (branch 4); giving
+    # leaf 3 its sibling's label leaves edge (4, 3) two targets and one source.
+    tree = build_orbit_tree(four_map, F(1, 2), 3)
+    assert tree.children(2) == (3, 4) and tree.labels[3:] == (1, 4)
+    twins = dataclasses.replace(tree, labels=tree.labels[:3] + (4, 4))
+    with pytest.raises(InconsistentInputsError, match=r"edge \(4, 3\) has 2 targets but 1 sources"):
+        realize(twins)
+    # The escape root's children belong to no edge, so they are checked apart.
+    x = escape_point_with_incidence(partial_map, (1, 0, 0, 1))
+    tree = build_orbit_tree(partial_map, x, 1)
+    assert tree.labels == (None, 1, 4) and tree.parents == (None, 0, 0)
+    with pytest.raises(EscapeMapsError, match="two children labelled alike: \\[1, 1\\]"):
+        realize(dataclasses.replace(tree, labels=(None, 1, 1)))
 
 
 def test_realized_operator_entries(half_rep):

@@ -519,7 +519,7 @@ def test_tree_jsonable_and_dot(four_map):
 # -- property: classification agrees with naive iteration ----------------
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     st.fractions(
         min_value=0, max_value=1, max_denominator=300

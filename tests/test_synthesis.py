@@ -600,7 +600,7 @@ def test_spec_from_jsonable_rejects_conflicts_and_garbage():
 # -- property: feasibility and synthesis agree ---------------------------
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(2, 3).flatmap(
         lambda n: st.tuples(
