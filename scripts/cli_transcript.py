@@ -127,6 +127,11 @@ INPUTS = {
     # segment ends there: row 1, which targets only the gap, does not count.
     "one_side_a.json": [[0, 0, 0], [0, 1, 1], [1, 1, 1]],
     "one_side_b.json": {"rows": [[1], [1], [0]], "gap_positions": [1]},
+    # States 1 and 2 are bisimilar, so two escape cells whose rows differ
+    # only there are equivalent, with windows that differ in labels.
+    "bisimilar_a.json": [[0, 0, 0, 1, 0], [1, 1, 1, 0, 0], [0, 0, 0, 0, 1],
+                         [0, 0, 1, 1, 0], [1, 1, 0, 0, 0]],
+    "bisimilar_b.json": {"rows": [[1], [1], [0], [1], [0]], "gap_positions": [3]},
 }
 RAW_INPUTS = {
     "garbled.json": b"{not json",
@@ -138,6 +143,7 @@ FOUR = "{maps}/four_interval.json"
 REACHING = "{maps}/four_interval_reaching.json"
 MAP = "{tmp}/map.json"
 REVERSING = "{tmp}/reversing.json"
+BISIMILAR = "{tmp}/bisimilar.json"
 
 # Per map: escape points e and e2 (None without a gap), a regular point r
 # with the horizon that roots its window on a cycle, a partition point, and
@@ -274,6 +280,12 @@ def argv_list() -> list[list[str]]:
         ["rep", "--x", "33/74", "--depth", "4", "--V", "2,3,4", "--check", MAP],
         ["tree", "--x", "1/2", "--depth", "4", REVERSING],
         ["rep", "--x", "1/2", "--depth", "4", "--check", REVERSING],
+        # The intertwiner of a 160,219-node window, and an equivalent pair
+        # with unequal rows.
+        ["equiv", "--x", "1/2", "--y", "9/20", "--depth", "30", FOUR],
+        ["synth", "--A", "{tmp}/bisimilar_a.json", "--B", "{tmp}/bisimilar_b.json",
+         "--mode", "partial", "-o", BISIMILAR],
+        ["equiv", "--x", "81/148", "--y", "83/148", "--depth", "2", BISIMILAR],
     ]
     return out
 
@@ -324,7 +336,13 @@ WHY = {
     ("equiv", "--x", "3/5", "--y", "1/2", "--depth", "1", REACHING):
         "checks both roots before any verdict, so a distinct pair names 9/10 too (exit 1)",
     ("equiv", "--x", "1/2", "--y", "9/20", FOUR):
-        "two points of one escape cell get the identity intertwiner, verified",
+        "two points of one escape cell get the identity intertwiner on the 16 "
+        "nodes of their window",
+    ("equiv", "--x", "1/2", "--y", "9/20", "--depth", "30", FOUR):
+        "the identity on a 160,219-node window is stated by its node count, "
+        "not listed pair by pair",
+    ("equiv", "--x", "81/148", "--y", "83/148", "--depth", "2", BISIMILAR):
+        "an equivalent pair with unequal rows has no label-respecting intertwiner",
     ("certify", "--x", "1/2", "--depth", "4", "--V", "2,3,4", FOUR):
         "the fully admissible set is verified (exit 0)",
     ("certify", "--x", "1/2", "--depth", "4", "--V", "2,3", FOUR):

@@ -110,9 +110,7 @@ def run_four_interval_deep_dive(config: PipelineConfig) -> None:
     print(f"x={format_rational(x)} y={format_rational(y)}:",
           json.dumps(result.verdict, default=jsonable, sort_keys=True))
     if result.intertwiner is not None:
-        summary = jsonable(result.intertwiner)
-        summary.pop("pairs", None)
-        print("intertwiner:", json.dumps(summary, sort_keys=True))
+        print("intertwiner:", json.dumps(result.intertwiner, default=jsonable, sort_keys=True))
 
 
 def main(argv: list[str] | None = None) -> int:

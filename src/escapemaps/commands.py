@@ -39,7 +39,7 @@ from .errors import (
 )
 from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MapDocument,
                    map_document_from_jsonable, map_document_to_jsonable)
-from .rationals import ASCII_SPACE, jsonable, parse_integer, parse_rational
+from .rationals import ASCII_SPACE, _too_long, jsonable, parse_integer, parse_rational
 
 DEFAULT_CERTIFY_DEPTH = 4
 
@@ -47,7 +47,11 @@ DEFAULT_CERTIFY_DEPTH = 4
 def _emit(payload: object) -> None:
     """Print a report: records, tuples and Fractions are encoded by
     ``jsonable`` as the encoder meets them."""
-    print(json.dumps(payload, default=jsonable, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, default=jsonable, indent=2, sort_keys=True)
+    except ValueError as exc:  # Python's limit on digits in an int string
+        raise EscapeMapsError(f"cannot print a report that has {_too_long()}") from exc
+    print(text)
 
 
 def _fail(message: str) -> None:

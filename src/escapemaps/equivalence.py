@@ -14,6 +14,9 @@ unrollings of depth r + 1.  Equivalent roots thus have isomorphic windows at
 every depth.  A label-respecting isomorphism matches children by label, and
 level 1 of a window has one child per unit of the incidence row, so at
 depth >= 1 it exists exactly when the rows, and so the windows, are equal.
+It is then the identity on the window basis (``realize`` reads only the
+parent and label arrays, equal for equal rows), so an ``Intertwiner`` holds
+the node count, from ``orbits.window_node_count``, not one pair per node.
 
 For the same reason the roots never change the Markov states' colors, so
 the map's own graph is refined once per map (``MarkovMap.transition_refinement``)
@@ -29,7 +32,7 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -211,9 +214,7 @@ def _pointed_verdict(
     classes: dict[int, list[str]] = {}
     for state, color in enumerate(pointed.colors(pointed.rounds)):
         classes.setdefault(color, []).append(names[state])
-    partition = tuple(
-        tuple(classes[color]) for color in sorted(classes)
-    )
+    partition = tuple(tuple(classes[color]) for color in sorted(classes))
     return Equivalent(rounds=pointed.rounds, partition=partition, note=note)
 
 
@@ -222,24 +223,24 @@ def _pointed_verdict(
 
 @dataclass(frozen=True)
 class Intertwiner:
-    """The label-respecting window isomorphism as basis pairs (x-index,
-    y-index); ``verified`` records that it exchanges the realized
-    operators."""
+    """The label-respecting window isomorphism: the identity on the
+    ``identity_on`` basis indices.  Windows of equal rows, or of depth 0,
+    have equal parent and label arrays, and ``realize`` reads nothing else,
+    so the identity exchanges the realized operators."""
 
-    pairs: tuple[tuple[int, int], ...]
-    verified: bool
+    identity_on: int
 
     label_respecting = True
+    # Read by perfbench/window_chain.py; not part of the JSON form.
+    verified = True
     _json = ("label_respecting",)
 
 
 @dataclass(frozen=True)
 class NoLabelRespectingIso:
-    """No label-respecting isomorphism exists; ``unlabeled_iso_exists``
-    records whether the windows are still isomorphic after forgetting
-    labels."""
-
-    unlabeled_iso_exists: bool
+    """Equivalent windows of unequal rows: level 1 has one child per unit of the
+    row, so no isomorphism matches children by label, but the roots' equal
+    colors make the windows isomorphic once labels are forgotten."""
 
     label_respecting = False
     _json = ("label_respecting",)
@@ -296,9 +297,7 @@ def classify_corpus(
     entries = []
     for color, members in groups.items():
         member_points = tuple(sorted(exact(pts[pos]) for pos in members))
-        incidences = tuple(
-            sorted(set(classes_of[pos].incidence for pos in members))
-        )
+        incidences = tuple(sorted({classes_of[pos].incidence for pos in members}))
         entries.append(PointClassEntry(member_points, incidences, color))
     entries.sort(key=lambda entry: entry.points[0])
     return Classification(tuple(entries), rounds)
@@ -312,7 +311,7 @@ class ComparisonResult:
     class_x: PointClass
     class_y: PointClass
     verdict: EquivalenceVerdict
-    intertwiner: Intertwiner | NoLabelRespectingIso | None = field(default=None)
+    intertwiner: Intertwiner | NoLabelRespectingIso | None = None
 
 
 def compare_points(
@@ -329,8 +328,9 @@ def compare_points(
     passing P1-P4, and windows that are defined, so a pair with an
     undefined window raises OrbitMeetsBoundaryError.  Escaping pairs get
     the exact verdict from A and their incidence rows.  An equivalent pair
-    also gets the label-respecting isomorphism of its windows at ``depth``
-    (the identity when ``depth`` is 0 or the rows are equal, else none).  A
+    also gets the label-respecting isomorphism of its windows at ``depth``:
+    an ``Intertwiner``, the identity on the window's nodes, when ``depth``
+    is 0 or the rows are equal, else ``NoLabelRespectingIso``.  A
     regular/escape mix is never equivalent.  Two regular points are
     compared through the symbolic states of their current intervals
     (window-level comparison)."""
@@ -341,14 +341,10 @@ def compare_points(
         verdict = _pointed_verdict(m.transition_refinement, cls_x.incidence, cls_y.incidence)
         intertwiner = None
         if isinstance(verdict, Equivalent):
-            # ``realize`` reads only the parent and label arrays, which are
-            # equal for equal rows, so the identity exchanges the operators.
             if depth == 0 or cls_x.incidence == cls_y.incidence:
-                size = window_node_count(m, cls_x.incidence, depth)
-                pairs = tuple((i, i) for i in range(size))
-                intertwiner = Intertwiner(pairs, verified=True)
+                intertwiner = Intertwiner(window_node_count(m, cls_x.incidence, depth))
             else:
-                intertwiner = NoLabelRespectingIso(unlabeled_iso_exists=True)
+                intertwiner = NoLabelRespectingIso()
         return ComparisonResult(cls_x, cls_y, verdict, intertwiner)
     # Both regular: compare the unrollings of their current symbolic states.
     jx = m.locate(x).index

@@ -16,7 +16,9 @@ way, so the tests can check the short way against them:
     truncated trees are isomorphic as unlabeled rooted trees;
   * ``build_intertwiner``: the unique label-respecting isomorphism of two
     windows, found by matching children by branch label and verified against
-    the realized operators;
+    the realized operators, as a list of basis pairs (``PairedIntertwiner``),
+    where the library states only that it is the identity; or, failing a
+    match, whether an unlabeled isomorphism exists (``NoLabelMatch``);
   * ``_oracle_same_unrolling``: equality of the depth-d unrollings of two
     roots of the symbolic pointed graph;
   * ``refine``, ``refined_verdict`` and ``refined_root_colors``: color
@@ -64,10 +66,8 @@ from escapemaps import (
     Equivalent,
     Escaped,
     InconsistentInputsError,
-    Intertwiner,
     Itinerary,
     MarkovMap,
-    NoLabelRespectingIso,
     NotAdmissibleError,
     NotAnEscapePointError,
     OrbitTree,
@@ -318,9 +318,25 @@ def children_by_label(tree: OrbitTree, idx: int) -> dict[int, int]:
     return out
 
 
-def build_intertwiner(
-    tx: OrbitTree, ty: OrbitTree
-) -> Intertwiner | NoLabelRespectingIso:
+@dataclass(frozen=True)
+class PairedIntertwiner:
+    """The matched label-respecting isomorphism as basis pairs (x-index,
+    y-index); ``verified`` records that it exchanges the realized
+    operators."""
+
+    pairs: tuple[tuple[int, int], ...]
+    verified: bool
+
+
+@dataclass(frozen=True)
+class NoLabelMatch:
+    """No label-respecting isomorphism; ``unlabeled_iso_exists`` records
+    whether the windows are isomorphic once labels are forgotten."""
+
+    unlabeled_iso_exists: bool
+
+
+def build_intertwiner(tx: OrbitTree, ty: OrbitTree) -> PairedIntertwiner | NoLabelMatch:
     """Construct and verify the unique label-respecting isomorphism of two
     windows built at one depth, if it exists."""
     if not (tx.is_escape_window and ty.is_escape_window):
@@ -341,7 +357,7 @@ def build_intertwiner(
 
     if not match(0, 0):
         unlabeled = ahu_canonical(tx, depth) == ahu_canonical(ty, depth)
-        return NoLabelRespectingIso(unlabeled)
+        return NoLabelMatch(unlabeled)
 
     forward = dict(pairs)
     rep_x = realize(tx)
@@ -357,7 +373,7 @@ def build_intertwiner(
         px = {forward[a] for a in rep_x.vertex_projection(i)}
         if px != rep_y.vertex_projection(i):
             verified = False
-    return Intertwiner(tuple(sorted(pairs)), verified)
+    return PairedIntertwiner(tuple(sorted(pairs)), verified)
 
 
 def _oracle_same_unrolling(markov, cx, cy, depth) -> bool:

@@ -229,13 +229,13 @@ def test_criterion_5_equivalence(capsys):
         result = compare_points(m, F(1, 2), F(9, 20))
         assert isinstance(result.verdict, Equivalent)
         assert result.verdict.rounds == 2
-        assert result.intertwiner is not None and result.intertwiner.verified
-        assert len(result.intertwiner.pairs) == 16
+        assert result.intertwiner.identity_on == 16
 
         tx = build_orbit_tree(m, F(1, 2), depth=6)
         ty = build_orbit_tree(m, F(9, 20), depth=6)
         iso = build_intertwiner(tx, ty)
         assert iso.verified
+        assert iso.pairs == tuple((i, i) for i in range(16))
         pair_map = dict(iso.pairs)
         assert pair_map[0] == 0
         for i, j in iso.pairs:

@@ -346,8 +346,17 @@ def test_equiv_equivalent_pair(capsys):
     code, data, _ = run_json(capsys, "equiv", "--x", "1/2", "--y", "9/20", FOUR)
     assert code == 0
     assert data["verdict"]["verdict"] == "equivalent"
-    assert data["intertwiner"]["label_respecting"] is True
-    assert data["intertwiner"]["verified"] is True
+    assert data["intertwiner"] == {"identity_on": 16, "label_respecting": True}
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+def test_equiv_node_count_over_the_digit_limit_is_an_error(capsys):
+    # The depth-30000 window has a node count of 4,980 digits: it is computed
+    # from A, but Python refuses to print it.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "equiv", "--x", "1/2", "--y", "9/20", "--depth", "30000", FOUR)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot print a report") and f"more than {limit} digits" in err
 
 
 def test_equiv_mixed_pair(capsys):

@@ -38,6 +38,8 @@ from escapemaps.transitions import color_refinement, predecessors
 
 from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import (
+    NoLabelMatch,
+    PairedIntertwiner,
     _oracle_same_unrolling,
     ahu_canonical,
     build_intertwiner,
@@ -259,7 +261,7 @@ def test_intertwiner_between_equivalent_points(four_map):
     tx = build_orbit_tree(four_map, F(1, 2), 6)
     ty = build_orbit_tree(four_map, F(9, 20), 6)
     result = build_intertwiner(tx, ty)
-    assert isinstance(result, Intertwiner)
+    assert isinstance(result, PairedIntertwiner)
     assert result.verified
     assert len(result.pairs) == 16
     assert result.pairs[0] == (0, 0)
@@ -308,14 +310,14 @@ def test_label_mismatch_with_shape_match(four_map):
     tx = _toy_window(four_map, [1])
     ty = _toy_window(four_map, [3])
     result = build_intertwiner(tx, ty)
-    assert result == NoLabelRespectingIso(unlabeled_iso_exists=True)
+    assert result == NoLabelMatch(unlabeled_iso_exists=True)
 
 
 def test_label_and_shape_mismatch(four_map):
     tx = _toy_window(four_map, [1])
     ty = _toy_window(four_map, [3, 4])
     result = build_intertwiner(tx, ty)
-    assert result == NoLabelRespectingIso(unlabeled_iso_exists=False)
+    assert result == NoLabelMatch(unlabeled_iso_exists=False)
 
 
 # -- corpus classification ----------------------------------------------
@@ -401,8 +403,14 @@ def test_compare_equivalent_escaping_points(four_map):
     result = compare_points(four_map, F(1, 2), F(9, 20))
     assert isinstance(result.verdict, Equivalent)
     assert result.verdict.rounds == 2
-    assert isinstance(result.intertwiner, Intertwiner)
-    assert result.intertwiner.verified
+    assert result.intertwiner == Intertwiner(identity_on=16)
+
+
+def test_the_identity_intertwiner_is_stated_not_listed(four_map):
+    # The depth-30 window has 160,219 nodes; the record holds that count.
+    result = compare_points(four_map, F(1, 2), F(9, 20), depth=30)
+    assert result.intertwiner.identity_on == 160219
+    assert jsonable(result.intertwiner) == {"identity_on": 160219, "label_respecting": True}
 
 
 def test_compare_escape_against_regular(four_map):
@@ -476,9 +484,9 @@ def test_compare_bisimilar_rows_with_different_labels():
     y = escape_point_with_incidence(m, (1, 0, 0, 1, 0))
     result = compare_points(m, x, y, depth=2)
     assert isinstance(result.verdict, Equivalent)
-    assert result.intertwiner == NoLabelRespectingIso(unlabeled_iso_exists=True)
+    assert result.intertwiner == NoLabelRespectingIso()
     tx, ty = build_orbit_tree(m, x, 2), build_orbit_tree(m, y, 2)
-    assert build_intertwiner(tx, ty) == result.intertwiner
+    assert build_intertwiner(tx, ty) == NoLabelMatch(unlabeled_iso_exists=True)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -501,7 +509,17 @@ def test_intertwiners_and_canonical_forms_match_the_oracles(data):
             tx, ty = build_orbit_tree(m, x, depth), build_orbit_tree(m, y, depth)
             verdict = result.verdict
             if isinstance(verdict, Equivalent):
-                assert result.intertwiner == build_intertwiner(tx, ty)
+                # The library states the identity, or that no label-respecting
+                # match exists while an unlabeled one does; the matcher lists
+                # the pairs and verifies them against the operators.
+                oracle = build_intertwiner(tx, ty)
+                if isinstance(result.intertwiner, Intertwiner):
+                    assert result.intertwiner.identity_on == tx.node_count
+                    identity = tuple((i, i) for i in range(tx.node_count))
+                    assert oracle == PairedIntertwiner(identity, verified=True)
+                else:
+                    assert result.intertwiner == NoLabelRespectingIso()
+                    assert oracle == NoLabelMatch(unlabeled_iso_exists=True)
             else:
                 assert result.intertwiner is None
             # Root colors at round r mirror the unrollings of depth r + 1, and
@@ -530,12 +548,9 @@ def test_verdicts_serialize_in_every_shape(four_map):
         "reason": "one point escapes and the other does not",
         "note": "",
     }
-    tx = build_orbit_tree(four_map, F(1, 2), 3)
-    ty = build_orbit_tree(four_map, F(9, 20), 3)
-    inter = jsonable(build_intertwiner(tx, ty))
-    assert inter["label_respecting"] is True and inter["verified"] is True
-    noiso = jsonable(NoLabelRespectingIso(unlabeled_iso_exists=False))
-    assert noiso == {"unlabeled_iso_exists": False, "label_respecting": False}
+    inter = jsonable(compare_points(four_map, F(1, 2), F(9, 20), depth=3).intertwiner)
+    assert inter == {"identity_on": 5, "label_respecting": True}
+    assert jsonable(NoLabelRespectingIso()) == {"label_respecting": False}
 
 
 def test_classification_json_is_pinned(four_map, partial_map):
