@@ -213,6 +213,7 @@ def argv_list() -> list[list[str]]:
         ["validate", "{tmp}/strings.json"],
         ["synth", "--A", "{tmp}/a.json", "--B", "{tmp}/b_strings.json",
          "-o", "{tmp}/strings_map.json"],
+        ["tree", "--x", "1/2", "--horizon", "5", "--max-iter", "3", FOUR],
         ["tree", "--x", "3/5", "--depth", "1", REACHING],
         ["equiv", "--x", "3/5", "--y", "3/5", "--depth", "1", REACHING],
         # Both roots are checked at the given depth whatever the verdict, so a
@@ -329,6 +330,8 @@ WHY = {
     ("synth", "--A", "{tmp}/one_side_a.json", "--B", "{tmp}/one_side_b.json",
      "--mode", "partial", "-o", "{tmp}/one_side.json"):
         "names the gap 1^, which only a segment starting at it reaches (exit 1)",
+    ("tree", "--x", "1/2", "--horizon", "5", "--max-iter", "3", FOUR):
+        "a horizon past --max-iter is a usage error (exit 2)",
     ("tree", "--x", "3/5", "--depth", "1", REACHING):
         "names the partition point 9/10, a preimage of the root, on stderr (exit 1)",
     ("equiv", "--x", "3/5", "--y", "3/5", "--depth", "1", REACHING):

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    DepthExceedsTreeError,
     EscapeMapsError,
     InfeasibleSpecError,
     MapFormatError,
@@ -372,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the interpreter's final flush does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (RationalParseError, MapFormatError, MapStructureError) as exc:
+    except (RationalParseError, MapFormatError, MapStructureError, DepthExceedsTreeError) as exc:
         _fail(str(exc))
         return 2
     except EscapeMapsError as exc:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -155,10 +156,11 @@ def realize(tree: OrbitTree) -> Representation:
     pass over its parent and label arrays (``Representation.transfer`` reads
     those arrays on request).  An interior node y has every preimage
     materialized (a root whose cycle closes through itself included), so
-    f_i^{-1}(y) is the child of y labelled i.  The pass lists the indices of
-    each label and each edge, and each list becomes a mask once.  A window
-    in which a parent has two children of one label, so that an edge is no
-    isometry, raises InconsistentInputsError."""
+    f_i^{-1}(y) is the child of y labelled i.  Per label, the pass lists three
+    sets of nodes, each becomes a mask once, and each edge is two ANDs of
+    them.  Every edge is an isometry because a point has at most one
+    preimage per branch, so a window in which a parent has two children of
+    one label raises InconsistentInputsError."""
     # Row i of A has a unit at j iff i is among the predecessors of j.
     predecessors = tree.map.transition_predecessors
     n, dim = len(predecessors), tree.node_count
@@ -166,35 +168,31 @@ def realize(tree: OrbitTree) -> Representation:
     inner = len(tree.interior_indices())
     parents, labels = tree.parents, tree.labels
 
-    edge_targets: dict[tuple[int, int], list[int]] = {
-        (i + 1, j + 1): [] for j, rows in enumerate(predecessors) for i in rows
-    }
-    by_label: list[list[int]] = [[] for _ in range(n)]
-    root_labels: list[int] = []
+    # Per label i: the nodes labelled i, the nodes whose interior parent is
+    # labelled i, and the interior parents of the nodes labelled i.
+    labelled, children, parents_of = ([[] for _ in range(n)] for _ in range(3))
     for idx, (parent, i) in enumerate(zip(parents, labels)):
         if i is None:
             continue
-        by_label[i - 1].append(idx)
+        labelled[i - 1].append(idx)
         if parent is not None and parent < inner:
-            edge = edge_targets.get((i, labels[parent]))
-            if edge is not None:
-                edge.append(idx)
-            elif labels[parent] is None:
-                root_labels.append(i)
-    if len(set(root_labels)) != len(root_labels):
-        raise InconsistentInputsError(
-            f"the escape root has two children labelled alike: {sorted(root_labels)}"
-        )
-    edge_masks = {}
-    for edge, targets in edge_targets.items():
-        sources = _mask([parents[idx] for idx in targets], dim) if targets else 0
-        if sources.bit_count() != len(targets):
-            raise InconsistentInputsError(
-                f"edge {edge} has {len(targets)} targets but {sources.bit_count()} "
-                f"sources: a parent has two children labelled {edge[0]}"
-            )
-        edge_masks[edge] = (sources, _mask(targets, dim) if targets else 0)
-    vertex_masks = tuple(_mask(nodes, dim) for nodes in by_label)
+            parents_of[i - 1].append(parent)
+            if labels[parent] is not None:
+                children[labels[parent] - 1].append(idx)
+    vertex_masks, child_masks, parent_masks = (
+        tuple(_mask(nodes, dim) for nodes in lists) for lists in (labelled, children, parents_of)
+    )
+    for i, (mask, nodes) in enumerate(zip(parent_masks, parents_of), start=1):
+        if mask.bit_count() < len(nodes):
+            ((twice, _),) = Counter(nodes).most_common(1)
+            raise InconsistentInputsError(f"node {twice} has two children labelled {i}, "
+                                          "but a point has at most one preimage per branch")
+    # The targets of edge (i, j) are the nodes labelled i whose parent is
+    # labelled j, and its sources are those parents.
+    edge_masks = {
+        (i + 1, j + 1): (vertex_masks[j] & parent_masks[i], vertex_masks[i] & child_masks[j])
+        for j, rows in enumerate(predecessors) for i in rows
+    }
 
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # A node of I_j lies in f(I_i) iff A[i][j] = 1; the escape root lies there

@@ -3,12 +3,14 @@ reverses orientation, and one synthesized map that several suites exercise
 (built once per session; synthesis is exact, so the result is
 deterministic).  Also the hypothesis draws shared by the window and operator
 suites: synthesized specs at n = 5..8, pull-backs along admissible words, and
-periodic points of closed walks."""
+periodic points of closed walks.  Every property test runs under one
+hypothesis profile, so each test states only its number of examples."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from escapemaps import (
@@ -27,6 +29,11 @@ from escapemaps import (
 )
 
 F = Fraction
+
+# No deadline, since the cost of an example grows with its rationals, and the
+# same examples on every run, so that two runs of the suite agree.
+settings.register_profile("escapemaps", deadline=None, derandomize=True)
+settings.load_profile("escapemaps")
 
 
 @pytest.fixture(scope="session")

@@ -534,6 +534,16 @@ def test_negative_or_malformed_budgets_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["tree", "rep"])
+def test_a_horizon_past_max_iter_is_a_usage_error(capsys, command):
+    # argparse reads each budget alone; the library refuses the pair.
+    code, out, err = run_cli(
+        capsys, command, "--x", "1/2", "--horizon", "5", "--max-iter", "3", FOUR
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: horizon must satisfy 0 <= horizon <= max_iter\n"
+
+
 def test_zero_budgets_are_accepted(capsys):
     code, data, _ = run_json(
         capsys, "tree", "--x", "1/2", "--depth", "0", "--horizon", "0", FOUR

@@ -115,7 +115,7 @@ def test_bisim_rejects_wrong_length():
         bisim_equivalent(FOUR_A, (1, 0, 0), (1, 0, 0, 0))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(
     st.integers(1, 8).flatmap(
         lambda n: st.tuples(
@@ -176,7 +176,7 @@ def pointed_cases(draw):
     return tuple(map(tuple, markov)), rows
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(pointed_cases())
 def test_refinement_matches_the_whole_graph_oracle(case):
     markov, rows = case
@@ -207,7 +207,7 @@ def test_refinement_matches_the_whole_graph_oracle(case):
     assert bisim_equivalent(markov, x, y) == refined_verdict(preds, x, y)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_compare_points_and_classify_corpus_match_the_oracle_on_synthesized_maps(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
@@ -468,9 +468,10 @@ def test_compare_distinct_cells_on_partial_map(partial_map):
     assert result.intertwiner is None
 
 
-def test_compare_bisimilar_rows_with_different_labels():
-    # States 1 and 2 are bisimilar, so the rows (0, 1, 0, 1, 0) and
-    # (1, 0, 0, 1, 0) are equivalent while their windows differ in labels.
+@pytest.fixture(scope="module")
+def bisimilar_map():
+    """States 1 and 2 are bisimilar, so the rows (0, 1, 0, 1, 0) and
+    (1, 0, 0, 1, 0) are equivalent while their windows differ in labels."""
     markov = (
         (0, 0, 0, 1, 0),
         (1, 1, 1, 0, 0),
@@ -479,7 +480,11 @@ def test_compare_bisimilar_rows_with_different_labels():
         (1, 1, 0, 0, 0),
     )
     spec = SynthesisSpec(markov, ((1,), (1,), (0,), (1,), (0,)), (3,), PARTIAL)
-    m = synthesize(spec).map
+    return synthesize(spec).map
+
+
+def test_compare_bisimilar_rows_with_different_labels(bisimilar_map):
+    m = bisimilar_map
     x = escape_point_with_incidence(m, (0, 1, 0, 1, 0))
     y = escape_point_with_incidence(m, (1, 0, 0, 1, 0))
     result = compare_points(m, x, y, depth=2)
@@ -489,7 +494,34 @@ def test_compare_bisimilar_rows_with_different_labels():
     assert build_intertwiner(tx, ty) == NoLabelMatch(unlabeled_iso_exists=True)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+def compare_with_the_oracles(m, x, y, depth):
+    """Check ``compare_points`` on one pair against the matcher and the
+    canonical forms of tests/oracles.py, and return its intertwiner."""
+    result = compare_points(m, x, y, depth=depth)
+    tx, ty = build_orbit_tree(m, x, depth), build_orbit_tree(m, y, depth)
+    verdict = result.verdict
+    if isinstance(verdict, Equivalent):
+        # The library states the identity, or that no label-respecting
+        # match exists while an unlabeled one does; the matcher lists
+        # the pairs and verifies them against the operators.
+        oracle = build_intertwiner(tx, ty)
+        if isinstance(result.intertwiner, Intertwiner):
+            assert result.intertwiner.identity_on == tx.node_count
+            identity = tuple((i, i) for i in range(tx.node_count))
+            assert oracle == PairedIntertwiner(identity, verified=True)
+        else:
+            assert result.intertwiner == NoLabelRespectingIso()
+            assert oracle == NoLabelMatch(unlabeled_iso_exists=True)
+    else:
+        assert result.intertwiner is None
+    # Root colors at round r mirror the unrollings of depth r + 1, and
+    # once separated, two roots stay separated.
+    same_colors = isinstance(verdict, Equivalent) or depth <= verdict.separating_round
+    assert (ahu_canonical(tx, depth) == ahu_canonical(ty, depth)) == same_colors
+    return result.intertwiner
+
+
+@settings(max_examples=200)
 @given(st.data())
 def test_intertwiners_and_canonical_forms_match_the_oracles(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
@@ -505,27 +537,19 @@ def test_intertwiners_and_canonical_forms_match_the_oracles(data):
         points += [e, pull_back(m, e, data, data.draw(st.integers(1, 2), label="steps"))]
     for a, x in enumerate(points):
         for y in points[a:]:
-            result = compare_points(m, x, y, depth=depth)
-            tx, ty = build_orbit_tree(m, x, depth), build_orbit_tree(m, y, depth)
-            verdict = result.verdict
-            if isinstance(verdict, Equivalent):
-                # The library states the identity, or that no label-respecting
-                # match exists while an unlabeled one does; the matcher lists
-                # the pairs and verifies them against the operators.
-                oracle = build_intertwiner(tx, ty)
-                if isinstance(result.intertwiner, Intertwiner):
-                    assert result.intertwiner.identity_on == tx.node_count
-                    identity = tuple((i, i) for i in range(tx.node_count))
-                    assert oracle == PairedIntertwiner(identity, verified=True)
-                else:
-                    assert result.intertwiner == NoLabelRespectingIso()
-                    assert oracle == NoLabelMatch(unlabeled_iso_exists=True)
-            else:
-                assert result.intertwiner is None
-            # Root colors at round r mirror the unrollings of depth r + 1, and
-            # once separated, two roots stay separated.
-            same_colors = isinstance(verdict, Equivalent) or depth <= verdict.separating_round
-            assert (ahu_canonical(tx, depth) == ahu_canonical(ty, depth)) == same_colors
+            compare_with_the_oracles(m, x, y, depth)
+
+
+def test_the_oracle_comparison_meets_an_equivalent_pair_with_unequal_rows(bisimilar_map):
+    # The draws above need not reach the NoLabelRespectingIso branch; the
+    # midpoints of the two cells of the bisimilar map reach it from depth 1.
+    m = bisimilar_map
+    ((gap, _, _),) = m.gaps
+    cells = incidence_cells(m, gap)
+    assert [rows for _, _, rows in cells] == [(0, 1, 0, 1, 0), (1, 0, 0, 1, 0)]
+    x, y = ((lo + hi) / 2 for lo, hi, _ in cells)
+    met = [d for d in range(4) if compare_with_the_oracles(m, x, y, d) == NoLabelRespectingIso()]
+    assert met == [1, 2, 3]
 
 
 # -- verdict serialization ----------------------------------------------

@@ -113,7 +113,7 @@ def _any_map(data, fixtures, kind) -> MarkovMap:
 kinds = st.sampled_from(["valid", "corrupted", "random"])
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(st.data())
 def test_validation_matches_the_fraction_oracle(fixtures, data):
     kind = data.draw(kinds, label="kind")
@@ -183,7 +183,7 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.data())
 def test_locate_and_classify_match_the_fraction_oracle(fixtures, data):
     m = _any_map(data, fixtures, data.draw(kinds, label="kind"))

@@ -190,7 +190,7 @@ def _banded_map(data):
     return synthesize(spec).map if feasibility_check(spec).feasible else None
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.data())
 def test_locate_matches_the_linear_scan(
     four_map, reaching_map, full2_map, reversing_map, data

@@ -104,7 +104,7 @@ def test_incidence_cells(four_map, reaching_map):
         incidence_cells(four_map, 1)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_gap_incidence_matches_the_full_image_scan(
     four_map, reaching_map, reversing_map, data
@@ -406,7 +406,7 @@ def test_a_cycle_beyond_the_iteration_budget_still_closes(four_map):
     assert tree.parents[0] is not None
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_synthesized_windows_match_the_geometric_builder(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
@@ -519,7 +519,7 @@ def test_tree_jsonable_and_dot(four_map):
 # -- property: classification agrees with naive iteration ----------------
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     st.fractions(
         min_value=0, max_value=1, max_denominator=300

@@ -512,7 +512,7 @@ def _drawn_column(rng, markov, p):
     return column
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(st.data())
 def test_planner_matches_the_exhaustive_placement_oracle(data):
     """With the positions left to the planner, every field of the report
@@ -533,7 +533,7 @@ def test_planner_matches_the_exhaustive_placement_oracle(data):
     assert feasibility_check(spec) == exhaustive_feasibility(spec)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.data())
 def test_layout_rules_at_given_positions_match_the_oracle(data):
     """With the positions given, every field of the report equals the
@@ -600,7 +600,7 @@ def test_spec_from_jsonable_rejects_conflicts_and_garbage():
 # -- property: feasibility and synthesis agree ---------------------------
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     st.integers(2, 3).flatmap(
         lambda n: st.tuples(
@@ -657,7 +657,7 @@ def _contiguous_primitive(rng, n, cut):
             return tuple(rows)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.data())
 def test_synthesis_differential_beyond_the_exhaustive_sizes(data):
     """Where exhaustive enumeration is out of reach: for a primitive matrix

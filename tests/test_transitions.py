@@ -152,7 +152,7 @@ def test_block_form_factorization(name):
     _assert_block_form(data)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.data())
 def test_block_form_factorization_on_random_placements(data):
     """Random primitive A (n = 2..7) with zero to two gap columns in any
@@ -207,7 +207,7 @@ def _oracle_primitivity(rows):
     return False, None
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(0, 1), min_size=n, max_size=n),
@@ -257,7 +257,7 @@ def _structured_matrices(draw):
     return tuple(tuple(int(ok and draw(st.booleans())) for ok in row) for row in mask)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(_structured_matrices())
 def test_primitivity_matches_the_full_scan(matrix):
     assert is_primitive(matrix) == scan_primitivity(matrix)
