@@ -48,7 +48,9 @@ def _mask(indices: list[int], size: int) -> int:
     """The bit mask of the given basis indices, all below ``size``, built in
     time linear in ``size``: one ASCII digit per basis index, read once as a
     base-2 literal.  (Setting the bits one at a time copies the growing int
-    at each step.)"""
+    at each step.)  An empty list costs nothing."""
+    if not indices:
+        return 0
     digits = bytearray(b"0") * size
     for idx in indices:
         digits[idx] = 49  # ord("1")

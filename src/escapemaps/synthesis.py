@@ -14,9 +14,11 @@ every gap's interior must end up covered by the branch images, which needs an
 interior occurrence or partial occurrences from both sides.
 
 Widths come from integer power iteration w <- A.w started at w = 1, stopped
-at the first iterate whose widths pass the exact expansion test.  Everything
-is integer or rational arithmetic, so no float ever enters, and the widths
-stay small because the iteration stops as soon as it can.
+at the first iterate whose widths pass the exact expansion test, and the map
+is laid out on those integers: one prefix sum gives every column's ends over
+one denominator, and each branch coefficient becomes a ``Fraction`` once, at
+the end.  No float ever enters, and the widths stay small because the
+iteration stops as soon as it can.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .transitions import (
     TransitionData,
     _primitivity,
     as_binary_matrix,
-    is_primitive,
     transition_data,
     wielandt_bound,
 )
@@ -302,41 +303,42 @@ def perron_widths(
                 f"row {i} of the transition matrix is zero, so interval {i} "
                 f"has no image and no expanding map exists"
             )
-    if not is_primitive(markov).primitive:
+    if not _primitivity(markov).primitive:
         raise WidthSnapError(
             "the transition matrix is not primitive, so no expanding map exists"
         )
-    return _expanding_widths(TransitionData(markov, spec.escape, spec.gap_positions))
+    return _expanding_widths(TransitionData(markov, spec.escape, spec.gap_positions))[1]
 
 
-def _expanding_widths(data: TransitionData) -> WidthAllocation:
+def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]:
     """The width step of ``perron_widths`` for a primitive matrix on at least
-    two intervals, read off the transition data of its placement."""
-    markov, gaps = data.markov, data.m
-    # Half gap widths in each row's span, so the test stays in integers:
-    # 4.(A.w)_i + min(w).halves_i / 2 > 4.w_i.
-    halves = [
-        sum(
-            1 if c in (units[0], units[-1]) else 2
-            for c in units
-            if data.columns[c][1] is not None
-        )
-        for units in _unit_runs(data)
-    ]
-    w = [1] * len(markov)
+    two intervals: the integer width of each interleaved column of the first
+    iterate that passes, and those widths as an allocation."""
+    columns = data.columns
+    gap = [k is not None for _, k in columns]
+    runs = _unit_runs(data)
+    w = [1] * data.n
     # Iterate t is A^t.1.  Once A^t > 0, by the Wielandt bound at the latest,
     # (A.w)_i = (A^t.(A.1))_i > w_i, since A.1 >= 1 has an entry 2 (a
     # primitive A on two or more intervals is no permutation): the test passes.
-    for _ in range(wielandt_bound(len(markov)) + 1):
-        aw = [sum(x for a, x in zip(row, w) if a) for row in markov]
+    for _ in range(wielandt_bound(data.n) + 1):
         g = min(w)
-        if all(8 * y + g * h > 8 * x for x, y, h in zip(w, aw, halves)):
-            widths = [4 * x for x in w]
-            total = Fraction(sum(widths) + g * gaps)
+        widths = [4 * w[j - 1] if k is None else g for j, k in columns]
+        # One read per run gives the row's next iterate entry (A.w)_i and its
+        # image span doubled: the doubled widths of its units, a gap at either
+        # end counted half.  The branch expands when that exceeds 8.w_i, twice
+        # the width of its own interval.
+        aw, spans = [], []
+        for units in runs:
+            ends = (units[0], units[-1])
+            aw.append(sum(w[columns[c][0] - 1] for c in units if not gap[c]))
+            spans.append(sum(widths[c] * (1 if gap[c] and c in ends else 2) for c in units))
+        if all(span > 8 * x for span, x in zip(spans, w)):
+            total = sum(widths)
             ratios = [Fraction(y, x) for x, y in zip(w, aw)]
-            return WidthAllocation(
-                tuple(x / total for x in widths),
-                (g / total,) * gaps,
+            return widths, WidthAllocation(
+                tuple(Fraction(4 * x, total) for x in w),
+                (Fraction(g, total),) * data.m,
                 (min(ratios), max(ratios)),
             )
         w = aw
@@ -370,35 +372,27 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
         raise InfeasibleSpecError(report)
     # A feasible matrix is primitive, so it has no zero row either.
     positions = report.gap_positions
-    allocation = _expanding_widths(data)
+    widths, allocation = _expanding_widths(data)
 
-    cursor = Fraction(0)
-    bounds: list[tuple[Fraction, Fraction]] = []  # per interleaved column
-    for j, k in data.columns:
-        width = (
-            allocation.markov_widths[j - 1]
-            if k is None
-            else allocation.escape_widths[k]
-        )
-        bounds.append((cursor, cursor + width))
-        cursor += width
-    own = [bounds[c] for c, (_, k) in enumerate(data.columns) if k is None]
-
+    # Column c spans [ends[c], ends[c + 1]] over the denominator q; the ends
+    # are doubled so that every gap midpoint, ends[c] + widths[c], is too.
+    ends = [2 * end for end in itertools.accumulate(widths, initial=0)]
+    q = ends[-1]
+    gap = [k is not None for _, k in data.columns]
     branches = []
-    for (left, right), units in zip(own, _unit_runs(data)):
+    own = (c for c, is_gap in enumerate(gap) if not is_gap)
+    for c, units in zip(own, _unit_runs(data)):
         # A run ends at the edge of a Markov target or the middle of a gap.
         first, last = units[0], units[-1]
-        glo, ghi = bounds[first]
-        left_target = glo if data.columns[first][1] is None else (glo + ghi) / 2
-        glo, ghi = bounds[last]
-        right_target = ghi if data.columns[last][1] is None else (glo + ghi) / 2
-        slope = (right_target - left_target) / (right - left)
+        lo = ends[first] + widths[first] * gap[first]
+        hi = ends[last + 1] - widths[last] * gap[last]
+        left, right = ends[c], ends[c + 1]
         branches.append(
             AffineBranch(
-                slope=slope,
-                intercept=left_target - slope * left,
-                left=left,
-                right=right,
+                slope=Fraction(hi - lo, right - left),
+                intercept=Fraction(lo * right - hi * left, q * (right - left)),
+                left=Fraction(left, q),
+                right=Fraction(right, q),
             )
         )
 

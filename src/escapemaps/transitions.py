@@ -11,9 +11,8 @@ For a map with intervals I_1..I_n and open gaps E_k:
     the gap positions and derives that order, the escape matrix and its
     block form from them; the claim notes and synthesis all read it.
 
-Primitivity of A is decided by checking boolean powers up to the Wielandt
-bound n^2 - 2n + 2; once the powers cycle without a positive one, A is not
-primitive.
+Primitivity of A is decided from the repeated boolean squares A, A^2, A^4,
+..., in a number of products logarithmic in the Wielandt bound n^2 - 2n + 2.
 
 ``color_refinement`` colors the predecessor graph of A, round by round; a
 map caches it, and every equivalence request places its roots into it.
@@ -216,20 +215,20 @@ def _bool_multiply(left: list[int], right: list[int]) -> list[int]:
     out = []
     for row in left:
         acc = 0
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            acc |= right[j]
-            rest &= rest - 1
+        while row:
+            low = row & -row
+            acc |= right[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return out
 
 
 def is_primitive(matrix: object) -> PrimitivityResult:
-    """Decide primitivity by scanning boolean powers A^1, A^2, ... up to the
-    Wielandt bound.  The scan keeps A^q' at each power of two q' and stops
-    when a later A^q equals it (Brent's cycle test): from q' on the powers
-    repeat with period q - q', and none of them is positive."""
+    """Decide primitivity from the repeated squares A, A^2, A^4, ..., which
+    stop at a positive one, a repeated one or the Wielandt bound.  A^q > 0
+    gives A^(q+1) > 0 unless A has a zero column, when no power is positive,
+    so the largest q up to the bound with A^q not positive is built from the
+    squares bit by bit, highest first; A is primitive when q < the bound."""
     return _primitivity(as_binary_matrix(matrix))
 
 
@@ -240,24 +239,24 @@ def _primitivity(rows: Matrix) -> PrimitivityResult:
     masks = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     full = (1 << n) - 1
     bound = wielandt_bound(n)
-    power = kept = masks
-    kept_q = 1
-    for q in range(1, bound + 1):
-        if q > 1:
-            power = _bool_multiply(power, masks)
-            if power == kept:  # a cycle with no positive power: step on to A^bound
-                for _ in range((bound - q) % (q - kept_q)):
-                    power = _bool_multiply(power, masks)
-                break
-            if q & (q - 1) == 0:
-                kept, kept_q = power, q
-        if all(row == full for row in power):
-            return PrimitivityResult(True, q, None)
-    for i, row in enumerate(power):
-        for j in range(n):
-            if not row & (1 << j):
-                return PrimitivityResult(False, None, (i + 1, j + 1))
-    raise AssertionError("unreachable: positive power not detected in scan")
+    top = bound.bit_length()
+    squares = [masks]  # squares[t] is A^(2^t)
+    while len(squares) < top and min(squares[-1]) != full:
+        square = _bool_multiply(squares[-1], squares[-1])
+        if square == squares[-1]:  # so is every later square
+            squares += [square] * (top - len(squares))
+        else:
+            squares.append(square)
+    q, power = 0, None  # power is A^q
+    for t in reversed(range(len(squares))):
+        if q + (1 << t) <= bound:
+            step = squares[t] if power is None else _bool_multiply(power, squares[t])
+            if min(step) != full:
+                q, power = q + (1 << t), step
+    if q < bound:
+        return PrimitivityResult(True, q + 1, None)
+    i, j = next((i, j) for i, row in enumerate(power) for j in range(n) if not row >> j & 1)
+    return PrimitivityResult(False, None, (i + 1, j + 1))
 
 
 # -- transition graph ---------------------------------------------------

@@ -42,8 +42,13 @@ way, so the tests can check the short way against them:
   * ``exhaustive_feasibility``: the synthesis feasibility report with the
     escape columns placed by trying every one of the C(n-1, m) placements
     in lexicographic order, where the library places each column by itself;
+  * ``cursor_layout``: the branches of a synthesized map laid out in
+    ``Fraction``s, a cursor walking the normalised widths column by column
+    and halving each gap for its midpoint, where the library reads every
+    end off one prefix sum of the integer widths;
   * ``scan_primitivity``: primitivity from every boolean power up to the
-    Wielandt bound, where the library stops once the powers cycle.
+    Wielandt bound, where the library builds the least positive power from
+    repeated squares.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from escapemaps import (
     MARKOV_INTERIOR,
     OUTSIDE,
     PARTITION_POINT,
+    AffineBranch,
     BoundaryOrbit,
     DepthExceedsTreeError,
     Distinct,
@@ -97,10 +103,17 @@ from escapemaps.operators import (
     _validated_vertices,
 )
 from escapemaps.rationals import format_rational
-from escapemaps.synthesis import STRICT, FeasibilityReport, RowSegment, SynthesisSpec
+from escapemaps.synthesis import (
+    STRICT,
+    FeasibilityReport,
+    RowSegment,
+    SynthesisSpec,
+    WidthAllocation,
+)
 from escapemaps.transitions import (
     Matrix,
     PrimitivityResult,
+    TransitionData,
     _bool_multiply,
     as_binary_matrix,
     wielandt_bound,
@@ -631,6 +644,44 @@ def exhaustive_feasibility(spec: SynthesisSpec) -> FeasibilityReport:
         column_issues=tuple(cols),
         segments=tuple(segments),
     )
+
+
+def cursor_layout(
+    data: TransitionData, allocation: WidthAllocation
+) -> tuple[AffineBranch, ...]:
+    """The branches that ``synthesize`` builds from an allocation: a
+    ``Fraction`` cursor gives each interleaved column its bounds, and each
+    row's run maps its own interval onto the span from the left edge of its
+    first target (the middle, for a gap) to the right edge of its last."""
+    cursor = Fraction(0)
+    bounds: list[tuple[Fraction, Fraction]] = []  # per interleaved column
+    for j, k in data.columns:
+        width = (
+            allocation.markov_widths[j - 1]
+            if k is None
+            else allocation.escape_widths[k]
+        )
+        bounds.append((cursor, cursor + width))
+        cursor += width
+    own = [bounds[c] for c, (_, k) in enumerate(data.columns) if k is None]
+    branches = []
+    for (left, right), row in zip(own, data.rows):
+        units = [c for c, v in enumerate(row) if v]
+        first, last = units[0], units[-1]
+        glo, ghi = bounds[first]
+        left_target = glo if data.columns[first][1] is None else (glo + ghi) / 2
+        glo, ghi = bounds[last]
+        right_target = ghi if data.columns[last][1] is None else (glo + ghi) / 2
+        slope = (right_target - left_target) / (right - left)
+        branches.append(
+            AffineBranch(
+                slope=slope,
+                intercept=left_target - slope * left,
+                left=left,
+                right=right,
+            )
+        )
+    return tuple(branches)
 
 
 def scan_primitivity(matrix: object) -> PrimitivityResult:

@@ -34,6 +34,8 @@ from escapemaps import (
     synthesize,
 )
 
+from escapemaps.operators import _indices, _mask
+
 from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import (
     adjoint,
@@ -63,6 +65,14 @@ def test_compose_and_adjoint_oracles():
     assert compose(s, {}) == compose({}, s) == {}
     with pytest.raises(AssertionError):
         adjoint({0: 1, 2: 1})
+
+
+def test_masks_round_trip_and_an_empty_list_builds_no_literal():
+    assert _mask([0, 2, 5], 7) == 0b100101
+    assert _indices(_mask([0, 2, 5], 7)) == [0, 2, 5]
+    # Size 0 has no literal to read, so only a mask that skips it returns.
+    assert _mask([], 0) == 0
+    assert _mask([], 7) == 0 and _indices(0) == []
 
 
 @st.composite
