@@ -216,7 +216,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         "depth": tree.max_depth,
         "basis_size": rep.dim,
         "basis": tree.points,
-        "interior_size": len(rep.interior),
+        "interior_size": rep.interior_mask.bit_count(),
         "edges": rep.edges(),
         "incidence": rep.incidence,
         "vertex_set": vertices,

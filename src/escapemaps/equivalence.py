@@ -107,7 +107,7 @@ class _PointedRefinement:
 
     def __init__(self, refinement: ColorRefinement, rows: Sequence[Sequence[int]]):
         self.refinement = refinement
-        n = len(refinement.children)
+        n = len(refinement.colors[0])
         self.children = [tuple(i for i in range(n) if row[i]) for row in rows]
         self.keys: list[list[tuple[int, int]]] = []
         self.gaps: list[list[int]] = []
@@ -198,7 +198,7 @@ def _pointed_verdict(
     refinement: ColorRefinement, incidence_x, incidence_y, note=""
 ) -> Equivalent | Distinct:
     """``bisim_equivalent`` from the refinement of A."""
-    n = len(refinement.children)
+    n = len(refinement.colors[0])
     if len(incidence_x) != n or len(incidence_y) != n:
         raise InconsistentInputsError("incidence vectors must have length n")
     pointed = _PointedRefinement(refinement, (incidence_x, incidence_y))

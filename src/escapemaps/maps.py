@@ -87,22 +87,9 @@ class AffineBranch:
         return self.slope * x + self.intercept
 
     def image(self) -> Interval:
-        return self._image
-
-    @cached_property
-    def _image(self) -> Interval:
-        # The branch is frozen, so its image is computed once.
         a = self.value_at(self.left)
         b = self.value_at(self.right)
         return (a, b) if a <= b else (b, a)
-
-    def inverse_at(self, y: Fraction) -> Fraction | None:
-        """Exact preimage of y under this branch, or None when y is outside
-        the closed branch image."""
-        lo, hi = self.image()
-        if not lo <= y <= hi:
-            return None
-        return (y - self.intercept) / self.slope
 
 
 # Location kinds returned by MarkovMap.locate.
@@ -379,7 +366,12 @@ class MarkovMap:
         """Preimage of y under branch i (1-based), or None when y is outside
         the closed image of interval i."""
         check_index(i, self.n, "branch index")
-        return self.branches[i - 1].inverse_at(exact(y))
+        y = exact(y)
+        lo, hi = self.images[i - 1]
+        if not lo <= y <= hi:
+            return None
+        branch = self.branches[i - 1]
+        return (y - branch.intercept) / branch.slope
 
     def interval_image(self, i: int) -> Interval:
         """Closed image f(I_i) as an interval (endpoints sorted)."""

@@ -57,7 +57,8 @@ def predecessors(markov: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
 @dataclass(frozen=True)
 class ColorRefinement:
     """Color refinement of the graph in which state j has the predecessor
-    column j as children.  ``colors[r][j]`` is state j's color at round r,
+    column j as children.  ``colors[r][j]`` is state j's color at round r
+    (round 0 always exists, so ``len(colors[0])`` is the state count),
     its rank among ``signatures[r]``, the sorted distinct signatures of that
     round: out-degrees at round 0, and from round 1 on the pairs (color at
     round r - 1, sorted colors of the children at round r - 1).  ``colors``
@@ -65,7 +66,6 @@ class ColorRefinement:
     signatures of the stable coloring: their ranks repeat its colors, so
     that entry and the stable colors serve every later round."""
 
-    children: tuple[tuple[int, ...], ...]
     colors: tuple[tuple[int, ...], ...]
     signatures: tuple[tuple, ...]
 
@@ -86,7 +86,7 @@ def color_refinement(preds: Sequence[Sequence[int]]) -> ColorRefinement:
         stable = bool(tables) and len(table) == len(tables[-1])
         tables.append(table)
         if stable:
-            return ColorRefinement(tuple(map(tuple, preds)), tuple(history), tuple(tables))
+            return ColorRefinement(tuple(history), tuple(tables))
         rank = {sig: r for r, sig in enumerate(table)}
         colors = tuple([rank[sig] for sig in signatures])
         history.append(colors)

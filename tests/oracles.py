@@ -45,7 +45,8 @@ way, so the tests can check the short way against them:
   * ``cursor_layout``: the branches of a synthesized map laid out in
     ``Fraction``s, a cursor walking the normalised widths column by column
     and halving each gap for its midpoint, where the library reads every
-    end off one prefix sum of the integer widths;
+    end off one prefix sum of the integer widths (acceptance criterion C7
+    compares it with every map it synthesizes);
   * ``scan_primitivity``: primitivity from every boolean power up to the
     Wielandt bound, where the library builds the least positive power from
     repeated squares.

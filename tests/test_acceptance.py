@@ -49,7 +49,7 @@ from escapemaps import (
     wielandt_bound,
 )
 
-from oracles import _oracle_same_unrolling, build_intertwiner
+from oracles import _oracle_same_unrolling, build_intertwiner, cursor_layout
 
 F = Fraction
 
@@ -331,6 +331,13 @@ def test_criterion_7_exhaustive_synthesis(capsys):
                     assert data.escape == column
                     assert data.gap_positions == (pos,)
                     assert result.validation.all_ok and result.validation.p5_ok
+                    # the layout, field by field, against the Fraction cursor
+                    reference = cursor_layout(data, result.allocation)
+                    for got, want in zip(result.map.branches, reference, strict=True):
+                        for field in ("slope", "intercept", "left", "right"):
+                            value = getattr(got, field)
+                            assert value == getattr(want, field), (matrix, pos, field)
+                            assert type(value) is Fraction
                     synthesized += 1
 
                     # any other nonzero column at this position must fail

@@ -111,9 +111,10 @@ def test_branch_image_sorts_endpoints_for_negative_slope():
 
 def test_branch_inverse_is_exact_and_none_outside_image():
     b = AffineBranch(F(7, 2), F(1, 5), F(0), F(1, 5))
-    assert b.inverse_at(F(1, 2)) == F(3, 35)
+    m = MarkovMap((b,))
+    assert m.branch_inverse(1, F(1, 2)) == F(3, 35)
     assert b.value_at(F(3, 35)) == F(1, 2)
-    assert b.inverse_at(F(19, 20)) is None  # image is [1/5, 9/10]
+    assert m.branch_inverse(1, F(19, 20)) is None  # image is [1/5, 9/10]
 
 
 # -- the bundled four-interval map --------------------------------------

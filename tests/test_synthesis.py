@@ -26,7 +26,7 @@ from escapemaps import (
 )
 from escapemaps import synthesis
 from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
-from oracles import cursor_layout, exhaustive_feasibility
+from oracles import exhaustive_feasibility
 
 F = Fraction
 
@@ -434,36 +434,6 @@ def test_strict_single_column_feasibility_is_the_straddle_rule(n):
                     pos,
                     u,
                 )
-
-
-def test_layout_matches_the_cursor_oracle_on_every_single_gap_spec():
-    """The C7 sweep: every feasible strict single-gap spec with n <= 4 (a
-    primitive matrix with contiguous rows and its nonzero straddle column),
-    its branches compared field by field with the ``Fraction``-cursor layout
-    of the same allocation."""
-    synthesized = 0
-    for n in (2, 3, 4):
-        runs = [
-            tuple(int(lo <= j <= hi) for j in range(n))
-            for lo in range(n)
-            for hi in range(lo, n)
-        ]
-        for markov in itertools.product(runs, repeat=n):
-            if not is_primitive(markov).primitive:
-                continue
-            for pos in range(1, n):
-                column = tuple((u,) for u in _straddle_column(markov, pos))
-                if not any(u for (u,) in column):
-                    continue
-                result = synthesize(SynthesisSpec(markov, column, (pos,), STRICT))
-                data = TransitionData(markov, column, (pos,))
-                reference = cursor_layout(data, result.allocation)
-                for got, want in zip(result.map.branches, reference, strict=True):
-                    for field in ("slope", "intercept", "left", "right"):
-                        assert getattr(got, field) == getattr(want, field), (markov, pos, field)
-                        assert type(getattr(got, field)) is Fraction
-                synthesized += 1
-    assert synthesized == 10659
 
 
 # -- gap placement by rule -----------------------------------------------
