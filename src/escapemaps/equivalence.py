@@ -32,14 +32,13 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputsError, NotAnEscapePointError
 from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, bit_rows, check_steps
 from .orbits import Escaped, PointClass, window_classes, window_node_count
-from .rationals import exact, format_rational
+from .rationals import Record, exact, format_rational
 from .transitions import (
     ColorRefinement,
     Matrix,
@@ -52,8 +51,7 @@ from .transitions import (
 # -- bisimulation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(Record):
     """Roots share a class in the stable refinement.  ``partition`` lists the
     stable classes by state name; ``rounds`` is the round at which the
     refinement stabilized."""
@@ -67,8 +65,7 @@ class Equivalent:
     _json = ("verdict",)
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Record):
     """Roots were separated; ``separating_round`` is the first round where
     their colors differ (round 0 compares out-degrees)."""
 
@@ -81,8 +78,7 @@ class Distinct:
     _json = ("verdict",)
 
 
-@dataclass(frozen=True)
-class EscapeVsRegular:
+class EscapeVsRegular(Record):
     """One point escapes and the other does not; the representations live on
     windows of different kinds and are never equivalent."""
 
@@ -221,8 +217,7 @@ def _pointed_verdict(
 # -- intertwiners -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(Record):
     """The label-respecting window isomorphism: the identity on the
     ``identity_on`` basis indices.  Windows of equal rows, or of depth 0,
     have equal parent and label arrays, and ``realize`` reads nothing else,
@@ -236,8 +231,7 @@ class Intertwiner:
     _json = ("label_respecting",)
 
 
-@dataclass(frozen=True)
-class NoLabelRespectingIso:
+class NoLabelRespectingIso(Record):
     """Equivalent windows of unequal rows: level 1 has one child per unit of the
     row, so no isomorphism matches children by label, but the roots' equal
     colors make the windows isomorphic once labels are forgotten."""
@@ -249,15 +243,13 @@ class NoLabelRespectingIso:
 # -- corpus classification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointClassEntry:
+class PointClassEntry(Record):
     points: tuple[Fraction, ...]
     incidences: tuple[tuple[int, ...], ...]
     stable_class: int
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     classes: tuple[PointClassEntry, ...]
     rounds: int
 
@@ -306,8 +298,7 @@ def classify_corpus(
 # -- point comparison ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     class_x: PointClass
     class_y: PointClass
     verdict: EquivalenceVerdict

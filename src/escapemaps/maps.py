@@ -30,7 +30,6 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -41,7 +40,7 @@ from .errors import (
     MapFormatError,
     MapStructureError,
 )
-from .rationals import exact, format_rational, parse_rational
+from .rationals import Record, exact, format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .transitions import ColorRefinement
@@ -62,8 +61,7 @@ def merge_closed_intervals(items: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-@dataclass(frozen=True)
-class AffineBranch:
+class AffineBranch(Record):
     """One affine branch: x |-> slope*x + intercept on the closed domain
     [left, right], each coefficient a Fraction or an int (``exact``)."""
 
@@ -198,8 +196,7 @@ def _step(form: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Record):
     """Where a point sits relative to the partition: strictly inside a Markov
     interval, strictly inside an escape gap, exactly on a partition point, or
     outside the ambient interval.  ``index`` is the interval index for
@@ -210,8 +207,7 @@ class Location:
     point: Fraction
 
 
-@dataclass(frozen=True)
-class EscapeCoverage:
+class EscapeCoverage(Record):
     """P5 record: branch ``branch`` meets gap ``gap``; ``full`` says whether it
     contains the whole gap."""
 
@@ -220,8 +216,7 @@ class EscapeCoverage:
     full: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of the P1-P4 checks plus the P5 diagnostic.
 
     ``expansion_bound`` is min |slope| (P3 requires it > 1) and
@@ -255,8 +250,7 @@ class ValidationReport:
         return all(item.full for item in self.escape_coverage)
 
 
-@dataclass(frozen=True)
-class MarkovMap:
+class MarkovMap(Record):
     """A piecewise-affine map determined by its branches.  The branch domains
     are the Markov intervals; consecutive domains must not overlap, and a
     positive-length space between them is an open escape gap."""
@@ -464,8 +458,7 @@ class MarkovMap:
 # -- JSON surface -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpectedEscapeMatrix:
+class ExpectedEscapeMatrix(Record):
     """A claimed escape transition matrix attached to a map file; the
     ``matrices`` command reports every entry where the computed matrix
     disagrees with it."""
@@ -474,8 +467,7 @@ class ExpectedEscapeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MapDocument:
+class MapDocument(Record):
     """A map plus optional metadata carried by its JSON file."""
 
     map: MarkovMap

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .maps import MapStructureError, check_index, is_index
 from .orbits import Escaped, OrbitTree, PointClass
-from .rationals import format_rational
+from .rationals import Record, format_rational
 
 
 def _mask(indices: list[int], size: int) -> int:
@@ -67,8 +66,7 @@ def _indices(mask: int) -> list[int]:
     return list(itertools.compress(range(len(bits)), bits))
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
+class Representation(Record, eq=False):
     """All operators realized on one window, as bit masks over its basis.
     ``edge_masks`` maps each transition edge (i, j) to the source and target
     masks of its isometry.  ``incidence`` is the escape incidence vector of
@@ -227,8 +225,7 @@ def realize(tree: OrbitTree) -> Representation:
 # -- relation checks ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     """One verified relation instance.  ``witnesses`` lists the basis points
     where the relation fails (empty when it passes)."""
 
@@ -337,8 +334,7 @@ def projection_sum_is_identity(rep: Representation) -> bool:
     return not rep.interior_mask & ~union
 
 
-@dataclass(frozen=True)
-class ImageDecompositionReport:
+class ImageDecompositionReport(Record):
     passed: bool
     failures: tuple[str, ...]
 
@@ -409,15 +405,13 @@ def _hits(incidence: tuple[int, ...], vertices: tuple[int, ...]) -> list[int]:
     return [v for v in vertices if incidence[v - 1] == 1]
 
 
-@dataclass(frozen=True)
-class NonvanishingCheck:
+class NonvanishingCheck(Record):
     kind: str
     vertex: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Faithfulness certificate for the algebra associated with a vertex set.
 
     ``faithful`` holds exactly when, beyond admissibility, every vertex

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -34,12 +33,11 @@ from .errors import (
 )
 from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, ESCAPE_INTERIOR, OUTSIDE,
                    PARTITION_POINT, MarkovMap, check_steps)
-from .rationals import exact, format_rational
+from .rationals import Record, exact, format_rational
 from .transitions import gap_symbol, markov_symbol
 
 
-@dataclass(frozen=True)
-class Escaped:
+class Escaped(Record):
     """The orbit reaches an open gap: f^escape_time(x) = final_point lies in
     gap ``gap_index``; ``incidence`` is the 0/1 vector saying which closed
     branch images contain the final point."""
@@ -50,16 +48,14 @@ class Escaped:
     incidence: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryOrbit:
+class BoundaryOrbit(Record):
     """The orbit lands exactly on a partition point at step ``hit_step``."""
 
     hit_step: int
     hit_point: Fraction
 
 
-@dataclass(frozen=True)
-class UndeterminedRegular:
+class UndeterminedRegular(Record):
     """No escape and no boundary hit within the budget.  When ``period`` is
     set an exact cycle was detected, so the point provably never escapes."""
 
@@ -133,8 +129,7 @@ def incidence_cells(
 # -- backward windows ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitTree:
+class OrbitTree(Record):
     """A finite backward window of a generalized orbit.
 
     ``depths[i]`` is the node's discovery depth (backward distance from the
@@ -334,8 +329,7 @@ def build_orbit_tree(
 # -- itineraries --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(Record):
     """Symbolic coding of a forward orbit: Markov interval indices, ended by
     the escape symbol when the orbit escapes.  ``boundary_steps`` flags the
     steps where the orbit sat exactly on a partition point (coding then uses

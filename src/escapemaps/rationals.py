@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import EscapeMapsError, RationalParseError
 
@@ -78,10 +79,66 @@ def format_rational(value: Fraction | int) -> str:
         raise EscapeMapsError(f"cannot print a rational that has {_too_long()}") from exc
 
 
+class Record:
+    """Base of the library's frozen records.  A subclass lists its fields as
+    annotated class attributes, each optionally with a default, and gets:
+    ``_fields``, their names in order; an ``__init__`` that takes them by
+    position or keyword and then calls ``__post_init__``, if the class has
+    one; equality between records of one class with equal fields, and a hash
+    over the fields (``class R(Record, eq=False)`` keeps identity instead);
+    a ``Name(field=value, ...)`` repr; and an AttributeError on assigning or
+    deleting any attribute, so ``__post_init__`` normalises a field through
+    ``object.__setattr__``.  Instances keep a ``__dict__``, which is where
+    ``functools.cached_property`` stores its values."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # One generated __init__ per class, storing the fields straight into
+        # the instance dict, builds hot records at least as fast as a
+        # dataclass does; equality, hash and repr share one getter, which
+        # costs no compile.
+        defaults = {f"_default_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = "".join(f", {n}=_default_{n}" if f"_default_{n}" in defaults else f", {n}"
+                         for n in names)
+        body = "".join(f"\n    _dict_[{n!r}] = {n}" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        exec(f"def __init__(self{params}):\n    _dict_ = self.__dict__{body}", defaults)
+        cls.__init__ = defaults["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        get = attrgetter(*names) if names else lambda record: ()
+        cls._values = staticmethod(get if len(names) != 1 else lambda record: (get(record),))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def jsonable(value):
     """The JSON form of a report value: a Fraction becomes its
     ``format_rational`` string, a tuple or list an array, a dict an object,
-    and a record an object of its dataclass fields (if it is a dataclass)
+    and a record an object of its ``Record`` fields (if it is a Record)
     followed by the attributes (derived flags, constant tags, fields built
     on demand) its class names in ``_json``.
     None, str, bool and int pass through; anything else is a TypeError.
@@ -91,9 +148,8 @@ def jsonable(value):
         return format_rational(value)
     if isinstance(value, (tuple, list)):
         return [jsonable(item) for item in value]
-    fields = getattr(value, "__dataclass_fields__", None)
-    if fields is not None or hasattr(value, "_json"):
-        names = (*(fields or ()), *getattr(value, "_json", ()))
+    if isinstance(value, Record) or hasattr(value, "_json"):
+        names = (*getattr(value, "_fields", ()), *getattr(value, "_json", ()))
         return {name: jsonable(getattr(value, name)) for name in names}
     if isinstance(value, dict):
         return {key: jsonable(item) for key, item in value.items()}

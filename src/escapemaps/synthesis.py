@@ -24,12 +24,13 @@ iteration stops as soon as it can.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import EscapeMapsError, InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport, bit_rows, is_index
+from .rationals import Record
 from .transitions import (
     Matrix,
     TransitionData,
@@ -45,8 +46,7 @@ PARTIAL = "partial"
 _SINGLE_INTERVAL = "a single interval cannot expand, so no expanding map exists"
 
 
-@dataclass(frozen=True)
-class SynthesisSpec:
+class SynthesisSpec(Record):
     """Target transition matrix, escape block, and coverage mode.
 
     ``markov`` (n x n) and ``escape`` (n x m, m may be 0) are lists or
@@ -96,6 +96,12 @@ class SynthesisSpec:
     def m(self) -> int:
         return len(self.escape[0])
 
+    @cached_property
+    def _assessment(self) -> tuple[FeasibilityReport, TransitionData | None]:
+        """``_assess`` of the spec, which is frozen, so computed once and
+        shared by ``feasibility_check`` and ``synthesize``."""
+        return _assess(self)
+
 
 # -- feasibility ---------------------------------------------------------
 
@@ -106,16 +112,14 @@ def _unit_runs(data: TransitionData) -> list[list[int]]:
     return [[c for c, v in enumerate(row) if v] for row in data.rows]
 
 
-@dataclass(frozen=True)
-class RowSegment:
+class RowSegment(Record):
     """Contiguous target segment of one row, as interleaved symbols."""
 
     row: int
     symbols: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     feasible: bool
     mode: str
     gap_positions: tuple[int, ...]
@@ -204,7 +208,7 @@ def _first_workable(
 def feasibility_check(spec: SynthesisSpec) -> FeasibilityReport:
     """Decide whether the spec is realizable, with per-row and per-column
     diagnostics.  Never raises; infeasibility is data."""
-    return _assess(spec)[0]
+    return spec._assessment[0]
 
 
 def _assess(
@@ -264,8 +268,7 @@ def _assess(
 # -- width allocation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WidthAllocation:
+class WidthAllocation(Record):
     """Interval and gap widths summing to 1 (ambient [0, 1]), with an exact
     Collatz-Wielandt bracket (low, high) on the Perron root of the transition
     matrix: the minimum and maximum over i of (A.w)_i / w_i for the integer
@@ -352,8 +355,7 @@ def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]
 # -- construction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Record):
     map: MarkovMap
     positions: tuple[int, ...]
     allocation: WidthAllocation
@@ -367,7 +369,7 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     realized, a single interval included, and WidthSnapError when no
     workable widths are found.  The recomputed matrices of the result are
     asserted equal to the inputs before returning."""
-    report, data = _assess(spec)
+    report, data = spec._assessment
     if not report.feasible:
         raise InfeasibleSpecError(report)
     # A feasible matrix is primitive, so it has no zero row either.

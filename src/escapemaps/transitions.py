@@ -20,13 +20,12 @@ map caches it, and every equivalence request places its roots into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import MapFormatError
 from .maps import MarkovMap, bit_rows
-from .rationals import format_rational
+from .rationals import Record, format_rational
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -54,8 +53,7 @@ def predecessors(markov: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(i for i, unit in enumerate(col) if unit) for col in zip(*markov))
 
 
-@dataclass(frozen=True)
-class ColorRefinement:
+class ColorRefinement(Record):
     """Color refinement of the graph in which state j has the predecessor
     column j as children.  ``colors[r][j]`` is state j's color at round r
     (round 0 always exists, so ``len(colors[0])`` is the state count),
@@ -102,8 +100,7 @@ def markov_matrix(m: MarkovMap) -> Matrix:
     return m.transition_matrix
 
 
-@dataclass(frozen=True)
-class TransitionData:
+class TransitionData(Record):
     """Transition matrix A, escape block B and the escape matrix they
     determine.
 
@@ -192,8 +189,7 @@ def wielandt_bound(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-@dataclass(frozen=True)
-class PrimitivityResult:
+class PrimitivityResult(Record):
     """``exponent`` is the least q with A^q entrywise positive; when not
     primitive, ``zero_entry`` names a (1-based) entry of the Wielandt-bound
     power that is still zero."""

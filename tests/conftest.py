@@ -3,8 +3,9 @@ reverses orientation, and one synthesized map that several suites exercise
 (built once per session; synthesis is exact, so the result is
 deterministic).  Also the hypothesis draws shared by the window and operator
 suites: synthesized specs at n = 5..8, pull-backs along admissible words, and
-periodic points of closed walks.  Every property test runs under one
-hypothesis profile, so each test states only its number of examples."""
+periodic points of closed walks, and ``replaced``, which copies a record
+with some fields changed.  Every property test runs under one hypothesis
+profile, so each test states only its number of examples."""
 
 import random
 from fractions import Fraction
@@ -82,6 +83,14 @@ def partial_result(partial_spec):
 @pytest.fixture(scope="session")
 def partial_map(partial_result):
     return partial_result.map
+
+
+def replaced(record, **changes):
+    """A copy of a record (an ``escapemaps.rationals.Record``) with the given
+    fields changed, built through its constructor, so its ``__post_init__``
+    checks run again."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 
 def synthesized_spec(data, mode, tries=10):

@@ -57,7 +57,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -103,7 +102,7 @@ from escapemaps.operators import (
     _hits,
     _validated_vertices,
 )
-from escapemaps.rationals import format_rational
+from escapemaps.rationals import Record, format_rational
 from escapemaps.synthesis import (
     STRICT,
     FeasibilityReport,
@@ -297,8 +296,7 @@ def escape_point_with_incidence(
     return None
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Label-free canonical form of a window truncated at ``depth``; equal
     forms at equal depth characterize unlabeled rooted-tree isomorphism."""
 
@@ -332,8 +330,7 @@ def children_by_label(tree: OrbitTree, idx: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class PairedIntertwiner:
+class PairedIntertwiner(Record):
     """The matched label-respecting isomorphism as basis pairs (x-index,
     y-index); ``verified`` records that it exchanges the realized
     operators."""
@@ -342,8 +339,7 @@ class PairedIntertwiner:
     verified: bool
 
 
-@dataclass(frozen=True)
-class NoLabelMatch:
+class NoLabelMatch(Record):
     """No label-respecting isomorphism; ``unlabeled_iso_exists`` records
     whether the windows are isomorphic once labels are forgotten."""
 
@@ -706,8 +702,7 @@ def scan_primitivity(matrix: object) -> PrimitivityResult:
 # -- the operators as index dicts and frozensets ---------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SetRepresentation:
+class SetRepresentation(Record, eq=False):
     """All operators realized on one window, each as plain index data: a
     partial isometry is a dict from source to target basis index, and a
     projection is the frozenset of basis indices it fixes."""

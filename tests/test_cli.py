@@ -681,9 +681,9 @@ LAYERS = (
 )
 
 
-def _loaded_layers(code: str) -> set[str]:
-    """The layer modules in ``sys.modules`` after a fresh interpreter has run
-    CODE, which may end in a successful ``SystemExit``."""
+def _loaded_modules(code: str) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter has run CODE,
+    which may end in a successful ``SystemExit``."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         f"import sys\ntry:\n    {code}\n"
@@ -698,7 +698,12 @@ def _loaded_layers(code: str) -> set[str]:
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_layers(code: str) -> set[str]:
+    """The layer modules among ``_loaded_modules(code)``."""
+    loaded = _loaded_modules(code)
     return {layer for layer in LAYERS if f"escapemaps.{layer}" in loaded}
 
 
@@ -738,6 +743,14 @@ def test_cli_import_loads_and_binds_every_layer():
         "assert not missing, missing"
     )
     assert _loaded_layers(code) == set(LAYERS)
+
+
+@pytest.mark.parametrize("code", ["import escapemaps.cli", _python_m_escapemaps("validate", FOUR)],
+                         ids=["every-layer", "validate"])
+def test_start_up_imports_neither_dataclasses_nor_inspect(code):
+    """The records build on ``rationals.Record``, which needs neither module;
+    importing the two cost each command several milliseconds."""
+    assert not {"dataclasses", "inspect"} & _loaded_modules(code)
 
 
 def test_parser_defaults_are_the_orbit_budgets():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -36,7 +35,7 @@ from escapemaps import (
 from escapemaps.equivalence import _PointedRefinement, _pointed_verdict
 from escapemaps.transitions import color_refinement, predecessors
 
-from conftest import periodic_point, pull_back, synthesized_spec
+from conftest import periodic_point, pull_back, replaced, synthesized_spec
 from oracles import (
     NoLabelMatch,
     PairedIntertwiner,
@@ -278,10 +277,8 @@ def test_intertwiner_requires_escape_windows_on_one_map(four_map, full2_map):
     escape = build_orbit_tree(four_map, F(1, 2), 3)
     with pytest.raises(NotAnEscapePointError):
         build_intertwiner(regular, escape)
-    import dataclasses
-
     other = build_orbit_tree(four_map, F(9, 20), 3)
-    foreign = dataclasses.replace(other, map=full2_map)
+    foreign = replaced(other, map=full2_map)
     with pytest.raises(InconsistentInputsError):
         build_intertwiner(escape, foreign)
     with pytest.raises(InconsistentInputsError):
@@ -365,7 +362,7 @@ def test_classify_corpus_needs_a_valid_map():
 def test_an_invalid_map_is_refused_for_every_pair_and_an_empty_corpus(four_map):
     # Branch 2 with slope 1 breaks P1 and P3 (and with them P2 and P4).
     branches = list(four_map.branches)
-    branches[1] = dataclasses.replace(branches[1], slope=F(1))
+    branches[1] = replaced(branches[1], slope=F(1))
     flat = MarkovMap(tuple(branches))
     # Escape/regular, regular/regular and escape/escape pairs alike.
     for x, y in ((F(1, 3), F(5, 27)), (F(5, 27), F(5, 27)), (F(1, 3), F(1, 3))):

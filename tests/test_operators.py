@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -36,7 +35,7 @@ from escapemaps import (
 
 from escapemaps.operators import _indices, _mask
 
-from conftest import periodic_point, pull_back, synthesized_spec
+from conftest import periodic_point, pull_back, replaced, synthesized_spec
 from oracles import (
     adjoint,
     bisect_image_decomposition_check,
@@ -123,13 +122,13 @@ def test_realize_refuses_a_parent_with_two_children_of_one_label(four_map, parti
     # one source.
     tree = build_orbit_tree(four_map, F(1, 2), 3)
     assert tree.children(2) == (3, 4) and tree.labels[2:] == (3, 1, 4)
-    twins = dataclasses.replace(tree, labels=tree.labels[:3] + (4, 4))
+    twins = replaced(tree, labels=tree.labels[:3] + (4, 4))
     with pytest.raises(InconsistentInputsError, match="node 2 has two children labelled 4"):
         realize(twins)
     # Labelled 2, the leaves belong to no edge, since A[2][3] = 0: the rule
     # speaks about parents and labels, not about edges.
     assert (2, 3) not in realize(tree).edge_masks
-    twins = dataclasses.replace(tree, labels=tree.labels[:3] + (2, 2))
+    twins = replaced(tree, labels=tree.labels[:3] + (2, 2))
     with pytest.raises(InconsistentInputsError, match="node 2 has two children labelled 2"):
         realize(twins)
     # The escape root's children belong to no edge either.
@@ -137,7 +136,7 @@ def test_realize_refuses_a_parent_with_two_children_of_one_label(four_map, parti
     tree = build_orbit_tree(partial_map, x, 1)
     assert tree.labels == (None, 1, 4) and tree.parents == (None, 0, 0)
     with pytest.raises(EscapeMapsError, match="node 0 has two children labelled 1"):
-        realize(dataclasses.replace(tree, labels=(None, 1, 1)))
+        realize(replaced(tree, labels=(None, 1, 1)))
 
 
 def test_realized_operator_entries(half_rep):
@@ -227,7 +226,7 @@ def test_image_decomposition_check_catches_a_wrong_projection(four_map):
     rep = realize(build_orbit_tree(four_map, F(1, 2), 4))
     wrong = list(rep.image_masks)
     wrong[2] = rep.vertex_masks[2]
-    broken = dataclasses.replace(rep, image_masks=tuple(wrong))
+    broken = replaced(rep, image_masks=tuple(wrong))
     report = image_decomposition_check(broken)
     assert not report.passed
     assert len(report.failures) == 1
@@ -247,7 +246,7 @@ def test_image_decomposition_check_names_a_corrupted_window_point(four_map, node
     assert (idx in rep.interior) == (node == "interior")
     points = list(tree.points)
     points[idx] += F(1, 10**9)
-    assert four_map.locate(points[idx]) == dataclasses.replace(
+    assert four_map.locate(points[idx]) == replaced(
         four_map.locate(tree.points[idx]), point=points[idx]
     )
     assert [lo <= points[idx] <= hi for lo, hi in four_map.images] == [
@@ -266,8 +265,8 @@ def test_image_decomposition_check_round_trips_an_open_regular_root(four_map):
     assert tree.root_point == F(229, 270) and tree.parents[0] is None
     rep = realize(tree)
     assert image_decomposition_check(rep).passed
-    relabelled = dataclasses.replace(tree, labels=(1,) + tree.labels[1:])
-    report = image_decomposition_check(dataclasses.replace(rep, tree=relabelled))
+    relabelled = replaced(tree, labels=(1,) + tree.labels[1:])
+    report = image_decomposition_check(replaced(rep, tree=relabelled))
     assert report.failures == ("branch 1 round trip fails at 229/270",)
 
 
@@ -279,10 +278,10 @@ def test_image_decomposition_check_needs_the_parent_in_the_branch_image(four_map
     tree = build_orbit_tree(four_map, F(1, 2), 3)
     assert (tree.labels[3], tree.labels[tree.parents[3]]) == (1, 3)
     assert 3 not in tree.interior_indices()
-    relabelled = dataclasses.replace(tree, labels=tree.labels[:3] + (2,) + tree.labels[4:])
+    relabelled = replaced(tree, labels=tree.labels[:3] + (2,) + tree.labels[4:])
     leaf, parent = relabelled.points[3], relabelled.points[tree.parents[3]]
     assert four_map.branches[1].value_at(leaf) == parent and leaf == F(47, 350)
-    rep = dataclasses.replace(realize(tree), tree=relabelled)
+    rep = replaced(realize(tree), tree=relabelled)
     assert image_decomposition_check(rep).failures == ("branch 2 round trip fails at 47/350",)
 
 
@@ -328,10 +327,10 @@ def _with_points(rep, points, labels=None):
     """A copy of the representation whose window has the given points (and
     labels), as a corrupted cache would: the check reads the pairs, the
     failure texts the points."""
-    tree = dataclasses.replace(rep.tree, labels=labels or rep.tree.labels)
+    tree = replaced(rep.tree, labels=labels or rep.tree.labels)
     tree.__dict__["points"] = tuple(points)
     tree.__dict__["pairs"] = tuple(x.as_integer_ratio() for x in points)
-    return dataclasses.replace(rep, tree=tree)
+    return replaced(rep, tree=tree)
 
 
 def _round_trip(i, x):
@@ -395,7 +394,7 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
         i = data.draw(st.integers(0, m.n - 1), label="image")
         nodes = data.draw(st.sets(st.integers(0, rep.dim - 1)), label="replacement")
         wrong = rep.image_masks[:i] + (_bits(nodes),) + rep.image_masks[i + 1 :]
-        broken = dataclasses.replace(rep, image_masks=wrong)
+        broken = replaced(rep, image_masks=wrong)
 
     old = bisect_image_decomposition_check(broken)
     new = image_decomposition_check(broken)
@@ -625,7 +624,7 @@ def _corrupted(rep):
     sources, targets = masks[nonempty[-1]]
     masks[nonempty[-1]] = (sources, targets & ~(1 << last[source]) | 1 << moved)
     last[source] = moved
-    return dataclasses.replace(rep, edge_masks=masks), edges
+    return replaced(rep, edge_masks=masks), edges
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
@@ -729,17 +728,17 @@ def test_masks_match_the_set_operators(
             moved = data.draw(st.sampled_from(outside), label="moved to")
             targets = targets & ~(1 << s[source]) | 1 << moved
             s[source] = moved
-        rep = dataclasses.replace(rep, edge_masks={**rep.edge_masks, edge: (sources, targets)})
-        old = dataclasses.replace(old, edge_isometries={**old.edge_isometries, edge: s})
+        rep = replaced(rep, edge_masks={**rep.edge_masks, edge: (sources, targets)})
+        old = replaced(old, edge_isometries={**old.edge_isometries, edge: s})
     elif kind == "flip-image-bit":
         i = data.draw(st.integers(0, rep.n - 1), label="image")
         bit = data.draw(st.integers(0, rep.dim - 1), label="bit")
         images = list(rep.image_masks)
         images[i] ^= 1 << bit
-        rep = dataclasses.replace(rep, image_masks=tuple(images))
+        rep = replaced(rep, image_masks=tuple(images))
         sets = list(old.image_projections)
         sets[i] ^= {bit}
-        old = dataclasses.replace(old, image_projections=tuple(sets))
+        old = replaced(old, image_projections=tuple(sets))
     elif kind == "relabel-leaf" and leaves:
         # A parent has at most one child per label, which makes each edge
         # an isometry; the dicts cannot hold two children of one label.

@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from escapemaps import (
     jsonable,
     parse_rational,
 )
+from escapemaps.rationals import Record
 
 LIMIT = sys.get_int_max_str_digits()
 needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no digit limit on int strings")
@@ -83,14 +83,12 @@ def test_format_refuses_integers_over_the_digit_limit(value):
     assert not isinstance(exc.value, RationalParseError)
 
 
-@dataclass(frozen=True)
-class _Leaf:
+class _Leaf(Record):
     value: Fraction
     edge: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(Record):
     leaves: tuple[_Leaf, ...]
     note: str
 

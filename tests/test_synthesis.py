@@ -24,7 +24,7 @@ from escapemaps import (
     transition_data,
     wielandt_bound,
 )
-from escapemaps import synthesis
+from escapemaps import synthesis, transitions
 from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
 from oracles import exhaustive_feasibility
 
@@ -384,6 +384,37 @@ def test_two_gap_synthesis():
     assert data.gap_positions == (1, 2)
     assert result.map.n == 3
     assert len(result.map.gaps) == 2
+
+
+def test_a_spec_is_assessed_once(monkeypatch, partial_spec):
+    """``feasibility_check`` and ``synthesize`` share the assessment cached
+    on the frozen spec; the built map's own P4 check decides primitivity
+    once more."""
+    spec_calls, map_calls = [], []
+    original = transitions._primitivity
+
+    def counted(calls):
+        def primitivity(rows):
+            calls.append(rows)
+            return original(rows)
+        return primitivity
+
+    # The map's validation reads the transitions binding when it runs.
+    monkeypatch.setattr(synthesis, "_primitivity", counted(spec_calls))
+    spec = SynthesisSpec(partial_spec.markov, partial_spec.escape, mode=PARTIAL)
+    report = feasibility_check(spec)
+    assert report.feasible and len(spec_calls) == 1
+    monkeypatch.setattr(transitions, "_primitivity", counted(map_calls))
+    result = synthesize(spec)
+    assert feasibility_check(spec) is report
+    assert (len(spec_calls), len(map_calls)) == (1, 1)
+    assert map_calls == [result.map.transition_matrix]
+
+    infeasible = SynthesisSpec(FOUR_INTERVAL_MARKOV, ((1,), (0,), (0,), (1,)), (2,), STRICT)
+    with pytest.raises(InfeasibleSpecError) as err:
+        synthesize(infeasible)
+    assert feasibility_check(infeasible) is err.value.report
+    assert len(spec_calls) == 2
 
 
 # -- the straddle rule for strict single-column specs --------------------
