@@ -9,6 +9,9 @@ is feasible precisely when A is primitive, every row of A is contiguous,
 and u is nonzero.  Each feasible spec is synthesized and the resulting
 map's recomputed matrices are checked against the inputs exactly.
 
+The count table goes to stdout, so two runs print the same bytes; the wall
+time of each size goes to stderr.
+
 Usage:
     python3 scripts/enumerate_realizable.py --max-size 4
 """
@@ -16,6 +19,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -91,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-size must be at least 2")
 
     header = (f"{'n':>2} {'matrices':>10} {'eligible A':>10} "
-              f"{'feasible':>9} {'verified':>9} {'zero-u':>7} {'time':>8}")
+              f"{'feasible':>9} {'verified':>9} {'zero-u':>7}")
     print(header)
     print("-" * len(header))
     totals = SizeTally()
@@ -99,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         tally = survey(n, verify=not args.no_verify)
         print(f"{n:>2} {tally.matrices:>10} {tally.contiguous_and_primitive:>10} "
               f"{tally.feasible_specs:>9} {tally.verified_round_trips:>9} "
-              f"{tally.infeasible_zero_straddle:>7} {tally.seconds:>7.2f}s")
+              f"{tally.infeasible_zero_straddle:>7}")
+        print(f"n = {n}: {tally.seconds:.2f}s", file=sys.stderr)
         totals.matrices += tally.matrices
         totals.contiguous_and_primitive += tally.contiguous_and_primitive
         totals.feasible_specs += tally.feasible_specs
@@ -109,7 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     print("-" * len(header))
     print(f"{'*':>2} {totals.matrices:>10} {totals.contiguous_and_primitive:>10} "
           f"{totals.feasible_specs:>9} {totals.verified_round_trips:>9} "
-          f"{totals.infeasible_zero_straddle:>7} {totals.seconds:>7.2f}s")
+          f"{totals.infeasible_zero_straddle:>7}")
+    print(f"total: {totals.seconds:.2f}s", file=sys.stderr)
     return 0
 
 

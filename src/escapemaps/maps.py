@@ -336,10 +336,6 @@ class MarkovMap(Record):
             for lo, hi in g.images
         )
 
-    @property
-    def partition_points(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, self.grid.den) for p in self.grid.points)
-
     def gap_bounds(self, gap_index: int) -> tuple[Fraction, Fraction]:
         if not is_index(gap_index):
             raise MapStructureError(f"gap index {gap_index!r} is not an integer")
@@ -356,6 +352,7 @@ class MarkovMap(Record):
         kind, index, _ = self.grid.cell(*x.as_integer_ratio())
         return Location(kind, index, x)
 
+    # Read by perfbench/window_chain.py and cli_corpus.py, and counted by its tracer.
     def branch_inverse(self, i: int, y: Fraction) -> Fraction | None:
         """Preimage of y under branch i (1-based), or None when y is outside
         the closed image of interval i."""
@@ -367,6 +364,7 @@ class MarkovMap(Record):
         branch = self.branches[i - 1]
         return (y - branch.intercept) / branch.slope
 
+    # Counted by the perfbench tracer, which wraps this method.
     def interval_image(self, i: int) -> Interval:
         """Closed image f(I_i) as an interval (endpoints sorted)."""
         check_index(i, self.n, "branch index")

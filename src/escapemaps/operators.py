@@ -3,26 +3,15 @@
 On the finite basis given by a window's points, every operator here is a 0/1
 partial permutation matrix, held as int bit masks with one bit per basis
 index: a projection is the mask of the basis indices it fixes, and a partial
-isometry is the pair of masks of its sources and its targets.  Each target
-is a window node and its source is that node's parent, so the two masks
-determine the isometry.  All algebra is exact bit arithmetic:
-
-  * transfer(i)        |y> -> |f_i^{-1}(y)>   for y in the closed image of I_i
-  * edge_isometry(i,j) |y> -> |f_i^{-1}(y)>   for y in I_j (defined per unit
-                        transition entry (i, j))
-  * vertex_projection(i)  the nodes in I_i
-  * image_projection(i)   the nodes in the closed image of I_i
-
-The preimage f_i^{-1}(y) is read off the window as the child of y labelled i;
-a child has one parent and a parent at most one child per label, so every
-isometry is injective.  For an isometry s, s*s and ss* are the projections
+isometry is the pair of masks of its sources and its targets.  The isometry
+of a unit transition entry (i, j) sends y in I_j to f_i^{-1}(y), which the
+window holds as the child of y labelled i; a child has one parent and a
+parent at most one child per label, so every isometry is injective and its
+two masks determine it.  For an isometry s, s*s and ss* are the projections
 onto its sources and its targets.  Relations are checked on the window
 interior (nodes whose preimages are fully materialized); the vertex-sum
 relation additionally needs the node's forward image inside the window, which
-excludes a non-periodic regular root.  The readers named above, with
-``edge_isometries``, ``edge_ranges``, ``interior``, ``check_domain`` and
-``gap_projection``, give dicts and frozensets of basis indices, built from
-the masks when called.
+excludes a non-periodic regular root.  All algebra is exact bit arithmetic.
 """
 
 from __future__ import annotations
@@ -88,47 +77,6 @@ class Representation(Record, eq=False):
     def dim(self) -> int:
         return self.tree.node_count
 
-    @property
-    def interior(self) -> frozenset[int]:
-        return frozenset(_indices(self.interior_mask))
-
-    @property
-    def check_domain(self) -> frozenset[int]:
-        """The interior nodes whose forward image lies in the window."""
-        return frozenset(_indices(self.domain_mask))
-
-    def transfer(self, i: int) -> dict[int, int]:
-        """The child labelled i of each interior node, keyed by the node."""
-        check_index(i, self.n, "vertex")
-        interior = self.interior
-        links = zip(self.tree.parents, self.tree.labels)
-        return {parent: idx for idx, (parent, label) in enumerate(links)
-                if label == i and parent in interior}
-
-    @property
-    def edge_isometries(self) -> dict[tuple[int, int], dict[int, int]]:
-        return {edge: self._isometry(targets) for edge, (_, targets) in self.edge_masks.items()}
-
-    def edge_isometry(self, i: int, j: int) -> dict[int, int]:
-        if not (is_index(i) and is_index(j)):
-            raise MapStructureError(f"edge ({i!r}, {j!r}) is not a pair of integers")
-        if (i, j) not in self.edge_masks:
-            raise MapStructureError(f"no transition from {i} to {j}")
-        return self._isometry(self.edge_masks[(i, j)][1])
-
-    def _isometry(self, targets: int) -> dict[int, int]:
-        """Each target node keyed by its parent, the source it comes from."""
-        parents = self.tree.parents
-        return {parents[idx]: idx for idx in _indices(targets)}
-
-    def vertex_projection(self, i: int) -> frozenset[int]:
-        check_index(i, self.n, "vertex")
-        return frozenset(_indices(self.vertex_masks[i - 1]))
-
-    def image_projection(self, i: int) -> frozenset[int]:
-        check_index(i, self.n, "vertex")
-        return frozenset(_indices(self.image_masks[i - 1]))
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_masks))
 
@@ -142,10 +90,6 @@ class Representation(Record, eq=False):
             ranges[i - 1] |= targets
         return tuple(ranges)
 
-    @property
-    def edge_ranges(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_indices(mask)) for mask in self.range_masks)
-
     def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
         pts = sorted(self.tree.points[idx] for idx in indices)
         return tuple(format_rational(p) for p in pts)
@@ -153,10 +97,9 @@ class Representation(Record, eq=False):
 
 def realize(tree: OrbitTree) -> Representation:
     """Build the edge isometries and projections on the window's basis in one
-    pass over its parent and label arrays (``Representation.transfer`` reads
-    those arrays on request).  An interior node y has every preimage
-    materialized (a root whose cycle closes through itself included), so
-    f_i^{-1}(y) is the child of y labelled i.  Per label, the pass lists three
+    pass over its parent and label arrays.  An interior node y has every
+    preimage materialized (a root whose cycle closes through itself
+    included), so f_i^{-1}(y) is the child of y labelled i.  Per label, the pass lists three
     sets of nodes, each becomes a mask once, and each edge is two ANDs of
     them.  Every edge is an isometry because a point has at most one
     preimage per branch, so a window in which a parent has two children of

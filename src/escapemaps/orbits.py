@@ -156,10 +156,6 @@ class OrbitTree(Record):
     def node_count(self) -> int:
         return len(self.depths)
 
-    @property
-    def is_escape_window(self) -> bool:
-        return isinstance(self.base_class, Escaped)
-
     @cached_property
     def pairs(self) -> tuple[Pair, ...]:
         """Node values as reduced (num, den) pairs: each node is the
@@ -175,18 +171,6 @@ class OrbitTree(Record):
     def points(self) -> tuple[Fraction, ...]:
         """Node values as Fractions, read from ``pairs``."""
         return tuple([Fraction(p, q) for p, q in self.pairs])
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.depths]
-        for idx, parent in enumerate(self.parents):
-            if parent is not None:
-                out[parent].append(idx)
-        return tuple(map(tuple, out))
-
-    def children(self, idx: int) -> tuple[int, ...]:
-        """Indices of nodes whose forward image is node ``idx``."""
-        return self._children[idx]
 
     def interior_indices(self) -> tuple[int, ...]:
         """Nodes whose preimages were fully expanded: discovery depth at most

@@ -5,18 +5,22 @@ integer grid, and decides equivalence from the transition matrix and the
 incidence rows alone.  The tools here decide the same questions the long
 way, so the tests can check the short way against them:
 
+  * ``partition_points``: the sorted branch endpoints, where the library
+    keeps them as numerators on its integer grid;
   * ``linear_locate``: a point's location by scanning the ambient interval,
     every partition point, every interval and every gap in turn;
   * ``fraction_locate``, ``fraction_classify_point``, ``fraction_itinerary``
     and ``fraction_validation``: the point location, forward orbit, coding
     and P1-P5 checks in ``Fraction`` arithmetic, bisecting ``Fraction``
     breakpoints and stepping with ``value_at``;
+  * ``child_lists`` and ``children_by_label``: each window node's children,
+    read off the parent array, for the tree oracles below;
   * ``ahu_canonical``: label-free canonical forms of truncated windows
     (bottom-up, children sorted); equal forms at equal depth iff the
     truncated trees are isomorphic as unlabeled rooted trees;
   * ``build_intertwiner``: the unique label-respecting isomorphism of two
     windows, found by matching children by branch label and verified against
-    the realized operators, as a list of basis pairs (``PairedIntertwiner``),
+    the realized masks, as a list of basis pairs (``PairedIntertwiner``),
     where the library states only that it is the identity; or, failing a
     match, whether an unlabeled isomorphism exists (``NoLabelMatch``);
   * ``_oracle_same_unrolling``: equality of the depth-d unrollings of two
@@ -100,6 +104,7 @@ from escapemaps.operators import (
     RelationCheck,
     Representation,
     _hits,
+    _indices,
     _validated_vertices,
 )
 from escapemaps.rationals import Record, format_rational
@@ -118,6 +123,11 @@ from escapemaps.transitions import (
     as_binary_matrix,
     wielandt_bound,
 )
+
+
+def partition_points(m: MarkovMap) -> tuple[Fraction, ...]:
+    """The distinct branch endpoints in increasing order."""
+    return tuple(sorted({p for b in m.branches for p in (b.left, b.right)}))
 
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
@@ -304,8 +314,27 @@ class CanonicalForm(Record):
     form: str
 
 
+def child_lists(tree: OrbitTree) -> list[list[int]]:
+    """Per node, the nodes whose parent it is, in index order."""
+    children: list[list[int]] = [[] for _ in tree.parents]
+    for idx, parent in enumerate(tree.parents):
+        if parent is not None:
+            children[parent].append(idx)
+    return children
+
+
+def children_by_label(tree: OrbitTree) -> list[dict[int, int]]:
+    """Per node, branch label -> child index; labels are unique among
+    children."""
+    out = []
+    for kids in child_lists(tree):
+        out.append({tree.labels[child]: child for child in kids})
+        assert len(out[-1]) == len(kids), "repeated label among children"
+    return out
+
+
 def ahu_canonical(tree: OrbitTree, depth: int) -> CanonicalForm:
-    if not tree.is_escape_window:
+    if not isinstance(tree.base_class, Escaped):
         raise NotAnEscapePointError(
             "canonical forms are defined for escape-rooted windows"
         )
@@ -314,20 +343,15 @@ def ahu_canonical(tree: OrbitTree, depth: int) -> CanonicalForm:
             f"depth {depth} exceeds the materialized depth {tree.max_depth}"
         )
 
+    children = child_lists(tree)
+
     def canon(idx: int) -> str:
         if tree.depths[idx] >= depth:
             return "()"
-        parts = sorted(canon(child) for child in tree.children(idx))
+        parts = sorted(canon(child) for child in children[idx])
         return "(" + "".join(parts) + ")"
 
     return CanonicalForm(depth, canon(0))
-
-
-def children_by_label(tree: OrbitTree, idx: int) -> dict[int, int]:
-    """Branch label -> child index; labels are unique among children."""
-    out = {tree.labels[child]: child for child in tree.children(idx)}
-    assert len(out) == len(tree.children(idx)), "repeated label among children"
-    return out
 
 
 class PairedIntertwiner(Record):
@@ -349,18 +373,18 @@ class NoLabelMatch(Record):
 def build_intertwiner(tx: OrbitTree, ty: OrbitTree) -> PairedIntertwiner | NoLabelMatch:
     """Construct and verify the unique label-respecting isomorphism of two
     windows built at one depth, if it exists."""
-    if not (tx.is_escape_window and ty.is_escape_window):
+    if not (isinstance(tx.base_class, Escaped) and isinstance(ty.base_class, Escaped)):
         raise NotAnEscapePointError("intertwiners are built for escape windows")
     if tx.map != ty.map or tx.max_depth != ty.max_depth:
         raise InconsistentInputsError("windows must come from one map at one depth")
     depth = tx.max_depth
 
     pairs: list[tuple[int, int]] = []
+    kids_x, kids_y = children_by_label(tx), children_by_label(ty)
 
     def match(u: int, w: int) -> bool:
         pairs.append((u, w))
-        cu = children_by_label(tx, u)
-        cw = children_by_label(ty, w)
+        cu, cw = kids_x[u], kids_y[w]
         if set(cu) != set(cw):
             return False
         return all(match(cu[label], cw[label]) for label in sorted(cu))
@@ -369,20 +393,20 @@ def build_intertwiner(tx: OrbitTree, ty: OrbitTree) -> PairedIntertwiner | NoLab
         unlabeled = ahu_canonical(tx, depth) == ahu_canonical(ty, depth)
         return NoLabelMatch(unlabeled)
 
+    # The matching pairs each child with a child, so it maps parents to
+    # parents; it exchanges the operators when it carries every mask of x to
+    # the same mask of y.
     forward = dict(pairs)
     rep_x = realize(tx)
     rep_y = realize(ty)
-    verified = True
-    for edge in rep_x.edges():
-        sx = rep_x.edge_isometry(*edge)
-        sy = rep_y.edge_isometry(*edge)
-        mapped = {(forward[a], forward[b]) for a, b in sx.items()}
-        if mapped != set(sy.items()):
-            verified = False
-    for i in range(1, rep_x.n + 1):
-        px = {forward[a] for a in rep_x.vertex_projection(i)}
-        if px != rep_y.vertex_projection(i):
-            verified = False
+
+    def carried(mask: int) -> int:
+        return sum(1 << forward[idx] for idx in _indices(mask))
+
+    verified = all(
+        (carried(sources), carried(targets)) == rep_y.edge_masks[edge]
+        for edge, (sources, targets) in rep_x.edge_masks.items()
+    ) and tuple(map(carried, rep_x.vertex_masks)) == rep_y.vertex_masks
     return PairedIntertwiner(tuple(sorted(pairs)), verified)
 
 
@@ -496,7 +520,8 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     trip f_i^{-1}(f_i(x)) = x checked directly."""
     m, tree = rep.tree.map, rep.tree
     points, labels = tree.points, tree.labels
-    ordered = sorted(sorted(rep.interior), key=points.__getitem__)
+    interior = set(_indices(rep.interior_mask))
+    ordered = sorted(interior, key=points.__getitem__)
     keys = [points[idx] for idx in ordered]
     child_of = {
         (parent, label): idx
@@ -507,9 +532,9 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     failures: list[tuple[tuple[int, int, int], str]] = []
     covered: set[int] = set()
     for i, ((lo, hi), b) in enumerate(zip(m.images, m.branches), start=1):
-        q = rep.image_projection(i)
+        q = set(_indices(rep.image_masks[i - 1]))
         members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
-        if diff := set(members) ^ (q & rep.interior):
+        if diff := set(members) ^ (q & interior):
             mismatches.append(
                 f"image projection {i} mismatch at: " + ", ".join(rep.point_strings(diff))
             )
@@ -526,7 +551,7 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
                     failures.append(
                         ((child, i, 1), f"branch {i} round trip fails at {points[child]}")
                     )
-    for idx in rep.interior - covered:
+    for idx in interior - covered:
         i, x = labels[idx], points[idx]
         if i is not None and m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
             failures.append(((idx, i, 1), f"branch {i} round trip fails at {x}"))

@@ -34,6 +34,7 @@ from oracles import (
     fraction_locate,
     fraction_validation,
     linear_locate,
+    partition_points,
 )
 
 F = Fraction
@@ -76,7 +77,7 @@ def _corrupt(m: MarkovMap, data) -> MarkovMap:
     field = data.draw(st.sampled_from(["intercept", "slope", "left", "right", "snap"]))
     values = {"slope": b.slope, "intercept": b.intercept, "left": b.left, "right": b.right}
     if field == "snap":
-        target = data.draw(st.sampled_from(m.partition_points), label="target")
+        target = data.draw(st.sampled_from(partition_points(m)), label="target")
         end = data.draw(st.sampled_from(b.image()), label="image end")
         values["intercept"] += target - end
     else:
@@ -157,7 +158,7 @@ def _probe_points(m: MarkovMap, data) -> list[Fraction]:
     just outside the ambient interval, and drawn points with large
     denominators."""
     lo, hi = m.ambient
-    cuts = m.partition_points
+    cuts = partition_points(m)
     image_ends = [end for image in m.images for end in image]
     ends = [*cuts, *image_ends]
     huge = data.draw(st.integers(10**20, 10**40), label="large denominator")

@@ -27,7 +27,7 @@ from escapemaps import (
 )
 from escapemaps.corpus import corpus_path, load_document
 
-from oracles import linear_locate
+from oracles import linear_locate, partition_points
 
 F = Fraction
 
@@ -133,7 +133,7 @@ def test_four_interval_geometry(four_map):
     assert four_map.gap_bounds(2) == (F(1, 4), F(7, 10))
     with pytest.raises(MapStructureError):
         four_map.gap_bounds(1)
-    assert four_map.partition_points == (
+    assert partition_points(four_map) == (
         F(0),
         F(1, 5),
         F(1, 4),
@@ -141,6 +141,9 @@ def test_four_interval_geometry(four_map):
         F(9, 10),
         F(1),
     )
+    # The grid keeps them as numerators over its common denominator.
+    grid = four_map.grid
+    assert tuple(F(p, grid.den) for p in grid.points) == partition_points(four_map)
     for i, branch in enumerate(four_map.branches, start=1):
         assert four_map.images[i - 1] == four_map.interval_image(i) == branch.image()
     assert four_map.transition_matrix is four_map.transition_matrix
@@ -201,7 +204,7 @@ def test_locate_matches_the_linear_scan(
         maps.append(m)
     for m in maps:
         lo, hi = m.ambient
-        cuts = m.partition_points
+        cuts = partition_points(m)
         points = [
             *cuts,
             *((a + b) / 2 for a, b in zip(cuts, cuts[1:])),
@@ -301,13 +304,13 @@ def test_partition_set_is_forward_invariant_under_full_coverage(
     # partition points; the reaching variant breaks this at 9/10.
     for m in (four_map, full2_map):
         assert m.validate().p5_ok
-        pts = set(m.partition_points)
-        for p in m.partition_points:
+        pts = set(partition_points(m))
+        for p in pts:
             for b in m.branches:
                 if b.left <= p <= b.right:
                     assert b.value_at(p) in pts
     assert reaching_map.branches[3].value_at(F(9, 10)) == F(3, 5)
-    assert F(3, 5) not in set(reaching_map.partition_points)
+    assert F(3, 5) not in partition_points(reaching_map)
 
 
 def _branch(slope, intercept, left, right):

@@ -8,6 +8,7 @@ from escapemaps import (
     PARTIAL,
     STRICT,
     EscapeMapsError,
+    Escaped,
     InconsistentInputsError,
     MapStructureError,
     NotAdmissibleError,
@@ -39,8 +40,10 @@ from conftest import periodic_point, pull_back, replaced, synthesized_spec
 from oracles import (
     adjoint,
     bisect_image_decomposition_check,
+    child_lists,
     compose,
     escape_point_with_incidence,
+    partition_points,
     set_check_relations,
     set_faithfulness_certificate,
     set_gap_projection,
@@ -121,7 +124,7 @@ def test_realize_refuses_a_parent_with_two_children_of_one_label(four_map, parti
     # 4); giving leaf 3 its sibling's label leaves edge (4, 3) two targets and
     # one source.
     tree = build_orbit_tree(four_map, F(1, 2), 3)
-    assert tree.children(2) == (3, 4) and tree.labels[2:] == (3, 1, 4)
+    assert tree.parents[3:] == (2, 2) and tree.labels[2:] == (3, 1, 4)
     twins = replaced(tree, labels=tree.labels[:3] + (4, 4))
     with pytest.raises(InconsistentInputsError, match="node 2 has two children labelled 4"):
         realize(twins)
@@ -142,34 +145,30 @@ def test_realize_refuses_a_parent_with_two_children_of_one_label(four_map, parti
 def test_realized_operator_entries(half_rep):
     rep = half_rep
     assert rep.dim == 5 and rep.n == 4
-    assert rep.interior == frozenset({0, 1, 2})
-    # Basis: 0:1/2, 1:3/35, 2:269/350, 3:199/1225, 4:327/350.
-    assert rep.transfer(1) == {0: 1, 2: 3}
-    assert rep.transfer(3) == {1: 2}
-    assert rep.transfer(2) == {}
+    assert rep.interior_mask == _bits({0, 1, 2})
+    # Basis: 0:1/2, 1:3/35, 2:269/350, 3:199/1225, 4:327/350, each node the
+    # preimage of its parent under its label.  So the transfer of branch 1
+    # takes 0 to 1 and 2 to 3, that of branch 3 takes 1 to 2, and that of
+    # branch 2 is zero.
+    assert rep.tree.parents == (None, 0, 1, 2, 2)
+    assert rep.vertex_masks == (_bits({1, 3}), 0, _bits({2}), _bits({4}))
     assert rep.edges() == ((1, 2), (1, 3), (2, 4), (3, 1), (3, 2), (4, 3))
-    assert rep.edge_isometry(3, 1) == {1: 2}
-    assert rep.edge_isometry(1, 3) == {2: 3}
-    assert rep.edge_isometry(4, 3) == {2: 4}
-    assert rep.edge_isometry(1, 2) == {}
-    with pytest.raises(MapStructureError):
-        rep.edge_isometry(1, 1)
-    assert rep.vertex_projection(1) == frozenset({1, 3})
-    assert rep.vertex_projection(3) == frozenset({2})
-    assert rep.vertex_projection(4) == frozenset({4})
-    assert rep.vertex_projection(2) == frozenset()
-    assert rep.image_projection(1) == frozenset({0, 2})
-    assert rep.image_projection(3) == frozenset({1, 3})
+    # Each edge isometry as the masks of its sources and its targets.
+    assert rep.edge_masks[3, 1] == (_bits({1}), _bits({2}))
+    assert rep.edge_masks[1, 3] == (_bits({2}), _bits({3}))
+    assert rep.edge_masks[4, 3] == (_bits({2}), _bits({4}))
+    assert rep.edge_masks[1, 2] == (0, 0)
+    assert (1, 1) not in rep.edge_masks
+    assert rep.image_masks[0] == _bits({0, 2})
+    assert rep.image_masks[2] == _bits({1, 3})
     assert rep.incidence == (1, 0, 0, 0)
 
 
 def test_operator_accessors_check_the_vertex(half_rep):
     # Index 0 must not wrap around to vertex 4, nor 5 end in an IndexError.
-    rep = half_rep
-    for accessor in (rep.transfer, rep.vertex_projection, rep.image_projection):
-        for i in (0, 5, -1):
-            with pytest.raises(MapStructureError, match=rf"^vertex {i} out of range 1\.\.4$"):
-                accessor(i)
+    for i in (0, 5, -1):
+        with pytest.raises(MapStructureError, match=rf"^vertex {i} out of range 1\.\.4$"):
+            gap_projection(half_rep, i)
 
 
 def test_relations_pass_on_escape_window(half_rep):
@@ -243,7 +242,7 @@ def test_image_decomposition_check_names_a_corrupted_window_point(four_map, node
     rep = realize(tree)
     assert image_decomposition_check(rep).passed
     idx = 1 if node == "interior" else tree.node_count - 1
-    assert (idx in rep.interior) == (node == "interior")
+    assert bool(rep.interior_mask >> idx & 1) == (node == "interior")
     points = list(tree.points)
     points[idx] += F(1, 10**9)
     assert four_map.locate(points[idx]) == replaced(
@@ -370,12 +369,12 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
             k = data.draw(st.integers(2, 10**6), label="nudge")
             x = points[node] + (hi - points[node]) / k
         else:
-            cuts = m.partition_points
+            cuts = partition_points(m)
             outside = [*cuts, cuts[0] - 1, cuts[-1] + 1]
             outside += [(a + b) / 2 for a, b in zip(cuts, cuts[1:]) if (a, b) != (lo, hi)]
             x = data.draw(st.sampled_from(outside), label="moved to")
         broken = _with_points(rep, points[:node] + (x,) + points[node + 1 :])
-        for child in tree.children(node):
+        for child in child_lists(tree)[node]:
             i = labels[child]
             image_lo, image_hi = m.images[i - 1]
             if not image_lo <= x <= image_hi:
@@ -409,7 +408,7 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
     assert new_trips == old_trips | extra
     if extra <= old_trips:
         assert new.failures == old.failures
-    relabelled_leaf = kind == "relabel" and node not in rep.interior
+    relabelled_leaf = kind == "relabel" and not rep.interior_mask >> node & 1
     if not relabelled_leaf:
         # An extra failure never decides the verdict: the moved parent is
         # also an image projection mismatch, and the oracle's direct round
@@ -507,29 +506,50 @@ ORACLE_WINDOWS = {
 }
 
 
+def _with_interior_parent(rep):
+    """The mask of the nodes whose parent is interior: the children that the
+    transfers reach."""
+    inner = rep.interior_mask
+    return _bits(idx for idx, p in enumerate(rep.tree.parents) if p is not None and inner >> p & 1)
+
+
+def _assert_parent_to_child(tree, isometry):
+    """Each source of the dict isometry is the parent of its target, which
+    is how the masks pair them."""
+    assert all(tree.parents[child] == parent for parent, child in isometry.items())
+
+
 def _assert_realize_matches_the_formula(tree):
+    """The masks hold the formula's operators, and the transfers it lists;
+    returns those transfers."""
     rep = realize(tree)
     transfers, edges, images = formula_operators(tree)
-    assert tuple(rep.image_projection(i) for i in range(1, rep.n + 1)) == tuple(images)
+    assert rep.image_masks == tuple(map(_bits, images))
+    # The transfer of branch i takes the interior part of q_i to the nodes
+    # labelled i whose parent is interior.
+    reached = _with_interior_parent(rep)
     for i, expected in enumerate(transfers, start=1):
-        assert rep.transfer(i) == expected
+        assert _bits(expected) == rep.image_masks[i - 1] & rep.interior_mask
+        assert _bits(expected.values()) == rep.vertex_masks[i - 1] & reached
+        _assert_parent_to_child(tree, expected)
     assert rep.edges() == tuple(sorted(edges))
     markov = markov_matrix(tree.map)
     assert rep.edges() == tuple(
         (i + 1, j + 1) for i, row in enumerate(markov) for j, unit in enumerate(row) if unit
     )
-    for (i, j), expected in edges.items():
-        assert rep.edge_isometry(i, j) == expected
-    return rep
+    for edge, expected in edges.items():
+        assert rep.edge_masks[edge] == (_bits(expected), _bits(expected.values()))
+        _assert_parent_to_child(tree, expected)
+    return transfers
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
 def test_realize_matches_the_formula_construction(name):
     tree = ORACLE_WINDOWS[name]()
-    if not tree.is_escape_window:
+    if not isinstance(tree.base_class, Escaped):
         assert tree.parents[0] is not None  # the root closes its cycle
-    rep = _assert_realize_matches_the_formula(tree)
-    assert any(rep.transfer(i) for i in range(1, rep.n + 1))
+    transfers = _assert_realize_matches_the_formula(tree)
+    assert any(transfers)
 
 
 @settings(max_examples=100)
@@ -559,23 +579,29 @@ def test_realize_matches_the_formula_on_synthesized_windows(data):
 
 
 def test_transfers_apply_each_parent_to_its_child():
+    # The transfer of branch i takes each interior parent to its child
+    # labelled i: the vertex masks split the children of interior parents by
+    # label, and within one label no two children share a parent.
     tree = _band8_escape_window()
     rep = realize(tree)
+    reached = _with_interior_parent(rep)
     interior_edges = 0
-    for i in range(1, rep.n + 1):
-        t = rep.transfer(i)
-        for parent, child in t.items():
-            assert (tree.parents[child], tree.labels[child]) == (parent, i)
-        assert len(set(t.values())) == len(t)  # injective
-        interior_edges += len(t)
-    assert interior_edges == sum(p in rep.interior for p in tree.parents[1:]) > 0
+    for i, mask in enumerate(rep.vertex_masks, start=1):
+        children = _indices(mask & reached)
+        assert {tree.labels[child] for child in children} <= {i}
+        assert len({tree.parents[child] for child in children}) == len(children)  # injective
+        interior_edges += len(children)
+    assert interior_edges == reached.bit_count() == sum(
+        p is not None and p < len(tree.interior_indices()) for p in tree.parents[1:]
+    ) > 0
 
 
 # -- relation verdicts against literal operator products -----------------
 
 
-def _diagonal(indices):
-    return {idx: idx for idx in indices}
+def _diagonal(mask):
+    """The projection onto the basis indices of ``mask``, as a dict."""
+    return {idx: idx for idx in _indices(mask)}
 
 
 def _product_verdicts(rep, isometries):
@@ -583,13 +609,13 @@ def _product_verdicts(rep, isometries):
     dict products of the given edge isometries: s*s = p_j on the interior,
     p_i ss* = ss*, and p_v equal to the sum of ss* over edges leaving v on
     the checkable domain."""
-    interior, domain = _diagonal(rep.interior), _diagonal(rep.check_domain)
+    interior, domain = _diagonal(rep.interior_mask), _diagonal(rep.domain_mask)
     verdicts = []
     sums = {v: {} for v in range(1, rep.n + 1)}
     for i, j in rep.edges():
         s = isometries[(i, j)]
-        p_i = _diagonal(rep.vertex_projection(i))
-        p_j = _diagonal(rep.vertex_projection(j))
+        p_i = _diagonal(rep.vertex_masks[i - 1])
+        p_j = _diagonal(rep.vertex_masks[j - 1])
         ss_star = compose(s, adjoint(s))
         isometry = compose(adjoint(s), s) == compose(interior, p_j)
         verdicts.append(("edge-isometry", (i, j), None, isometry))
@@ -597,18 +623,18 @@ def _product_verdicts(rep, isometries):
         assert not sums[i].keys() & ss_star.keys()
         sums[i].update(ss_star)
     for v in range(1, rep.n + 1):
-        p_v = _diagonal(rep.vertex_projection(v))
+        p_v = _diagonal(rep.vertex_masks[v - 1])
         vertex_sum = compose(domain, p_v) == compose(domain, sums[v])
         verdicts.append(("vertex-sum", None, v, vertex_sum))
     return verdicts
 
 
-def _corrupted(rep):
+def _corrupted(rep, isometries):
     """A copy whose masks have one edge isometry missing an entry and
     another sending a node outside the range of its vertex projection, with
-    those edge isometries as dicts (the dict reader keys each target by its
-    parent, so it cannot show the moved entry)."""
-    edges = {edge: dict(s) for edge, s in rep.edge_isometries.items()}
+    the given edge isometries, corrupted alike, as dicts (a dict read off
+    the masks would key the moved target by its own parent)."""
+    edges = {edge: dict(s) for edge, s in isometries.items()}
     masks = dict(rep.edge_masks)
     nonempty = [edge for edge in rep.edges() if edges[edge]]
     first, last = edges[nonempty[0]], edges[nonempty[-1]]
@@ -619,7 +645,7 @@ def _corrupted(rep):
     source = min(last)
     moved = next(
         idx for idx in range(rep.dim)
-        if idx not in rep.vertex_projection(i) and idx not in last.values()
+        if not rep.vertex_masks[i - 1] >> idx & 1 and idx not in last.values()
     )
     sources, targets = masks[nonempty[-1]]
     masks[nonempty[-1]] = (sources, targets & ~(1 << last[source]) | 1 << moved)
@@ -629,8 +655,9 @@ def _corrupted(rep):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
 def test_relation_verdicts_match_literal_products(name):
-    rep = realize(ORACLE_WINDOWS[name]())
-    for candidate, isometries in ((rep, rep.edge_isometries), _corrupted(rep)):
+    tree = ORACLE_WINDOWS[name]()
+    rep, dicts = realize(tree), set_realize(tree).edge_isometries
+    for candidate, isometries in ((rep, dicts), _corrupted(rep, dicts)):
         report = check_relations(candidate, range(1, candidate.n + 1))
         got = [(c.kind, c.edge, c.vertex, c.passed) for c in report.checks]
         assert got == _product_verdicts(candidate, isometries)
@@ -664,7 +691,7 @@ def _assert_masks_match_the_sets(rep, old, vertices):
     assert jsonable(report) == {"checks": jsonable(expected), "all_passed": report.all_passed}
     assert image_decomposition_check(rep) == set_image_decomposition_check(old)
     assert projection_sum_is_identity(rep) == set_projection_sum_is_identity(old)
-    assert rep.edge_ranges == old.edge_ranges
+    assert rep.range_masks == tuple(map(_bits, old.edge_ranges))
     for i in range(1, rep.n + 1):
         assert gap_projection(rep, i) == set_gap_projection(old, i)
     assert _outcome(faithfulness_certificate, rep, vertices) == _outcome(
@@ -672,22 +699,16 @@ def _assert_masks_match_the_sets(rep, old, vertices):
     )
 
 
-def _assert_readers_match_the_sets(rep, old):
-    """The masks hold the sets, and every reader gives the set operators."""
+def _assert_masks_hold_the_sets(rep, old):
+    """Every mask of ``rep`` holds the matching set operator of ``old``."""
     assert rep.vertex_masks == tuple(map(_bits, old.vertex_projections))
     assert rep.image_masks == tuple(map(_bits, old.image_projections))
     assert rep.edge_masks == {
         edge: (_bits(s), _bits(s.values())) for edge, s in old.edge_isometries.items()
     }
-    assert (rep.interior, rep.check_domain) == (old.interior, old.check_domain)
+    assert (rep.interior_mask, rep.domain_mask) == (_bits(old.interior), _bits(old.check_domain))
+    assert rep.range_masks == tuple(map(_bits, old.edge_ranges))
     assert rep.edges() == old.edges()
-    assert rep.edge_isometries == old.edge_isometries
-    for edge in rep.edges():
-        assert rep.edge_isometry(*edge) == old.edge_isometry(*edge)
-    for i in range(1, rep.n + 1):
-        assert rep.vertex_projection(i) == old.vertex_projection(i)
-        assert rep.image_projection(i) == old.image_projection(i)
-        assert rep.transfer(i) == old.transfer(i)
 
 
 @settings(max_examples=200)
@@ -705,13 +726,15 @@ def test_masks_match_the_set_operators(
     if tree is None:
         return
     rep, old = realize(tree), set_realize(tree)
-    _assert_readers_match_the_sets(rep, old)
+    _assert_masks_hold_the_sets(rep, old)
     kind = data.draw(
         st.sampled_from(["none", "drop-entry", "move-target", "flip-image-bit", "relabel-leaf"]),
         label="corruption",
     )
     nonempty = [edge for edge in rep.edges() if old.edge_isometries[edge]]
-    leaves = [idx for idx in range(rep.dim) if idx not in rep.interior and tree.labels[idx]]
+    leaves = [
+        idx for idx in range(rep.dim) if not rep.interior_mask >> idx & 1 and tree.labels[idx]
+    ]
     if kind in ("drop-entry", "move-target") and nonempty:
         edge = data.draw(st.sampled_from(nonempty), label="edge")
         s = dict(old.edge_isometries[edge])
@@ -743,15 +766,15 @@ def test_masks_match_the_set_operators(
         # A parent has at most one child per label, which makes each edge
         # an isometry; the dicts cannot hold two children of one label.
         leaf = data.draw(st.sampled_from(leaves), label="leaf")
-        siblings = {tree.labels[idx] for idx in tree.children(tree.parents[leaf])}
+        siblings = {tree.labels[idx] for idx in child_lists(tree)[tree.parents[leaf]]}
         free = [i for i in range(1, rep.n + 1) if i not in siblings]
         label = data.draw(st.sampled_from(free or [tree.labels[leaf]]), label="label")
         labels = tree.labels[:leaf] + (label,) + tree.labels[leaf + 1 :]
         relabelled = _with_points(rep, tree.points, labels).tree
         rep, old = realize(relabelled), set_realize(relabelled)
-        _assert_readers_match_the_sets(rep, old)
+        _assert_masks_hold_the_sets(rep, old)
     vertices = data.draw(st.sets(st.integers(1, rep.n)), label="vertices")
-    event(f"{kind}, {'escape' if tree.is_escape_window else 'regular'} window")
+    event(f"{kind}, {'escape' if rep.incidence is not None else 'regular'} window")
     _assert_masks_match_the_sets(rep, old, vertices)
 
 
@@ -765,8 +788,7 @@ def test_masks_span_many_words_on_a_deep_window(four_map):
         assert any(labels[idx - 1] == labels[idx] == i for idx in range(8, tree.node_count, 8))
     rep, old = realize(tree), set_realize(tree)
     assert min(mask.bit_length() for mask in rep.vertex_masks) > 90 * 64
-    _assert_readers_match_the_sets(rep, old)
-    assert rep.edge_ranges == old.edge_ranges
+    _assert_masks_hold_the_sets(rep, old)
     for i in range(1, 5):
         assert gap_projection(rep, i) == set_gap_projection(old, i)
     for vertices in ((2, 3), (2, 3, 4), (1, 2, 3, 4)):

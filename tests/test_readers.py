@@ -37,6 +37,7 @@ from escapemaps import (
     faithfulness_certificate,
     format_rational,
     four_interval_document,
+    gap_projection,
     incidence_cells,
     itinerary,
     map_document_from_jsonable,
@@ -117,11 +118,9 @@ INDEX_CALLS = {
         lambda rep, i: rep.tree.map.branch_inverse(i, F(1, 2)),
     ),
     "interval_image": (MapStructureError, lambda rep, i: rep.tree.map.interval_image(i)),
-    "vertex_projection": (MapStructureError, lambda rep, i: rep.vertex_projection(i)),
-    "transfer": (MapStructureError, lambda rep, i: rep.transfer(i)),
+    "gap_projection": (MapStructureError, lambda rep, i: gap_projection(rep, i)),
     "gap_bounds": (MapStructureError, lambda rep, k: rep.tree.map.gap_bounds(k)),
     "incidence_cells": (MapStructureError, lambda rep, k: incidence_cells(rep.tree.map, k)),
-    "edge_isometry": (MapStructureError, lambda rep, edge: rep.edge_isometry(*edge)),
 }
 INDEX_CASES = [
     (name, positions)
@@ -133,11 +132,9 @@ INDEX_CASES = [
     ("faithfulness_certificate", [2.9]),
     ("branch_inverse", 1.0),
     ("interval_image", True),
-    ("vertex_projection", True),
-    ("transfer", 1.0),
+    ("gap_projection", 2.0),
     ("gap_bounds", 2.0),
     ("incidence_cells", 2.0),
-    ("edge_isometry", (1.0, 2.0)),
 ]
 
 
@@ -267,7 +264,9 @@ def test_ints_and_fractions_give_the_same_results(four_map, rep):
     assert check_relations(rep, [2, 3, 4]).all_passed
     assert admissible(rep.tree.base_class, [2])
     assert faithfulness_certificate(rep, (2, 3, 4)).faithful
-    assert (rep.vertex_projection(1), rep.transfer(1)) == (frozenset({1, 3}), {0: 1, 2: 3})
+    # The transfer of branch 1 takes node 0 to node 1 and node 2 to node 3.
+    assert (rep.vertex_masks[0], rep.tree.parents) == (0b01010, (None, 0, 1, 2, 2))
+    assert gap_projection(rep, 1) == frozenset({1})
 
     assert bisim_equivalent(((1, 1), (1, 1)), [1, 0], (0, 1)) == Equivalent(
         rounds=0, partition=(("root_x", "root_y"), ("1", "2"))

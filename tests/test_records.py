@@ -52,7 +52,7 @@ def samples(four_doc, four_map, partial_spec, partial_result):
         four_map.transition_refinement, transition_data(four_map),
         is_primitive(four_map.transition_matrix),
         classify_point(four_map, F(1, 2)),
-        classify_point(four_map, four_map.partition_points[1]),
+        classify_point(four_map, F(1, 5)),  # a partition point
         classify_point(four_map, F(5, 27)),
         tree, itinerary(four_map, F(1, 2)),
         rep, check_relations(rep, [2, 3]).checks[0], image_decomposition_check(rep),
