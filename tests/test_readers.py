@@ -133,6 +133,8 @@ INDEX_CASES = [
     ("branch_inverse", 1.0),
     ("interval_image", True),
     ("gap_projection", 2.0),
+    ("gap_projection", True),
+    ("gap_projection", "1"),
     ("gap_bounds", 2.0),
     ("incidence_cells", 2.0),
 ]
