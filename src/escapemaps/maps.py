@@ -18,10 +18,12 @@ A fifth, purely diagnostic property:
       ("full escape coverage"); partial coverage is legal but reported.
 
 Each map caches an ``IntegerGrid``: every interval and image endpoint as a
-numerator over their least common denominator.  A, B, P1, P2, P5, point
-location and closed-image incidence compare those integers, and the grid
-steps points, held as reduced (num, den) pairs, through the branches;
-Fractions are built for returned values and issue texts only.
+numerator over their least common denominator, the image ends found by
+stepping the domain ends through each branch's integer form.  A, B, P1, P2,
+P5, point location and closed-image incidence compare those integers, P2 by
+looking up the cell of each image end, and the grid steps points, held as
+reduced (num, den) pairs, through the branches; Fractions are built for
+returned values and issue texts only.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class IntegerGrid:
     and closed-image endpoints, each endpoint held as its numerator over D:
     ``intervals`` and ``images`` as (lo, hi) per branch, ``gaps`` as
     (gap_index, lo, hi) per open gap, and the sorted partition ``points``.
+    The image ends are the domain ends stepped through the branch's forward
+    form (a, b, d), read off the branch's own slope and intercept, and put
+    in order by the sign of a; no ``Fraction`` arithmetic is done.
     Points are reduced (num, den) pairs with den > 0; ``cell`` places one,
     ``incidence`` finds the closed images containing it, and ``image`` and
     ``preimage`` step it through a branch.  A lookup bisects the doubled
@@ -111,9 +116,14 @@ class IntegerGrid:
 
     def __init__(self, branches: tuple[AffineBranch, ...]) -> None:
         self._branches = branches
-        ends = [(b.left, b.right) for b in branches] + [b.image() for b in branches]
-        den = self.den = math.lcm(*(x.denominator for pair in ends for x in pair))
-        pairs = tuple(tuple(x.numerator * den // x.denominator for x in e) for e in ends)
+        domains = [(b.left.as_integer_ratio(), b.right.as_integer_ratio()) for b in branches]
+        images = []
+        for (form, _), (left, right) in zip(self._forms, domains):
+            lo, hi = _step(form, *left), _step(form, *right)
+            images.append((lo, hi) if form[0] > 0 else (hi, lo))
+        ends = domains + images
+        den = self.den = math.lcm(*(q for pair in ends for _, q in pair))
+        pairs = tuple([(p * (den // q), r * (den // s)) for (p, q), (r, s) in ends])
         self.intervals, self.images = pairs[: len(branches)], pairs[len(branches) :]
         # Cells before, on and after each partition point in turn.
         points, gaps = [self.intervals[0][0]], []
@@ -126,7 +136,7 @@ class IntegerGrid:
             points.append(hi)
             cells += [(MARKOV_INTERIOR, i, i), (PARTITION_POINT, None, i)]
         self.gaps, self.points = tuple(gaps), tuple(points)
-        self._bounds = tuple(v for p in points for v in (2 * p, 2 * p + 1))
+        self._bounds = tuple([v for p in points for v in (2 * p, 2 * p + 1)])
         self._cells = tuple(cells + cells[:1])
 
     def cell(self, p: int, q: int) -> tuple[str, int | None, int | None]:
@@ -135,6 +145,20 @@ class IntegerGrid:
         containing one; None in a gap or outside)."""
         t, r = divmod(p * self.den, q)
         return self._cells[bisect_right(self._bounds, 2 * t + (r > 0))]
+
+    def whole_cover(self, lo: int, hi: int) -> bool:
+        """Whether the closed image [lo, hi] (numerators over D) meets the
+        domain in whole intervals: neither end, placed by one bisection,
+        lies strictly inside a Markov interval, and an end on a partition
+        point has a Markov interior next to it on the image's side."""
+        cells, bounds = self._cells, self._bounds
+        for k, inward in ((bisect_right(bounds, 2 * lo), 1), (bisect_right(bounds, 2 * hi), -1)):
+            kind = cells[k][0]
+            if kind == MARKOV_INTERIOR or (
+                kind == PARTITION_POINT and cells[k + inward][0] != MARKOV_INTERIOR
+            ):
+                return False
+        return True
 
     @cached_property
     def _image_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -175,8 +199,9 @@ class IntegerGrid:
         f^{-1}(p/q) = (u*p + v*q) / (w*q), where d and w are positive."""
         forms = []
         for br in self._branches:
-            d = math.lcm(br.slope.denominator, br.intercept.denominator)
-            a, b, sign = int(br.slope * d), int(br.intercept * d), 1 if br.slope > 0 else -1
+            (sp, sq), (ip, iq) = br.slope.as_integer_ratio(), br.intercept.as_integer_ratio()
+            d = math.lcm(sq, iq)
+            a, b, sign = sp * (d // sq), ip * (d // iq), 1 if sp > 0 else -1
             forms.append(((a, b, d), (sign * d, -sign * b, sign * a)))
         return tuple(forms)
 
@@ -407,25 +432,26 @@ class MarkovMap(Record):
                 f"interval {show([ambient])}"
             )
 
-        # P2: each image meets the domain in a union of whole intervals.
+        # P2: each image meets the domain in a union of whole intervals; the
+        # pieces it meets are clipped only to describe a failing image.
         p2_issues: list[str] = []
         for i, (lo, hi) in enumerate(g.images, start=1):
-            pieces = [(max(lo, jlo), min(hi, jhi)) for jlo, jhi in g.intervals]
-            pieces = [(plo, phi) for plo, phi in pieces if plo <= phi]
-            got = merge_closed_intervals(pieces)
-            if got != merge_closed_intervals(set(pieces) & set(g.intervals)):
+            if not g.whole_cover(lo, hi):
+                pieces = [(max(lo, jlo), min(hi, jhi)) for jlo, jhi in g.intervals]
+                got = merge_closed_intervals((plo, phi) for plo, phi in pieces if plo <= phi)
                 p2_issues.append(
                     f"image of interval {i} meets the domain in {show(got)}, "
                     f"not a union of whole intervals"
                 )
 
         # P3: uniform expansion.
+        slopes = [abs(b.slope) for b in self.branches]
         p3_issues = [
-            f"interval {i}: |slope| = {abs(b.slope)} is not > 1"
-            for i, b in enumerate(self.branches, start=1)
-            if not abs(b.slope) > 1
+            f"interval {i}: |slope| = {s} is not > 1"
+            for i, s in enumerate(slopes, start=1)
+            if not s > 1
         ]
-        expansion_bound = min(abs(b.slope) for b in self.branches)
+        expansion_bound = min(slopes)
 
         # P4: primitivity of the transition matrix.
         prim = _primitivity(self.transition_matrix)

@@ -31,8 +31,8 @@ from .errors import (
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
-from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, ESCAPE_INTERIOR, OUTSIDE,
-                   PARTITION_POINT, MarkovMap, check_steps)
+from .maps import (DEFAULT_MAX_ITER, ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap,
+                   check_steps)
 from .rationals import Record, exact, format_rational
 from .transitions import gap_symbol, markov_symbol
 

@@ -289,7 +289,8 @@ def perron_widths(
     each row's image span strictly exceeds its width (that quotient is the
     branch slope).  A row's span is 4.(A.w)_i over its Markov targets plus a
     full gap width for each gap inside its run and half of one for a gap at
-    either end.  The widths are then normalised to total 1.  Raises
+    either end, so each iterate takes one sum per row, (A.w)_i, and a gap
+    count fixed per row.  The widths are then normalised to total 1.  Raises
     MapFormatError for positions of None and for inputs that
     ``SynthesisSpec`` refuses, such as positions that do not place every
     escape column, and WidthSnapError for a single interval, a zero row or a
@@ -316,27 +317,28 @@ def perron_widths(
 def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]:
     """The width step of ``perron_widths`` for a primitive matrix on at least
     two intervals: the integer width of each interleaved column of the first
-    iterate that passes, and those widths as an allocation."""
+    iterate that passes, and those widths as an allocation.  Row i's doubled
+    span is 8.(A.w)_i + c_i.min(w), where c_i counts 2 for each gap inside
+    its run and 1 for a gap at either end, so an iterate takes one sum per
+    row, over the row's Markov targets, and the column widths are built
+    once, for the iterate that passes."""
     columns = data.columns
-    gap = [k is not None for _, k in columns]
-    runs = _unit_runs(data)
+    targets, counts = [], []
+    for units in _unit_runs(data):
+        ends = (units[0], units[-1])
+        targets.append([columns[c][0] - 1 for c in units if columns[c][1] is None])
+        counts.append(sum(1 if c in ends else 2 for c in units if columns[c][1] is not None))
     w = [1] * data.n
     # Iterate t is A^t.1.  Once A^t > 0, by the Wielandt bound at the latest,
     # (A.w)_i = (A^t.(A.1))_i > w_i, since A.1 >= 1 has an entry 2 (a
     # primitive A on two or more intervals is no permutation): the test passes.
     for _ in range(wielandt_bound(data.n) + 1):
-        g = min(w)
-        widths = [4 * w[j - 1] if k is None else g for j, k in columns]
-        # One read per run gives the row's next iterate entry (A.w)_i and its
-        # image span doubled: the doubled widths of its units, a gap at either
-        # end counted half.  The branch expands when that exceeds 8.w_i, twice
-        # the width of its own interval.
-        aw, spans = [], []
-        for units in runs:
-            ends = (units[0], units[-1])
-            aw.append(sum(w[columns[c][0] - 1] for c in units if not gap[c]))
-            spans.append(sum(widths[c] * (1 if gap[c] and c in ends else 2) for c in units))
-        if all(span > 8 * x for span, x in zip(spans, w)):
+        g, entry = min(w), w.__getitem__
+        aw = [sum(map(entry, row)) for row in targets]
+        # The branch expands when its doubled span exceeds 8.w_i, twice the
+        # width of its own interval.
+        if all(8 * y + c * g > 8 * x for x, y, c in zip(w, aw, counts)):
+            widths = [4 * w[j - 1] if k is None else g for j, k in columns]
             total = sum(widths)
             ratios = [Fraction(y, x) for x, y in zip(w, aw)]
             return widths, WidthAllocation(

@@ -9,6 +9,11 @@ way, so the tests can check the short way against them:
     keeps them as numerators on its integer grid;
   * ``linear_locate``: a point's location by scanning the ambient interval,
     every partition point, every interval and every gap in turn;
+  * ``fraction_grid`` and ``fraction_forms``: the integer grid and the
+    branches' integer forms read off ``Fraction`` products, the lcm taken
+    over the denominators of ``AffineBranch.image()``, where the library
+    steps each domain end through the forward form and reads every form
+    off the numerators and denominators of slope and intercept;
   * ``fraction_locate``, ``fraction_classify_point``, ``fraction_itinerary``
     and ``fraction_validation``: the point location, forward orbit, coding
     and P1-P5 checks in ``Fraction`` arithmetic, bisecting ``Fraction``
@@ -53,7 +58,11 @@ way, so the tests can check the short way against them:
     compares it with every map it synthesizes);
   * ``scan_primitivity``: primitivity from every boolean power up to the
     Wielandt bound, where the library builds the least positive power from
-    repeated squares.
+    repeated squares;
+  * ``listed_widths``: the synthesis width iteration with every column
+    width listed in each iterate and two sums per row, one for (A.w)_i and
+    one for the span, where the library sums each row's Markov targets once
+    and adds its gap share from min(w).
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -128,6 +138,51 @@ from escapemaps.transitions import (
 def partition_points(m: MarkovMap) -> tuple[Fraction, ...]:
     """The distinct branch endpoints in increasing order."""
     return tuple(sorted({p for b in m.branches for p in (b.left, b.right)}))
+
+
+class FractionGrid(Record):
+    """The fields of ``IntegerGrid`` that its constructor sets."""
+
+    den: int
+    intervals: tuple[tuple[int, int], ...]
+    images: tuple[tuple[int, int], ...]
+    gaps: tuple[tuple[int, int, int], ...]
+    points: tuple[int, ...]
+
+
+def fraction_grid(m: MarkovMap) -> FractionGrid:
+    """The grid from ``Fraction`` endpoints: the least common denominator of
+    the domain ends and of ``AffineBranch.image()``, each end as its
+    numerator over it."""
+    ends = [(b.left, b.right) for b in m.branches] + [b.image() for b in m.branches]
+    den = math.lcm(*(x.denominator for pair in ends for x in pair))
+
+    def num(x: Fraction) -> int:
+        return x.numerator * den // x.denominator
+
+    return FractionGrid(
+        den=den,
+        intervals=tuple((num(lo), num(hi)) for lo, hi in ends[: m.n]),
+        images=tuple((num(lo), num(hi)) for lo, hi in ends[m.n :]),
+        gaps=tuple(
+            (k, num(m.branches[k - 1].right), num(m.branches[k].left))
+            for k in range(1, m.n)
+            if m.branches[k - 1].right < m.branches[k].left
+        ),
+        points=tuple(map(num, partition_points(m))),
+    )
+
+
+def fraction_forms(m: MarkovMap) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per branch, the forward form (a, b, d) and inverse form (u, v, w) of
+    ``IntegerGrid`` from ``Fraction`` products: d is the lcm of the slope's
+    and intercept's denominators, a = slope*d and b = intercept*d."""
+    forms = []
+    for br in m.branches:
+        d = math.lcm(br.slope.denominator, br.intercept.denominator)
+        a, b, sign = int(br.slope * d), int(br.intercept * d), 1 if br.slope > 0 else -1
+        forms.append(((a, b, d), (sign * d, -sign * b, sign * a)))
+    return tuple(forms)
 
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
@@ -722,6 +777,35 @@ def scan_primitivity(matrix: object) -> PrimitivityResult:
             return PrimitivityResult(True, q, None)
     i, j = next((i, j) for i, row in enumerate(power) for j in range(n) if not row >> j & 1)
     return PrimitivityResult(False, None, (i + 1, j + 1))
+
+
+def listed_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]:
+    """``synthesis._expanding_widths`` with every interleaved column width
+    listed in each iterate: interval widths 4.w and gap widths min(w), and
+    per row one sum for (A.w)_i and one for the doubled span, which counts
+    each unit twice and a gap at either end of the run once."""
+    columns = data.columns
+    gap = [k is not None for _, k in columns]
+    runs = [[c for c, v in enumerate(row) if v] for row in data.rows]
+    w = [1] * data.n
+    for _ in range(wielandt_bound(data.n) + 1):
+        g = min(w)
+        widths = [4 * w[j - 1] if k is None else g for j, k in columns]
+        aw, spans = [], []
+        for units in runs:
+            ends = (units[0], units[-1])
+            aw.append(sum(w[columns[c][0] - 1] for c in units if not gap[c]))
+            spans.append(sum(widths[c] * (1 if gap[c] and c in ends else 2) for c in units))
+        if all(span > 8 * x for span, x in zip(spans, w)):
+            total = sum(widths)
+            ratios = [Fraction(y, x) for x, y in zip(w, aw)]
+            return widths, WidthAllocation(
+                tuple(Fraction(4 * x, total) for x in w),
+                (Fraction(g, total),) * data.m,
+                (min(ratios), max(ratios)),
+            )
+        w = aw
+    raise AssertionError("no iterate passed within the Wielandt bound")
 
 
 # -- the operators as index dicts and frozensets ---------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import escapemaps
-from escapemaps import cli, commands, format_rational, orbits
+from escapemaps import cli, commands, format_rational, maps, orbits
 from escapemaps.cli import build_parser, main
 from escapemaps.corpus import corpus_path
 
@@ -755,10 +755,10 @@ def test_start_up_imports_neither_dataclasses_nor_inspect(code):
 
 def test_parser_defaults_are_the_orbit_budgets():
     assert commands.DEFAULT_MAX_ITER == orbits.DEFAULT_MAX_ITER
-    assert commands.DEFAULT_TREE_DEPTH == orbits.DEFAULT_TREE_DEPTH
+    assert commands.DEFAULT_TREE_DEPTH == maps.DEFAULT_TREE_DEPTH
     tree = build_parser().parse_args(["tree", "--x", "1/2", FOUR])
     assert tree.max_iter == orbits.DEFAULT_MAX_ITER
-    assert tree.depth == orbits.DEFAULT_TREE_DEPTH
+    assert tree.depth == maps.DEFAULT_TREE_DEPTH
 
 
 def test_cli_is_the_commands_entry_point():

@@ -1,14 +1,17 @@
 """Differential tests of the integer grid against the Fraction oracles.
 
-The library validates maps, locates points and iterates forward orbits on
-numerators over one common denominator.  Here each of those answers is
-compared with ``tests/oracles.py``, which computes the same thing with
-``Fraction`` comparisons, bisection of ``Fraction`` breakpoints and
-``value_at``: validation reports (issue texts included) on valid and
-corrupted maps, and locations and classifications of points on and around
-the partition, outside the ambient interval, with negative numerators and
-with large denominators."""
+The library builds each map's grid from the branches' integer forms, and
+validates maps, locates points and iterates forward orbits on numerators
+over one common denominator.  Here each of those answers is compared with
+``tests/oracles.py``, which computes the same thing with ``Fraction``
+comparisons, bisection of ``Fraction`` breakpoints and ``value_at``: the
+grid's fields and forms, validation reports (issue texts included) on
+valid, corrupted and random maps and on a table of P2 edge cases, and
+locations and classifications of points on and around the partition,
+outside the ambient interval, with negative numerators and with large
+denominators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,10 @@ from escapemaps import (
 
 from conftest import synthesized_spec
 from oracles import (
+    FractionGrid,
     fraction_classify_point,
+    fraction_forms,
+    fraction_grid,
     fraction_itinerary,
     fraction_locate,
     fraction_validation,
@@ -122,6 +128,76 @@ def test_validation_matches_the_fraction_oracle(fixtures, data):
     assert m.validate() == fraction_validation(m)
     if kind == "valid":
         assert m.validate().all_ok
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_grid_and_forms_match_the_fraction_oracle(fixtures, data):
+    m = _any_map(data, fixtures, data.draw(kinds, label="kind"))
+    oracle = fraction_grid(m)
+    for name in FractionGrid._fields:
+        assert getattr(m.grid, name) == getattr(oracle, name), name
+    assert m.grid._forms == fraction_forms(m)
+
+
+def test_validation_matches_the_fraction_oracle_on_small_integer_maps():
+    """2,000 seeded maps, n = 1..5, with every interval and image end an
+    integer in 0..12, intervals touching or apart and either orientation."""
+    rng = random.Random(13)
+    p2_outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        ends = sorted(rng.sample(range(13), 2 * n))
+        branches = []
+        for i in range(n):
+            left, right = ends[2 * i], ends[2 * i + 1]
+            if i and rng.random() < 0.5:
+                left = branches[-1].right
+            lo, hi = sorted(rng.sample(range(13), 2))
+            slope = F(hi - lo, right - left) * rng.choice((1, -1))
+            start = lo if slope > 0 else hi
+            branches.append(AffineBranch(slope, start - slope * left, left, right))
+        m = MarkovMap(tuple(branches))
+        assert m.validate() == fraction_validation(m)
+        p2_outcomes.add(m.validate().p2_ok)
+    assert p2_outcomes == {True, False}
+
+
+# Intervals [0, 1] and [1, 2] touch, and [3, 4] lies across the gap (2, 3).
+# Branches 2 and 3 map onto [0, 4]; branch 1 maps [0, 1] onto [lo, hi],
+# increasing for sign 1 and decreasing for sign -1.
+@pytest.mark.parametrize(
+    "lo, hi, sign, p2_ok",
+    [
+        pytest.param(1, 4, 1, True, id="lo-on-touch-point-absorbed"),
+        pytest.param(-1, 1, 1, True, id="hi-on-touch-point-absorbed"),
+        pytest.param(1, F(3, 2), 1, False, id="touch-point-neighbour-cut"),
+        pytest.param(2, 4, 1, False, id="lo-ends-interval-before-gap"),
+        pytest.param(0, 3, 1, False, id="hi-starts-interval-after-gap"),
+        pytest.param(F(1, 2), 4, 1, False, id="lo-inside-interval"),
+        pytest.param(0, F(7, 2), 1, False, id="hi-inside-interval"),
+        pytest.param(F(5, 2), 4, 1, True, id="lo-inside-gap"),
+        pytest.param(-1, F(5, 2), 1, True, id="hi-inside-gap"),
+        pytest.param(-1, 5, 1, True, id="ends-outside-ambient"),
+        pytest.param(0, 4, 1, True, id="ends-on-ambient-ends"),
+        pytest.param(4, 6, 1, False, id="lo-on-right-ambient-end"),
+        pytest.param(-2, 0, 1, False, id="hi-on-left-ambient-end"),
+        pytest.param(F(9, 4), F(11, 4), 1, True, id="image-inside-gap"),
+        pytest.param(1, 4, -1, True, id="decreasing-on-touch-point"),
+        pytest.param(F(1, 2), 4, -1, False, id="decreasing-inside-interval"),
+        pytest.param(0, 3, -1, False, id="decreasing-hi-after-gap"),
+    ],
+)
+def test_p2_edge_cases(lo, hi, sign, p2_ok):
+    slope = sign * F(hi - lo)
+    m = MarkovMap((
+        AffineBranch(slope, lo if sign > 0 else hi, 0, 1),
+        AffineBranch(4, -4, 1, 2),
+        AffineBranch(4, -12, 3, 4),
+    ))
+    assert m.images[0] == (lo, hi)
+    assert m.validate().p2_ok is p2_ok
+    assert m.validate() == fraction_validation(m)
 
 
 @pytest.mark.parametrize(

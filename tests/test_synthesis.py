@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from escapemaps import (
@@ -26,7 +26,8 @@ from escapemaps import (
 )
 from escapemaps import synthesis, transitions
 from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
-from oracles import exhaustive_feasibility
+from conftest import synthesized_spec
+from oracles import exhaustive_feasibility, listed_widths
 
 F = Fraction
 
@@ -289,6 +290,42 @@ def test_width_iteration_reaches_the_wielandt_bound(n):
     assert result.validation.all_ok
     assert result.validation.aperiodicity_exponent == wielandt_bound(n)
     assert transition_data(result.map).markov == markov
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_width_step_matches_the_listed_widths(data):
+    spec = synthesized_spec(data, data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode"))
+    assume(spec is not None)
+    _, placed = spec._assessment
+    assert synthesis._expanding_widths(placed) == listed_widths(placed)
+
+
+def test_width_step_matches_the_listed_widths_on_wielandt_matrices():
+    for n in range(3, 41):
+        markov = tuple(
+            tuple(int(j == i + 1 or (i == n - 1 and j < 2)) for j in range(n)) for i in range(n)
+        )
+        data = TransitionData(markov, ((),) * n, ())
+        assert synthesis._expanding_widths(data) == listed_widths(data)
+
+
+def test_width_step_matches_the_listed_widths_on_scattered_rows():
+    """Primitive rows with holes and escape units anywhere, as
+    ``perron_widths`` accepts them: gaps inside a run and at its ends alike."""
+    rng = random.Random(5)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 6)
+        markov = tuple(tuple(int(rng.random() < 0.4) for _ in range(n)) for _ in range(n))
+        if not is_primitive(markov).primitive:
+            continue
+        m = rng.randint(0, n - 1)
+        positions = tuple(sorted(rng.sample(range(1, n), m)))
+        escape = tuple(tuple(int(rng.random() < 0.5) for _ in range(m)) for _ in range(n))
+        data = TransitionData(markov, escape, positions)
+        assert synthesis._expanding_widths(data) == listed_widths(data)
+        checked += 1
 
 
 # -- synthesis round trips ----------------------------------------------
