@@ -167,14 +167,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    from .orbits import Escaped, classify_point, itinerary, point_class_to_jsonable
+    from .orbits import Escaped, classify_point, point_class_to_jsonable
+    from .transitions import gap_symbol, markov_symbol
 
     doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
-    pc = classify_point(doc.map, x, args.max_iter)
+    pc = classify_point(doc.map, x, args.max_iter, labels := [])
     out = {"point": x, **point_class_to_jsonable(pc)}
-    if isinstance(pc, Escaped):
-        out["itinerary"] = itinerary(doc.map, x, args.max_iter).symbols
+    if isinstance(pc, Escaped):  # so no step of its orbit met a partition point
+        out["itinerary"] = [*map(markov_symbol, labels), gap_symbol(pc.gap_index)]
     _emit(out)
     return 0
 

@@ -109,16 +109,17 @@ class IntegerGrid:
     in order by the sign of a; no ``Fraction`` arithmetic is done.
     Points are reduced (num, den) pairs with den > 0; ``cell`` places one,
     ``incidence`` finds the closed images containing it, and ``image`` and
-    ``preimage`` step it through a branch.  A lookup bisects the doubled
-    bounds 2e, 2e + 1 of sorted numerators e: with p*D = t*q + r, twice p/q
-    is 2t if r = 0 and inside (2t, 2t + 2) if not, so 2t + (r > 0) finds the
-    open pieces between the e and the e themselves alike."""
+    ``preimage`` step it through a branch by its ``forms`` (hot loops apply
+    them inline).  A lookup bisects the doubled bounds 2e, 2e + 1 of sorted
+    numerators e: with p*D = t*q + r, twice p/q is 2t if r = 0 and inside
+    (2t, 2t + 2) if not, so 2t + (r > 0) finds the open pieces between the
+    e and the e themselves alike."""
 
     def __init__(self, branches: tuple[AffineBranch, ...]) -> None:
         self._branches = branches
         domains = [(b.left.as_integer_ratio(), b.right.as_integer_ratio()) for b in branches]
         images = []
-        for (form, _), (left, right) in zip(self._forms, domains):
+        for (form, _), (left, right) in zip(self.forms, domains):
             lo, hi = _step(form, *left), _step(form, *right)
             images.append((lo, hi) if form[0] > 0 else (hi, lo))
         ends = domains + images
@@ -193,7 +194,7 @@ class IntegerGrid:
         return tuple(zip(cuts, cuts[1:], masks[first : last + 1 : 2]))
 
     @cached_property
-    def _forms(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    def forms(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per branch, (forward, inverse) integer forms: forward (a, b, d)
         with f(p/q) = (a*p + b*q) / (d*q) and inverse (u, v, w) with
         f^{-1}(p/q) = (u*p + v*q) / (w*q), where d and w are positive."""
@@ -207,11 +208,11 @@ class IntegerGrid:
 
     def image(self, i: int, p: int, q: int) -> tuple[int, int]:
         """f_i(p/q) under branch i (1-based), as a reduced pair."""
-        return _step(self._forms[i - 1][0], p, q)
+        return _step(self.forms[i - 1][0], p, q)
 
     def preimage(self, i: int, p: int, q: int) -> tuple[int, int]:
         """The preimage of p/q under branch i (1-based), as a reduced pair."""
-        return _step(self._forms[i - 1][1], p, q)
+        return _step(self.forms[i - 1][1], p, q)
 
 
 def _step(form: tuple[int, ...], p: int, q: int) -> tuple[int, int]:
@@ -342,6 +343,12 @@ class MarkovMap(Record):
         from .transitions import predecessors
 
         return predecessors(self.transition_matrix)
+
+    @cached_property
+    def transition_edges(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each unit (i, j) of A, 1-based, keyed to (0, 0): ``realize`` copies it."""
+        preds = self.transition_predecessors
+        return {(i + 1, j + 1): (0, 0) for j, rows in enumerate(preds) for i in rows}
 
     @cached_property
     def transition_refinement(self) -> ColorRefinement:

@@ -86,8 +86,9 @@ class Representation(Record, eq=False):
         the edges s leaving i."""
         ranges = [0] * self.n
         for (i, _), (_, targets) in self.edge_masks.items():
-            assert not ranges[i - 1] & targets, "edge ranges must be orthogonal"
-            ranges[i - 1] |= targets
+            if targets:
+                assert not ranges[i - 1] & targets, "edge ranges must be orthogonal"
+                ranges[i - 1] |= targets
         return tuple(ranges)
 
     def point_strings(self, indices: Iterable[int]) -> tuple[str, ...]:
@@ -123,7 +124,8 @@ def realize(tree: OrbitTree) -> Representation:
             if labels[parent] is not None:
                 children[labels[parent] - 1].append(idx)
     vertex_masks, child_masks, parent_masks = (
-        tuple(_mask(nodes, dim) for nodes in lists) for lists in (labelled, children, parents_of)
+        tuple(_mask(nodes, dim) if nodes else 0 for nodes in lists)
+        for lists in (labelled, children, parents_of)
     )
     for i, (mask, nodes) in enumerate(zip(parent_masks, parents_of), start=1):
         if mask.bit_count() < len(nodes):
@@ -131,11 +133,11 @@ def realize(tree: OrbitTree) -> Representation:
             raise InconsistentInputsError(f"node {twice} has two children labelled {i}, "
                                           "but a point has at most one preimage per branch")
     # The targets of edge (i, j) are the nodes labelled i whose parent is
-    # labelled j, and its sources are those parents.
-    edge_masks = {
-        (i + 1, j + 1): (vertex_masks[j] & parent_masks[i], vertex_masks[i] & child_masks[j])
-        for j, rows in enumerate(predecessors) for i in rows
-    }
+    # labelled j, and its sources are those parents; none without a node in I_j.
+    edge_masks = tree.map.transition_edges.copy()
+    for j, sources in enumerate(vertex_masks):
+        for i in predecessors[j] if sources else ():
+            edge_masks[i + 1, j + 1] = sources & parent_masks[i], vertex_masks[i] & child_masks[j]
 
     incidence = tree.base_class.incidence if isinstance(tree.base_class, Escaped) else None
     # A node of I_j lies in f(I_i) iff A[i][j] = 1; the escape root lies there
@@ -143,7 +145,7 @@ def realize(tree: OrbitTree) -> Representation:
     # against the closed images.
     image_masks = [int(incidence is not None and incidence[i] == 1) for i in range(n)]
     for support, rows in zip(vertex_masks, predecessors):
-        for i in rows:
+        for i in rows if support else ():
             image_masks[i] |= support
 
     # The vertex-sum relation speaks about a node's forward image, so it can
@@ -292,10 +294,11 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
 
     It also checks each window edge z -> y labelled i once, forwards:
     f_i(z) = y with y in the closed image of I_i, so that z is the preimage
-    f_i^{-1}(y) under the branch.  An interior node that is no edge's child,
-    such as a regular root whose forward image is not in the window, has
-    f_i^{-1}(f_i(z)) = z exactly when f_i(z) lies in that image, that is,
-    when z lies in the closed interval I_i; that is checked directly."""
+    f_i^{-1}(y) under the branch: (a*p + b*q)*t == d*q*s for z = p/q, y =
+    s/t and the forward form (a, b, d).  An interior node that is no edge's
+    child, such as a regular root whose forward image is not in the window,
+    has f_i^{-1}(f_i(z)) = z exactly when f_i(z) lies in that image, that
+    is, when z lies in the closed interval I_i; that is checked directly."""
     tree, grid = rep.tree, rep.tree.map.grid
     pairs, incidence = tree.pairs, grid.incidence
     masks = {idx: incidence(*pairs[idx]) for idx in _indices(rep.interior_mask)}
@@ -315,14 +318,15 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
                 f"image projection {i} mismatch at: "
                 + ", ".join(rep.point_strings(_indices(diff)))
             )
+    forward = [form for form, _ in grid.forms]
     for idx, (parent, i) in enumerate(zip(tree.parents, tree.labels)):
         if i is None or (parent is None and idx not in masks):
             continue
-        y = grid.image(i, *pairs[idx])
         if parent is None:
-            mask = incidence(*y)
+            mask = incidence(*grid.image(i, *pairs[idx]))
         else:
-            mask = masks[parent] if y == pairs[parent] else 0
+            (a, b, d), (p, q), (s, t) = forward[i - 1], pairs[idx], pairs[parent]
+            mask = masks[parent] if (a * p + b * q) * t == d * q * s else 0
         if not mask >> (i - 1) & 1:
             (point,) = rep.point_strings((idx,))
             texts.append(f"branch {i} round trip fails at {point}")

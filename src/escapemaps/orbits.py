@@ -5,15 +5,15 @@ many steps), hits a partition point exactly, or stays inside Markov interiors
 for the whole iteration budget (with an exact cycle sometimes detected, which
 settles non-escape for good).  All point arithmetic is the map's
 ``IntegerGrid``'s: the orbit runs on reduced (num, den) pairs, one
-``image`` step and one ``cell`` lookup each, and an escape point's closed
-images come from one ``incidence`` lookup.
+forward-form step and one ``cell`` lookup each, and an escape point's
+closed images come from one ``incidence`` lookup.
 
 The backward window of a point x materializes a finite piece of the
 generalized orbit {z : f^k(z) = r} around a root r: the final escape point
 r = e(x) when x escapes, or r = f^T(x) for a chosen forward horizon T when it
 does not.  Each node's edge to its forward image is labeled by the branch
 containing the node, and the shape follows from those labels alone; the
-nodes are reduced pairs, each one ``preimage`` step from its parent.  For
+nodes are reduced pairs, each one inverse-form step from its parent.  For
 escape roots the window is a genuine tree; for periodic regular roots the
 expansion closes a cycle through the root, recorded by its parent pointer.
 """
@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -75,30 +77,33 @@ def _forward_orbit(
     branch applied).  An escape point has branch None and ends the orbit.
     Raises OutsideAmbientError when a point is outside the ambient
     interval."""
-    cell, image = m.grid.cell, m.grid.image
-    y = exact(x).as_integer_ratio()
+    cell, forward = m.grid.cell, [form for form, _ in m.grid.forms]
+    p, q = exact(x).as_integer_ratio()
     for step in itertools.count():
-        c = cell(*y)
+        c = cell(p, q)
         if c[0] == OUTSIDE:
             raise OutsideAmbientError(
-                f"{format_rational(Fraction(*y))} left the ambient interval at step {step}"
+                f"{format_rational(Fraction(p, q))} left the ambient interval at step {step}"
             )
-        yield y, c
+        yield (p, q), c
         if c[2] is None:
             return
-        y = image(c[2], *y)
+        a, b, d = forward[c[2] - 1]
+        p, q = a * p + b * q, d * q
+        g = gcd(p, q)
+        p, q = p // g, q // g
 
 
 def classify_point(
-    m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
+    m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER, labels: list | None = None
 ) -> PointClass:
     """Iterate the map exactly until escape, a partition-point hit, a cycle,
-    or the budget runs out.  Raises OutsideAmbientError for points outside the
-    ambient interval and DepthExceedsTreeError for a budget that
-    ``check_steps`` refuses."""
+    or the budget runs out; a ``labels`` list gets the branch of each step
+    but the last.  Raises OutsideAmbientError for points outside the ambient
+    interval and DepthExceedsTreeError for a budget ``check_steps`` refuses."""
     check_steps(max_iter, "max_iter")
     seen: dict[Pair, int] = {}
-    for step, (y, (kind, index, _)) in enumerate(_forward_orbit(m, x)):
+    for step, (y, (kind, index, label)) in enumerate(_forward_orbit(m, x)):
         if kind == PARTITION_POINT:
             return BoundaryOrbit(step, Fraction(*y))
         if kind == ESCAPE_INTERIOR:
@@ -106,6 +111,8 @@ def classify_point(
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
+        if labels is not None:
+            labels.append(label)
         if step >= max_iter:
             return UndeterminedRegular(max_iter, None)
 
@@ -161,10 +168,13 @@ class OrbitTree(Record):
         """Node values as reduced (num, den) pairs: each node is the
         preimage of its parent under the branch of its label, and parents
         come first."""
-        preimage = self.map.grid.preimage
+        inverse = [form for _, form in self.map.grid.forms]
         pairs = [self.root_point.as_integer_ratio()]
         for parent, label in zip(self.parents[1:], self.labels[1:]):
-            pairs.append(preimage(label, *pairs[parent]))
+            (p, q), (u, v, w) = pairs[parent], inverse[label - 1]
+            p, q = u * p + v * q, w * q
+            g = gcd(p, q)
+            pairs.append((p // g, q // g))
         return tuple(pairs)
 
     @cached_property
@@ -280,8 +290,8 @@ def build_orbit_tree(
     start = 0  # first node of the previous level
     path = 0  # the node on the cycle at the previous level
     for d in range(1, depth + 1):
-        # Per branch, the parents at the previous level in value order.
-        buckets: list[list[int]] = [[] for _ in flips]
+        # Per branch reached, the parents at the previous level in value order.
+        buckets: defaultdict[int, list[int]] = defaultdict(list)
         for idx in range(start, len(parents)):
             for k in preds[labels[idx] - 1] if idx else root_kids:
                 buckets[k].append(idx)
@@ -289,7 +299,7 @@ def build_orbit_tree(
             buckets[root_label - 1].remove(path)
             parents[0] = path
         start = len(parents)
-        for k, bucket in enumerate(buckets):
+        for k, bucket in sorted(buckets.items()):
             if flips[k]:
                 bucket.reverse()
             if d < len(cycle) and k == cycle[d - 1] - 1:

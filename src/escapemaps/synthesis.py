@@ -289,12 +289,13 @@ def perron_widths(
     each row's image span strictly exceeds its width (that quotient is the
     branch slope).  A row's span is 4.(A.w)_i over its Markov targets plus a
     full gap width for each gap inside its run and half of one for a gap at
-    either end, so each iterate takes one sum per row, (A.w)_i, and a gap
-    count fixed per row.  The widths are then normalised to total 1.  Raises
-    MapFormatError for positions of None and for inputs that
-    ``SynthesisSpec`` refuses, such as positions that do not place every
-    escape column, and WidthSnapError for a single interval, a zero row or a
-    matrix that is not primitive, none of which admits an expanding map."""
+    either end.  Each iterate takes one sum per row, (A.w)_i, and as A.w >=
+    w, only gap-free rows compare it with w_i.  The widths are then
+    normalised to total 1.  Raises MapFormatError for positions of None and
+    for inputs that ``SynthesisSpec`` refuses, such as positions that do not
+    place every escape column, and WidthSnapError for a single interval, a
+    zero row or a matrix that is not primitive, none of which admits an
+    expanding map."""
     if positions is None:
         raise MapFormatError("perron_widths needs the gap positions")
     spec = SynthesisSpec(markov, escape, positions)
@@ -319,25 +320,25 @@ def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]
     two intervals: the integer width of each interleaved column of the first
     iterate that passes, and those widths as an allocation.  Row i's doubled
     span is 8.(A.w)_i + c_i.min(w), where c_i counts 2 for each gap inside
-    its run and 1 for a gap at either end, so an iterate takes one sum per
-    row, over the row's Markov targets, and the column widths are built
+    its run and 1 for a gap at either end, and must exceed 8.w_i.  As A.w >=
+    w (A.1 >= 1 and A^t >= 0), that holds on rows with c_i > 0, so an
+    iterate takes one sum per row, over the row's Markov targets, and
+    compares on the gap-free rows; min(w) and the column widths are built
     once, for the iterate that passes."""
     columns = data.columns
-    targets, counts = [], []
+    targets, gapless = [], []
     for units in _unit_runs(data):
-        ends = (units[0], units[-1])
         targets.append([columns[c][0] - 1 for c in units if columns[c][1] is None])
-        counts.append(sum(1 if c in ends else 2 for c in units if columns[c][1] is not None))
+        gapless.append(len(targets[-1]) == len(units))
     w = [1] * data.n
     # Iterate t is A^t.1.  Once A^t > 0, by the Wielandt bound at the latest,
     # (A.w)_i = (A^t.(A.1))_i > w_i, since A.1 >= 1 has an entry 2 (a
     # primitive A on two or more intervals is no permutation): the test passes.
     for _ in range(wielandt_bound(data.n) + 1):
-        g, entry = min(w), w.__getitem__
+        entry = w.__getitem__
         aw = [sum(map(entry, row)) for row in targets]
-        # The branch expands when its doubled span exceeds 8.w_i, twice the
-        # width of its own interval.
-        if all(8 * y + c * g > 8 * x for x, y, c in zip(w, aw, counts)):
+        if all(y > x for x, y, free in zip(w, aw, gapless) if free):
+            g = min(w)
             widths = [4 * w[j - 1] if k is None else g for j, k in columns]
             total = sum(widths)
             ratios = [Fraction(y, x) for x, y in zip(w, aw)]

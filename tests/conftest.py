@@ -1,11 +1,12 @@
 """Shared fixtures: the bundled corpus maps, a map whose second branch
-reverses orientation, and one synthesized map that several suites exercise
-(built once per session; synthesis is exact, so the result is
-deterministic).  Also the hypothesis draws shared by the window and operator
-suites: synthesized specs at n = 5..8, pull-backs along admissible words, and
-periodic points of closed walks, and ``replaced``, which copies a record
-with some fields changed.  Every property test runs under one hypothesis
-profile, so each test states only its number of examples."""
+reverses orientation, one synthesized map that several suites exercise, and
+strict two-gap banded maps at n = 16 and 32 (built once per session;
+synthesis is exact, so the results are deterministic).  Also the hypothesis
+draws shared by the window and operator suites: synthesized specs at n =
+5..8, pull-backs along admissible words, and periodic points of closed
+walks, and ``replaced``, which copies a record with some fields changed.
+Every property test runs under one hypothesis profile, so each test states
+only its number of examples."""
 
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from escapemaps import (
     PARTIAL,
+    STRICT,
     FOUR_INTERVAL_MARKOV,
     AffineBranch,
     MarkovMap,
@@ -83,6 +85,29 @@ def partial_result(partial_spec):
 @pytest.fixture(scope="session")
 def partial_map(partial_result):
     return partial_result.map
+
+
+def banded_map(n, width, positions):
+    """The strict synthesized map of the band A[i][j] = 1 iff |i - j| <=
+    width, with a gap after each interval in ``positions``.  Each escape
+    column holds the rows whose run covers both intervals beside its gap,
+    the only column that strict mode realizes there."""
+    band = tuple(tuple(int(abs(i - j) <= width) for j in range(n)) for i in range(n))
+    escape = tuple(zip(*([row[p - 1] & row[p] for row in band] for p in positions)))
+    return synthesize(SynthesisSpec(band, escape, positions, STRICT)).map
+
+
+@pytest.fixture(scope="session")
+def banded_maps():
+    """Band widths 1 and 2 at n = 16 and 32, with gaps a quarter and three
+    quarters of the way along.  A window node of I_j has at most 2w + 1
+    preimages, with labels next to j, so most of the n labels are missing
+    from every level of a shallow window."""
+    return {
+        f"band{n}w{width}": banded_map(n, width, (n // 4, 3 * n // 4 - 1))
+        for n in (16, 32)
+        for width in (1, 2)
+    }
 
 
 def replaced(record, **changes):

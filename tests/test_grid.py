@@ -137,7 +137,7 @@ def test_grid_and_forms_match_the_fraction_oracle(fixtures, data):
     oracle = fraction_grid(m)
     for name in FractionGrid._fields:
         assert getattr(m.grid, name) == getattr(oracle, name), name
-    assert m.grid._forms == fraction_forms(m)
+    assert m.grid.forms == fraction_forms(m)
 
 
 def test_validation_matches_the_fraction_oracle_on_small_integer_maps():

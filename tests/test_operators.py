@@ -287,11 +287,12 @@ def test_image_decomposition_check_needs_the_parent_in_the_branch_image(four_map
 # -- the window check against the bisection oracle -----------------------
 
 
-def _drawn_window(data, maps):
-    """A window on one of ``maps`` or on a synthesized map (n = 5..8),
-    rooted at a pulled-back escape cell midpoint or at a periodic point, or
-    None when the draw gives no window."""
-    name = data.draw(st.sampled_from(sorted(maps) + ["synthesized"]), label="map")
+def _drawn_window(data, maps, synthesized=True):
+    """A window on one of ``maps`` or, when ``synthesized``, on a
+    synthesized map (n = 5..8), rooted at a pulled-back escape cell midpoint
+    or at a periodic point, or None when the draw gives no window."""
+    names = sorted(maps) + ["synthesized"] * synthesized
+    name = data.draw(st.sampled_from(names), label="map")
     if name == "synthesized":
         mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
         spec = synthesized_spec(data, mode)
@@ -347,7 +348,24 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
         "full2": full2_map,
         "reversing": reversing_map,
     }
-    tree = _drawn_window(data, maps)
+    _assert_check_matches_the_bisection_oracle(_drawn_window(data, maps), data)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_image_decomposition_check_matches_the_bisection_oracle_on_banded_maps(
+    banded_maps, data
+):
+    # At n = 16 and 32 most labels are missing from each level, and points
+    # reach tens of bits.
+    _assert_check_matches_the_bisection_oracle(
+        _drawn_window(data, banded_maps, synthesized=False), data
+    )
+
+
+def _assert_check_matches_the_bisection_oracle(tree, data):
+    """Corrupt the window's representation in a drawn way and compare
+    ``image_decomposition_check`` with the bisection oracle."""
     if tree is None:
         return
     m, rep = tree.map, realize(tree)
@@ -378,7 +396,8 @@ def test_image_decomposition_check_matches_the_bisection_oracle(
             i = labels[child]
             image_lo, image_hi = m.images[i - 1]
             if not image_lo <= x <= image_hi:
-                extra.add(_round_trip(i, points[child]))
+                # A fixed point is its own child, and moves with its parent.
+                extra.add(_round_trip(i, x if child == node else points[child]))
     elif kind == "relabel":
         label = data.draw(
             st.sampled_from([i for i in range(1, m.n + 1) if i != labels[node]]),
@@ -431,6 +450,55 @@ def test_round_trip_failure_text_keeps_to_the_digit_limit(four_map):
     points[-1] += F(1, 10**5000)
     with pytest.raises(EscapeMapsError, match="Python's limit for int strings"):
         image_decomposition_check(_with_points(rep, points))
+
+
+def test_round_trips_compare_values_not_stored_pairs(four_map):
+    # Each edge z -> y is checked as (a*p + b*q)*t == d*q*s: parents stored
+    # as unreduced pairs of the same value pass, and a nudged parent fails
+    # its own round trip and those of its children.
+    tree = build_orbit_tree(four_map, F(1, 2), 4)
+    rep, kids = realize(tree), child_lists(tree)
+    parent = next(idx for idx in range(1, tree.node_count) if len(kids[idx]) > 1)
+    pairs = list(tree.pairs)
+    for idx, k in ((0, 7), (parent, 3)):
+        pairs[idx] = (k * pairs[idx][0], k * pairs[idx][1])
+    unreduced = replaced(tree)
+    unreduced.__dict__["pairs"] = tuple(pairs)
+    assert image_decomposition_check(replaced(rep, tree=unreduced)) == (
+        image_decomposition_check(rep)
+    )
+    assert image_decomposition_check(rep).passed
+
+    points = list(tree.points)
+    hi = four_map.intervals[tree.labels[parent] - 1][1]
+    points[parent] += (hi - points[parent]) / 10**6
+    report = image_decomposition_check(_with_points(rep, points))
+    assert report.failures == tuple(
+        _round_trip(tree.labels[idx], points[idx]) for idx in [parent, *kids[parent]]
+    )
+
+
+def test_edge_masks_keep_every_transition_edge_at_n_32(banded_maps):
+    # The window holds nodes in a few of the 32 intervals; every other
+    # column's edges keep their empty isometry.
+    m = banded_maps["band32w2"]
+    units = {
+        (i, j)
+        for i, row in enumerate(m.transition_matrix, start=1)
+        for j, unit in enumerate(row, start=1)
+        if unit
+    }
+    for lo, hi, _ in incidence_cells(m, m.gaps[0][0]):
+        tree = build_orbit_tree(m, (lo + hi) / 2, 3)
+        rep = realize(tree)
+        assert rep.edge_masks.keys() == units
+        empty = [edge for edge in units if not rep.vertex_masks[edge[1] - 1]]
+        assert len(empty) > len(units) // 2
+        assert all(rep.edge_masks[edge] == (0, 0) for edge in empty)
+        _assert_masks_hold_the_sets(rep, set_realize(tree))
+        assert image_decomposition_check(rep).passed
+    # realize copies the map's template and leaves it as it was.
+    assert m.transition_edges == dict.fromkeys(units, (0, 0))
 
 
 def test_regular_window_relations(four_map):

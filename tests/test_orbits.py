@@ -439,6 +439,25 @@ def test_synthesized_windows_match_the_geometric_builder(data):
         _assert_matches_geometric_window(m, x, depth + 2, horizon=horizon)
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_banded_windows_match_the_geometric_builder(banded_maps, data):
+    # No level holds every label, so a level's order comes from the labels
+    # it reaches alone.
+    m = banded_maps[data.draw(st.sampled_from(sorted(banded_maps)), label="map")]
+    depth = data.draw(st.integers(1, 4), label="depth")
+    cells = [cell for k, _, _ in m.gaps for cell in incidence_cells(m, k)]
+    lo, hi, _ = data.draw(st.sampled_from(cells), label="cell")
+    x = pull_back(m, (lo + hi) / 2, data, data.draw(st.integers(0, 3), label="steps"))
+    tree = _assert_matches_geometric_window(m, x, depth)
+    deepest = {label for d, label in zip(tree.depths, tree.labels) if d == depth}
+    assert 0 < len(deepest) < m.n
+    x = periodic_point(m, data)
+    if x is not None:
+        horizon = data.draw(st.integers(0, 3), label="horizon")
+        _assert_matches_geometric_window(m, x, min(depth, 3), horizon=horizon)
+
+
 def test_windows_need_a_valid_map():
     doubling = MarkovMap((AffineBranch(2, 0, 0, 1),))  # the image [0, 2] breaks P1
     assert not doubling.validate().all_ok
