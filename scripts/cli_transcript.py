@@ -249,7 +249,8 @@ def argv_list() -> list[list[str]]:
         ["equiv", "--x", "1/3", "--y", "1/5", "{maps}/full_two_interval.json"],
         ["synth", "--A", "{tmp}/float_a.json", "--B", "{tmp}/float_b.json",
          "-o", "{tmp}/float_map.json"],
-        # Escapes after two steps and after one, through the itinerary loop.
+        # Escapes after two steps and after one: the itinerary is the branch
+        # labels that classify_point collects, then the gap symbol.
         ["point", "--x", "269/350", FOUR],
         ["point", "--x", "3/35", FOUR],
         # An imprimitive A of period 2: the P4 text and the graph report.

@@ -47,10 +47,9 @@ _EXPORTS = {
         "image_decomposition_check", "projection_sum_is_identity", "realize",
     ),
     "orbits": (
-        "BoundaryOrbit", "Escaped", "Itinerary", "OrbitTree",
-        "UndeterminedRegular", "build_orbit_tree", "classify_point",
-        "incidence_cells", "itinerary", "point_class_to_jsonable",
-        "tree_to_dot", "tree_to_jsonable",
+        "BoundaryOrbit", "Escaped", "OrbitTree", "UndeterminedRegular",
+        "build_orbit_tree", "classify_point", "incidence_cells",
+        "point_class_to_jsonable", "tree_to_dot", "tree_to_jsonable",
     ),
     "rationals": (
         "format_rational", "jsonable", "parse_rational",

@@ -36,13 +36,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInputsError, NotAnEscapePointError
-from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, bit_rows, check_steps
+from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, check_steps
 from .orbits import Escaped, PointClass, window_classes, window_node_count
 from .rationals import Record, exact, format_rational
 from .transitions import (
     ColorRefinement,
     Matrix,
     as_binary_matrix,
+    bit_rows,
     color_refinement,
     predecessors,
 )

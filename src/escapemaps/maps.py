@@ -34,7 +34,7 @@ import operator
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     DepthExceedsTreeError,
@@ -43,9 +43,7 @@ from .errors import (
     MapStructureError,
 )
 from .rationals import Record, exact, format_rational, parse_rational
-
-if TYPE_CHECKING:
-    from .transitions import ColorRefinement
+from .transitions import ColorRefinement, _primitivity, bit_rows, color_refinement, predecessors
 
 Interval = tuple[Fraction, Fraction]
 
@@ -311,10 +309,6 @@ class MarkovMap(Record):
         """Closed branch images f(I_1), ..., f(I_n), endpoints sorted."""
         return tuple(b.image() for b in self.branches)
 
-    @property
-    def ambient(self) -> Interval:
-        return (self.branches[0].left, self.branches[-1].right)
-
     @cached_property
     def grid(self) -> IntegerGrid:
         return IntegerGrid(self.branches)
@@ -340,8 +334,6 @@ class MarkovMap(Record):
     def transition_predecessors(self) -> tuple[tuple[int, ...], ...]:
         """Per column j of A, the 0-based rows with a unit there: the
         branches under which a point of I_j has a preimage."""
-        from .transitions import predecessors
-
         return predecessors(self.transition_matrix)
 
     @cached_property
@@ -354,8 +346,6 @@ class MarkovMap(Record):
     def transition_refinement(self) -> ColorRefinement:
         """``transitions.color_refinement`` of ``transition_predecessors``:
         every equivalence request on the map places its roots into it."""
-        from .transitions import color_refinement
-
         return color_refinement(self.transition_predecessors)
 
     @cached_property
@@ -419,8 +409,6 @@ class MarkovMap(Record):
     @cached_property
     def _validation(self) -> ValidationReport:
         """P1, P2 and P5 compare numerators on the grid."""
-        from .transitions import _primitivity
-
         g = self.grid
 
         def show(pieces) -> str:
@@ -506,30 +494,6 @@ class MapDocument(Record):
 
 
 _MAP_KEYS = {"markov_intervals", "branches", "expected_escape_matrix"}
-
-
-def is_bit(entry: object) -> bool:
-    """Whether a matrix entry is the integer 0 or 1 (not a bool, not 1.0)."""
-    return type(entry) is int and entry in (0, 1)
-
-
-def bit_rows(rows: object, label: str) -> tuple[tuple[int, ...], ...]:
-    """The rows of a 0/1 array as nested tuples: a list or tuple of list or
-    tuple rows, all of one width (0 allowed), whose entries pass ``is_bit``.
-    Raises MapFormatError, naming the array by ``label``, otherwise."""
-    if not isinstance(rows, (list, tuple)):
-        raise MapFormatError(f"{label} must be an array of rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, (list, tuple)):
-            raise MapFormatError(f"{label} rows must be arrays")
-        if out and len(row) != len(out[0]):
-            raise MapFormatError(f"{label} rows must be equally long")
-        if not all(map(is_bit, row)):
-            bad = next(entry for entry in row if not is_bit(entry))
-            raise MapFormatError(f"{label} entries must be 0 or 1, got {bad!r}")
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def is_index(value: object) -> bool:

@@ -189,14 +189,9 @@ class RelationReport:
     _json = ("checks", "all_passed")
 
     def __init__(
-        self,
-        rep: Representation,
-        edges: list[tuple[int, int]],
-        vertices: tuple[int, ...],
-        failures: dict[tuple, int],
+        self, rep: Representation, vertices: tuple[int, ...], failures: dict[tuple, int]
     ) -> None:
-        self._rep, self._edges, self._vertices = rep, edges, vertices
-        self._failures = failures
+        self._rep, self._vertices, self._failures = rep, vertices, failures
 
     @property
     def all_passed(self) -> bool:
@@ -206,7 +201,7 @@ class RelationReport:
     def checks(self) -> tuple[RelationCheck, ...]:
         """Per edge in order the edge-isometry and edge-range relations, then
         the vertex-sum relation per vertex."""
-        relations = [(kind, edge, None) for edge in self._edges
+        relations = [(kind, edge, None) for edge in self._rep.edges()
                      for kind in ("edge-isometry", "edge-range")]
         relations += [("vertex-sum", None, v) for v in self._vertices]
         checks = []
@@ -230,10 +225,8 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     """
     vlist = _validated_vertices(vertices, rep.n)
     supports, interior, domain = rep.vertex_masks, rep.interior_mask, rep.domain_mask
-    edges = sorted(rep.edge_masks)
     failures = {}
-    for edge in edges:
-        sources, targets = rep.edge_masks[edge]
+    for edge, (sources, targets) in rep.edge_masks.items():
         if diff := sources ^ (supports[edge[1] - 1] & interior):
             failures["edge-isometry", edge, None] = diff
         if diff := targets & ~supports[edge[0] - 1]:
@@ -241,7 +234,7 @@ def check_relations(rep: Representation, vertices: Iterable[int]) -> RelationRep
     for v in vlist:
         if diff := (supports[v - 1] ^ rep.range_masks[v - 1]) & domain:
             failures["vertex-sum", None, v] = diff
-    return RelationReport(rep, edges, vlist, failures)
+    return RelationReport(rep, vlist, failures)
 
 
 def _validated_vertices(vertices: Iterable[int], n: int) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ for the whole iteration budget (with an exact cycle sometimes detected, which
 settles non-escape for good).  All point arithmetic is the map's
 ``IntegerGrid``'s: the orbit runs on reduced (num, den) pairs, one
 forward-form step and one ``cell`` lookup each, and an escape point's
-closed images come from one ``incidence`` lookup.
+closed images come from one ``incidence`` lookup.  The branches applied on
+the way, the point's itinerary, are the ``labels`` ``classify_point`` fills.
 
 The backward window of a point x materializes a finite piece of the
 generalized orbit {z : f^k(z) = r} around a root r: the final escape point
@@ -36,7 +37,7 @@ from .errors import (
 from .maps import (DEFAULT_MAX_ITER, ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap,
                    check_steps)
 from .rationals import Record, exact, format_rational
-from .transitions import gap_symbol, markov_symbol
+from .transitions import gap_symbol
 
 
 class Escaped(Record):
@@ -318,41 +319,6 @@ def build_orbit_tree(
         parents=tuple(parents),
         labels=tuple(labels),
     )
-
-
-# -- itineraries --------------------------------------------------------
-
-
-class Itinerary(Record):
-    """Symbolic coding of a forward orbit: Markov interval indices, ended by
-    the escape symbol when the orbit escapes.  ``boundary_steps`` flags the
-    steps where the orbit sat exactly on a partition point (coding then uses
-    the leftmost containing interval and continues)."""
-
-    symbols: tuple[str, ...]
-    boundary_steps: tuple[int, ...]
-    terminal_gap: int | None
-
-
-def itinerary(
-    m: MarkovMap, x: Fraction, max_iter: int = DEFAULT_MAX_ITER
-) -> Itinerary:
-    """The symbols of at most ``max_iter`` forward steps of x, then the escape
-    symbol if it escapes.  A budget that ``check_steps`` refuses raises
-    DepthExceedsTreeError."""
-    check_steps(max_iter, "max_iter")
-    symbols: list[str] = []
-    boundary: list[int] = []
-    for step, (_, (kind, index, i)) in enumerate(_forward_orbit(m, x)):
-        if kind == ESCAPE_INTERIOR:
-            symbols.append(gap_symbol(index))
-            return Itinerary(tuple(symbols), tuple(boundary), index)
-        if step >= max_iter:
-            break
-        if kind == PARTITION_POINT:
-            boundary.append(step)
-        symbols.append(markov_symbol(i))
-    return Itinerary(tuple(symbols), tuple(boundary), None)
 
 
 # -- serialization ------------------------------------------------------

@@ -29,13 +29,14 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import EscapeMapsError, InfeasibleSpecError, MapFormatError, WidthSnapError
-from .maps import AffineBranch, MarkovMap, ValidationReport, bit_rows, is_index
+from .maps import AffineBranch, MarkovMap, ValidationReport, is_index
 from .rationals import Record
 from .transitions import (
     Matrix,
     TransitionData,
     _primitivity,
     as_binary_matrix,
+    bit_rows,
     transition_data,
     wielandt_bound,
 )

@@ -16,18 +16,48 @@ Primitivity of A is decided from the repeated boolean squares A, A^2, A^4,
 
 ``color_refinement`` colors the predecessor graph of A, round by round; a
 map caches it, and every equivalence request places its roots into it.
+
+This is the bottom layer: it imports no other layer (``errors`` and
+``rationals`` only), and ``bit_rows`` here reads every 0/1 array the library
+accepts.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MapFormatError
-from .maps import MarkovMap, bit_rows
 from .rationals import Record, format_rational
 
+if TYPE_CHECKING:
+    from .maps import MarkovMap
+
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def is_bit(entry: object) -> bool:
+    """Whether a matrix entry is the integer 0 or 1 (not a bool, not 1.0)."""
+    return type(entry) is int and entry in (0, 1)
+
+
+def bit_rows(rows: object, label: str) -> Matrix:
+    """The rows of a 0/1 array as nested tuples: a list or tuple of list or
+    tuple rows, all of one width (0 allowed), whose entries pass ``is_bit``.
+    Raises MapFormatError, naming the array by ``label``, otherwise."""
+    if not isinstance(rows, (list, tuple)):
+        raise MapFormatError(f"{label} must be an array of rows")
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise MapFormatError(f"{label} rows must be arrays")
+        if out and len(row) != len(out[0]):
+            raise MapFormatError(f"{label} rows must be equally long")
+        if not all(map(is_bit, row)):
+            bad = next(entry for entry in row if not is_bit(entry))
+            raise MapFormatError(f"{label} entries must be 0 or 1, got {bad!r}")
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def as_binary_matrix(rows: object) -> Matrix:

@@ -86,7 +86,6 @@ from escapemaps import (
     Equivalent,
     Escaped,
     InconsistentInputsError,
-    Itinerary,
     MarkovMap,
     NotAdmissibleError,
     NotAnEscapePointError,
@@ -187,7 +186,7 @@ def fraction_forms(m: MarkovMap) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
 
 def linear_locate(m: MarkovMap, x: Fraction) -> Location:
     x = Fraction(x)
-    lo, hi = m.ambient
+    lo, hi = m.branches[0].left, m.branches[-1].right
     if not lo <= x <= hi:
         return Location(OUTSIDE, None, x)
     if x in {p for b in m.branches for p in (b.left, b.right)}:
@@ -249,6 +248,17 @@ def fraction_classify_point(m: MarkovMap, x: Fraction, max_iter: int):
             break
         y = m.branches[loc.index - 1].value_at(y)
     return UndeterminedRegular(max_iter, None)
+
+
+class Itinerary(Record):
+    """Symbolic coding of a forward orbit: Markov interval indices, ended by
+    the escape symbol when the orbit escapes.  ``boundary_steps`` flags the
+    steps where the orbit sat exactly on a partition point (coding then uses
+    the leftmost containing interval and continues)."""
+
+    symbols: tuple[str, ...]
+    boundary_steps: tuple[int, ...]
+    terminal_gap: int | None
 
 
 def fraction_itinerary(m: MarkovMap, x: Fraction, max_iter: int) -> Itinerary:

@@ -720,6 +720,11 @@ def test_validate_loads_no_analysis_layer():
     assert loaded == {"maps", "transitions"}
 
 
+def test_transitions_is_the_bottom_layer():
+    """The 0/1-matrix combinatorics load without the map geometry above them."""
+    assert _loaded_layers("import escapemaps.transitions") == {"transitions"}
+
+
 def test_tree_loads_neither_operators_nor_synthesis():
     assert _loaded_layers(_python_m_escapemaps("tree", "--x", "1/2", FOUR)) == {
         "maps",

@@ -22,11 +22,11 @@ from escapemaps import (
     PARTIAL,
     STRICT,
     AffineBranch,
+    Escaped,
     EscapeMapsError,
     MapStructureError,
     MarkovMap,
     classify_point,
-    itinerary,
     synthesize,
 )
 
@@ -233,7 +233,7 @@ def _probe_points(m: MarkovMap, data) -> list[Fraction]:
     """Partition points, gap and incidence-cell endpoints, midpoints, points
     just outside the ambient interval, and drawn points with large
     denominators."""
-    lo, hi = m.ambient
+    lo, hi = m.branches[0].left, m.branches[-1].right
     cuts = partition_points(m)
     image_ends = [end for image in m.images for end in image]
     ends = [*cuts, *image_ends]
@@ -266,9 +266,10 @@ def test_locate_and_classify_match_the_fraction_oracle(fixtures, data):
     m = _any_map(data, fixtures, data.draw(kinds, label="kind"))
     for x in _probe_points(m, data):
         assert m.locate(x) == fraction_locate(m, x) == linear_locate(m, x)
-        assert _outcome(lambda: classify_point(m, x, 40)) == _outcome(
-            lambda: fraction_classify_point(m, x, 40)
-        )
-        assert _outcome(lambda: itinerary(m, x, 12)) == _outcome(
-            lambda: fraction_itinerary(m, x, 12)
-        )
+        labels: list[int] = []
+        outcome = _outcome(lambda: classify_point(m, x, 40, labels))
+        assert outcome == _outcome(lambda: fraction_classify_point(m, x, 40))
+        if isinstance(outcome, Escaped):
+            # The labels are the itinerary that ``point`` prints.
+            symbols = (*map(str, labels), f"{outcome.gap_index}^")
+            assert symbols == fraction_itinerary(m, x, 40).symbols

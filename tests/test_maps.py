@@ -122,7 +122,7 @@ def test_branch_inverse_is_exact_and_none_outside_image():
 
 def test_four_interval_geometry(four_map):
     assert four_map.n == 4
-    assert four_map.ambient == (F(0), F(1))
+    assert (four_map.branches[0].left, four_map.branches[-1].right) == (F(0), F(1))
     assert four_map.intervals == (
         (F(0), F(1, 5)),
         (F(1, 5), F(1, 4)),
@@ -203,7 +203,7 @@ def test_locate_matches_the_linear_scan(
     if (m := _banded_map(data)) is not None:
         maps.append(m)
     for m in maps:
-        lo, hi = m.ambient
+        lo, hi = m.branches[0].left, m.branches[-1].right
         cuts = partition_points(m)
         points = [
             *cuts,

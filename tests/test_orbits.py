@@ -20,7 +20,6 @@ from escapemaps import (
     build_orbit_tree,
     classify_point,
     incidence_cells,
-    itinerary,
     point_class_to_jsonable,
     synthesize,
     transition_data,
@@ -130,7 +129,8 @@ def test_gap_incidence_matches_the_full_image_scan(
         return tuple(int(lo <= x <= hi) for lo, hi in m.images)
 
     for m in maps:
-        (lo, hi), ends = m.ambient, sorted({end for image in m.images for end in image})
+        lo, hi = m.branches[0].left, m.branches[-1].right
+        ends = sorted({end for image in m.images for end in image})
         eps = (hi - lo) / 10**9
         points = [
             *partition_points(m),
@@ -463,38 +463,6 @@ def test_windows_need_a_valid_map():
     assert not doubling.validate().all_ok
     with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
         build_orbit_tree(doubling, F(1, 3), 2)
-
-
-# -- itineraries ---------------------------------------------------------
-
-
-def test_escape_itinerary(four_map):
-    itin = itinerary(four_map, F(1, 10))
-    assert itin.symbols == ("1", "2^")
-    assert itin.boundary_steps == ()
-    assert itin.terminal_gap == 2
-
-
-def test_periodic_itinerary(four_map):
-    itin = itinerary(four_map, F(5, 27), max_iter=6)
-    assert itin.symbols == ("1", "3", "1", "3", "1", "3")
-    assert itin.terminal_gap is None
-
-
-def test_boundary_itinerary_absorbs_left(four_map):
-    itin = itinerary(four_map, F(1, 5), max_iter=3)
-    assert itin.symbols == ("1", "3", "2")
-    assert itin.boundary_steps == (0, 1, 2)
-    assert itin.terminal_gap is None
-
-
-def test_itinerary_refuses_a_negative_budget(four_map):
-    # An escaping, a periodic and a boundary point alike: a negative budget
-    # is an error, not an empty coding.
-    for x in (F(5, 27), F(1, 10), F(1, 5)):
-        with pytest.raises(DepthExceedsTreeError, match="max_iter must be nonnegative"):
-            itinerary(four_map, x, max_iter=-1)
-    assert itinerary(four_map, F(1, 10), max_iter=0).symbols == ()
 
 
 # -- serialization -------------------------------------------------------

@@ -1,10 +1,10 @@
 """One reader per kind of input.
 
 Points and coefficients are read by ``rationals.exact`` (a Fraction or an
-int), 0/1 arrays by ``maps.bit_rows``, indices by ``maps.is_index`` (an int)
-step budgets by ``maps.check_steps`` (a nonnegative int), and numbers in
-text by ``rationals.parse_integer`` (ASCII digits padded by ASCII whitespace,
-for rationals, budgets and vertex lists alike).  Each entry
+int), 0/1 arrays by ``transitions.bit_rows``, indices by ``maps.is_index``
+(an int), step budgets by ``maps.check_steps`` (a nonnegative int), and
+numbers in text by ``rationals.parse_integer`` (ASCII digits padded by ASCII
+whitespace, for rationals, budgets and vertex lists alike).  Each entry
 point refuses what its reader refuses with the reader's error, before any
 analysis runs, instead of rounding a float, parsing a string, truncating an
 index or reading a bool as 1.  The paired test pins the results for ints and
@@ -39,7 +39,6 @@ from escapemaps import (
     four_interval_document,
     gap_projection,
     incidence_cells,
-    itinerary,
     map_document_from_jsonable,
     map_document_to_jsonable,
     parse_rational,
@@ -86,7 +85,7 @@ def test_points_and_coefficients_are_fractions_or_ints(four_map, name, value):
         POINT_CALLS[name](four_map, value)
 
 
-# -- 0/1 arrays: maps.bit_rows ---------------------------------------------
+# -- 0/1 arrays: transitions.bit_rows --------------------------------------
 
 BIT_CASES = {
     "A-entry-2": (((2, 1), (1, 1)), (1, 0), (0, 1)),
@@ -151,7 +150,6 @@ def test_indices_are_ints(rep, name, value):
 
 BUDGET_CALLS = {
     ("classify_point", "max_iter"): lambda m, v: classify_point(m, F(5, 27), max_iter=v),
-    ("itinerary", "max_iter"): lambda m, v: itinerary(m, F(5, 27), max_iter=v),
     ("build_orbit_tree", "depth"): lambda m, v: build_orbit_tree(m, F(1, 2), v),
     ("build_orbit_tree", "max_iter"): lambda m, v: build_orbit_tree(m, F(1, 2), 2, max_iter=v),
     ("build_orbit_tree", "horizon"): lambda m, v: build_orbit_tree(m, F(5, 27), 2, horizon=v),

@@ -20,7 +20,6 @@ from escapemaps import (
     feasibility_check,
     image_decomposition_check,
     is_primitive,
-    itinerary,
     jsonable,
     realize,
     transition_data,
@@ -54,8 +53,7 @@ def samples(four_doc, four_map, partial_spec, partial_result):
         classify_point(four_map, F(1, 2)),
         classify_point(four_map, F(1, 5)),  # a partition point
         classify_point(four_map, F(5, 27)),
-        tree, itinerary(four_map, F(1, 2)),
-        rep, check_relations(rep, [2, 3]).checks[0], image_decomposition_check(rep),
+        tree, rep, check_relations(rep, [2, 3]).checks[0], image_decomposition_check(rep),
         certificate, certificate.nonvanishing[0],
         pair, pair.verdict, pair.intertwiner, NoLabelRespectingIso(),
         compare_points(four_map, F(5, 27), F(229, 270)).verdict,
@@ -73,7 +71,7 @@ def _fields(record: Record) -> dict:
 
 def test_there_is_one_sample_of_every_record_class(samples):
     assert sorted(samples, key=RECORDS.index) == RECORDS
-    assert len(RECORDS) == 33
+    assert len(RECORDS) == 32
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=NAMES)

@@ -24,7 +24,7 @@ from escapemaps import (
     transition_data,
     wielandt_bound,
 )
-from escapemaps import synthesis, transitions
+from escapemaps import maps, synthesis, transitions
 from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
 from conftest import synthesized_spec
 from oracles import exhaustive_feasibility, listed_widths
@@ -436,12 +436,13 @@ def test_a_spec_is_assessed_once(monkeypatch, partial_spec):
             return original(rows)
         return primitivity
 
-    # The map's validation reads the transitions binding when it runs.
+    # Each layer calls the binding it imported: synthesis its own, and the
+    # map's validation the one in maps.
     monkeypatch.setattr(synthesis, "_primitivity", counted(spec_calls))
     spec = SynthesisSpec(partial_spec.markov, partial_spec.escape, mode=PARTIAL)
     report = feasibility_check(spec)
     assert report.feasible and len(spec_calls) == 1
-    monkeypatch.setattr(transitions, "_primitivity", counted(map_calls))
+    monkeypatch.setattr(maps, "_primitivity", counted(map_calls))
     result = synthesize(spec)
     assert feasibility_check(spec) is report
     assert (len(spec_calls), len(map_calls)) == (1, 1)
