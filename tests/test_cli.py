@@ -725,6 +725,23 @@ def test_transitions_is_the_bottom_layer():
     assert _loaded_layers("import escapemaps.transitions") == {"transitions"}
 
 
+LAYERS_BELOW = {
+    "maps": {"transitions"},
+    "orbits": {"maps", "transitions"},
+    "operators": {"maps", "orbits", "transitions"},
+    "equivalence": {"maps", "orbits", "transitions"},
+    "synthesis": {"maps", "transitions"},
+    "corpus": {"maps", "transitions"},
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS_BELOW)
+def test_a_layer_loads_only_the_layers_below_it(layer):
+    """Importing a layer loads no layer above or beside it, so the layers
+    form no import cycle."""
+    assert _loaded_layers(f"import escapemaps.{layer}") == {layer, *LAYERS_BELOW[layer]}
+
+
 def test_tree_loads_neither_operators_nor_synthesis():
     assert _loaded_layers(_python_m_escapemaps("tree", "--x", "1/2", FOUR)) == {
         "maps",

@@ -180,6 +180,20 @@ def test_relations_pass_on_escape_window(half_rep):
     assert ("vertex-sum", None, 3) in kinds
 
 
+def test_every_edge_is_checked_in_edge_order_even_when_empty(half_rep):
+    # The checks follow rep.edges(), not the order of edge_masks.  An edge
+    # with empty masks is still checked: emptied, edge (1, 3) fails its
+    # isometry relation at the node of I_3 it carried.
+    report = check_relations(half_rep, [])
+    assert [(c.kind, c.edge) for c in report.checks] == [
+        (kind, edge) for edge in half_rep.edges() for kind in ("edge-isometry", "edge-range")
+    ]
+    assert report.all_passed
+    emptied = replaced(half_rep, edge_masks={**half_rep.edge_masks, (1, 3): (0, 0)})
+    failing = [(c.kind, c.edge) for c in check_relations(emptied, []).checks if not c.passed]
+    assert failing == [("edge-isometry", (1, 3))]
+
+
 def test_vertex_sum_fails_at_the_escape_vertex(half_rep):
     report = check_relations(half_rep, [1])
     failing = [c for c in report.checks if not c.passed]

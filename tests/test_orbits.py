@@ -28,6 +28,7 @@ from escapemaps import (
 )
 from escapemaps.maps import IntegerGrid
 from escapemaps.orbits import DEFAULT_MAX_ITER, window_node_count
+from escapemaps.transitions import gap_symbol, markov_symbol
 
 from conftest import periodic_point, pull_back, synthesized_spec
 from oracles import (
@@ -463,6 +464,42 @@ def test_windows_need_a_valid_map():
     assert not doubling.validate().all_ok
     with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
         build_orbit_tree(doubling, F(1, 3), 2)
+
+
+# -- itineraries: the labels classify_point fills ------------------------
+
+
+def test_escape_itinerary(four_map):
+    pc = classify_point(four_map, F(1, 10), labels=(labels := []))
+    assert isinstance(pc, Escaped) and pc.gap_index == 2
+    assert (*map(markov_symbol, labels), gap_symbol(pc.gap_index)) == ("1", "2^")
+
+
+def test_periodic_itinerary(four_map):
+    # The cycle closes after one period: the labels stop at 1, 3.
+    pc = classify_point(four_map, F(5, 27), max_iter=6, labels=(labels := []))
+    assert pc == UndeterminedRegular(2, 2)
+    assert labels == [1, 3]
+
+
+def test_a_boundary_orbit_has_no_itinerary(four_map):
+    # The orbit stops on the partition point before a branch is chosen.
+    pc = classify_point(four_map, F(1, 5), max_iter=3, labels=(labels := []))
+    assert pc == BoundaryOrbit(0, F(1, 5))
+    assert labels == []
+
+
+def test_itinerary_refuses_a_negative_budget(four_map):
+    # An escaping, a periodic and a boundary point alike: a negative budget
+    # is an error raised before any label is collected.
+    for x in (F(5, 27), F(1, 10), F(1, 5)):
+        with pytest.raises(DepthExceedsTreeError, match="max_iter must be nonnegative"):
+            classify_point(four_map, x, max_iter=-1, labels=(labels := []))
+        assert labels == []
+    assert classify_point(four_map, F(1, 10), max_iter=0, labels=(labels := [])) == (
+        UndeterminedRegular(0, None)
+    )
+    assert labels == [1]
 
 
 # -- serialization -------------------------------------------------------
