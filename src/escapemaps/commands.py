@@ -18,8 +18,8 @@ failure or infeasible spec, 2 malformed input.  Points, slopes, and
 breakpoints are rational strings ("p/q") end to end; floats never enter.
 
 Each handler imports the layers it calls when it runs, so a process loads
-only what its subcommand needs: ``validate`` never imports ``orbits``, and
-only ``synth`` imports ``synthesis``.
+only what its subcommand needs: ``validate`` never imports ``orbits``, only
+``synth`` imports ``synthesis``, and a usage error loads no layer at all.
 """
 
 from __future__ import annotations
@@ -30,16 +30,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    DepthExceedsTreeError,
-    EscapeMapsError,
-    InfeasibleSpecError,
-    MapFormatError,
-    MapStructureError,
-    RationalParseError,
-)
-from .maps import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MapDocument,
-                   map_document_from_jsonable, map_document_to_jsonable)
+from .errors import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, DepthExceedsTreeError,
+                     EscapeMapsError, InfeasibleSpecError, MapFormatError, MapStructureError,
+                     RationalParseError)
 from .rationals import ASCII_SPACE, _too_long, jsonable, parse_integer, parse_rational
 
 DEFAULT_CERTIFY_DEPTH = 4
@@ -74,9 +67,11 @@ def _load_json(path: str) -> object:
         raise MapFormatError(f"{path} is nested too deeply to parse") from None
 
 
-def _load_document(path: str, valid: bool = False) -> MapDocument:
+def _load_document(path: str, valid: bool = False):
     """Load a map; for orbit analysis (``valid``) a map failing P1-P4 is a
     check failure (exit 1) that lists its issues."""
+    from .maps import map_document_from_jsonable
+
     doc = map_document_from_jsonable(_load_json(path))
     if valid:
         doc.map.require_valid()
@@ -185,9 +180,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
     doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
-    tree = build_orbit_tree(
-        doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
-    )
+    tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon)
     if args.dot:
         print(tree_to_dot(tree), end="")
     else:
@@ -196,20 +189,14 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_rep(args: argparse.Namespace) -> int:
-    from .operators import (
-        check_relations,
-        image_decomposition_check,
-        projection_sum_is_identity,
-        realize,
-    )
+    from .operators import (check_relations, image_decomposition_check,
+                            projection_sum_is_identity, realize)
     from .orbits import build_orbit_tree
 
     doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     vertices = _parse_vertices(args.vertices, doc.map.n)
-    tree = build_orbit_tree(
-        doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon
-    )
+    tree = build_orbit_tree(doc.map, x, args.depth, max_iter=args.max_iter, horizon=args.horizon)
     rep = realize(tree)
     out: dict = {
         "base_point": tree.base_point,
@@ -255,9 +242,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     doc = _load_document(args.map, valid=True)
     x = parse_rational(args.x)
     y = parse_rational(args.y)
-    result = compare_points(
-        doc.map, x, y, max_iter=args.max_iter, depth=args.depth
-    )
+    result = compare_points(doc.map, x, y, max_iter=args.max_iter, depth=args.depth)
     out = {
         "x": point_class_to_jsonable(result.class_x),
         "y": point_class_to_jsonable(result.class_y),
@@ -270,11 +255,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .maps import MapDocument, map_document_to_jsonable
     from .synthesis import spec_from_jsonable, synthesize
 
-    spec = spec_from_jsonable(
-        _load_json(args.transition), _load_json(args.escape), args.mode
-    )
+    spec = spec_from_jsonable(_load_json(args.transition), _load_json(args.escape), args.mode)
     try:
         result = synthesize(spec)
     except InfeasibleSpecError as exc:

@@ -35,8 +35,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InconsistentInputsError, NotAnEscapePointError
-from .maps import DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, MarkovMap, check_steps
+from .errors import (DEFAULT_MAX_ITER, DEFAULT_TREE_DEPTH, InconsistentInputsError,
+                     NotAnEscapePointError)
+from .maps import MarkovMap, check_steps
 from .orbits import Escaped, PointClass, window_classes, window_node_count
 from .rationals import Record, exact, format_rational
 from .transitions import (

@@ -50,6 +50,11 @@ class DepthExceedsTreeError(EscapeMapsError, ValueError):
     max_iter."""
 
 
+# The default step budgets, here so that the CLI parser loads no layer for them.
+DEFAULT_MAX_ITER = 4096
+DEFAULT_TREE_DEPTH = 6
+
+
 class WindowTooShallowError(EscapeMapsError, ValueError):
     """The materialized window is too shallow for the requested check."""
 

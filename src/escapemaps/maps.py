@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
+from functools import cmp_to_key
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     MapFormatError,
     MapStructureError,
 )
-from .rationals import Record, exact, format_rational, parse_rational
+from .rationals import Record, cached_property, exact, format_rational, parse_rational
 from .transitions import ColorRefinement, _primitivity, bit_rows, color_refinement, predecessors
 
 Interval = tuple[Fraction, Fraction]
@@ -243,7 +243,8 @@ class EscapeCoverage(Record):
 class ValidationReport(Record):
     """Outcome of the P1-P4 checks plus the P5 diagnostic.
 
-    ``expansion_bound`` is min |slope| (P3 requires it > 1) and
+    ``expansion_bound`` is min |slope| (P3 requires it > 1), found, like
+    P3's verdicts, by comparing integers on the grid's forward forms, and
     ``aperiodicity_exponent`` is the least q with all entries of A^q positive
     (None when A is not primitive).  ``escape_coverage`` lists every
     (branch, gap) incidence with its P5 status; P5 is advisory only and does
@@ -323,12 +324,16 @@ class MarkovMap(Record):
     @cached_property
     def transition_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Transition matrix A: unit at (i, j) iff the open image of I_i
-        contains the interior of I_j."""
-        g = self.grid
-        return tuple(
-            tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in g.intervals)
-            for lo, hi in g.images
-        )
+        contains the interior of I_j.  The intervals are ordered, so row i is
+        the run from the first interval starting in f(I_i) to the last one
+        ending in it, each found by one bisection of the interval ends."""
+        starts, stops = zip(*self.grid.intervals)
+        rows = []
+        for lo, hi in self.grid.images:
+            first = bisect_left(starts, lo)
+            run = max(bisect_right(stops, hi) - first, 0)
+            rows.append((0,) * first + (1,) * run + (0,) * (self.n - first - run))
+        return tuple(rows)
 
     @cached_property
     def transition_predecessors(self) -> tuple[tuple[int, ...], ...]:
@@ -439,14 +444,15 @@ class MarkovMap(Record):
                     f"not a union of whole intervals"
                 )
 
-        # P3: uniform expansion.
-        slopes = [abs(b.slope) for b in self.branches]
+        # P3: uniform expansion, |a| > d on each forward form (a, b, d), and
+        # the least |a|/d found by cross-multiplying.
+        slopes = [(abs(a), d) for (a, _, d), _ in g.forms]
         p3_issues = [
-            f"interval {i}: |slope| = {s} is not > 1"
-            for i, s in enumerate(slopes, start=1)
-            if not s > 1
+            f"interval {i}: |slope| = {Fraction(a, d)} is not > 1"
+            for i, (a, d) in enumerate(slopes, start=1)
+            if a <= d
         ]
-        expansion_bound = min(slopes)
+        low = min(slopes, key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
 
         # P4: primitivity of the transition matrix.
         prim = _primitivity(self.transition_matrix)
@@ -468,7 +474,7 @@ class MarkovMap(Record):
             p2_issues=tuple(p2_issues),
             p3_issues=tuple(p3_issues),
             p4_issues=prim.issues,
-            expansion_bound=expansion_bound,
+            expansion_bound=Fraction(*low),
             aperiodicity_exponent=prim.exponent,
             escape_coverage=coverage,
         )
@@ -507,11 +513,6 @@ def check_index(i: object, n: int, label: str) -> None:
         raise MapStructureError(f"{label} {i!r} is not an integer")
     if not 1 <= i <= n:
         raise MapStructureError(f"{label} {i} out of range 1..{n}")
-
-
-# The default step budgets, here so that the CLI parser need not import orbits.
-DEFAULT_MAX_ITER = 4096
-DEFAULT_TREE_DEPTH = 6
 
 
 def check_steps(value: object, label: str) -> None:
@@ -559,12 +560,9 @@ def map_document_from_jsonable(data: object) -> MapDocument:
     for pos, (interval, branch) in enumerate(zip(intervals, branches), start=1):
         if not (isinstance(interval, list) and len(interval) == 2):
             raise MapFormatError(f"interval #{pos} must be a [lo, hi] pair")
-        if not (
-            isinstance(branch, Mapping) and set(branch) == {"slope", "intercept"}
-        ):
-            raise MapFormatError(
-                f"branch #{pos} must be an object with keys 'slope' and 'intercept'"
-            )
+        if not (isinstance(branch, Mapping) and set(branch) == {"slope", "intercept"}):
+            raise MapFormatError(f"branch #{pos} must be an object with keys 'slope' and "
+                                 "'intercept'")
         slope, intercept = parse_rational(branch["slope"]), parse_rational(branch["intercept"])
         left, right = map(parse_rational, interval)
         try:
@@ -581,22 +579,16 @@ def map_document_from_jsonable(data: object) -> MapDocument:
 
 
 def map_document_to_jsonable(doc: MapDocument) -> dict:
+    branches, claim = doc.map.branches, doc.expected_escape_matrix
     out: dict = {
-        "markov_intervals": [
-            [format_rational(b.left), format_rational(b.right)]
-            for b in doc.map.branches
-        ],
-        "branches": [
-            {
-                "slope": format_rational(b.slope),
-                "intercept": format_rational(b.intercept),
-            }
-            for b in doc.map.branches
-        ],
+        "markov_intervals": [[format_rational(b.left), format_rational(b.right)]
+                             for b in branches],
+        "branches": [{"slope": format_rational(b.slope), "intercept": format_rational(b.intercept)}
+                     for b in branches],
     }
-    if doc.expected_escape_matrix is not None:
+    if claim is not None:
         out["expected_escape_matrix"] = {
-            "symbol_order": list(doc.expected_escape_matrix.symbols),
-            "rows": [list(row) for row in doc.expected_escape_matrix.rows],
+            "symbol_order": list(claim.symbols),
+            "rows": [list(row) for row in claim.rows],
         }
     return out

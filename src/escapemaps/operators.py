@@ -16,7 +16,6 @@ excludes a non-periodic regular root.  All algebra is exact bit arithmetic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from typing import Iterable, Mapping
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .maps import MapStructureError, check_index, is_index
 from .orbits import Escaped, OrbitTree, PointClass
-from .rationals import Record, format_rational
+from .rationals import Record, cached_property, format_rational
 
 
 def _mask(indices: list[int], size: int) -> int:
@@ -80,7 +79,7 @@ class Representation(Record, eq=False):
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_masks))
 
-    @functools.cached_property
+    @cached_property
     def range_masks(self) -> tuple[int, ...]:
         """Per vertex i (at index i - 1), the support of the sum of ss* over
         the edges s leaving i."""
@@ -197,7 +196,7 @@ class RelationReport:
     def all_passed(self) -> bool:
         return not self._failures
 
-    @functools.cached_property
+    @cached_property
     def checks(self) -> tuple[RelationCheck, ...]:
         """Per edge in order the edge-isometry and edge-range relations, then
         the vertex-sum relation per vertex."""
@@ -294,7 +293,8 @@ def image_decomposition_check(rep: Representation) -> ImageDecompositionReport:
     is, when z lies in the closed interval I_i; that is checked directly."""
     tree, grid = rep.tree, rep.tree.map.grid
     pairs, incidence = tree.pairs, grid.incidence
-    masks = {idx: incidence(*pairs[idx]) for idx in _indices(rep.interior_mask)}
+    # ``realize`` stores the window level by level, so the interior is a prefix.
+    masks = {idx: incidence(*pairs[idx]) for idx in range(rep.interior_mask.bit_length())}
     by_mask: dict[int, list[int]] = {}
     for idx, mask in masks.items():
         by_mask.setdefault(mask, []).append(idx)
@@ -396,7 +396,7 @@ def faithfulness_certificate(
         raise WindowTooShallowError(
             "faithfulness certificates need a window of depth at least 2"
         )
-    complement = [k for k in range(1, rep.n + 1) if k not in vlist]
+    complement = sorted(set(range(1, rep.n + 1)).difference(vlist))
     complement_misses = tuple(k for k in complement if rep.incidence[k - 1] == 0)
     faithful = not complement_misses
     nonvanishing = []

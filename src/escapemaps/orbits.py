@@ -25,18 +25,18 @@ import bisect
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    DEFAULT_MAX_ITER,
     DepthExceedsTreeError,
     OrbitMeetsBoundaryError,
     OutsideAmbientError,
 )
-from .maps import (DEFAULT_MAX_ITER, ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap,
-                   check_steps)
-from .rationals import Record, exact, format_rational
+from .maps import ESCAPE_INTERIOR, OUTSIDE, PARTITION_POINT, MarkovMap, check_steps
+from .rationals import Record, cached_property, exact, format_rational
 from .transitions import gap_symbol
 
 

@@ -89,7 +89,7 @@ class Record:
     a ``Name(field=value, ...)`` repr; and an AttributeError on assigning or
     deleting any attribute, so ``__post_init__`` normalises a field through
     ``object.__setattr__``.  Instances keep a ``__dict__``, which is where
-    ``functools.cached_property`` stores its values."""
+    ``cached_property`` stores its values."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -133,6 +133,21 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached_property:
+    """``functools.cached_property`` without the lock Python 3.10 and 3.11 take
+    on every first read: that read stores the method's value in the instance
+    ``__dict__`` under its name, where later reads find it first."""
+
+    def __init__(self, func) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 def jsonable(value):

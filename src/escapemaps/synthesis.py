@@ -11,26 +11,30 @@ must start and end at Markov symbols (branch images are then exact unions of
 intervals and fully covered gaps); ``partial`` mode lets a segment end at a
 gap symbol, realized by covering that gap up to its midpoint.  Either way
 every gap's interior must end up covered by the branch images, which needs an
-interior occurrence or partial occurrences from both sides.
+interior occurrence or partial occurrences from both sides.  These rules are
+bit tests on ``TransitionData.row_masks``, one int per row of [A | B].
 
 Widths come from integer power iteration w <- A.w started at w = 1, stopped
 at the first iterate whose widths pass the exact expansion test, and the map
 is laid out on those integers: one prefix sum gives every column's ends over
-one denominator, and each branch coefficient becomes a ``Fraction`` once, at
-the end.  No float ever enters, and the widths stay small because the
-iteration stops as soon as it can.
+one denominator, each row's mask gives its first and last target column, and
+each branch coefficient and column end becomes a ``Fraction`` once, at the
+end; the Perron bracket compares its ratios by cross-multiplying first.  No
+float ever enters, and the widths stay small because the iteration stops as
+soon as it can.  The built map is validated again from its own ``Fraction``
+branches.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .errors import EscapeMapsError, InfeasibleSpecError, MapFormatError, WidthSnapError
 from .maps import AffineBranch, MarkovMap, ValidationReport, is_index
-from .rationals import Record
+from .rationals import Record, cached_property
 from .transitions import (
     Matrix,
     TransitionData,
@@ -107,10 +111,9 @@ class SynthesisSpec(Record):
 # -- feasibility ---------------------------------------------------------
 
 
-def _unit_runs(data: TransitionData) -> list[list[int]]:
-    """Column positions of the unit entries of each Markov row: the runs that
-    feasibility, the width test and branch construction all read."""
-    return [[c for c, v in enumerate(row) if v] for row in data.rows]
+def _ends(mask: int) -> tuple[int, int]:
+    """The first and last column of a nonzero row mask."""
+    return (mask & -mask).bit_length() - 1, mask.bit_length() - 1
 
 
 class RowSegment(Record):
@@ -133,34 +136,44 @@ class FeasibilityReport(Record):
 def _layout_issues(
     data: TransitionData, mode: str
 ) -> tuple[list[str], list[str], list[RowSegment]]:
-    columns = data.columns
-    symbols = data.symbols
+    """(row issues, column issues, segments) of a placement, decided by bit
+    tests on ``data.row_masks``: a row from column ``first`` to ``last`` is
+    contiguous when its mask is the run (1 << last + 1) - (1 << first),
+    targets only an escape symbol when it has no bit outside ``gap_mask``,
+    and in strict mode must have neither end bit in ``gap_mask``.  A gap's
+    column is covered when it is strictly inside a segment, or both begins
+    one segment and ends another; the inner, first and last columns of all
+    segments are collected as three masks.  A segment is named by slicing
+    ``data.symbols``."""
+    symbols, gaps = data.symbols, data.gap_mask
     row_issues: list[str] = []
     segments: list[RowSegment] = []
-    spans: list[tuple[int, int]] = []  # (first, last) of each contiguous run
-    for i, units in enumerate(_unit_runs(data), start=1):
-        names = tuple(symbols[c] for c in units)
-        if not units:
+    inner = starts = stops = 0
+    for i, mask in enumerate(data.row_masks, start=1):
+        if not mask:
             row_issues.append(f"row {i} has no targets")
             continue
-        first, last = units[0], units[-1]
-        if len(units) != last - first + 1:
+        first, last = _ends(mask)
+        if mask != (1 << last + 1) - (1 << first):
             row_issues.append(
                 f"targets of row {i} are not contiguous in symbol order: "
-                + " ".join(names)
+                + " ".join(s for c, s in enumerate(symbols) if mask >> c & 1)
             )
             continue
-        spans.append((first, last))
-        if all(columns[c][1] is not None for c in units):
+        if not mask & ~gaps:
             row_issues.append(
                 f"row {i} targets only an escape symbol; its image would "
                 f"collapse to a point"
             )
             continue
-        segments.append(RowSegment(i, names))
+        segments.append(RowSegment(i, symbols[first : last + 1]))
+        if first < last:
+            inner |= mask ^ (1 << first | 1 << last)
+            starts |= 1 << first
+            stops |= 1 << last
         if mode == STRICT:
             for end in dict.fromkeys((first, last)):
-                if columns[end][1] is not None:
+                if gaps >> end & 1:
                     row_issues.append(
                         f"row {i} segment ends at escape symbol "
                         f"{symbols[end]}; strict mode requires "
@@ -168,13 +181,10 @@ def _layout_issues(
                     )
 
     column_issues: list[str] = []
-    for c, (p, k) in enumerate(columns):
-        if k is None:
-            continue
-        interior = any(first < c < last for first, last in spans)
-        left_end = any(first == c < last for first, last in spans)
-        right_end = any(first < c == last for first, last in spans)
-        if not (interior or (left_end and right_end)):
+    covered = inner | starts & stops
+    for k, p in enumerate(data.gap_positions):
+        c = p + k
+        if not covered >> c & 1:
             column_issues.append(
                 f"the gap at position {p} ({symbols[c]}) would not be fully "
                 f"covered by the branch images: it needs a branch whose segment "
@@ -324,13 +334,14 @@ def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]
     its run and 1 for a gap at either end, and must exceed 8.w_i.  As A.w >=
     w (A.1 >= 1 and A^t >= 0), that holds on rows with c_i > 0, so an
     iterate takes one sum per row, over the row's Markov targets, and
-    compares on the gap-free rows; min(w) and the column widths are built
-    once, for the iterate that passes."""
-    columns = data.columns
-    targets, gapless = [], []
-    for units in _unit_runs(data):
-        targets.append([columns[c][0] - 1 for c in units if columns[c][1] is None])
-        gapless.append(len(targets[-1]) == len(units))
+    compares on the gap-free rows, those whose mask has no bit of
+    ``gap_mask``; min(w) and the column widths are built once, for the
+    iterate that passes.  The Perron bracket's least and greatest ratio
+    (A.w)_i / w_i are found by cross-multiplying, and only those two become
+    Fractions."""
+    gaps = data.gap_mask
+    targets = [list(itertools.compress(range(data.n), row)) for row in data.markov]
+    gapless = [not mask & gaps for mask in data.row_masks]
     w = [1] * data.n
     # Iterate t is A^t.1.  Once A^t > 0, by the Wielandt bound at the latest,
     # (A.w)_i = (A^t.(A.1))_i > w_i, since A.1 >= 1 has an entry 2 (a
@@ -340,13 +351,14 @@ def _expanding_widths(data: TransitionData) -> tuple[list[int], WidthAllocation]
         aw = [sum(map(entry, row)) for row in targets]
         if all(y > x for x, y, free in zip(w, aw, gapless) if free):
             g = min(w)
-            widths = [4 * w[j - 1] if k is None else g for j, k in columns]
+            widths = [4 * w[j - 1] if k is None else g for j, k in data.columns]
             total = sum(widths)
-            ratios = [Fraction(y, x) for x, y in zip(w, aw)]
+            ratio = cmp_to_key(lambda i, j: aw[i] * w[j] - aw[j] * w[i])  # of (A.w)_i / w_i
+            low, high = min(range(data.n), key=ratio), max(range(data.n), key=ratio)
             return widths, WidthAllocation(
                 tuple(Fraction(4 * x, total) for x in w),
                 (Fraction(g, total),) * data.m,
-                (min(ratios), max(ratios)),
+                (Fraction(aw[low], w[low]), Fraction(aw[high], w[high])),
             )
         w = aw
     # Unreachable (see above); a guard, so a broken premise fails loudly.
@@ -384,12 +396,13 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     # are doubled so that every gap midpoint, ends[c] + widths[c], is too.
     ends = [2 * end for end in itertools.accumulate(widths, initial=0)]
     q = ends[-1]
+    points = [Fraction(end, q) for end in ends]
     gap = [k is not None for _, k in data.columns]
     branches = []
     own = (c for c, is_gap in enumerate(gap) if not is_gap)
-    for c, units in zip(own, _unit_runs(data)):
+    for c, mask in zip(own, data.row_masks):
         # A run ends at the edge of a Markov target or the middle of a gap.
-        first, last = units[0], units[-1]
+        first, last = _ends(mask)
         lo = ends[first] + widths[first] * gap[first]
         hi = ends[last + 1] - widths[last] * gap[last]
         left, right = ends[c], ends[c + 1]
@@ -397,8 +410,8 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
             AffineBranch(
                 slope=Fraction(hi - lo, right - left),
                 intercept=Fraction(lo * right - hi * left, q * (right - left)),
-                left=Fraction(left, q),
-                right=Fraction(right, q),
+                left=points[c],
+                right=points[c + 1],
             )
         )
 

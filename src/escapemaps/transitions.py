@@ -24,11 +24,10 @@ accepts.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MapFormatError
-from .rationals import Record, format_rational
+from .rationals import Record, cached_property, format_rational
 
 if TYPE_CHECKING:
     from .maps import MarkovMap
@@ -58,6 +57,14 @@ def bit_rows(rows: object, label: str) -> Matrix:
             raise MapFormatError(f"{label} entries must be 0 or 1, got {bad!r}")
         out.append(tuple(row))
     return tuple(out)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _row_mask(row: Sequence[int]) -> int:
+    """A checked 0/1 row as the int whose bit c is ``row[c]``: one ``int(..., 2)``."""
+    return int(b"0" + bytes(row[::-1]).translate(_DIGITS), 2)
 
 
 def as_binary_matrix(rows: object) -> Matrix:
@@ -131,8 +138,7 @@ def markov_matrix(m: MarkovMap) -> Matrix:
 
 
 class TransitionData(Record):
-    """Transition matrix A, escape block B and the escape matrix they
-    determine.
+    """Transition matrix A, escape block B and the escape matrix they determine.
 
     ``escape`` is n x m with one column per open gap, ordered by
     ``gap_positions`` (the 1-based gap indices, strictly increasing; gap k
@@ -140,12 +146,14 @@ class TransitionData(Record):
     in the interleaved order 1 < 1^ < 2 < ... < n: ``columns[c]`` is
     (j, None) for the Markov symbol j, or (p, k) for the gap symbol p^, which
     is escape column k (0-based) and the gap between intervals p and p + 1.
-    ``rows[i - 1]`` is row i of [A | B] in that column order; the escape
+    ``row_masks[i - 1]`` is row i of [A | B] in that column order as one
+    int, bit c for column c, and ``gap_mask`` has the bits of the gap
+    columns: feasibility, widths and branch ends in ``synthesis`` read only
+    these ints.  ``rows[i - 1]`` spells the mask out as a tuple; the escape
     matrix's rows for gap symbols are zero.  ``block_permutation`` maps block
     position p (Markov symbols first, then escape symbols) to the interleaved
     position of the same symbol, and ``permutation_matrix`` is the 0/1 matrix
-    P with P . E . P^T = [[A, B], [0, 0]].
-    """
+    P with P . E . P^T = [[A, B], [0, 0]]."""
 
     markov: Matrix
     escape: Matrix
@@ -170,19 +178,30 @@ class TransitionData(Record):
         return tuple(columns)
 
     @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """A's row as a mask, with the bit of each gap symbol put in after
+        its Markov symbol: escape column k goes to column p_k + k."""
+        slots = [(p + k, k) for k, p in enumerate(self.gap_positions)]
+        masks = []
+        for a_row, b_row in zip(self.markov, self.escape, strict=True):
+            mask = _row_mask(a_row)
+            for c, k in slots:  # shift the columns from c on up by one
+                mask = (mask >> c << c + 1) | (mask & (1 << c) - 1) | (b_row[k] << c)
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
     def rows(self) -> Matrix:
-        columns = self.columns
-        return tuple(
-            tuple(a_row[j - 1] if k is None else b_row[k] for j, k in columns)
-            for a_row, b_row in zip(self.markov, self.escape, strict=True)
-        )
+        width = len(self.columns)
+        return tuple(tuple(mask >> c & 1 for c in range(width)) for mask in self.row_masks)
+
+    @property
+    def gap_mask(self) -> int:
+        return sum(1 << p + k for k, p in enumerate(self.gap_positions))
 
     @cached_property
     def symbols(self) -> tuple[str, ...]:
-        return tuple(
-            markov_symbol(j) if k is None else gap_symbol(j)
-            for j, k in self.columns
-        )
+        return tuple(markov_symbol(j) if k is None else gap_symbol(j) for j, k in self.columns)
 
     @cached_property
     def entries(self) -> Matrix:
@@ -198,18 +217,13 @@ class TransitionData(Record):
     @cached_property
     def permutation_matrix(self) -> Matrix:
         size = len(self.columns)
-        return tuple(
-            tuple(int(col == target) for col in range(size))
-            for target in self.block_permutation
-        )
+        return tuple(tuple(int(c == t) for c in range(size)) for t in self.block_permutation)
 
 
 def transition_data(m: MarkovMap) -> TransitionData:
     """The map's cached transition matrix and escape block with its gap
     positions."""
-    return TransitionData(
-        m.transition_matrix, m.escape_block, tuple(k for k, _, _ in m.gaps)
-    )
+    return TransitionData(m.transition_matrix, m.escape_block, tuple(k for k, _, _ in m.gaps))
 
 
 # -- primitivity --------------------------------------------------------
@@ -262,7 +276,7 @@ def _primitivity(rows: Matrix) -> PrimitivityResult:
     """``is_primitive`` on a square 0/1 tuple matrix that is already checked,
     such as a map's transition matrix or a synthesis spec's."""
     n = len(rows)
-    masks = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+    masks = list(map(_row_mask, rows))
     full = (1 << n) - 1
     bound = wielandt_bound(n)
     top = bound.bit_length()
@@ -303,24 +317,17 @@ def dot_export(matrix: object) -> str:
 # -- comparison against a claimed matrix --------------------------------
 
 
-def expected_matrix_notes(
-    m: MarkovMap, data: TransitionData, expected
-) -> tuple[str, ...]:
+def expected_matrix_notes(m: MarkovMap, data: TransitionData, expected) -> tuple[str, ...]:
     """Human-readable notes for every entry where the computed escape matrix
     disagrees with a claimed one."""
     if expected.symbols != data.symbols:
-        return (
-            "claimed symbol order "
-            + " ".join(expected.symbols)
-            + " does not match computed order "
-            + " ".join(data.symbols),
-        )
+        return (f"claimed symbol order {' '.join(expected.symbols)} does not match computed "
+                f"order {' '.join(data.symbols)}",)
     notes = []
     columns, symbols = data.columns, data.symbols
     for r, (i, row_gap) in enumerate(columns):
         for c, (j, col_gap) in enumerate(columns):
-            got = data.entries[r][c]
-            want = expected.rows[r][c]
+            got, want = data.entries[r][c], expected.rows[r][c]
             if got == want:
                 continue
             note = (
@@ -340,11 +347,7 @@ def expected_matrix_notes(
                 else:
                     jlo, jhi = m.intervals[j - 1]
                     target = f"[{format_rational(jlo)}, {format_rational(jhi)}]"
-                    verb = (
-                        "does not contain the interior of"
-                        if got == 0
-                        else "contains the interior of"
-                    )
+                    verb = ("does not contain" if got == 0 else "contains") + " the interior of"
                     note += f"; branch {i} open image of {image} {verb} {target}"
             notes.append(note)
     return tuple(notes)

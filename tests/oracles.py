@@ -18,6 +18,13 @@ way, so the tests can check the short way against them:
     and ``fraction_validation``: the point location, forward orbit, coding
     and P1-P5 checks in ``Fraction`` arithmetic, bisecting ``Fraction``
     breakpoints and stepping with ``value_at``;
+  * ``fraction_p3``: P3's issues and the expansion bound from the
+    ``Fraction`` values |slope|, where the library compares |a| with d on
+    each branch's forward form and finds the least slope by
+    cross-multiplying;
+  * ``all_pairs_transition_matrix``: A with every (image, interval) pair
+    compared in ``Fraction``s, where the library bisects the sorted interval
+    ends once per image;
   * ``child_lists`` and ``children_by_label``: each window node's children,
     read off the parent array, for the tree oracles below;
   * ``ahu_canonical``: label-free canonical forms of truncated windows
@@ -48,6 +55,11 @@ way, so the tests can check the short way against them:
     masks;
   * ``layout_issues``: the synthesis layout rules, restated from their
     statement rather than imported;
+  * ``tuple_rows`` and ``tuple_layout_issues``: the rows of [A | B] in the
+    interleaved order as tuples, entry by entry, and the layout rules read
+    off each row's list of unit columns, where the library spells the rows
+    out from ``TransitionData.row_masks`` and decides the rules by bit
+    tests;
   * ``exhaustive_feasibility``: the synthesis feasibility report with the
     escape columns placed by trying every one of the C(n-1, m) placements
     in lexicographic order, where the library places each column by itself;
@@ -292,9 +304,7 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
         for k in range(1, m.n)
         if m.branches[k - 1].right < m.branches[k].left
     ]
-    markov = [
-        [int(lo <= jlo and jhi <= hi) for jlo, jhi in m.intervals] for lo, hi in m.images
-    ]
+    markov = all_pairs_transition_matrix(m)
     escape = [
         [int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in gaps] for lo, hi in m.images
     ]
@@ -323,11 +333,7 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
                 f"image of interval {i} meets the domain in {pretty}, "
                 f"not a union of whole intervals"
             )
-    p3_issues = [
-        f"interval {i}: |slope| = {abs(b.slope)} is not > 1"
-        for i, b in enumerate(m.branches, start=1)
-        if not abs(b.slope) > 1
-    ]
+    p3_issues, expansion_bound = fraction_p3(m)
     prim = is_primitive(markov)
     p4_issues = []
     if not prim.primitive:
@@ -351,10 +357,29 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
         p2_issues=tuple(p2_issues),
         p3_issues=tuple(p3_issues),
         p4_issues=tuple(p4_issues),
-        expansion_bound=min(abs(b.slope) for b in m.branches),
+        expansion_bound=expansion_bound,
         aperiodicity_exponent=prim.exponent,
         escape_coverage=coverage,
     )
+
+
+def all_pairs_transition_matrix(m: MarkovMap) -> Matrix:
+    """A from every pair of a closed image and an interval, in ``Fraction``s."""
+    return tuple(
+        tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in m.intervals) for lo, hi in m.images
+    )
+
+
+def fraction_p3(m: MarkovMap) -> tuple[tuple[str, ...], Fraction]:
+    """P3's issues and the expansion bound min |slope| from the ``Fraction``
+    slopes."""
+    slopes = [abs(b.slope) for b in m.branches]
+    issues = tuple(
+        f"interval {i}: |slope| = {s} is not > 1"
+        for i, s in enumerate(slopes, start=1)
+        if not s > 1
+    )
+    return issues, min(slopes)
 
 
 def escape_point_with_incidence(
@@ -670,6 +695,64 @@ def layout_issues(markov: Matrix, escape: Matrix, positions: tuple[int, ...], mo
         and not (any(lo < c == hi for lo, hi in spans) and any(lo == c < hi for lo, hi in spans))
     ]
     return rows, cols, segments
+
+
+def tuple_rows(data: TransitionData) -> Matrix:
+    """Each row of [A | B] in the order of ``data.columns``, entry by entry."""
+    return tuple(
+        tuple(a_row[j - 1] if k is None else b_row[k] for j, k in data.columns)
+        for a_row, b_row in zip(data.markov, data.escape, strict=True)
+    )
+
+
+def tuple_layout_issues(data: TransitionData, mode: str):
+    """``synthesis._layout_issues`` from the unit columns of each tuple row:
+    a row is contiguous when it has as many units as its first-to-last
+    span, a gap is covered when some span has it strictly inside or two
+    spans end and begin at it."""
+    columns, symbols = data.columns, data.symbols
+    row_issues, segments = [], []
+    spans = []  # (first, last) of each contiguous run
+    for i, row in enumerate(tuple_rows(data), start=1):
+        units = [c for c, v in enumerate(row) if v]
+        names = tuple(symbols[c] for c in units)
+        if not units:
+            row_issues.append(f"row {i} has no targets")
+            continue
+        first, last = units[0], units[-1]
+        if len(units) != last - first + 1:
+            row_issues.append(
+                f"targets of row {i} are not contiguous in symbol order: " + " ".join(names)
+            )
+            continue
+        spans.append((first, last))
+        if all(columns[c][1] is not None for c in units):
+            row_issues.append(
+                f"row {i} targets only an escape symbol; its image would collapse to a point"
+            )
+            continue
+        segments.append(RowSegment(i, names))
+        if mode == STRICT:
+            for end in dict.fromkeys((first, last)):
+                if columns[end][1] is not None:
+                    row_issues.append(
+                        f"row {i} segment ends at escape symbol {symbols[end]}; strict "
+                        f"mode requires Markov symbols at both ends"
+                    )
+    column_issues = []
+    for c, (p, k) in enumerate(columns):
+        if k is None:
+            continue
+        interior = any(first < c < last for first, last in spans)
+        left_end = any(first == c < last for first, last in spans)
+        right_end = any(first < c == last for first, last in spans)
+        if not (interior or (left_end and right_end)):
+            column_issues.append(
+                f"the gap at position {p} ({symbols[c]}) would not be fully covered by "
+                f"the branch images: it needs a branch whose segment contains it "
+                f"strictly inside, or partial branches reaching it from both sides"
+            )
+    return row_issues, column_issues, segments
 
 
 def exhaustive_placement(markov: Matrix, escape: Matrix, mode: str) -> tuple[int, ...] | None:

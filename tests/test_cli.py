@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import escapemaps
-from escapemaps import cli, commands, format_rational, maps, orbits
+from escapemaps import cli, commands, format_rational, orbits
 from escapemaps.cli import build_parser, main
 from escapemaps.corpus import corpus_path
 
@@ -681,13 +682,13 @@ LAYERS = (
 )
 
 
-def _loaded_modules(code: str) -> set[str]:
+def _loaded_modules(code: str, exit_code: int = 0) -> set[str]:
     """The names in ``sys.modules`` after a fresh interpreter has run CODE,
-    which may end in a successful ``SystemExit``."""
+    which may end in a ``SystemExit`` with ``exit_code``."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         f"import sys\ntry:\n    {code}\n"
-        "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
+        f"except SystemExit as exc:\n    assert (exc.code or 0) == {exit_code}, exc.code\n"
         "print(*sys.modules)"
     )
     proc = subprocess.run(
@@ -742,6 +743,23 @@ def test_a_layer_loads_only_the_layers_below_it(layer):
     assert _loaded_layers(f"import escapemaps.{layer}") == {layer, *LAYERS_BELOW[layer]}
 
 
+@pytest.mark.parametrize(
+    "code, exit_code",
+    [("import escapemaps.commands", 0), (_python_m_escapemaps("nosuch"), 2),
+     (_python_m_escapemaps("validate"), 2), (_python_m_escapemaps("tree", "--x", "1/2"), 2),
+     (_python_m_escapemaps("--help"), 0)],
+    ids=["import", "unknown-command", "missing-map", "missing-map-with-option", "help"],
+)
+def test_the_parser_loads_no_layer(code, exit_code):
+    """The command line imports each layer inside the handler that calls
+    it, so building the parser and refusing a command line load only
+    ``errors`` and ``rationals`` below ``commands``."""
+    loaded = _loaded_modules(code, exit_code)
+    assert {name for name in loaded if name.startswith("escapemaps.")} == {
+        "escapemaps.commands", "escapemaps.errors", "escapemaps.rationals"
+    }
+
+
 def test_tree_loads_neither_operators_nor_synthesis():
     assert _loaded_layers(_python_m_escapemaps("tree", "--x", "1/2", FOUR)) == {
         "maps",
@@ -776,11 +794,13 @@ def test_start_up_imports_neither_dataclasses_nor_inspect(code):
 
 
 def test_parser_defaults_are_the_orbit_budgets():
-    assert commands.DEFAULT_MAX_ITER == orbits.DEFAULT_MAX_ITER
-    assert commands.DEFAULT_TREE_DEPTH == maps.DEFAULT_TREE_DEPTH
+    """The parser reads the budgets from ``errors``, where the library's
+    defaults come from too."""
+    max_iter = inspect.signature(orbits.classify_point).parameters["max_iter"].default
+    depth = inspect.signature(escapemaps.compare_points).parameters["depth"].default
+    assert (commands.DEFAULT_MAX_ITER, commands.DEFAULT_TREE_DEPTH) == (max_iter, depth)
     tree = build_parser().parse_args(["tree", "--x", "1/2", FOUR])
-    assert tree.max_iter == orbits.DEFAULT_MAX_ITER
-    assert tree.depth == maps.DEFAULT_TREE_DEPTH
+    assert (tree.max_iter, tree.depth) == (max_iter, depth)
 
 
 def test_cli_is_the_commands_entry_point():

@@ -33,11 +33,13 @@ from escapemaps import (
 from conftest import synthesized_spec
 from oracles import (
     FractionGrid,
+    all_pairs_transition_matrix,
     fraction_classify_point,
     fraction_forms,
     fraction_grid,
     fraction_itinerary,
     fraction_locate,
+    fraction_p3,
     fraction_validation,
     linear_locate,
     partition_points,
@@ -227,6 +229,81 @@ def test_mixed_denominator_issue_texts(branches, p1, p2):
     report = m.validate()
     assert (list(report.p1_issues), list(report.p2_issues)) == (p1, p2)
     assert report == fraction_validation(m)
+
+
+# |slope| at, just above and just below 1, with either sign, so that two
+# branches often tie.
+around_one = st.sampled_from([F(1), F(2), F(3, 2), F(2, 3), F(101, 100), F(99, 100), F(7, 5)])
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_p3_and_the_expansion_bound_match_the_fraction_rule(data):
+    """Over intercepts whose denominators the slopes do not share, so the
+    forward forms (a, b, d) are often unreduced: d = lcm of both."""
+    n = data.draw(st.integers(1, 6), label="n")
+    ends = sorted(data.draw(st.lists(st.fractions(0, 1, max_denominator=30), min_size=2 * n,
+                                     max_size=2 * n, unique=True), label="endpoints"))
+    branches = []
+    for i in range(n):
+        sign = data.draw(st.sampled_from([1, -1]), label="sign")
+        slope = sign * data.draw(around_one, label="|slope|")
+        intercept = data.draw(st.fractions(-3, 3, max_denominator=60), label="intercept")
+        branches.append(AffineBranch(slope, intercept, ends[2 * i], ends[2 * i + 1]))
+    m = MarkovMap(tuple(branches))
+    report = m.validate()
+    issues, bound = fraction_p3(m)
+    assert (report.p3_issues, report.expansion_bound) == (issues, bound)
+    assert type(report.expansion_bound) is Fraction
+    assert report.p3_ok is not issues
+
+
+def test_p3_reads_unreduced_forms():
+    """Slopes 1, -1 and -3/2 over an intercept with denominator 6: the forms
+    are (6, 1, 6), (-6, 1, 6) and (-9, 1, 6)."""
+    m = MarkovMap((
+        AffineBranch(1, F(1, 6), 0, F(1, 4)),
+        AffineBranch(-1, F(1, 6), F(1, 4), F(1, 2)),
+        AffineBranch(F(-3, 2), F(1, 6), F(1, 2), 1),
+    ))
+    assert [form for form, _ in m.grid.forms] == [(6, 1, 6), (-6, 1, 6), (-9, 1, 6)]
+    report = m.validate()
+    assert report.p3_issues == (
+        "interval 1: |slope| = 1 is not > 1",
+        "interval 2: |slope| = 1 is not > 1",
+    )
+    assert report.expansion_bound == 1 and (report.p3_issues, 1) == fraction_p3(m)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_transition_matrix_matches_the_all_pairs_rule(fixtures, data):
+    m = _any_map(data, fixtures, data.draw(kinds, label="kind"))
+    assert m.transition_matrix == all_pairs_transition_matrix(m)
+
+
+@pytest.mark.parametrize(
+    "branches, rows",
+    [
+        # Touching intervals [0, 1/2], [1/2, 1]: an image ending inside interval
+        # 2, and one reaching past both ambient ends.
+        ([AffineBranch(F(3, 2), 0, 0, F(1, 2)), AffineBranch(3, F(-7, 4), F(1, 2), 1)],
+         [(1, 0), (1, 1)]),
+        # An image exactly interval 2, and one starting on interval 2's start
+        # and ending inside it.
+        ([AffineBranch(1, F(1, 2), 0, F(1, 2)), AffineBranch(F(1, 4), F(3, 8), F(1, 2), 1)],
+         [(0, 1), (0, 0)]),
+        # [0, 1/4], gap, [1/2, 3/4], [3/4, 1]: an image inside the gap, one
+        # from the gap past the right end, one from the left end to the gap.
+        ([AffineBranch(F(1, 2), F(1, 4), 0, F(1, 4)),
+          AffineBranch(4, F(-13, 8), F(1, 2), F(3, 4)),
+          AffineBranch(F(3, 2), F(-9, 8), F(3, 4), 1)],
+         [(0, 0, 0), (0, 1, 1), (1, 0, 0)]),
+    ],
+)
+def test_transition_matrix_on_touching_and_overreaching_images(branches, rows):
+    m = MarkovMap(tuple(branches))
+    assert m.transition_matrix == tuple(rows) == all_pairs_transition_matrix(m)
 
 
 def _probe_points(m: MarkovMap, data) -> list[Fraction]:

@@ -1,6 +1,9 @@
+import functools
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,7 +16,8 @@ from escapemaps import (
     jsonable,
     parse_rational,
 )
-from escapemaps.rationals import Record
+import escapemaps.cli  # noqa: F401  (loads every layer module)
+from escapemaps.rationals import Record, cached_property
 
 LIMIT = sys.get_int_max_str_digits()
 needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no digit limit on int strings")
@@ -126,3 +130,56 @@ def test_jsonable_converts_containers_and_passes_plain_values():
 def test_jsonable_refuses_other_values(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         jsonable(value)
+
+
+# -- cached_property -------------------------------------------------------
+
+
+_calls: list[int] = []  # the value of each instance whose ``doubled`` is computed
+
+
+class _Cached(Record):
+    value: int
+
+    @cached_property
+    def doubled(self) -> int:
+        """Twice the value, counted in ``_calls``."""
+        _calls.append(self.value)
+        return 2 * self.value
+
+
+def test_cached_property_computes_once_per_instance_into_the_record_dict():
+    _calls.clear()
+    first, second = _Cached(3), _Cached(5)
+    assert (first.doubled, first.doubled, second.doubled, first.doubled) == (6, 6, 10, 6)
+    assert _calls == [3, 5]
+    # Stored past the Record's __setattr__, which still refuses assignment.
+    assert vars(first) == {"value": 3, "doubled": 6}
+    with pytest.raises(AttributeError, match="cannot assign"):
+        first.doubled = 7
+    # The cached value is no field: equality and hash read the fields only.
+    assert first == _Cached(3) and hash(first) == hash(_Cached(3))
+
+
+def test_cached_property_on_the_class_is_the_descriptor_with_its_docstring():
+    descriptor = _Cached.__dict__["doubled"]
+    assert _Cached.doubled is descriptor and isinstance(descriptor, cached_property)
+    assert descriptor.__doc__ == "Twice the value, counted in ``_calls``."
+
+
+def test_no_library_module_uses_functools_cached_property():
+    """Every cached attribute of the library is the lock-free one: no class
+    of a layer module holds a ``functools.cached_property``, and no module
+    names it."""
+    cached = {
+        f"{cls.__qualname__}.{attr}": type(value)
+        for name, module in sys.modules.items() if name.startswith("escapemaps.")
+        for cls in vars(module).values() if isinstance(cls, type) and cls.__module__ == name
+        for attr, value in vars(cls).items()
+        if isinstance(value, (cached_property, functools.cached_property))
+    }
+    assert cached["MarkovMap.transition_matrix"] is cached_property
+    assert set(cached.values()) == {cached_property}
+    use = re.compile(r"@functools\.cached_property|from functools import .*\bcached_property")
+    for path in Path(escapemaps.cli.__file__).parent.glob("*.py"):
+        assert not use.search(path.read_text()), path.name

@@ -27,7 +27,13 @@ from escapemaps import (
 from escapemaps import maps, synthesis, transitions
 from escapemaps.corpus import FOUR_INTERVAL_MARKOV, load_document
 from conftest import synthesized_spec
-from oracles import exhaustive_feasibility, listed_widths
+from oracles import (
+    exhaustive_feasibility,
+    layout_issues,
+    listed_widths,
+    tuple_layout_issues,
+    tuple_rows,
+)
 
 F = Fraction
 
@@ -618,6 +624,100 @@ def test_layout_rules_at_given_positions_match_the_oracle(data):
     mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
     spec = SynthesisSpec(markov, escape, tuple(sorted(positions)), mode)
     assert feasibility_check(spec) == exhaustive_feasibility(spec)
+
+
+def _placed_rows(data) -> TransitionData:
+    """Transition data at n = 2..12 with 0-3 gap columns, whose interleaved
+    rows are drawn one kind at a time: empty, one gap symbol alone, a run
+    from or to a gap symbol, any run, or any set of columns (mostly split)."""
+    n = data.draw(st.integers(2, 12), label="n")
+    m = data.draw(st.integers(0, min(3, n - 1)), label="m")
+    slots = data.draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m, unique=True))
+    positions = tuple(sorted(slots))
+    is_gap = [k is not None for _, k in TransitionData(((0,) * n,) * n, ((0,) * m,) * n,
+                                                        positions).columns]
+    width, gap_columns = n + m, [c for c in range(n + m) if is_gap[c]]
+    kinds = ["empty", "run", "split"] + ["escape-only", "gap-ended"] * bool(m)
+    rows = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "empty":
+            units = set()
+        elif kind == "escape-only":
+            units = {data.draw(st.sampled_from(gap_columns), label="gap")}
+        elif kind == "split":
+            units = set(data.draw(st.lists(st.integers(0, width - 1), max_size=width)))
+        else:
+            ends = sorted(data.draw(st.tuples(*[st.integers(0, width - 1)] * 2), label="ends"))
+            if kind == "gap-ended":
+                ends[data.draw(st.integers(0, 1), label="end")] = data.draw(
+                    st.sampled_from(gap_columns), label="gap")
+            units = set(range(min(ends), max(ends) + 1))
+        rows.append([int(c in units) for c in range(width)])
+    markov = tuple(tuple(v for v, gap in zip(row, is_gap) if not gap) for row in rows)
+    escape = tuple(tuple(v for v, gap in zip(row, is_gap) if gap) for row in rows)
+    return TransitionData(markov, escape, positions)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_row_masks_spell_the_tuple_rows(data):
+    placed = _placed_rows(data)
+    rows = tuple_rows(placed)
+    assert placed.rows == rows
+    assert placed.row_masks == tuple(sum(v << c for c, v in enumerate(row)) for row in rows)
+    columns = placed.columns
+    assert placed.gap_mask == sum(1 << c for c, (_, k) in enumerate(columns) if k is not None)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_mask_layout_rules_match_the_tuple_rows(data):
+    """Row issues, column issues and segments, texts included, equal those
+    read off each tuple row's unit columns and those of the rules'
+    statement."""
+    placed = _placed_rows(data)
+    mode = data.draw(st.sampled_from([STRICT, PARTIAL]), label="mode")
+    got = synthesis._layout_issues(placed, mode)
+    assert got == tuple_layout_issues(placed, mode)
+    assert got == layout_issues(placed.markov, placed.escape, placed.gap_positions, mode)
+
+
+def test_mask_layout_rules_on_every_row_kind():
+    """One placement with each kind of row, in both modes."""
+    # Rows over the interleaved columns 1 1^ 2 2^ 3 4 4^ 5.
+    rows = [
+        "00000000",  # empty
+        "00000010",  # the gap symbol 4^ alone
+        "10100001",  # split
+        "01111000",  # from the gap symbol 1^, over 2^
+        "11000000",  # to the gap symbol 1^
+    ]
+    is_gap = [c in (1, 3, 6) for c in range(8)]
+    markov = tuple(tuple(int(v) for v, gap in zip(row, is_gap) if not gap) for row in rows)
+    escape = tuple(tuple(int(v) for v, gap in zip(row, is_gap) if gap) for row in rows)
+    placed = TransitionData(markov, escape, (1, 2, 4))
+    for mode in (STRICT, PARTIAL):
+        assert synthesis._layout_issues(placed, mode) == tuple_layout_issues(placed, mode)
+    row_issues, column_issues, segments = synthesis._layout_issues(placed, PARTIAL)
+    assert row_issues == [
+        "row 1 has no targets",
+        "row 2 targets only an escape symbol; its image would collapse to a point",
+        "targets of row 3 are not contiguous in symbol order: 1 2 5",
+    ]
+    assert column_issues == [
+        "the gap at position 4 (4^) would not be fully covered by the branch images: it "
+        "needs a branch whose segment contains it strictly inside, or partial branches "
+        "reaching it from both sides",
+    ]
+    assert [(s.row, s.symbols) for s in segments] == [(4, ("1^", "2", "2^", "3")),
+                                                     (5, ("1", "1^"))]
+    strict_issues, _, _ = synthesis._layout_issues(placed, STRICT)
+    assert strict_issues[3:] == [
+        f"row {i} segment ends at escape symbol 1^; strict mode requires Markov symbols "
+        f"at both ends"
+        for i in (4, 5)
+    ]
 
 
 # -- JSON assembly -------------------------------------------------------
