@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": (
         "CORPUS_NAMES", "FOUR_INTERVAL_MARKOV", "corpus_path",
-        "four_interval_document", "four_interval_map",
-        "four_interval_reaching_map", "full_two_interval_map", "load_document",
+        "four_interval_map", "load_document",
     ),
     "equivalence": (
         "ComparisonResult", "Distinct", "Equivalent", "EscapeVsRegular",

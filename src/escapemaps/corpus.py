@@ -38,20 +38,8 @@ def load_document(name: str) -> MapDocument:
     return map_document_from_jsonable(json.loads(corpus_path(name).read_text()))
 
 
-def four_interval_document() -> MapDocument:
-    return load_document("four_interval")
-
-
 def four_interval_map() -> MarkovMap:
-    return four_interval_document().map
-
-
-def four_interval_reaching_map() -> MarkovMap:
-    return load_document("four_interval_reaching").map
-
-
-def full_two_interval_map() -> MarkovMap:
-    return load_document("full_two_interval").map
+    return load_document("four_interval").map
 
 
 def corpus_path(name: str) -> Path:

@@ -17,13 +17,14 @@ A fifth, purely diagnostic property:
   P5  whenever a branch image meets an open gap it contains the whole gap
       ("full escape coverage"); partial coverage is legal but reported.
 
-Each map caches an ``IntegerGrid``: every interval and image endpoint as a
-numerator over their least common denominator, the image ends found by
-stepping the domain ends through each branch's integer form.  A, B, P1, P2,
-P5, point location and closed-image incidence compare those integers, P2 by
-looking up the cell of each image end, and the grid steps points, held as
-reduced (num, den) pairs, through the branches; Fractions are built for
-returned values and issue texts only.
+Each map caches an ``IntegerGrid``, its only geometry: every interval and
+image endpoint as a numerator over their least common denominator, the image
+ends found by stepping the domain ends through each branch's integer form.
+The images, A, B, P1, P2, P5, point location, closed-image incidence and the
+cells of a gap compare those integers, P2 by looking up the cell of each
+image end, and the grid steps points, held as reduced (num, den) pairs,
+through the branches and their inverses.  The domain and overlap checks
+cross-multiply; Fractions are built for returned values and issue texts only.
 """
 
 from __future__ import annotations
@@ -61,9 +62,16 @@ def merge_closed_intervals(items: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
+def _cross(x: Fraction, y: Fraction) -> int:
+    """p*t - s*q for x = p/q and y = s/t: its sign is that of x - y."""
+    (p, q), (s, t) = x.as_integer_ratio(), y.as_integer_ratio()
+    return p * t - s * q
+
+
 class AffineBranch(Record):
     """One affine branch: x |-> slope*x + intercept on the closed domain
-    [left, right], each coefficient a Fraction or an int (``exact``)."""
+    [left, right], each a Fraction or an int (``exact``).  Its image and its
+    steps on points belong to the map's ``IntegerGrid``."""
 
     slope: Fraction
     intercept: Fraction
@@ -75,19 +83,11 @@ class AffineBranch(Record):
             object.__setattr__(self, name, exact(getattr(self, name)))
         if self.slope == 0:
             raise MapStructureError("branch slope must be nonzero")
-        if not self.left < self.right:
+        if _cross(self.left, self.right) >= 0:
             raise MapStructureError(
                 f"branch domain [{format_rational(self.left)}, "
                 f"{format_rational(self.right)}] is degenerate"
             )
-
-    def value_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
-    def image(self) -> Interval:
-        a = self.value_at(self.left)
-        b = self.value_at(self.right)
-        return (a, b) if a <= b else (b, a)
 
 
 # Location kinds returned by MarkovMap.locate.
@@ -180,15 +180,16 @@ class IntegerGrid:
         t, r = divmod(p * self.den, q)
         return masks[bisect_right(bounds, 2 * t + (r > 0))]
 
-    def cells_between(self, lo: Fraction, hi: Fraction) -> tuple[tuple, ...]:
+    def cells_between(self, lo: int, hi: int) -> tuple[tuple[int, int, int], ...]:
         """The open cells (x, y, mask) into which the image endpoints
-        strictly between lo < hi cut (lo, hi), with the incidence mask that
-        all points of the cell share: the pieces from the one just right of
-        lo to the one just left of hi, cut at the endpoints between them."""
+        strictly between lo < hi (numerators over D) cut (lo, hi), with the
+        incidence mask that all points of the cell share: the pieces from
+        the one just right of lo to the one just left of hi, cut at the
+        endpoints between them, each end a numerator over D."""
         bounds, masks = self._image_table
-        first = bisect_right(bounds, 2 * lo * self.den + 1)
-        last = bisect_right(bounds, 2 * hi * self.den - 1)
-        cuts = [lo, *(Fraction(bounds[k] // 2, self.den) for k in range(first, last, 2)), hi]
+        first = bisect_right(bounds, 2 * lo + 1)
+        last = bisect_right(bounds, 2 * hi - 1)
+        cuts = [lo, *(bounds[k] // 2 for k in range(first, last, 2)), hi]
         return tuple(zip(cuts, cuts[1:], masks[first : last + 1 : 2]))
 
     @cached_property
@@ -288,7 +289,7 @@ class MarkovMap(Record):
         if not branches:
             raise MapStructureError("a map needs at least one branch")
         for left, right in itertools.pairwise(branches):
-            if not left.right <= right.left:
+            if _cross(left.right, right.left) > 0:
                 raise MapStructureError(
                     f"interval [{format_rational(left.left)}, {format_rational(left.right)}] "
                     f"overlaps [{format_rational(right.left)}, {format_rational(right.right)}]"
@@ -307,8 +308,9 @@ class MarkovMap(Record):
 
     @cached_property
     def images(self) -> tuple[Interval, ...]:
-        """Closed branch images f(I_1), ..., f(I_n), endpoints sorted."""
-        return tuple(b.image() for b in self.branches)
+        """Closed branch images f(I_1), ..., f(I_n), endpoints sorted, off the grid."""
+        den = self.grid.den
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.grid.images)
 
     @cached_property
     def grid(self) -> IntegerGrid:
@@ -381,15 +383,13 @@ class MarkovMap(Record):
 
     # Read by perfbench/window_chain.py and cli_corpus.py, and counted by its tracer.
     def branch_inverse(self, i: int, y: Fraction) -> Fraction | None:
-        """Preimage of y under branch i (1-based), or None when y is outside
-        the closed image of interval i."""
+        """Preimage of y under branch i (1-based), read off the grid, or None
+        when y is outside the closed image of interval i."""
         check_index(i, self.n, "branch index")
-        y = exact(y)
-        lo, hi = self.images[i - 1]
-        if not lo <= y <= hi:
+        p, q = exact(y).as_integer_ratio()
+        if not self.grid.incidence(p, q) >> (i - 1) & 1:
             return None
-        branch = self.branches[i - 1]
-        return (y - branch.intercept) / branch.slope
+        return Fraction(*self.grid.preimage(i, p, q))
 
     # Counted by the perfbench tracer, which wraps this method.
     def interval_image(self, i: int) -> Interval:

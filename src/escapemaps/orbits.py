@@ -130,8 +130,10 @@ def incidence_cells(
     """Subdivide gap ``gap_index`` at the branch-image endpoints falling
     inside it; return the open cells with the (constant) incidence vector of
     each cell interior."""
-    cells = m.grid.cells_between(*m.gap_bounds(gap_index))
-    return tuple((lo, hi, _row(m.n, mask)) for lo, hi, mask in cells)
+    den = m.grid.den
+    ends = [x.numerator * (den // x.denominator) for x in m.gap_bounds(gap_index)]
+    cells = m.grid.cells_between(*ends)
+    return tuple((Fraction(x, den), Fraction(y, den), _row(m.n, mask)) for x, y, mask in cells)
 
 
 # -- backward windows ---------------------------------------------------
@@ -183,10 +185,10 @@ class OrbitTree(Record):
         """Node values as Fractions, read from ``pairs``."""
         return tuple([Fraction(p, q) for p, q in self.pairs])
 
-    def interior_indices(self) -> tuple[int, ...]:
+    def interior_indices(self) -> range:
         """Nodes whose preimages were fully expanded: discovery depth at most
-        max_depth - 1."""
-        return tuple(range(bisect.bisect_left(self.depths, self.max_depth)))
+        max_depth - 1, a prefix of the level-by-level node order."""
+        return range(bisect.bisect_left(self.depths, self.max_depth))
 
 
 def window_classes(

@@ -23,11 +23,9 @@ from escapemaps import (
     MarkovMap,
     SynthesisSpec,
     feasibility_check,
-    four_interval_document,
     four_interval_map,
-    four_interval_reaching_map,
-    full_two_interval_map,
     is_primitive,
+    load_document,
     synthesize,
 )
 
@@ -41,7 +39,7 @@ settings.load_profile("escapemaps")
 
 @pytest.fixture(scope="session")
 def four_doc():
-    return four_interval_document()
+    return load_document("four_interval")
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +49,12 @@ def four_map():
 
 @pytest.fixture(scope="session")
 def reaching_map():
-    return four_interval_reaching_map()
+    return load_document("four_interval_reaching").map
 
 
 @pytest.fixture(scope="session")
 def full2_map():
-    return full_two_interval_map()
+    return load_document("full_two_interval").map
 
 
 @pytest.fixture(scope="session")

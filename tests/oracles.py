@@ -5,19 +5,26 @@ integer grid, and decides equivalence from the transition matrix and the
 incidence rows alone.  The tools here decide the same questions the long
 way, so the tests can check the short way against them:
 
+  * ``branch_value``, ``branch_image`` (``branch_images`` per map) and
+    ``fraction_branch_inverse``: a branch's value, closed image and inverse
+    (y - intercept)/slope in ``Fraction`` arithmetic, the reference for
+    the map's geometry, which the library reads off its integer grid only;
+  * ``fraction_incidence_cells``: a gap cut in ``Fraction``s at the image
+    ends inside it, where the library cuts numerators over the grid's
+    denominator;
   * ``partition_points``: the sorted branch endpoints, where the library
     keeps them as numerators on its integer grid;
   * ``linear_locate``: a point's location by scanning the ambient interval,
     every partition point, every interval and every gap in turn;
   * ``fraction_grid`` and ``fraction_forms``: the integer grid and the
     branches' integer forms read off ``Fraction`` products, the lcm taken
-    over the denominators of ``AffineBranch.image()``, where the library
+    over the denominators of ``branch_image``, where the library
     steps each domain end through the forward form and reads every form
     off the numerators and denominators of slope and intercept;
   * ``fraction_locate``, ``fraction_classify_point``, ``fraction_itinerary``
     and ``fraction_validation``: the point location, forward orbit, coding
     and P1-P5 checks in ``Fraction`` arithmetic, bisecting ``Fraction``
-    breakpoints and stepping with ``value_at``;
+    breakpoints and stepping with ``branch_value``;
   * ``fraction_p3``: P3's issues and the expansion bound from the
     ``Fraction`` values |slope|, where the library compares |a| with d on
     each branch's forward form and finds the least slope by
@@ -146,6 +153,44 @@ from escapemaps.transitions import (
 )
 
 
+def branch_value(b: AffineBranch, x: Fraction) -> Fraction:
+    """f(x) = slope*x + intercept in ``Fraction`` arithmetic."""
+    return b.slope * x + b.intercept
+
+
+def branch_image(b: AffineBranch) -> tuple[Fraction, Fraction]:
+    """The closed image of the branch's domain, ends sorted, from
+    ``branch_value`` at both domain ends."""
+    lo, hi = branch_value(b, b.left), branch_value(b, b.right)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def branch_images(m: MarkovMap) -> tuple[tuple[Fraction, Fraction], ...]:
+    return tuple(branch_image(b) for b in m.branches)
+
+
+def fraction_branch_inverse(m: MarkovMap, i: int, y: Fraction) -> Fraction | None:
+    """(y - intercept) / slope under branch i when y lies in its closed
+    ``branch_image``, else None."""
+    b = m.branches[i - 1]
+    lo, hi = branch_image(b)
+    return (y - b.intercept) / b.slope if lo <= y <= hi else None
+
+
+def fraction_incidence_cells(
+    m: MarkovMap, k: int
+) -> tuple[tuple[Fraction, Fraction, tuple[int, ...]], ...]:
+    """Gap k cut in ``Fraction``s at the image ends strictly inside it, each
+    open cell with the closed images containing its midpoint."""
+    lo, hi = m.branches[k - 1].right, m.branches[k].left
+    images = branch_images(m)
+    cuts = [lo, *sorted({e for image in images for e in image if lo < e < hi}), hi]
+    return tuple(
+        (a, b, tuple(int(ilo <= (a + b) / 2 <= ihi) for ilo, ihi in images))
+        for a, b in itertools.pairwise(cuts)
+    )
+
+
 def partition_points(m: MarkovMap) -> tuple[Fraction, ...]:
     """The distinct branch endpoints in increasing order."""
     return tuple(sorted({p for b in m.branches for p in (b.left, b.right)}))
@@ -163,9 +208,9 @@ class FractionGrid(Record):
 
 def fraction_grid(m: MarkovMap) -> FractionGrid:
     """The grid from ``Fraction`` endpoints: the least common denominator of
-    the domain ends and of ``AffineBranch.image()``, each end as its
+    the domain ends and of ``branch_image``, each end as its
     numerator over it."""
-    ends = [(b.left, b.right) for b in m.branches] + [b.image() for b in m.branches]
+    ends = [(b.left, b.right) for b in m.branches] + list(branch_images(m))
     den = math.lcm(*(x.denominator for pair in ends for x in pair))
 
     def num(x: Fraction) -> int:
@@ -240,7 +285,7 @@ def fraction_locate(m: MarkovMap, x: Fraction) -> Location:
 
 
 def fraction_classify_point(m: MarkovMap, x: Fraction, max_iter: int):
-    """Classify by iterating ``value_at`` and locating every point with
+    """Classify by iterating ``branch_value`` and locating every point with
     ``fraction_locate``; the incidence compares the escape point with every
     closed image."""
     y, seen = Fraction(x), {}
@@ -251,14 +296,14 @@ def fraction_classify_point(m: MarkovMap, x: Fraction, max_iter: int):
         if loc.kind == PARTITION_POINT:
             return BoundaryOrbit(step, y)
         if loc.kind == ESCAPE_INTERIOR:
-            incidence = tuple(int(lo <= y <= hi) for lo, hi in m.images)
+            incidence = tuple(int(lo <= y <= hi) for lo, hi in branch_images(m))
             return Escaped(step, y, loc.index, incidence)
         if y in seen:
             return UndeterminedRegular(step, step - seen[y])
         seen[y] = step
         if step == max_iter:
             break
-        y = m.branches[loc.index - 1].value_at(y)
+        y = branch_value(m.branches[loc.index - 1], y)
     return UndeterminedRegular(max_iter, None)
 
 
@@ -274,7 +319,7 @@ class Itinerary(Record):
 
 
 def fraction_itinerary(m: MarkovMap, x: Fraction, max_iter: int) -> Itinerary:
-    """The coding by ``value_at`` and ``fraction_locate``; at a partition
+    """The coding by ``branch_value`` and ``fraction_locate``; at a partition
     point the leftmost closed interval containing it gives the symbol."""
     y, symbols, boundary = Fraction(x), [], []
     for step in range(max_iter + 1):
@@ -291,7 +336,7 @@ def fraction_itinerary(m: MarkovMap, x: Fraction, max_iter: int) -> Itinerary:
             boundary.append(step)
             i = next(i for i, b in enumerate(m.branches, 1) if b.left <= y <= b.right)
         symbols.append(str(i))
-        y = m.branches[i - 1].value_at(y)
+        y = branch_value(m.branches[i - 1], y)
     return Itinerary(tuple(symbols), tuple(boundary), None)
 
 
@@ -305,12 +350,13 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
         if m.branches[k - 1].right < m.branches[k].left
     ]
     markov = all_pairs_transition_matrix(m)
+    images = branch_images(m)
     escape = [
-        [int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in gaps] for lo, hi in m.images
+        [int(max(lo, glo) < min(hi, ghi)) for _, glo, ghi in gaps] for lo, hi in images
     ]
 
     p1_issues = []
-    covered = merge_closed_intervals(m.images)
+    covered = merge_closed_intervals(images)
     if covered != (ambient,):
         pretty = ", ".join(f"[{lo}, {hi}]" for lo, hi in covered)
         p1_issues.append(
@@ -318,7 +364,7 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
             f"[{ambient[0]}, {ambient[1]}]"
         )
     p2_issues = []
-    for i, (lo, hi) in enumerate(m.images, start=1):
+    for i, (lo, hi) in enumerate(images, start=1):
         pieces, whole = [], []
         for j, (jlo, jhi) in enumerate(m.intervals, start=1):
             plo, phi = max(lo, jlo), min(hi, jhi)
@@ -344,7 +390,7 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
         )
     coverage = tuple(
         EscapeCoverage(i, k, lo <= glo and ghi <= hi)
-        for i, ((lo, hi), row) in enumerate(zip(m.images, escape), start=1)
+        for i, ((lo, hi), row) in enumerate(zip(images, escape), start=1)
         for (k, glo, ghi), unit in zip(gaps, row)
         if unit
     )
@@ -366,7 +412,8 @@ def fraction_validation(m: MarkovMap) -> ValidationReport:
 def all_pairs_transition_matrix(m: MarkovMap) -> Matrix:
     """A from every pair of a closed image and an interval, in ``Fraction``s."""
     return tuple(
-        tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in m.intervals) for lo, hi in m.images
+        tuple(int(lo <= jlo and jhi <= hi) for jlo, jhi in m.intervals)
+        for lo, hi in branch_images(m)
     )
 
 
@@ -605,7 +652,7 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
     """The reference for ``image_decomposition_check``.  Each closed image's
     interior members come from two bisections in the interior points sorted
     by value, and are compared with q_i.  For each member y of the image of
-    I_i, z = f_i^{-1}(y) must satisfy f_i(z) = y and be the point of y's
+    I_i, z = f_i^{-1}(y), solved in ``Fraction``s, must be the point of y's
     child labelled i.  An interior node that is no such child gets the round
     trip f_i^{-1}(f_i(x)) = x checked directly."""
     m, tree = rep.tree.map, rep.tree
@@ -619,9 +666,9 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
         if parent is not None
     }
     mismatches = []
-    failures: list[tuple[tuple[int, int, int], str]] = []
+    failures: list[tuple[tuple[int, int], str]] = []
     covered: set[int] = set()
-    for i, ((lo, hi), b) in enumerate(zip(m.images, m.branches), start=1):
+    for i, (lo, hi) in enumerate(branch_images(m), start=1):
         q = set(_indices(rep.image_masks[i - 1]))
         members = ordered[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
         if diff := set(members) ^ (q & interior):
@@ -630,21 +677,20 @@ def bisect_image_decomposition_check(rep: Representation) -> ImageDecompositionR
             )
         for idx in members:
             y = points[idx]
-            z = m.branch_inverse(i, y)
-            if b.value_at(z) != y:
-                failures.append(((idx, i, 0), f"branch {i} inverse identity fails at {y}"))
-                continue
+            z = fraction_branch_inverse(m, i, y)
             child = child_of.get((idx, i))
             if child is not None:
                 covered.add(child)
                 if z != points[child]:
                     failures.append(
-                        ((child, i, 1), f"branch {i} round trip fails at {points[child]}")
+                        ((child, i), f"branch {i} round trip fails at {points[child]}")
                     )
     for idx in interior - covered:
         i, x = labels[idx], points[idx]
-        if i is not None and m.branch_inverse(i, m.branches[i - 1].value_at(x)) != x:
-            failures.append(((idx, i, 1), f"branch {i} round trip fails at {x}"))
+        if i is None:
+            continue
+        if fraction_branch_inverse(m, i, branch_value(m.branches[i - 1], x)) != x:
+            failures.append(((idx, i), f"branch {i} round trip fails at {x}"))
     failures.sort()
     texts = mismatches + [text for _, text in failures]
     return ImageDecompositionReport(not texts, tuple(texts))

@@ -36,11 +36,10 @@ from escapemaps import (
     faithfulness_certificate,
     feasibility_check,
     four_interval_map,
-    four_interval_reaching_map,
-    full_two_interval_map,
     gap_projection,
     is_primitive,
     image_decomposition_check,
+    load_document,
     markov_matrix,
     projection_sum_is_identity,
     realize,
@@ -84,14 +83,14 @@ def test_criterion_1_corpus_validation(capsys):
             (1, 2, True)
         ]
 
-        reaching = four_interval_reaching_map().validate()
+        reaching = load_document("four_interval_reaching").map.validate()
         assert reaching.all_ok and not reaching.p5_ok
         assert [(c.branch, c.gap, c.full) for c in reaching.escape_coverage] == [
             (1, 2, True),
             (4, 2, False),
         ]
 
-        assert full_two_interval_map().validate().all_ok
+        assert load_document("full_two_interval").map.validate().all_ok
 
 
 # -- criterion 2: transition and escape matrices --------------------------
@@ -145,7 +144,7 @@ def test_criterion_2_transition_matrices(capsys):
         data = transition_data(m)
         assert data.escape == ((1,), (0,), (0,), (0,))
         assert data.gap_positions == (2,)
-        reaching_data = transition_data(four_interval_reaching_map())
+        reaching_data = transition_data(load_document("four_interval_reaching").map)
         assert reaching_data.escape == ((1,), (0,), (0,), (1,))
 
 

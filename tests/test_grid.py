@@ -4,7 +4,7 @@ The library builds each map's grid from the branches' integer forms, and
 validates maps, locates points and iterates forward orbits on numerators
 over one common denominator.  Here each of those answers is compared with
 ``tests/oracles.py``, which computes the same thing with ``Fraction``
-comparisons, bisection of ``Fraction`` breakpoints and ``value_at``: the
+comparisons, bisection of ``Fraction`` breakpoints and ``branch_value``: the
 grid's fields and forms, validation reports (issue texts included) on
 valid, corrupted and random maps and on a table of P2 edge cases, and
 locations and classifications of points on and around the partition,
@@ -27,6 +27,7 @@ from escapemaps import (
     MapStructureError,
     MarkovMap,
     classify_point,
+    incidence_cells,
     synthesize,
 )
 
@@ -34,9 +35,13 @@ from conftest import synthesized_spec
 from oracles import (
     FractionGrid,
     all_pairs_transition_matrix,
+    branch_image,
+    branch_images,
+    fraction_branch_inverse,
     fraction_classify_point,
     fraction_forms,
     fraction_grid,
+    fraction_incidence_cells,
     fraction_itinerary,
     fraction_locate,
     fraction_p3,
@@ -86,7 +91,7 @@ def _corrupt(m: MarkovMap, data) -> MarkovMap:
     values = {"slope": b.slope, "intercept": b.intercept, "left": b.left, "right": b.right}
     if field == "snap":
         target = data.draw(st.sampled_from(partition_points(m)), label="target")
-        end = data.draw(st.sampled_from(b.image()), label="image end")
+        end = data.draw(st.sampled_from(branch_image(b)), label="image end")
         values["intercept"] += target - end
     else:
         values[field] += delta if field != "slope" else delta * b.slope
@@ -350,3 +355,105 @@ def test_locate_and_classify_match_the_fraction_oracle(fixtures, data):
             # The labels are the itinerary that ``point`` prints.
             symbols = (*map(str, labels), f"{outcome.gap_index}^")
             assert symbols == fraction_itinerary(m, x, 40).symbols
+
+
+# -- the map's geometry against the Fraction branches -------------------
+
+
+def _shifted(m: MarkovMap, c: Fraction) -> MarkovMap:
+    """The conjugate x |-> f(x + c) - c of m, on the intervals moved by -c:
+    a valid map stays valid, and its ends turn negative for c > 0."""
+    return MarkovMap(tuple(
+        AffineBranch(b.slope, b.slope * c + b.intercept - c, b.left - c, b.right - c)
+        for b in m.branches
+    ))
+
+
+@pytest.fixture(scope="module")
+def geometry_maps(fixtures, banded_maps):
+    """The bundled, reversing and partial maps, the strict band maps at n = 16
+    and 32, and all of them shifted to the left of 0."""
+    maps = [*fixtures, *banded_maps.values()]
+    return maps + [_shifted(m, F(3, 2)) for m in maps]
+
+
+def _geometry_map(data, fixtures, geometry_maps) -> MarkovMap:
+    """A map of ``geometry_maps`` or one ``_any_map`` draws: synthesized at n
+    = 5..8, corrupted, or random with ends in [-2, 2], either orientation."""
+    if data.draw(st.booleans(), label="listed"):
+        return data.draw(st.sampled_from(geometry_maps), label="listed map")
+    return _any_map(data, fixtures, data.draw(kinds, label="kind"))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_branch_inverse_matches_the_fraction_rule(fixtures, geometry_maps, data):
+    """At both ends of every closed image, just outside them and inside, under
+    every branch: the grid's incidence bit and inverse form against
+    (y - intercept)/slope on the closed ``Fraction`` image."""
+    m = _geometry_map(data, fixtures, geometry_maps)
+    images = branch_images(m)
+    assert m.images == images
+    huge = data.draw(st.integers(10**3, 10**30), label="offset denominator")
+    steps = (0, F(-1, huge), F(1, huge))
+    probes = [
+        *(end + step for image in images for end in image for step in steps),
+        *((lo + hi) / 2 for lo, hi in images),
+        *(lo + (hi - lo) / huge for lo, hi in images),
+    ]
+    for y in probes:
+        for i in range(1, m.n + 1):
+            assert m.branch_inverse(i, y) == fraction_branch_inverse(m, i, y), (i, y)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_incidence_cells_match_the_fraction_cut(fixtures, geometry_maps, data):
+    m = _geometry_map(data, fixtures, geometry_maps)
+    for k, _, _ in m.gaps:
+        assert incidence_cells(m, k) == fraction_incidence_cells(m, k), k
+
+
+def test_incidence_cells_match_the_fraction_cut_on_the_listed_maps(geometry_maps):
+    """Every gap of every listed map, each map valid, of which some are cut
+    into several cells."""
+    cut = 0
+    for m in geometry_maps:
+        assert m.validate().all_ok
+        for k, _, _ in m.gaps:
+            cells = incidence_cells(m, k)
+            assert cells == fraction_incidence_cells(m, k)
+            cut += len(cells) > 1
+    assert cut >= 4
+
+
+domain_ends = st.fractions(-3, 3, max_denominator=10**12)
+
+
+def _second_end(data, x: Fraction) -> Fraction:
+    """x itself, or x moved down or up by a drawn amount, as small as 10^-15."""
+    step = F(1, data.draw(st.sampled_from([1, 7, 10**6, 10**15]), label="step"))
+    return x + data.draw(st.sampled_from([0, -1, 1]), label="direction") * step
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_domain_and_overlap_checks_match_fraction_comparisons(data):
+    """A domain [x, y] is refused unless x < y, and two consecutive domains
+    ending and starting at x and y unless x <= y: touching domains pass,
+    equal or reversed ends are refused."""
+    x = data.draw(domain_ends, label="x")
+    y = _second_end(data, x)
+    slope = data.draw(nonzero_slope, label="slope")
+    if x < y:
+        branch = AffineBranch(slope, 0, x, y)
+        assert (branch.left, branch.right) == (x, y)
+    else:
+        with pytest.raises(MapStructureError, match="is degenerate"):
+            AffineBranch(slope, 0, x, y)
+    pair = (AffineBranch(slope, 0, x - 1, x), AffineBranch(slope, 0, y, y + 1))
+    if x <= y:
+        assert MarkovMap(pair).intervals == ((x - 1, x), (y, y + 1))
+    else:
+        with pytest.raises(MapStructureError, match="overlaps"):
+            MarkovMap(pair)

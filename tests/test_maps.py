@@ -27,7 +27,7 @@ from escapemaps import (
 )
 from escapemaps.corpus import corpus_path, load_document
 
-from oracles import linear_locate, partition_points
+from oracles import branch_image, branch_value, linear_locate, partition_points
 
 F = Fraction
 
@@ -105,15 +105,15 @@ def test_texts_naming_a_huge_rational_raise_the_library_error():
 
 def test_branch_image_sorts_endpoints_for_negative_slope():
     b = AffineBranch(F(-2), F(1), F(0), F(1, 2))
-    assert b.image() == (F(0), F(1))
-    assert b.value_at(F(1, 4)) == F(1, 2)
+    assert branch_image(b) == (F(0), F(1))
+    assert branch_value(b, F(1, 4)) == F(1, 2)
 
 
 def test_branch_inverse_is_exact_and_none_outside_image():
     b = AffineBranch(F(7, 2), F(1, 5), F(0), F(1, 5))
     m = MarkovMap((b,))
     assert m.branch_inverse(1, F(1, 2)) == F(3, 35)
-    assert b.value_at(F(3, 35)) == F(1, 2)
+    assert branch_value(b, F(3, 35)) == F(1, 2)
     assert m.branch_inverse(1, F(19, 20)) is None  # image is [1/5, 9/10]
 
 
@@ -145,7 +145,7 @@ def test_four_interval_geometry(four_map):
     grid = four_map.grid
     assert tuple(F(p, grid.den) for p in grid.points) == partition_points(four_map)
     for i, branch in enumerate(four_map.branches, start=1):
-        assert four_map.images[i - 1] == four_map.interval_image(i) == branch.image()
+        assert four_map.images[i - 1] == four_map.interval_image(i) == branch_image(branch)
     assert four_map.transition_matrix is four_map.transition_matrix
     assert four_map.escape_block is four_map.escape_block
     assert four_map.escape_block == ((1,), (0,), (0,), (0,))
@@ -161,9 +161,9 @@ def test_locate_kinds(four_map):
     # The located branch steps the point.  At a partition point shared by two
     # branches each branch gives a value: 1/5 goes to 9/10 under both, while
     # 9/10 goes to 1/4 under branch 3 and to 7/10 under branch 4.
-    assert four_map.branches[0].value_at(F(1, 10)) == F(11, 20)
-    assert [b.value_at(F(1, 5)) for b in four_map.branches[:2]] == [F(9, 10)] * 2
-    assert [b.value_at(F(9, 10)) for b in four_map.branches[2:]] == [F(1, 4), F(7, 10)]
+    assert branch_value(four_map.branches[0], F(1, 10)) == F(11, 20)
+    assert [branch_value(b, F(1, 5)) for b in four_map.branches[:2]] == [F(9, 10)] * 2
+    assert [branch_value(b, F(9, 10)) for b in four_map.branches[2:]] == [F(1, 4), F(7, 10)]
     assert four_map.locate(F(9, 20)).kind == ESCAPE_INTERIOR
     assert four_map.locate(F(9, 20)).index == 2
     assert four_map.locate(F(1, 4)).kind == PARTITION_POINT
@@ -308,8 +308,8 @@ def test_partition_set_is_forward_invariant_under_full_coverage(
         for p in pts:
             for b in m.branches:
                 if b.left <= p <= b.right:
-                    assert b.value_at(p) in pts
-    assert reaching_map.branches[3].value_at(F(9, 10)) == F(3, 5)
+                    assert branch_value(b, p) in pts
+    assert branch_value(reaching_map.branches[3], F(9, 10)) == F(3, 5)
     assert F(3, 5) not in partition_points(reaching_map)
 
 

@@ -22,12 +22,11 @@ from escapemaps import (
     classify_point,
     faithfulness_certificate,
     four_interval_map,
-    four_interval_reaching_map,
-    full_two_interval_map,
     gap_projection,
     image_decomposition_check,
     incidence_cells,
     jsonable,
+    load_document,
     markov_matrix,
     projection_sum_is_identity,
     realize,
@@ -40,6 +39,7 @@ from conftest import periodic_point, pull_back, replaced, synthesized_spec
 from oracles import (
     adjoint,
     bisect_image_decomposition_check,
+    branch_value,
     child_lists,
     compose,
     escape_point_with_incidence,
@@ -293,7 +293,7 @@ def test_image_decomposition_check_needs_the_parent_in_the_branch_image(four_map
     assert 3 not in tree.interior_indices()
     relabelled = replaced(tree, labels=tree.labels[:3] + (2,) + tree.labels[4:])
     leaf, parent = relabelled.points[3], relabelled.points[tree.parents[3]]
-    assert four_map.branches[1].value_at(leaf) == parent and leaf == F(47, 350)
+    assert branch_value(four_map.branches[1], leaf) == parent and leaf == F(47, 350)
     rep = replaced(realize(tree), tree=relabelled)
     assert image_decomposition_check(rep).failures == ("branch 2 round trip fails at 47/350",)
 
@@ -574,12 +574,12 @@ def _band8_escape_window():
 ORACLE_WINDOWS = {
     "four-escape": lambda: build_orbit_tree(four_interval_map(), F(1, 2), 5),
     "reaching-escape": lambda: build_orbit_tree(
-        four_interval_reaching_map(), F(13, 20), 5
+        load_document("four_interval_reaching").map, F(13, 20), 5
     ),
     # The full two-interval map has no gap, so its window is a regular one;
     # 1/3 has period 2 and the cycle closes through the root.
     "full2-periodic-root": lambda: build_orbit_tree(
-        full_two_interval_map(), F(1, 3), 4
+        load_document("full_two_interval").map, F(1, 3), 4
     ),
     "four-regular-horizon": lambda: build_orbit_tree(
         four_interval_map(), F(5, 27), 5, horizon=4

@@ -25,6 +25,7 @@ from escapemaps import (
     Escaped,
     MapFormatError,
     MapStructureError,
+    MarkovMap,
     RationalParseError,
     SynthesisSpec,
     admissible,
@@ -36,9 +37,9 @@ from escapemaps import (
     compare_points,
     faithfulness_certificate,
     format_rational,
-    four_interval_document,
     gap_projection,
     incidence_cells,
+    load_document,
     map_document_from_jsonable,
     map_document_to_jsonable,
     parse_rational,
@@ -232,7 +233,7 @@ def test_ascii_whitespace_is_padding():
 
 
 def test_map_coefficients_are_written_in_ascii_digits():
-    data = map_document_to_jsonable(four_interval_document())
+    data = map_document_to_jsonable(load_document("four_interval"))
     data["branches"][0]["slope"] = "\uff12"
     with pytest.raises(RationalParseError, match="not a rational literal"):
         map_document_from_jsonable(data)
@@ -253,7 +254,7 @@ def test_ints_and_fractions_give_the_same_results(four_map, rep):
     assert m.locate(F(1, 2)) == Location("escape-interior", 2, F(1, 2))
     assert (m.branch_inverse(1, F(1, 2)), m.branch_inverse(1, 0)) == (F(3, 35), None)
     assert m.interval_image(1) == (F(1, 5), F(9, 10))
-    assert AffineBranch(slope=3, intercept=0, left=0, right=1).image() == (0, 3)
+    assert MarkovMap((AffineBranch(slope=3, intercept=0, left=0, right=1),)).images == ((0, 3),)
     assert (format_rational(3), format_rational(F(-1, 2))) == ("3", "-1/2")
 
     assert SynthesisSpec(A, B, [2]).gap_positions == (2,)

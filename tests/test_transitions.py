@@ -16,9 +16,8 @@ from escapemaps import (
     dot_export,
     expected_matrix_notes,
     four_interval_map,
-    four_interval_reaching_map,
-    full_two_interval_map,
     is_primitive,
+    load_document,
     markov_matrix,
     synthesize,
     transition_data,
@@ -101,11 +100,13 @@ TWO_GAP_B = ((1, 0), (1, 1), (0, 1))
 BLOCK_FORM_CASES = {
     "four_interval": (four_interval_map, FOUR_A, ((1,), (0,), (0,), (0,))),
     "four_interval_reaching": (
-        four_interval_reaching_map,
+        lambda: load_document("four_interval_reaching").map,
         FOUR_A,
         ((1,), (0,), (0,), (1,)),
     ),
-    "full_two_interval": (full_two_interval_map, ((1, 1), (1, 1)), ((), ())),
+    "full_two_interval": (
+        lambda: load_document("full_two_interval").map, ((1, 1), (1, 1)), ((), ())
+    ),
     "synthesized_two_gaps": (
         lambda: synthesize(SynthesisSpec(TWO_GAP_A, TWO_GAP_B)).map,
         TWO_GAP_A,
