@@ -382,9 +382,11 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Build a map realizing the spec exactly.
 
     Raises InfeasibleSpecError (carrying the report) when the spec cannot be
-    realized, a single interval included, and WidthSnapError when no
-    workable widths are found.  The recomputed matrices of the result are
-    asserted equal to the inputs before returning."""
+    realized, a single interval included.  A feasible spec is primitive on
+    at least two intervals, so its widths always pass; WidthSnapError, from
+    the guard in ``_expanding_widths``, fires only if that premise breaks.
+    The recomputed matrices of the result are asserted equal to the inputs
+    before returning."""
     report, data = spec._assessment
     if not report.feasible:
         raise InfeasibleSpecError(report)

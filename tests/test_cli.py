@@ -585,6 +585,27 @@ def test_analysis_commands_reject_an_invalid_map(capsys, tmp_path, argv):
     assert "P1: branch images cover [0, 2]" in err
 
 
+def test_tree_checks_the_map_before_reading_the_point(capsys, tmp_path):
+    # A malformed --x on a map that fails each of P1-P4 is a check failure
+    # (exit 1) that lists the issues, not a usage error (exit 2).
+    bad = tmp_path / "shrinking.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "markov_intervals": [["0", "1/2"], ["1/2", "1"]],
+                "branches": [
+                    {"slope": "1/2", "intercept": "0"},
+                    {"slope": "1/2", "intercept": "1/2"},
+                ],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "tree", "--x", "garbage", str(bad))
+    assert code == 1 and out == ""
+    assert "map fails validation" in err
+    assert all(f"\n  P{k}: " in err for k in range(1, 5)), err
+
+
 # -- closed stdout -------------------------------------------------------
 
 

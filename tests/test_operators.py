@@ -27,7 +27,6 @@ from escapemaps import (
     incidence_cells,
     jsonable,
     load_document,
-    markov_matrix,
     projection_sum_is_identity,
     realize,
     synthesize,
@@ -38,11 +37,14 @@ from escapemaps.operators import _indices, _mask
 from conftest import periodic_point, pull_back, replaced, synthesized_spec
 from oracles import (
     adjoint,
+    all_pairs_transition_matrix,
     bisect_image_decomposition_check,
+    branch_images,
     branch_value,
     child_lists,
     compose,
     escape_point_with_incidence,
+    fraction_branch_inverse,
     partition_points,
     set_check_relations,
     set_faithfulness_certificate,
@@ -528,34 +530,36 @@ def test_regular_window_relations(four_map):
 
 def formula_operators(tree):
     """Reference transfers, edge isometries and image projections built from
-    the formula: the preimage f_i^{-1}(y) by branch_inverse over the closed
-    images, then a lookup of that point in the window; q_i over the nodes in
-    the closed image of I_i."""
+    the formula in ``Fraction``s, apart from the library's grid: the preimage
+    f_i^{-1}(y) by ``fraction_branch_inverse`` over the closed images, then a
+    lookup of that point in the window; q_i over the nodes in the closed
+    image of I_i; the edges from the all-pairs transition matrix."""
     m = tree.map
     point_index = {p: idx for idx, p in enumerate(tree.points)}
     interior = tree.interior_indices()
+    images = branch_images(m)
 
     def pull_back(i, nodes):
-        return {idx: point_index[m.branch_inverse(i, tree.points[idx])] for idx in nodes}
+        return {
+            idx: point_index[fraction_branch_inverse(m, i, tree.points[idx])] for idx in nodes
+        }
 
-    transfers = []
-    for i in range(1, m.n + 1):
-        lo, hi = m.interval_image(i)
-        transfers.append(
-            pull_back(i, [idx for idx in interior if lo <= tree.points[idx] <= hi])
-        )
-    markov = markov_matrix(m)
+    transfers = [
+        pull_back(i, [idx for idx in interior if lo <= tree.points[idx] <= hi])
+        for i, (lo, hi) in enumerate(images, start=1)
+    ]
+    markov = all_pairs_transition_matrix(m)
     edges = {
         (i, j): pull_back(i, [idx for idx in interior if tree.labels[idx] == j])
         for i in range(1, m.n + 1)
         for j in range(1, m.n + 1)
         if markov[i - 1][j - 1]
     }
-    images = [
+    projections = [
         frozenset(idx for idx, y in enumerate(tree.points) if lo <= y <= hi)
-        for lo, hi in m.images
+        for lo, hi in images
     ]
-    return transfers, edges, images
+    return transfers, edges, projections
 
 
 def _band8_escape_window():
@@ -615,10 +619,6 @@ def _assert_realize_matches_the_formula(tree):
         assert _bits(expected.values()) == rep.vertex_masks[i - 1] & reached
         _assert_parent_to_child(tree, expected)
     assert rep.edges() == tuple(sorted(edges))
-    markov = markov_matrix(tree.map)
-    assert rep.edges() == tuple(
-        (i + 1, j + 1) for i, row in enumerate(markov) for j, unit in enumerate(row) if unit
-    )
     for edge, expected in edges.items():
         assert rep.edge_masks[edge] == (_bits(expected), _bits(expected.values()))
         _assert_parent_to_child(tree, expected)

@@ -19,6 +19,7 @@ from escapemaps import (
     UndeterminedRegular,
     build_orbit_tree,
     classify_point,
+    compare_points,
     incidence_cells,
     point_class_to_jsonable,
     synthesize,
@@ -465,6 +466,27 @@ def test_windows_need_a_valid_map():
     assert not doubling.validate().all_ok
     with pytest.raises(EscapeMapsError, match="P1: branch images cover"):
         build_orbit_tree(doubling, F(1, 3), 2)
+
+
+def test_window_requests_check_budgets_before_the_map():
+    # Two slope-1/2 branches on [0, 1/2] and [1/2, 1] fail each of P1-P4.
+    # window_classes checks depth, then max_iter, then P1-P4; build_orbit_tree
+    # checks horizon and horizon <= max_iter between the budgets and P1-P4.
+    shrinking = MarkovMap(
+        (AffineBranch(F(1, 2), 0, 0, F(1, 2)), AffineBranch(F(1, 2), F(1, 2), F(1, 2), 1))
+    )
+    for kwargs, message in [
+        (dict(depth=-1, horizon=-1), "depth must be nonnegative"),
+        (dict(depth=2, horizon=-1), "horizon must be nonnegative"),
+        (dict(depth=2, max_iter=1, horizon=3), "horizon must satisfy"),
+    ]:
+        with pytest.raises(DepthExceedsTreeError, match=message):
+            build_orbit_tree(shrinking, F(1, 3), **kwargs)
+    with pytest.raises(EscapeMapsError, match="map fails validation") as failure:
+        build_orbit_tree(shrinking, F(1, 3), 2)
+    assert type(failure.value) is EscapeMapsError
+    with pytest.raises(DepthExceedsTreeError, match="max_iter must be nonnegative"):
+        compare_points(shrinking, F(1, 3), F(1, 5), max_iter=-1)
 
 
 # -- itineraries: the labels classify_point fills ------------------------
